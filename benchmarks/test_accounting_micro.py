@@ -8,18 +8,30 @@ accountants and the controller engine in isolation.
 
 import pytest
 
-from repro.dram import ControllerConfig, DDR4_2400, MemoryController, Request, RequestType
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
+from repro.dram.timing import DDR4_2400
 from repro.stacks.bandwidth import BandwidthStackAccountant
 from repro.stacks.latency import LatencyStackAccountant
+from repro.stacks.requester import (
+    RequesterBandwidthAccountant,
+    RequesterLatencyAccountant,
+    fold_interference,
+)
 
 SPEC = DDR4_2400
 
 
-def build_controller(requests: int, stride: int = 64) -> MemoryController:
-    mc = MemoryController(ControllerConfig())
+def build_controller(
+    requests: int, stride: int = 64, scheduling: str = "fr-fcfs"
+) -> MemoryController:
+    """A finished run; odd requests belong to requester 1."""
+    mc = MemoryController(ControllerConfig(scheduling=scheduling))
     for i in range(requests):
         kind = RequestType.WRITE if i % 5 == 0 else RequestType.READ
-        mc.enqueue(Request(kind, (i * stride) % (1 << 30), arrival=i * 5))
+        mc.enqueue(Request(
+            kind, (i * stride) % (1 << 30), arrival=i * 5,
+            core_id=i % 2, requester_id=i % 2,
+        ))
     mc.drain()
     mc.finalize()
     return mc
@@ -28,6 +40,12 @@ def build_controller(requests: int, stride: int = 64) -> MemoryController:
 @pytest.fixture(scope="module")
 def finished_controller():
     return build_controller(20_000)
+
+
+@pytest.fixture(scope="module")
+def contended_controller():
+    """Two requesters sharing the channel under weighted round robin."""
+    return build_controller(20_000, scheduling="wrr")
 
 
 def test_controller_throughput(benchmark):
@@ -77,3 +95,28 @@ def test_accounting_cost_scales_with_commands(benchmark):
     accountant = BandwidthStackAccountant(SPEC)
     stack = benchmark(accountant.account, mc.log, mc.now)
     assert stack.fraction("idle") + stack.fraction("refresh") > 0.9
+
+
+def test_requester_bandwidth_accounting_speed(
+    benchmark, contended_controller
+):
+    """Per-requester bandwidth split of a 2-requester, 20k-request log;
+    the rows fold back to the aggregate counters exactly."""
+    mc = contended_controller
+    rows = benchmark(
+        RequesterBandwidthAccountant(SPEC).account_cycles, mc.log, mc.now
+    )
+    aggregate = BandwidthStackAccountant(SPEC).account_cycles(
+        mc.log, mc.now
+    )[0]
+    assert fold_interference(rows) == aggregate
+
+
+def test_requester_latency_accounting_speed(
+    benchmark, contended_controller
+):
+    """Per-requester latency split with the interference component."""
+    mc = contended_controller
+    accountant = RequesterLatencyAccountant(SPEC, base_controller_cycles=42)
+    stacks = benchmark(accountant.account, mc.completed_requests, mc.log)
+    assert set(stacks) == {0, 1}

@@ -11,11 +11,9 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
 TIER1_TIMEOUT="${TIER1_TIMEOUT:-540}"
-NONUMPY_TIMEOUT="${NONUMPY_TIMEOUT:-540}"
 SMOKE_TIMEOUT="${SMOKE_TIMEOUT:-120}"
-# The bench runs fig2(ci) four times (three timed, one profiled for
-# the phase breakdown) plus a fingerprint run, then the same protocol
-# for figstd(ci).
+# The harness self-tests take ~6 s; the pin check runs every benchmark
+# workload once at seed 42.
 BENCH_TIMEOUT="${BENCH_TIMEOUT:-420}"
 SERVICE_TIMEOUT="${SERVICE_TIMEOUT:-180}"
 CHAOS_TIMEOUT="${CHAOS_TIMEOUT:-120}"
@@ -43,13 +41,6 @@ fi
 
 echo "== tier-1 test suite (timeout ${TIER1_TIMEOUT}s) =="
 timeout --signal=KILL "$TIER1_TIMEOUT" \
-    python -m pytest -x -q "${MARKER_ARGS[@]}"
-
-echo "== tier-1 without numpy (timeout ${NONUMPY_TIMEOUT}s) =="
-# The packed engine's pure-Python array fallback must pass the same
-# suite bit-identically: REPRO_NO_NUMPY=1 makes numpy_or_none() return
-# None, so every bulk kernel runs its stdlib-array branch.
-REPRO_NO_NUMPY=1 timeout --signal=KILL "$NONUMPY_TIMEOUT" \
     python -m pytest -x -q "${MARKER_ARGS[@]}"
 
 echo "== fault-injection smoke (timeout ${SMOKE_TIMEOUT}s) =="
@@ -87,32 +78,13 @@ echo "== device library smoke (timeout ${DEVICES_TIMEOUT}s) =="
 timeout --signal=KILL "$DEVICES_TIMEOUT" \
     python scripts/devices_smoke.py
 
-echo "== wall-clock smoke benchmark (timeout ${BENCH_TIMEOUT}s) =="
-# Gates on BENCH_PR5.json: warns past a 10% slowdown, fails past 25%
-# or if the timed runs' result fingerprint changed. The JSON also
-# records a per-phase breakdown (controller/core/accounting/workloads).
+echo "== benchmark harness and seed-42 pins (timeout ${BENCH_TIMEOUT}s) =="
+# bench/ holds the simulator's one benchmark (bench/README.md). Its
+# self-tests, then one pass of every workload at seed 42: each point's
+# digest must equal bench/fingerprints.json, so a speed-up that changes
+# results fails here.
+timeout --signal=KILL "$BENCH_TIMEOUT" python -m pytest bench -q
 timeout --signal=KILL "$BENCH_TIMEOUT" \
-    python scripts/bench_smoke.py
-
-# The packed-engine record must exist and must carry the same result
-# fingerprint the BENCH_PR5 gate pinned: a packed "speedup" that
-# changed results cannot land by only rewriting its own record.
-python - <<'EOF'
-import json, sys
-pr5 = json.load(open("BENCH_PR5.json"))
-pr10 = json.load(open("BENCH_PR10.json"))
-if pr10["fingerprint"] != pr5["fingerprint"]:
-    sys.exit(
-        "ci_check: BENCH_PR10.json fingerprint "
-        f"{pr10['fingerprint'][:12]} != BENCH_PR5.json baseline "
-        f"{pr5['fingerprint'][:12]}"
-    )
-print(
-    f"ci_check: BENCH_PR10.json ok — fig2(ci) "
-    f"{pr10['measured_seconds']}s (median {pr10['median_seconds']}s) "
-    f"vs {pr10['target_seconds']}s target, "
-    f"target_met={pr10['target_met']}"
-)
-EOF
+    python bench/run.py --seed 42 --trace 0 --seconds 1
 
 echo "ci_check: OK"

@@ -36,12 +36,9 @@ checkpoint pickling, or a fault injection patching ``_plan_entry``.
 ``pack ⇄ flush`` round trip is property-tested in
 ``tests/dram/test_packed_roundtrip.py``.
 
-numpy, when importable (and not disabled via ``REPRO_NO_NUMPY=1``), is
-used only for bulk kernels over the fixed-size bank columns (refresh
-fences, candidate-cache invalidation) through zero-copy
-``np.frombuffer`` views; the columns themselves stay stdlib ``array``
-objects so indexing yields plain Python ints and no numpy scalar can
-ever reach the fingerprinted log tuples.
+The columns are stdlib ``array`` objects, so indexing yields plain
+Python ints and no numpy scalar can ever reach the fingerprinted log
+tuples.
 
 Scheduling semantics are replicated *exactly* from the object engine —
 same candidate selection, same (time, priority, req_id) tournament,
@@ -53,7 +50,6 @@ the golden fingerprints and ``tests/golden/test_differential.py``.
 from __future__ import annotations
 
 import heapq
-import os
 from array import array
 
 from repro.core.events import (
@@ -100,17 +96,6 @@ _SCOPE_CHANNEL = BlockScope.CHANNEL
 
 #: Shared owner tuple for pipeline-drain windows (never interference).
 _NO_OWNER = (-1, False)
-
-
-def numpy_or_none():
-    """numpy if importable and not disabled via ``REPRO_NO_NUMPY``."""
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is in the CI image
-        return None
-    return numpy
 
 
 def packed_fallback_reason(controller) -> str | None:
@@ -181,7 +166,6 @@ class PackedEngine:
         B = self.B = ctrl.num_banks
         G = self.G = org.bank_groups
         R = self.R = org.ranks
-        self._np = numpy_or_none()
 
         # Flat-index decompositions (mirrors Bank.__init__ / paging).
         self.bg_of = array("q", [(f % org.banks) // org.banks_per_group
@@ -262,21 +246,6 @@ class PackedEngine:
         self.cw_k = array("q", zeros)
         self.cw_f = array("q", zeros)
         self.cw_b = array("q", zeros)
-
-        # Optional numpy bulk-kernel views over the fixed-size columns
-        # (zero-copy; writes land in the arrays, reads via the arrays
-        # still yield plain Python ints).
-        np = self._np
-        if np is not None:
-            self._v_b_row = np.frombuffer(self.b_row, dtype=np.int64)
-            self._v_b_nact = np.frombuffer(self.b_nact, dtype=np.int64)
-            self._v_cr_e = np.frombuffer(self.cr_e, dtype=np.int64)
-            self._v_cw_e = np.frombuffer(self.cw_e, dtype=np.int64)
-        else:
-            self._v_b_row = None
-            self._v_b_nact = None
-            self._v_cr_e = None
-            self._v_cw_e = None
 
         self._reset_plan = True
         self._runner = self._make_runner()
@@ -531,7 +500,6 @@ class PackedEngine:
         ctrl = self._ctrl
         spec = ctrl.spec
         B, G = self.B, self.G
-        np = self._np
 
         # --- timing constants -----------------------------------------
         tRP = spec.tRP
@@ -633,8 +601,6 @@ class PackedEngine:
         rh_r, rt_r, rh_w, rt_w = self.rh_r, self.rt_r, self.rh_w, self.rt_w
         cr_e, cr_k, cr_f, cr_b = self.cr_e, self.cr_k, self.cr_f, self.cr_b
         cw_e, cw_k, cw_f, cw_b = self.cw_e, self.cw_k, self.cw_f, self.cw_b
-        v_b_row, v_b_nact = self._v_b_row, self._v_b_nact
-        v_cr_e, v_cw_e = self._v_cr_e, self._v_cw_e
 
         # Per-decide rank-gate scratch (lazily filled, seen-bitmask).
         cas_rgate = [0] * self.R
@@ -909,13 +875,9 @@ class PackedEngine:
                     if now >= ref_due:
                         epoch += 1
                         t_epoch += 1
-                        if np is not None:
-                            v_cr_e.fill(-1)
-                            v_cw_e.fill(-1)
-                        else:
-                            for f in range(B):
-                                cr_e[f] = -1
-                                cw_e[f] = -1
+                        for f in range(B):
+                            cr_e[f] = -1
+                            cw_e[f] = -1
                         if refresh_kind == 0:
                             # AllBankRefresh.perform
                             t_ready = now
@@ -954,16 +916,10 @@ class PackedEngine:
                                 t_ref = t_ready
                             refresh_end = t_ref + tRFC
                             refresh_w.append((t_ref, refresh_end))
-                            if np is not None:
-                                np.maximum(
-                                    v_b_nact, refresh_end, out=v_b_nact
-                                )
-                                v_b_row.fill(-1)
-                            else:
-                                for f in range(B):
-                                    if refresh_end > b_nact[f]:
-                                        b_nact[f] = refresh_end
-                                    b_row[f] = -1
+                            for f in range(B):
+                                if refresh_end > b_nact[f]:
+                                    b_nact[f] = refresh_end
+                                b_row[f] = -1
                             ref_until = refresh_end
                             refresh.until = refresh_end
                             refresh.next_due += tREFI

@@ -15,8 +15,9 @@ Used by:
   cycle shows up as a digest mismatch.
 * determinism tests — same seed must mean same fingerprint, across
   repeated runs and across a checkpoint/resume boundary.
-* ``scripts/bench_smoke.py`` — records the fingerprint next to the
-  timing so a speedup that changes results is never reported as a win.
+* ``bench/run.py`` — the benchmark digests every point's stacks in
+  this layout and checks them against its seed-42 pins, so a speedup
+  that changes results is never reported as a win.
 """
 
 from __future__ import annotations

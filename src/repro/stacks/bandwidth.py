@@ -21,25 +21,24 @@ The accounting is exact: counters are kept in integer units of 1/n_banks
 of a cycle (the paper's footnote 1), and the components always sum to the
 total simulated cycles.
 
-The accountant walks the controller's event log segment by segment — the
-paper's "account multiple cycles in one step" — so its cost is linear in
-the number of DRAM commands, not in simulated cycles.
+The accountant cuts the controller's event log into segments at every
+window edge and classifies all of them at once — the paper's "account
+multiple cycles in one step", as whole-array passes
+(:mod:`repro.stacks.segments`) — so its cost is linear in the number of
+DRAM commands, not in simulated cycles.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-
 from repro.dram.controller import EventLog
-from repro.dram.rank import BlockScope
 from repro.dram.timing import TimingSpec
 from repro.errors import AccountingError
 from repro.stacks.components import (
     Stack,
     StackSeries,
     ordered_stack,
-    paused_gc,
 )
+from repro.stacks.segments import ChannelTimeline
 
 #: Canonical component order (bottom of the stack first). ``read`` and
 #: ``write`` together are the achieved bandwidth; everything else is lost.
@@ -53,67 +52,6 @@ BANDWIDTH_COMPONENTS = (
     "bank_idle",
     "idle",
 )
-
-
-class _WindowCursor:
-    """Forward-moving coverage queries over a time-sorted interval list.
-
-    Windows may overlap each other; queries must be made with
-    non-decreasing segment starts. ``cover(s)`` returns whether any window
-    contains s; ``edges_in(lo, hi)`` returns window edges inside (lo, hi).
-    """
-
-    def __init__(self, windows: list[tuple[int, int]]) -> None:
-        self._windows = sorted(windows)
-        self._idx = 0
-        # Active set pruned lazily: windows with end > current position.
-        self._active: list[tuple[int, int]] = []
-
-    def _advance(self, t: int) -> None:
-        windows = self._windows
-        while self._idx < len(windows) and windows[self._idx][0] <= t:
-            self._active.append(windows[self._idx])
-            self._idx += 1
-        if self._active:
-            self._active = [w for w in self._active if w[1] > t]
-
-    def cover(self, t: int) -> bool:
-        """Whether any window contains time t (non-decreasing t calls)."""
-        self._advance(t)
-        return bool(self._active)
-
-    def edges_in(self, lo: int, hi: int) -> list[int]:
-        """Window start/end points strictly inside (lo, hi)."""
-        self._advance(lo)
-        windows = self._windows
-        edges = []
-        # Starts within range: binary search over sorted starts.
-        i = bisect_right(windows, (lo, 1 << 62))
-        while i < len(windows) and windows[i][0] < hi:
-            edges.append(windows[i][0])
-            if lo < windows[i][1] < hi:
-                edges.append(windows[i][1])
-            i += 1
-        # Ends of already-active windows.
-        for start, end in self._active:
-            if lo < end < hi:
-                edges.append(end)
-        return edges
-
-
-class _ScopedCursor(_WindowCursor):
-    """Coverage cursor that also reports the covering window's payload."""
-
-    def __init__(self, windows: list[tuple[int, int, object]]) -> None:
-        self._payloads = {(s, e): p for s, e, p in windows}
-        super().__init__([(s, e) for s, e, __ in windows])
-
-    def covering_payload(self, t: int) -> object | None:
-        """Payload of a window covering time t, if any."""
-        self._advance(t)
-        if not self._active:
-            return None
-        return self._payloads[self._active[0]]
 
 
 class BandwidthStackAccountant:
@@ -136,7 +74,6 @@ class BandwidthStackAccountant:
         self.auditor = auditor
 
     # ------------------------------------------------------------------
-    @paused_gc
     def account_cycles(
         self,
         log: EventLog,
@@ -155,144 +92,17 @@ class BandwidthStackAccountant:
         if bin_cycles is None:
             bin_cycles = total_cycles
         num_bins = -(-total_cycles // bin_cycles)
+        timeline = ChannelTimeline(
+            log, total_cycles, n, self._burst_overlap, bin_cycles
+        )
         bins: list[dict[str, int]] = [
             dict.fromkeys(BANDWIDTH_COMPONENTS, 0) for _ in range(num_bins)
         ]
-
-        if num_bins == 1:
-            # Aggregate stacks use a single bin; skip the bin walk.
-            counters0 = bins[0]
-
-            def add(component: str, s: int, e: int, weight: int) -> None:
-                """Add `weight` (in 1/n cycle units) per cycle of [s, e)."""
-                if s < 0:
-                    s = 0
-                if e > total_cycles:
-                    e = total_cycles
-                if s < e:
-                    counters0[component] += (e - s) * weight
-
-        else:
-
-            def add(component: str, s: int, e: int, weight: int) -> None:
-                """Add `weight` (in 1/n cycle units) per cycle of [s, e)."""
-                s = max(s, 0)
-                e = min(e, total_cycles)
-                while s < e:
-                    b = s // bin_cycles
-                    seg_end = min(e, (b + 1) * bin_cycles)
-                    bins[b][component] += (seg_end - s) * weight
-                    s = seg_end
-
-        # --- 1. Data bursts -------------------------------------------
-        # Entries are (start, end, is_write[, core_id]); hand-built logs
-        # may omit the core.
-        bursts = sorted(log.bursts)
-        prev_end = 0
-        gaps: list[tuple[int, int]] = []
-        for start, end, is_write, *__ in bursts:
-            if start < prev_end:
-                message = f"overlapping data bursts at cycle {start}"
-                if self.auditor is None:
-                    raise AccountingError(message)
-                self.auditor.report(
-                    "burst-overlap", message, residual=prev_end - start
-                )
-                # Clamp so the overlapped cycles are attributed once.
-                start = min(prev_end, end)
-            if start > prev_end:
-                gaps.append((prev_end, min(start, total_cycles)))
-            add("write" if is_write else "read", start, end, n)
-            prev_end = max(prev_end, end)
-        if prev_end < total_cycles:
-            gaps.append((prev_end, total_cycles))
-
-        # --- 2. Gap classification ------------------------------------
-        refresh = _WindowCursor(list(log.refresh_windows))
-        blocked = _ScopedCursor(
-            [(s, e, (scope, reason)) for s, e, scope, __, reason in log.blocked]
-        )
         bpg = self.spec.organization.banks_per_group
-
-        # Per-bank pre/act/cas coverage is computed with one global,
-        # time-sorted event sweep: each window contributes a +1/-1 edge
-        # on its bank's (bank, kind) slot, and per-bank states (with the
-        # pre > act > cas priority) are maintained incrementally. This
-        # replaces 3*n cursors each queried per segment — the accounting
-        # stays linear in the number of DRAM commands with a constant
-        # independent of the bank count. Events are packed into single
-        # ints (time in the high bits, then slot, then a start flag) so
-        # sorting and scanning stay allocation-free.
-        shift = (8 * n).bit_length()
-        events: list[int] = []
-        append = events.append
-        for windows, kind in (
-            (log.pre_windows, 0),
-            (log.act_windows, 1),
-            (log.cas_windows, 2),
-            (getattr(log, "bank_refresh_windows", ()), 3),
-        ):
-            # `bank % n` matches the list indexing the per-bank cursors
-            # historically used: offline-reconstructed logs record
-            # precharge-all commands with a negative flat bank (see
-            # repro.trace.offline), which wrapped onto a high bank.
-            for s, e, bank in windows:
-                slot2 = ((bank % n) * 4 + kind) << 1
-                append((s << shift) | slot2 | 1)
-                append((e << shift) | slot2)
-        events.sort()
-        num_events = len(events)
-        counts = [0] * (4 * n)
-        bank_state = [0] * n  # 0 idle, 1 pre, 2 act, 3 cas, 4 refresh
-        tallies = [n, 0, 0, 0, 0]  # banks per state
-        ptr = 0
-
-        for gap_start, gap_end in gaps:
-            if gap_start >= gap_end:
-                continue
-            edges = {gap_start, gap_end}
-            edges.update(refresh.edges_in(gap_start, gap_end))
-            edges.update(blocked.edges_in(gap_start, gap_end))
-            lo = bisect_left(events, (gap_start + 1) << shift)
-            hi = bisect_left(events, gap_end << shift)
-            if lo < hi:
-                edges.update(code >> shift for code in events[lo:hi])
-            points = sorted(edges)
-            for s, e in zip(points, points[1:]):
-                limit = (s + 1) << shift
-                while ptr < num_events:
-                    code = events[ptr]
-                    if code >= limit:
-                        break
-                    ptr += 1
-                    slot = (code >> 1) & ((1 << (shift - 1)) - 1)
-                    if code & 1:
-                        counts[slot] += 1
-                    else:
-                        counts[slot] -= 1
-                    bank = slot // 4
-                    base = bank * 4
-                    if counts[base + 3]:
-                        state = 4
-                    elif counts[base]:
-                        state = 1
-                    elif counts[base + 1]:
-                        state = 2
-                    elif counts[base + 2]:
-                        state = 3
-                    else:
-                        state = 0
-                    old = bank_state[bank]
-                    if state != old:
-                        bank_state[bank] = state
-                        tallies[old] -= 1
-                        tallies[state] += 1
-                self._classify_segment(
-                    s, e, refresh, blocked,
-                    tallies[1], tallies[2], tallies[3], tallies[4], bpg, add,
-                )
-
-        # --- 3. Exactness check ----------------------------------------
+        for component, units in timeline.units(bpg):
+            for counters, count in zip(bins, timeline.per_bin(units)):
+                counters[component] += count
+        # Exact by construction; the check guards the kernel itself.
         for b, counters in enumerate(bins):
             length = min(total_cycles - b * bin_cycles, bin_cycles)
             residual = n * length - sum(counters.values())
@@ -309,49 +119,12 @@ class BandwidthStackAccountant:
                 )
         return bins
 
-    def _classify_segment(
-        self, s: int, e: int, refresh: _WindowCursor, blocked: _ScopedCursor,
-        n_pre: int, n_act: int, n_cas: int, n_ref: int,
-        banks_per_group: int, add,
-    ) -> None:
-        """Attribute one channel-idle segment [s, e).
-
-        `n_pre`/`n_act`/`n_cas`/`n_ref` count banks precharging,
-        activating, with a CAS in flight, and in per-bank (same-bank)
-        refresh at `s`, with the per-bank refresh > pre > act > cas
-        priority already applied by the caller's event sweep. A
-        channel-wide (all-bank) refresh window still takes the whole
-        segment; per-bank refresh takes only its bank's 1/n share.
-        """
-        n = self.num_banks
-        if refresh.cover(s):
-            add("refresh", s, e, n)
-            return
-        if n_ref or n_pre or n_act:
-            add("refresh", s, e, n_ref)
-            add("precharge", s, e, n_pre)
-            add("activate", s, e, n_act)
-            add("constraints", s, e, n_cas)
-            add("bank_idle", s, e, n - n_ref - n_pre - n_act - n_cas)
-            return
-        payload = blocked.covering_payload(s)
-        if payload is not None:
-            scope, reason = payload
-            if reason == "data_inflight":
-                # Data is on its way but nothing is waiting to issue:
-                # more requests could have used these cycles -> idle
-                # (the paper: "the DRAM chip is completely idle").
-                add("idle", s, e, n)
-            elif scope is BlockScope.BANK_GROUP:
-                add("constraints", s, e, banks_per_group)
-                add("bank_idle", s, e, n - banks_per_group)
-            elif scope is BlockScope.BANK:
-                add("constraints", s, e, 1)
-                add("bank_idle", s, e, n - 1)
-            else:  # RANK / CHANNEL: nothing could issue anywhere.
-                add("constraints", s, e, n)
-            return
-        add("idle", s, e, n)
+    def _burst_overlap(self, start: int, residual: int) -> None:
+        """A burst starting before the previous one ended."""
+        message = f"overlapping data bursts at cycle {start}"
+        if self.auditor is None:
+            raise AccountingError(message)
+        self.auditor.report("burst-overlap", message, residual=residual)
 
     # ------------------------------------------------------------------
     def account(

@@ -11,37 +11,10 @@ through-time stacks, Fig. 7).
 
 from __future__ import annotations
 
-import functools
-import gc
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import AccountingError
-
-
-def paused_gc(fn):
-    """Decorator: run `fn` with the generational GC paused.
-
-    The accountants allocate large numbers of short-lived tuples while
-    millions of long-lived event-log tuples are resident, so generation-2
-    collections scan the whole log repeatedly for nothing — pausing the
-    collector roughly halves accounting time. The pause nests safely
-    (an inner pause under an outer one is a no-op) and is restored even
-    when the wrapped call raises.
-    """
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if was_enabled:
-                gc.enable()
-
-    return wrapper
 
 
 @dataclass

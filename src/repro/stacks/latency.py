@@ -23,7 +23,9 @@ or lost.
 
 from __future__ import annotations
 
-from repro.dram.commands import Request
+import numpy as np
+
+from repro.dram.commands import Request, RequestType
 from repro.dram.timing import TimingSpec
 from repro.errors import AccountingError
 from repro.stacks import intervals as iv
@@ -31,8 +33,8 @@ from repro.stacks.components import (
     Stack,
     StackSeries,
     ordered_stack,
-    paused_gc,
 )
+from repro.stacks.segments import Cover, latency_split, read_table
 
 LATENCY_COMPONENTS = ("base", "pre_act", "refresh", "writeburst", "queue")
 LATENCY_COMPONENTS_SPLIT = (
@@ -70,14 +72,6 @@ class LatencyStackAccountant:
     def components(self) -> tuple[str, ...]:
         """Component order for this configuration."""
         return LATENCY_COMPONENTS_SPLIT if self.split_base else LATENCY_COMPONENTS
-
-    def _violation(
-        self, kind: str, message: str, residual: float = 0.0, repair=None
-    ) -> None:
-        """Raise or route a decomposition violation through the auditor."""
-        if self.auditor is None:
-            raise AccountingError(message)
-        self.auditor.report(kind, message, residual=residual, repair=repair)
 
     # ------------------------------------------------------------------
     def decompose(
@@ -140,7 +134,6 @@ class LatencyStackAccountant:
             parts["base"] = self.base_controller_cycles + base_dram
         return parts
 
-    @paused_gc
     def account(
         self,
         requests: list[Request],
@@ -148,48 +141,37 @@ class LatencyStackAccountant:
         drain_windows: list[tuple[int, int]],
         label: str = "",
     ) -> Stack:
-        """Average latency stack over all DRAM reads, in nanoseconds."""
-        reads = [
-            r for r in requests
-            if r.is_read and not r.forwarded and r.cas_issue >= 0
-            and (self.include_prefetch or not r.is_prefetch)
-        ]
-        if not reads:
-            return ordered_stack({}, self.components, unit="ns", label=label)
-        sums = dict.fromkeys(self.components, 0.0)
-        for request in reads:
-            parts = self.decompose(request, refresh_windows, drain_windows)
-            negatives = [
-                name for name, value in parts.items() if value < -1e-9
-            ]
-            if negatives:
-                message = (
-                    f"negative latency component(s) {negatives} for "
-                    f"request {request.req_id} "
-                    f"(arrival {request.arrival}, cas {request.cas_issue})"
-                )
-                self._violation(
-                    "latency-negative", message,
-                    repair=lambda p=parts: _repair_parts(p),
-                )
-            measured = (
-                request.finish - request.arrival + self.base_controller_cycles
+        """Average latency stack over all DRAM reads, in nanoseconds.
+
+        Every read is split by the whole-array kernel. A read with a
+        negative component is re-split by :meth:`decompose` and reported
+        (the auditor's ``repair`` clamps it); ``queue`` is the residual,
+        so each read's parts sum exactly to its measured latency.
+        """
+        reads = self.reads(requests)
+        rows = read_table(reads)
+        parts = latency_split(
+            rows, Cover.of(refresh_windows), Cover.of(drain_windows)
+        )
+        base_dram = rows[:, 2] - rows[:, 1]
+        if self.split_base:
+            parts["base_cntlr"] = np.full(
+                len(reads), self.base_controller_cycles
             )
-            drift = sum(parts.values()) - measured
-            if abs(drift) > 1e-9:
-                message = (
-                    f"latency components sum to {sum(parts.values())} for a "
-                    f"read with measured latency {measured}"
-                )
-                self._violation(
-                    "latency-sum", message, residual=drift,
-                    repair=lambda p=parts, d=drift: p.__setitem__(
-                        "queue", p["queue"] - d
-                    ),
-                )
-            for name, value in parts.items():
+            parts["base_dram"] = base_dram
+        else:
+            parts["base"] = self.base_controller_cycles + base_dram
+        negative = np.logical_or.reduce([v < 0 for v in parts.values()])
+        sums: dict[str, float] = {
+            name: int(values[~negative].sum())
+            for name, values in parts.items()
+        }
+        for i in np.flatnonzero(negative).tolist():
+            for name, value in self._reported(
+                reads[i], refresh_windows, drain_windows
+            ).items():
                 sums[name] += value
-        scale = self.spec.cycle_ns / len(reads)
+        scale = self.spec.cycle_ns / len(reads) if reads else 0.0
         return ordered_stack(
             {name: value * scale for name, value in sums.items()},
             self.components,
@@ -209,15 +191,8 @@ class LatencyStackAccountant:
         """Through-time latency stacks, binned by read completion time."""
         num_bins = -(-total_cycles // bin_cycles)
         buckets: list[list[Request]] = [[] for _ in range(num_bins)]
-        for request in requests:
-            if not request.is_read or request.forwarded:
-                continue
-            if request.is_prefetch and not self.include_prefetch:
-                continue
-            if request.cas_issue < 0:
-                continue
-            b = min(request.finish // bin_cycles, num_bins - 1)
-            buckets[b].append(request)
+        for read in self.reads(requests):
+            buckets[min(read.finish // bin_cycles, num_bins - 1)].append(read)
         stacks = [
             self.account(
                 bucket, refresh_windows, drain_windows, f"{label}[{b}]"
@@ -225,6 +200,33 @@ class LatencyStackAccountant:
             for b, bucket in enumerate(buckets)
         ]
         return StackSeries(stacks, bin_cycles, self.spec.cycle_ns, label=label)
+
+    def reads(self, requests: list[Request]) -> list[Request]:
+        """The completed DRAM reads a latency stack averages over."""
+        return [
+            r for r in requests
+            if r.req_type is RequestType.READ and not r.forwarded
+            and r.cas_issue >= 0
+            and (self.include_prefetch or not r.is_prefetch)
+        ]
+
+    def _reported(self, request, refresh_windows, drain_windows):
+        """A read with a negative component, reported (and repaired)."""
+        parts = self.decompose(request, refresh_windows, drain_windows)
+        negatives = [name for name, value in parts.items() if value < 0]
+        if negatives:
+            message = (
+                f"negative latency component(s) {negatives} for "
+                f"request {request.req_id} "
+                f"(arrival {request.arrival}, cas {request.cas_issue})"
+            )
+            if self.auditor is None:
+                raise AccountingError(message)
+            self.auditor.report(
+                "latency-negative", message,
+                repair=lambda: _repair_parts(parts),
+            )
+        return parts
 
 
 def _repair_parts(parts: dict[str, float]) -> None:

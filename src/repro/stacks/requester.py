@@ -7,9 +7,9 @@ its event log (:class:`~repro.dram.components.accounting.EventLog`).
 
 The bandwidth decomposition partitions exactly the same integer units
 (1/n_banks of a cycle) as
-:class:`~repro.stacks.bandwidth.BandwidthStackAccountant`, walking the
-same segments with the same priority rules, so it aggregates back to
-the channel stack *by construction*:
+:class:`~repro.stacks.bandwidth.BandwidthStackAccountant`: both route
+the units of one :class:`~repro.stacks.segments.ChannelTimeline`, so it
+aggregates back to the channel stack *by construction*:
 
 * data bursts           -> the owning requester's ``read``/``write``;
 * precharge/activate    -> the requester whose request triggered the
@@ -19,8 +19,8 @@ the channel stack *by construction*:
 * blocked waiting       -> the victim requester: ``interference`` when
   the binding constraint was last touched by a *different* requester,
   ``constraints`` otherwise;
-* refresh, idle banks, channel idle -> the shared row
-  (:data:`SHARED_REQUESTER`).
+* refresh (all-bank and same-bank), idle banks, channel idle -> the
+  shared row (:data:`SHARED_REQUESTER`).
 
 Summing all rows and folding ``interference`` into ``constraints``
 reproduces the aggregate channel counters exactly (integer equality —
@@ -32,31 +32,32 @@ The latency decomposition extends the aggregate per-read split by
 carving ``interference`` out of ``queue``: the cycles of the read's
 queueing intervals (arrival to CAS, minus refresh/drain/own-pre-act)
 that were covered by *other* requesters' data bursts. The per-read
-components still sum exactly to the measured latency.
-
-This is deliberately a straightforward per-bank walk, not the packed
-fast path of the aggregate accountant: per-requester stacks are built
-for QoS analyses at figure/test scale, never inside the simulation hot
-loop.
+components still sum exactly to the measured latency. Both splits run
+on the whole-array kernels of :mod:`repro.stacks.segments`, the same
+ones under the aggregate stacks.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from operator import attrgetter
 
-from repro.dram.components.accounting import EventLog
+import numpy as np
+
 from repro.dram.commands import Request
-from repro.dram.rank import BlockScope
+from repro.dram.components.accounting import EventLog
 from repro.dram.timing import TimingSpec
 from repro.errors import AccountingError
-from repro.stacks import intervals as iv
-from repro.stacks.bandwidth import _ScopedCursor, _WindowCursor
-from repro.stacks.components import Stack, ordered_stack, paused_gc
+from repro.stacks.components import Stack, ordered_stack
 from repro.stacks.latency import LatencyStackAccountant
-
-#: Row key for cycles no single requester owns (refresh, idle banks,
-#: channel idle, refresh-driven precharges).
-SHARED_REQUESTER = -1
+from repro.stacks.segments import (
+    SHARED_REQUESTER,
+    ChannelTimeline,
+    Cover,
+    column,
+    latency_split,
+    padded,
+    read_table,
+)
 
 #: Canonical per-requester bandwidth component order. ``interference``
 #: is the only addition over the aggregate components: waiting caused
@@ -109,7 +110,6 @@ class RequesterBandwidthAccountant:
         self.num_banks = spec.organization.total_banks
 
     # ------------------------------------------------------------------
-    @paused_gc
     def account_cycles(
         self, log: EventLog, total_cycles: int
     ) -> dict[int, dict[str, int]]:
@@ -122,153 +122,17 @@ class RequesterBandwidthAccountant:
         if total_cycles <= 0:
             raise AccountingError("total_cycles must be positive")
         n = self.num_banks
-        rows: dict[int, dict[str, int]] = {}
-
-        def add(requester: int, component: str, s: int, e: int,
-                weight: int) -> None:
-            if s < 0:
-                s = 0
-            if e > total_cycles:
-                e = total_cycles
-            if s < e and weight:
-                row = rows.get(requester)
-                if row is None:
-                    row = rows[requester] = dict.fromkeys(
-                        REQUESTER_BANDWIDTH_COMPONENTS, 0
-                    )
-                row[component] += (e - s) * weight
-
-        # --- 1. Data bursts (owner-routed) ----------------------------
-        burst_owners = log.burst_owners
-        owned_bursts = sorted(
-            (
-                tuple(entry),
-                burst_owners[i] if i < len(burst_owners) else
-                SHARED_REQUESTER,
-            )
-            for i, entry in enumerate(log.bursts)
+        timeline = ChannelTimeline(
+            log, total_cycles, n, _burst_overlap, owners=True
         )
-        prev_end = 0
-        gaps: list[tuple[int, int]] = []
-        for entry, owner in owned_bursts:
-            start, end, is_write = entry[0], entry[1], entry[2]
-            if start < prev_end:
-                raise AccountingError(
-                    f"overlapping data bursts at cycle {start}"
-                )
-            if start > prev_end:
-                gaps.append((prev_end, min(start, total_cycles)))
-            add(owner, "write" if is_write else "read", start, end, n)
-            prev_end = max(prev_end, end)
-        if prev_end < total_cycles:
-            gaps.append((prev_end, total_cycles))
-
-        # --- 2. Gap classification (same segmentation as aggregate) ---
-        refresh = _WindowCursor(list(log.refresh_windows))
-        blocked_owners = log.blocked_owners
-        blocked = _ScopedCursor([
-            (
-                s, e,
-                (
-                    scope, reason,
-                    *(
-                        blocked_owners[i]
-                        if i < len(blocked_owners)
-                        else (SHARED_REQUESTER, False)
-                    ),
-                ),
-            )
-            for i, (s, e, scope, __, reason) in enumerate(log.blocked)
-        ])
-        bpg = self.spec.organization.banks_per_group
-
-        # Same packed-int event sweep as the aggregate accountant, with
-        # a per-slot owner recorded at each window start. (start, bank,
-        # kind) identifies a window uniquely — a bank cannot have two
-        # same-kind commands in flight from the same cycle — so the
-        # start code is a valid owner key.
-        pre_owner = {
-            (s, e, b): rq for s, e, b, rq in log.pre_owner_windows
-        }
-        act_owner = {
-            (s, e, b): rq for s, e, b, rq in log.act_owner_windows
-        }
-        cas_owners = log.cas_owners
-        shift = (6 * n).bit_length()
-        events: list[int] = []
-        owner_of_code: dict[int, int] = {}
-        append = events.append
-        for kind, windows, owner_for in (
-            (0, log.pre_windows,
-             lambda i, w: pre_owner.get(w, SHARED_REQUESTER)),
-            (1, log.act_windows,
-             lambda i, w: act_owner.get(w, SHARED_REQUESTER)),
-            (2, log.cas_windows,
-             lambda i, w: cas_owners[i]
-             if i < len(cas_owners) else SHARED_REQUESTER),
+        rows: dict[int, dict[str, int]] = {}
+        for requester, component, units in timeline.owned(
+            self.spec.organization.banks_per_group
         ):
-            for i, window in enumerate(windows):
-                s, e, bank = window
-                slot2 = ((bank % n) * 3 + kind) << 1
-                code = (s << shift) | slot2 | 1
-                append(code)
-                append((e << shift) | slot2)
-                owner_of_code[code] = owner_for(i, window)
-        events.sort()
-        num_events = len(events)
-        counts = [0] * (3 * n)
-        slot_owner = [SHARED_REQUESTER] * (3 * n)
-        bank_state = [0] * n  # 0 idle, 1 pre, 2 act, 3 cas
-        tallies = [n, 0, 0, 0]
-        ptr = 0
-
-        for gap_start, gap_end in gaps:
-            if gap_start >= gap_end:
-                continue
-            edges = {gap_start, gap_end}
-            edges.update(refresh.edges_in(gap_start, gap_end))
-            edges.update(blocked.edges_in(gap_start, gap_end))
-            lo = bisect_left(events, (gap_start + 1) << shift)
-            hi = bisect_left(events, gap_end << shift)
-            if lo < hi:
-                edges.update(code >> shift for code in events[lo:hi])
-            points = sorted(edges)
-            for s, e in zip(points, points[1:]):
-                limit = (s + 1) << shift
-                while ptr < num_events:
-                    code = events[ptr]
-                    if code >= limit:
-                        break
-                    ptr += 1
-                    slot = (code >> 1) & ((1 << (shift - 1)) - 1)
-                    if code & 1:
-                        counts[slot] += 1
-                        slot_owner[slot] = owner_of_code.get(
-                            code, SHARED_REQUESTER
-                        )
-                    else:
-                        counts[slot] -= 1
-                    bank = slot // 3
-                    base = bank * 3
-                    if counts[base]:
-                        state = 1
-                    elif counts[base + 1]:
-                        state = 2
-                    elif counts[base + 2]:
-                        state = 3
-                    else:
-                        state = 0
-                    old = bank_state[bank]
-                    if state != old:
-                        bank_state[bank] = state
-                        tallies[old] -= 1
-                        tallies[state] += 1
-                self._classify_segment(
-                    s, e, refresh, blocked, bank_state, slot_owner,
-                    tallies, bpg, add,
-                )
-
-        # --- 3. Exactness check ---------------------------------------
+            if units:  # a row only for requesters that own cycles
+                rows.setdefault(requester, dict.fromkeys(
+                    REQUESTER_BANDWIDTH_COMPONENTS, 0
+                ))[component] += units
         total = sum(sum(row.values()) for row in rows.values())
         if total != n * total_cycles:
             raise AccountingError(
@@ -276,59 +140,6 @@ class RequesterBandwidthAccountant:
                 f"{n * total_cycles}"
             )
         return {r: rows[r] for r in sorted(rows)}
-
-    def _classify_segment(
-        self, s: int, e: int, refresh: _WindowCursor,
-        blocked: _ScopedCursor, bank_state: list[int],
-        slot_owner: list[int], tallies: list[int], banks_per_group: int,
-        add,
-    ) -> None:
-        """Attribute one channel-idle segment [s, e) to requesters.
-
-        Mirrors the aggregate ``_classify_segment`` decision tree
-        exactly — same conditions, same weights — routing each unit to
-        its owning requester (or the shared row).
-        """
-        n = self.num_banks
-        if refresh.cover(s):
-            add(SHARED_REQUESTER, "refresh", s, e, n)
-            return
-        if tallies[1] or tallies[2]:
-            idle_banks = 0
-            for bank in range(n):
-                state = bank_state[bank]
-                if state == 0:
-                    idle_banks += 1
-                elif state == 1:
-                    add(slot_owner[bank * 3], "precharge", s, e, 1)
-                elif state == 2:
-                    add(slot_owner[bank * 3 + 1], "activate", s, e, 1)
-                else:
-                    add(
-                        slot_owner[bank * 3 + 2], "constraints", s, e, 1
-                    )
-            if idle_banks:
-                add(SHARED_REQUESTER, "bank_idle", s, e, idle_banks)
-            return
-        payload = blocked.covering_payload(s)
-        if payload is not None:
-            scope, reason, victim, inter = payload
-            component = "interference" if inter else "constraints"
-            if reason == "data_inflight":
-                add(SHARED_REQUESTER, "idle", s, e, n)
-            elif scope is BlockScope.BANK_GROUP:
-                add(victim, component, s, e, banks_per_group)
-                add(
-                    SHARED_REQUESTER, "bank_idle", s, e,
-                    n - banks_per_group,
-                )
-            elif scope is BlockScope.BANK:
-                add(victim, component, s, e, 1)
-                add(SHARED_REQUESTER, "bank_idle", s, e, n - 1)
-            else:  # RANK / CHANNEL
-                add(victim, component, s, e, n)
-            return
-        add(SHARED_REQUESTER, "idle", s, e, n)
 
     # ------------------------------------------------------------------
     def account(
@@ -381,118 +192,44 @@ class RequesterLatencyAccountant:
             include_prefetch=include_prefetch,
         )
 
-    def decompose(
-        self,
-        request: Request,
-        refresh_windows: list[tuple[int, int]],
-        drain_windows: list[tuple[int, int]],
-        other_bursts: list[tuple[int, int]],
-    ) -> dict[str, float]:
-        """Per-read components with the queue/interference split.
-
-        `other_bursts` must be the time-sorted ``(start, end)`` windows
-        of data bursts owned by requesters *other than* the request's.
-        """
-        parts = self._base.decompose(
-            request, refresh_windows, drain_windows
-        )
-        parts["interference"] = 0
-        if not other_bursts:
-            return parts
-        arrival, cas = request.arrival, request.cas_issue
-        # Rebuild the queueing intervals exactly as the base
-        # decomposition measured them: the wait minus refresh, drain
-        # and the request's own precharge/activate.
-        rest = [(arrival, cas)]
-        in_refresh = iv.clip(refresh_windows, arrival, cas)
-        if in_refresh:
-            rest = iv.subtract(rest, in_refresh)
-        drain_clipped = (
-            iv.clip(drain_windows, arrival, cas) if drain_windows else []
-        )
-        if drain_clipped:
-            in_drain = iv.intersect(rest, drain_clipped)
-            if in_drain:
-                rest = iv.subtract(rest, in_drain)
-        own: list[tuple[int, int]] = []
-        if request.own_pre_start >= 0:
-            own.append((request.own_pre_start, request.own_pre_end))
-        if request.own_act_start >= 0:
-            own.append((request.own_act_start, request.own_act_end))
-        if own:
-            own.sort()
-            own_clipped = iv.clip(own, arrival, cas)
-            if own_clipped:
-                own_in = iv.intersect(rest, own_clipped)
-                if own_in:
-                    rest = iv.subtract(rest, own_in)
-        if not rest:
-            return parts
-        foreign = iv.clip(other_bursts, arrival, cas)
-        if not foreign:
-            return parts
-        inter_c = iv.total_length(iv.intersect(rest, foreign))
-        if inter_c:
-            parts["interference"] = inter_c
-            parts["queue"] -= inter_c
-        return parts
-
-    @paused_gc
     def account(
         self, requests: list[Request], log: EventLog, label: str = ""
     ) -> dict[int, Stack]:
         """Average per-requester latency stacks over DRAM reads, in ns."""
-        reads: dict[int, list[Request]] = {}
-        for request in requests:
-            if (
-                request.is_read
-                and not request.forwarded
-                and request.cas_issue >= 0
-                and (self.include_prefetch or not request.is_prefetch)
-            ):
-                reads.setdefault(request.requester_id, []).append(request)
-        burst_owners = log.burst_owners
-        bursts_by_owner: dict[int, list[tuple[int, int]]] = {}
-        for i, entry in enumerate(log.bursts):
-            owner = (
-                burst_owners[i] if i < len(burst_owners)
-                else SHARED_REQUESTER
-            )
-            bursts_by_owner.setdefault(owner, []).append(
-                (entry[0], entry[1])
-            )
+        reads = self._base.reads(requests)
+        rows = read_table(reads)
+        requester_of = np.fromiter(
+            map(attrgetter("requester_id"), reads), np.int64,
+            count=len(reads),
+        )
+        refresh = Cover.of(log.refresh_windows)
+        drain = Cover.of(log.drain_windows)
+        burst_start, burst_end = column(log.bursts, 0), column(log.bursts, 1)
+        burst_owner = padded(log.burst_owners, len(log.bursts))
         stacks: dict[int, Stack] = {}
-        for requester in sorted(reads):
-            other = sorted(
-                window
-                for owner, windows in bursts_by_owner.items()
-                if owner != requester and owner != SHARED_REQUESTER
-                for window in windows
+        for requester in np.unique(requester_of).tolist():
+            mine = rows[requester_of == requester]
+            others = (burst_owner != requester) & (
+                burst_owner != SHARED_REQUESTER
             )
-            sums = dict.fromkeys(REQUESTER_LATENCY_COMPONENTS, 0.0)
-            group = reads[requester]
-            for request in group:
-                parts = self.decompose(
-                    request, log.refresh_windows, log.drain_windows,
-                    other,
-                )
-                measured = (
-                    request.finish - request.arrival
-                    + self.base_controller_cycles
-                )
-                if sum(parts.values()) != measured:
-                    raise AccountingError(
-                        f"per-requester latency components sum to "
-                        f"{sum(parts.values())} for a read with measured "
-                        f"latency {measured}"
-                    )
-                for name, value in parts.items():
-                    sums[name] += value
-            scale = self.spec.cycle_ns / len(group)
+            parts = latency_split(
+                mine, refresh, drain,
+                Cover(burst_start[others], burst_end[others]),
+            )
+            parts["base"] = (
+                self.base_controller_cycles + mine[:, 2] - mine[:, 1]
+            )
+            scale = self.spec.cycle_ns / len(mine)
             stacks[requester] = ordered_stack(
-                {name: value * scale for name, value in sums.items()},
+                {name: int(values.sum()) * scale
+                 for name, values in parts.items()},
                 REQUESTER_LATENCY_COMPONENTS,
                 unit="ns",
                 label=f"{label}R{requester}",
             )
         return stacks
+
+
+def _burst_overlap(start: int, residual: int) -> None:
+    """Per-requester stacks are strict: overlapping bursts raise."""
+    raise AccountingError(f"overlapping data bursts at cycle {start}")

@@ -115,24 +115,31 @@ def run(scheduling: str, requests, page_policy: str = "open"):
 class TestConservation:
     """Per-requester counters fold back to the aggregate, exactly."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(
         requests=qos_streams(),
         scheduling=st.sampled_from(QOS_SCHEDULINGS),
         page_policy=st.sampled_from(["open", "closed"]),
+        device=st.sampled_from(["ddr4-2400", "lpddr5-6400"]),
     )
     def test_folded_rows_equal_aggregate(
-        self, requests, scheduling, page_policy
+        self, requests, scheduling, page_policy, device
     ):
-        ctrl = run(scheduling, requests, page_policy)
-        rows = RequesterBandwidthAccountant(DDR4_2400).account_cycles(
+        """Also on LPDDR5, whose per-bank refresh (REFpb) is shared."""
+        ctrl = run_stream(MemoryController(ControllerConfig(
+            device=device, scheduling=scheduling, page_policy=page_policy
+        )), requests)
+        spec = ctrl.spec
+        rows = RequesterBandwidthAccountant(spec).account_cycles(
             ctrl.log, ctrl.now
         )
-        aggregate = BandwidthStackAccountant(DDR4_2400).account_cycles(
+        aggregate = BandwidthStackAccountant(spec).account_cycles(
             ctrl.log, ctrl.now
         )[0]
         assert fold_interference(rows) == aggregate
-        n = DDR4_2400.organization.total_banks
+        shared = rows.get(SHARED_REQUESTER, {})
+        assert shared.get("refresh", 0) == aggregate["refresh"]
+        n = spec.organization.total_banks
         total = sum(sum(row.values()) for row in rows.values())
         assert total == n * ctrl.now
         for row in rows.values():

@@ -11,10 +11,21 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dram import (
+    ControllerConfig,
+    MemoryController,
+    Request,
+    RequestType,
+)
 from repro.experiments.config import ExperimentScale
 from repro.experiments.runner import run_qos, run_synthetic
 from repro.stacks.bandwidth import BandwidthStackAccountant
-from repro.stacks.requester import SHARED_REQUESTER, fold_interference
+from repro.stacks.requester import (
+    SHARED_REQUESTER,
+    RequesterBandwidthAccountant,
+    fold_interference,
+)
+from tests.conftest import run_stream
 
 TINY = ExperimentScale(
     "qos-tiny", synthetic_accesses=150, graph_scale=8, graph_degree=4
@@ -75,6 +86,32 @@ class TestSystemConservation:
         assert bandwidth[SHARED_REQUESTER].label == "qos shared"
         latency = qos_result.per_requester_latency_stacks("qos ")
         assert latency[1].label == "qos R1"
+
+
+class TestSameBankRefresh:
+    def test_refpb_cycles_land_on_the_shared_row(self):
+        """On LPDDR5 (per-bank REFpb) the folded rows keep every refresh
+        unit of the aggregate: same-bank refresh is nobody's cycles."""
+        ctrl = MemoryController(ControllerConfig(
+            device="lpddr5-6400", scheduling="wrr"
+        ))
+        run_stream(ctrl, [
+            Request(
+                RequestType.READ, (i * 7919 % 4096) * 64, arrival=i * 12,
+                core_id=i % 2, requester_id=i % 2,
+            )
+            for i in range(400)
+        ])
+        assert ctrl.log.bank_refresh_windows
+        rows = RequesterBandwidthAccountant(ctrl.spec).account_cycles(
+            ctrl.log, ctrl.now
+        )
+        aggregate = BandwidthStackAccountant(ctrl.spec).account_cycles(
+            ctrl.log, ctrl.now
+        )[0]
+        assert aggregate["refresh"] > 0
+        assert rows[SHARED_REQUESTER]["refresh"] == aggregate["refresh"]
+        assert fold_interference(rows) == aggregate
 
 
 class TestSingleRequesterDegeneracy:
