@@ -19,7 +19,10 @@ equal-weight WRR and gates on:
   than the other's. Full-run average bandwidth is deliberately not the
   metric: in a closed-loop run it is fixed by the workload (docs/qos.md);
 * **determinism** — a second identical run produces a bit-identical
-  :func:`~repro.reliability.fingerprint.qos_fingerprint` digest.
+  :func:`~repro.reliability.fingerprint.qos_fingerprint` digest;
+* **engine parity** — the same run under ``engine="reference"`` (the
+  re-plan-every-step oracle) produces the same digest as the default
+  packed engine, which runs the QoS arbiters in its own loop.
 
 Exit status 0 on success, 1 with a pointed message on any gate failure.
 """
@@ -97,6 +100,17 @@ def main() -> int:
               f"{digest[:16]}")
         return 1
     print(f"qos_smoke: determinism OK — digest {digest[:16]}")
+
+    # Gate 4: engine parity — the reference oracle agrees with packed.
+    reference = run_qos(
+        scheduling="wrr", scale=scale, guard=False, engine="reference"
+    )
+    reference_digest = qos_fingerprint(reference)["digest"]
+    if reference_digest != digest:
+        print(f"qos_smoke: FAIL — engine='reference' digest "
+              f"{reference_digest[:16]} != packed {digest[:16]}")
+        return 1
+    print("qos_smoke: engine parity OK — packed == reference")
     print("qos_smoke: OK")
     return 0
 

@@ -90,9 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--engine", choices=sorted(ENGINES), default=None,
-        help="controller stepping engine (default: the ControllerConfig "
-        "default, currently 'packed'; all engines are bit-identical — "
-        "see docs/performance.md)",
+        help="controller stepping engine (default 'packed'; "
+        "'reference' re-plans every step, is bit-identical and also "
+        "runs custom policies — see docs/performance.md)",
     )
     analyze.add_argument("--scale", choices=("ci", "paper"), default="ci")
     analyze.add_argument(
@@ -290,7 +290,8 @@ def _guard_from_args(args: argparse.Namespace):
     if args.no_guard:
         return False
     watchdog = ForwardProgressWatchdog(
-        args.watchdog_cycles or DEFAULT_STALL_THRESHOLD
+        DEFAULT_STALL_THRESHOLD if args.watchdog_cycles is None
+        else args.watchdog_cycles
     )
     auditor = (
         None if args.audit_mode == "off"

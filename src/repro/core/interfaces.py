@@ -6,7 +6,7 @@ registry keyed by the config strings of
 :class:`~repro.dram.controller.ControllerConfig`:
 
 * :class:`SchedulerPolicy` — which command issues next (``fr-fcfs``,
-  ``fcfs``), including the plan/candidate caches of the fast engine;
+  ``fcfs``, the ``wrr`` and ``bank-reg`` QoS arbiters);
 * :class:`PagePolicy` — what happens to open rows with no pending work
   (``open``, ``closed``);
 * :class:`WriteDrainPolicy` — when the write buffer preempts reads
@@ -165,20 +165,21 @@ class CompositeMemory:
 class SchedulerPolicy(Protocol):
     """Decides which command the controller issues next.
 
-    The policy owns all scheduling state — per-bank candidate caches,
-    the memoized plan and its validity horizon, the scheduling/timing
-    epochs — and exposes the decision through :meth:`decide`. The
-    controller reports every event that can invalidate that state
-    through the ``note_*`` hooks.
+    This is the object-path (reference engine) contract: the controller
+    re-plans every step through :meth:`reference_plan`. The packed
+    engine runs the stock policies over its own arrays, so a custom
+    policy runs under ``engine="reference"``.
     """
 
     name: str
 
     def bind(self, controller: Any) -> None:
-        """Capture the controller's banks/ranks/queues; reset state."""
+        """Capture the controller's banks/ranks/page policy."""
         ...
 
-    def decide(self, now: int, write_mode: bool, queue: Any) -> "tuple | None":
+    def reference_plan(
+        self, queue: Any, write_mode: bool
+    ) -> "tuple | None":
         """The winning ``(key, entry, cmd_type, coords)``, or None.
 
         `queue` is the active request queue (write buffer's when
@@ -186,21 +187,14 @@ class SchedulerPolicy(Protocol):
         ...
 
     def plan_entry(self, entry: Any, write_mode: bool) -> tuple:
-        """Reference ``(sort_key, entry, command, coords)`` for one
-        candidate (the differential oracle; also the fault-injection
-        patch point)."""
+        """``(sort_key, entry, command, coords)`` for one candidate
+        (also reached through the fault-injection patch point)."""
         ...
 
-    def note_admit(self, flat_bank: int, is_write: bool) -> None:
-        """A request was admitted to `flat_bank`'s queue."""
-        ...
-
-    def note_issue(self, flat_bank: int) -> None:
-        """A command was issued on `flat_bank` (-1 for all banks)."""
-        ...
-
-    def note_refresh(self) -> None:
-        """A refresh happened; all bank timing gates moved."""
+    def block_info(
+        self, entry: Any, cmd_type: Any, coords: Any, issue_at: int
+    ) -> Any:
+        """The binding constraint of a planned command that must wait."""
         ...
 
 

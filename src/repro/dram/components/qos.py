@@ -2,12 +2,14 @@
 
 Two registry-selectable schedulers layer requester-aware arbitration on
 top of the FR-FCFS candidate selection (the per-bank oldest/row-hit
-choice of :meth:`~repro.dram.scheduler.RequestQueue.select_candidates`):
+choice of :meth:`~repro.dram.scheduler.RequestQueue.candidates`), as an
+arbiter stage (:meth:`arbitrate`) between candidate planning and the
+(time, priority, age) tournament:
 
 * ``wrr`` — a weighted-round-robin arbiter. Each requester holds a
   credit budget replenished to its weight once every requester with
-  pending candidates has exhausted its credits; only requesters with
-  credits left may issue CAS commands, and within the allowed set the
+  pending candidates has exhausted its credits; only the candidates of
+  requesters with credits left compete, and within the allowed set the
   usual FR-FCFS (time, priority, age) key picks the winner. Weights are
   given as ``wrr:2,1`` (requester 0 weight 2, requester 1 weight 1,
   everyone else weight 1); bare ``wrr`` is equal-weight round-robin.
@@ -24,15 +26,16 @@ choice of :meth:`~repro.dram.scheduler.RequestQueue.select_candidates`):
 Degenerate-case invariance (held by tests/dram/test_qos_properties.py
 and the golden suite): with a single requester present, ``wrr`` — and
 ``bank-reg`` with an unlimited budget — reproduce the ``fr-fcfs``
-event log bit for bit. Both schedulers plan with the same
-:meth:`~repro.dram.components.scheduling._SchedulerBase.plan_entry`
-keys and strict-``<`` tie-breaks as the reference planner, so the
-fast and reference engines stay bit-identical under them as well.
+event log bit for bit.
 
-Arbitration state changes only on CAS service (via the
-:meth:`note_service` hook the controller calls on every CAS issue,
-which also bumps the scheduling epoch), so the plan-cache validity
-argument of the base class carries over unchanged.
+The arbitration state and its rules live here only. The reference
+engine calls :meth:`arbitrate`; the packed engine
+(:mod:`repro.dram.packed`) calls the same helpers —
+:meth:`WrrScheduler.allowed_requesters` and
+:meth:`BankRegScheduler.gate` — from its own candidate scan, and both
+engines call :meth:`note_service` on every CAS issue. That state
+changes only on CAS issue, which forces a re-plan, so the packed
+engine's plan cache stays valid under both arbiters.
 """
 
 from __future__ import annotations
@@ -124,20 +127,20 @@ class WrrScheduler(_SchedulerBase):
             credits.get(requester, self.weight_of(requester)) - 1
         )
 
-    def _allowed_requesters(self, entries) -> set[int]:
-        """Requesters that may be served now (replenishing as needed).
+    def allowed_requesters(self, pending: set[int]) -> set[int]:
+        """Requesters of `pending` that may be served now.
 
-        A requester never seen before enters the round with a full
-        credit budget. When every requester with pending candidates is
-        out of credits the round ends: all of them are replenished to
-        their weights. Replenishment is idempotent across repeated plan
-        computations of the same state (credits only decrease on CAS
-        issue, which invalidates the plan), so the fast and reference
-        engines observe identical arbitration state.
+        `pending` holds the requesters of the per-bank candidates. A
+        requester never seen before enters the round with a full credit
+        budget. When every pending requester is out of credits the
+        round ends: all of them are replenished to their weights.
+        Replenishment is idempotent across repeated plans of the same
+        state (credits only decrease on CAS issue, which forces a
+        re-plan), so engines that re-plan at different steps observe
+        identical arbitration state.
         """
         credits = self._credits
         weight_of = self.weight_of
-        pending = {entry.request.requester_id for entry in entries}
         allowed = {
             r for r in pending if credits.get(r, weight_of(r)) > 0
         }
@@ -147,53 +150,15 @@ class WrrScheduler(_SchedulerBase):
             return pending
         return allowed
 
-    def _plan(self, queue, write_mode: bool, planner) -> tuple:
-        """Shared fast/reference planning: filter, then FR-FCFS keys."""
-        ctrl = self._ctrl
-        open_rows = [b.open_row for b in self._banks]
-        entries, horizon = queue.select_candidates(
-            open_rows, ctrl.now, ctrl.config.starvation_cap
+    def arbitrate(self, cands: list[tuple]) -> list[tuple]:
+        """Keep the candidates of requesters with credits left."""
+        allowed = self.allowed_requesters(
+            {cand[1].request.requester_id for cand in cands}
         )
-        best: tuple | None = None
-        if entries:
-            allowed = self._allowed_requesters(entries)
-            for entry in entries:
-                if entry.request.requester_id not in allowed:
-                    continue
-                cand = planner(entry, write_mode)
-                if best is None or cand[0] < best[0]:
-                    best = cand
-        if self._page.generates_commands:
-            for cand in self._page.plan_candidates(open_rows):
-                if best is None or cand[0] < best[0]:
-                    best = cand
-        return best, horizon
-
-    def decide(self, now: int, write_mode: bool, queue) -> tuple | None:
-        """Derive the decision and refresh the plan cache.
-
-        The plan stays valid while the scheduling epoch is unchanged
-        and `now` is below the starvation horizon: credits move only on
-        CAS issue and the pending-requester set only on admission /
-        issue / refresh — all epoch bumps — while a starvation flip can
-        swap a bank's candidate (possibly across requesters), which the
-        horizon bounds exactly as for plain FR-FCFS.
-        """
-        best, horizon = self._plan(queue, write_mode, self.plan_entry)
-        self.plan = best
-        self.plan_epoch = self.epoch
-        self.plan_timing_epoch = self.timing_epoch
-        self.plan_valid_until = horizon
-        self.plan_write_mode = write_mode
-        self.plan_block = None
-        self.dirty_read.clear()
-        self.dirty_write.clear()
-        return best
-
-    def reference_plan(self, queue, write_mode: bool) -> tuple | None:
-        """Unmemoized plan (same arbitration, fault-injectable planner)."""
-        best, __ = self._plan(queue, write_mode, self._ctrl._plan_entry)
-        return best
+        return [
+            cand for cand in cands
+            if cand[1].request.requester_id in allowed
+        ]
 
 
 class BankRegScheduler(_SchedulerBase):
@@ -232,70 +197,40 @@ class BankRegScheduler(_SchedulerBase):
         else:
             self._usage[key] = (period_index, 1)
 
-    def _gate(self, entry, cand: tuple) -> tuple:
-        """Push an over-budget CAS candidate to the next period start."""
-        key = cand[0]
-        period_index = key[0] // self.period
-        usage = self._usage.get(
-            (entry.request.requester_id, entry.flat_bank)
-        )
+    def gate(self, requester: int, flat_bank: int, time: int) -> int:
+        """Earliest cycle a CAS planned for `time` may issue.
+
+        `time` itself while the (requester, bank) pair is within budget
+        for `time`'s period, else the next period boundary.
+        """
+        period_index = time // self.period
+        usage = self._usage.get((requester, flat_bank))
         if (
             usage is not None
             and usage[0] == period_index
             and usage[1] >= self.budget
         ):
-            boundary = (period_index + 1) * self.period
-            self._gated.add(entry.request.req_id)
-            return ((boundary, key[1], key[2]), cand[1], cand[2], cand[3])
-        return cand
+            return (period_index + 1) * self.period
+        return time
 
-    def _plan(self, queue, write_mode: bool, planner) -> tuple:
-        """Shared fast/reference planning: gate CAS, then FR-FCFS keys."""
-        ctrl = self._ctrl
-        open_rows = [b.open_row for b in self._banks]
-        entries, horizon = queue.select_candidates(
-            open_rows, ctrl.now, ctrl.config.starvation_cap
-        )
+    def arbitrate(self, cands: list[tuple]) -> list[tuple]:
+        """Push over-budget CAS candidates to their period boundary."""
         self._gated.clear()
-        budget = self.budget
-        best: tuple | None = None
-        for entry in entries:
-            cand = planner(entry, write_mode)
-            if budget is not None and cand[0][1] == 0:
-                cand = self._gate(entry, cand)
-            if best is None or cand[0] < best[0]:
-                best = cand
-        if self._page.generates_commands:
-            for cand in self._page.plan_candidates(open_rows):
-                if best is None or cand[0] < best[0]:
-                    best = cand
-        return best, horizon
-
-    def decide(self, now: int, write_mode: bool, queue) -> tuple | None:
-        """Derive the decision and refresh the plan cache.
-
-        A gated candidate's effective time is a period boundary that is
-        always >= the winner's time (otherwise the gated candidate
-        *is* the winner and issues exactly at its boundary), so period
-        rollover can never invalidate a cached plan before its winner
-        issues; the starvation horizon remains the only time-based
-        invalidation, as for plain FR-FCFS.
-        """
-        best, horizon = self._plan(queue, write_mode, self.plan_entry)
-        self.plan = best
-        self.plan_epoch = self.epoch
-        self.plan_timing_epoch = self.timing_epoch
-        self.plan_valid_until = horizon
-        self.plan_write_mode = write_mode
-        self.plan_block = None
-        self.dirty_read.clear()
-        self.dirty_write.clear()
-        return best
-
-    def reference_plan(self, queue, write_mode: bool) -> tuple | None:
-        """Unmemoized plan (same regulation, fault-injectable planner)."""
-        best, __ = self._plan(queue, write_mode, self._ctrl._plan_entry)
-        return best
+        if self.budget is None:
+            return cands
+        gated = []
+        for cand in cands:
+            key, entry = cand[0], cand[1]
+            if key[1] == 0:
+                request = entry.request
+                time = self.gate(
+                    request.requester_id, entry.flat_bank, key[0]
+                )
+                if time != key[0]:
+                    self._gated.add(request.req_id)
+                    cand = ((time, key[1], key[2]),) + cand[1:]
+            gated.append(cand)
+        return gated
 
     def block_info(self, entry, cmd_type, coords, issue_at: int) -> Block:
         """Name the regulation gate when it is the binding constraint."""

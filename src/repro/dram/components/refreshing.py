@@ -40,7 +40,6 @@ class AllBankRefresh:
         """One all-bank refresh sequence starting no earlier than `now`."""
         ctrl = self._ctrl
         spec = ctrl.spec
-        ctrl._sched.note_refresh()
         t_ready = now
         any_open = False
         for bank in ctrl._banks:
@@ -111,7 +110,6 @@ class SameBankRefresh:
         spec = ctrl.spec
         bank = ctrl._banks[self._next_bank]
         self._next_bank = (self._next_bank + 1) % len(ctrl._banks)
-        ctrl._sched.note_refresh()
         t_ref = max(now, bank.cas_data_until)
         if bank.is_open:
             t_pre = max(t_ref, bank.next_pre)

@@ -26,8 +26,8 @@ refresh at tREFI, and the full DDR4 bank/bank-group/rank timing protocol.
 from __future__ import annotations
 
 import heapq
-import logging
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from repro.core.events import (
     CommandIssued,
@@ -56,15 +56,12 @@ from repro.errors import ConfigurationError
 #: are accepted even though they are not in this snapshot.
 PAGE_POLICIES = components.PAGE_POLICIES.names()
 
-#: Scheduling engines. ``"fast"`` memoizes the scheduling decision
-#: between state changes (see the ``fr-fcfs`` scheduler component in
-#: :mod:`repro.dram.components.scheduling`); ``"reference"`` re-derives
-#: it from scratch every step; ``"packed"`` runs the struct-of-arrays
-#: batch engine (:mod:`repro.dram.packed`), falling back to the fast
-#: object path for policies it does not replicate. All three produce
-#: bit-identical event logs — the golden/differential tests in
-#: ``tests/golden`` hold them to that.
-ENGINES = ("fast", "reference", "packed")
+#: Scheduling engines. ``"packed"`` runs the struct-of-arrays batch
+#: engine (:mod:`repro.dram.packed`) for every stock policy;
+#: ``"reference"`` re-derives the decision from the object state every
+#: step and runs any registered policy. The golden/differential tests
+#: in ``tests/golden`` hold the two bit-identical.
+ENGINES = ("packed", "reference")
 
 #: Sentinel "infinitely far in the future" time.
 FAR_FUTURE = 1 << 62
@@ -118,14 +115,12 @@ class ControllerConfig:
             ``"null"`` records nothing (pure timing runs).
         starvation_cap: FR-FCFS reordering bound — a request older than
             this many cycles beats younger row hits to its bank.
-        engine: ``"fast"`` caches the scheduling decision between state
-            changes; ``"reference"`` recomputes it every step;
-            ``"packed"`` (default) runs the struct-of-arrays batch loop
-            of :mod:`repro.dram.packed`, falling back to the fast
-            object path (with a log line) for scheduling policies it
-            does not replicate. Results are bit-identical across all
-            three; the reference engine exists as the oracle for the
-            golden/differential test layer.
+        engine: ``"packed"`` (default) runs the struct-of-arrays batch
+            loop of :mod:`repro.dram.packed`; it runs the stock
+            policies only and refuses any other at config time.
+            ``"reference"`` recomputes the decision every step on the
+            object state and runs any registered policy; it is the
+            oracle of the golden/differential test layer.
         device: optional device-preset selector resolved in the
             :data:`repro.devices.DEVICES` registry (``"ddr4-2400"``,
             ``"ddr5-4800:subchannels=2"``, ``"lpddr5-6400"``,
@@ -181,20 +176,18 @@ class ControllerConfig:
         components.REFRESH.get(self.resolved_refresh)
         components.ACCOUNTING.get(self.accounting)
         if self.engine == "packed":
-            # The packed engine falls back to the fast object path for
-            # policies it does not replicate — but that fallback needs
-            # the scheduler to expose the object-engine seams. A custom
-            # registration lacking both is unrunnable under "packed";
-            # fail here, naming the policy, instead of mid-run.
-            sched = components.make_scheduler(self.scheduling)
-            if not hasattr(sched, "decide") and not hasattr(
-                sched, "reference_plan"
-            ):
+            # The packed loop runs the stock policies only; refuse any
+            # other here, naming it, instead of running something else.
+            reason = packed_fallback_reason(SimpleNamespace(
+                _sched=components.make_scheduler(self.scheduling),
+                _page=components.PAGE_POLICIES.create(self.page_policy),
+                _refresh=components.REFRESH.create(self.resolved_refresh),
+            ))
+            if reason is not None:
                 raise ConfigurationError(
-                    f"engine 'packed' cannot run scheduling policy "
-                    f"{self.scheduling!r}: it defines neither 'decide' "
-                    f"nor 'reference_plan', so even the object fallback "
-                    f"path has no planner for it"
+                    f"engine 'packed' cannot run this configuration: "
+                    f"{reason}; use engine='reference' for custom "
+                    f"policies"
                 )
 
     @property
@@ -257,6 +250,8 @@ class MemoryController:
 
     #: Class-level default so checkpoints pickled before the packed
     #: engine existed unpickle cleanly (they resume on the object path).
+    #: Also None under ``engine="reference"`` and after a fault drill
+    #: (:func:`repro.reliability.faults.force_stall`) dropped it.
     _packed: PackedEngine | None = None
 
     def __init__(
@@ -321,9 +316,7 @@ class MemoryController:
         #: Page-policy component.
         self._page = components.PAGE_POLICIES.create(self.config.page_policy)
         self._page.bind(self)
-        #: Scheduler component; owns the plan/candidate caches and the
-        #: scheduling/timing epochs (PR 2's fast engine) as public
-        #: attributes the hot loop below reads directly.
+        #: Scheduler component: plans each step on the object path.
         self._sched = components.make_scheduler(self.config.scheduling)
         self._sched.bind(self)
         #: CAS-service hook for requester-aware arbiters (wrr charges
@@ -336,10 +329,6 @@ class MemoryController:
         )
         self._refresh.bind(self)
 
-        # "packed" uses the fast object path wherever it falls back (and
-        # for tests that step `_run_one_step` directly), so only the
-        # reference oracle takes the unmemoized branch.
-        self._fast_engine = self.config.engine != "reference"
         self._tRP = self.spec.tRP
         self._tRCD = self.spec.tRCD
         self._trace_commands = self.config.keep_command_trace
@@ -372,19 +361,10 @@ class MemoryController:
         self._ev_heartbeat = events.handlers(SchedulerHeartbeat)
         self._ev_stalled = events.handlers(RequesterStalled)
 
-        # Packed struct-of-arrays engine (see repro.dram.packed). Stays
-        # None unless configured *and* every selected policy is one the
-        # packed loop replicates; otherwise the object path runs and the
-        # fallback is logged once so the degradation is visible.
+        # Packed struct-of-arrays engine (see repro.dram.packed); the
+        # config has already refused policies it does not run.
         if self.config.engine == "packed":
-            reason = packed_fallback_reason(self)
-            if reason is None:
-                self._packed = PackedEngine(self)
-            else:
-                logging.getLogger(__name__).info(
-                    "packed engine unavailable: %s; falling back to the "
-                    "fast object engine", reason,
-                )
+            self._packed = PackedEngine(self)
 
     # ------------------------------------------------------------------
     # Public API
@@ -443,11 +423,8 @@ class MemoryController:
         """Run until every pending request has completed."""
         packed = self._packed
         if packed is not None:
-            if "_plan_entry" in self.__dict__:
-                self._eject_packed()
-            else:
-                packed.run(t_limit, False, stop_when_idle=True)
-                return self._take_completions()
+            packed.run(t_limit, False, stop_when_idle=True)
+            return self._take_completions()
         while self.pending_requests and self.now < t_limit:
             self._run_one_step(t_limit)
         self._collect_finished(self.now)
@@ -594,22 +571,6 @@ class MemoryController:
             packed.flush()
         return dict(self.__dict__)
 
-    def _eject_packed(self) -> None:
-        """Hand control back to the object engine permanently.
-
-        Called when a reliability drill patches ``_plan_entry`` into the
-        instance dict: the packed loop never routes planning through
-        that seam, so keeping it would bypass the injected fault.
-        """
-        packed = self._packed
-        self._packed = None
-        if packed is not None and packed.active:
-            packed.flush()
-        logging.getLogger(__name__).info(
-            "packed engine ejected: '_plan_entry' was patched on the "
-            "instance (fault injection); continuing on the object engine"
-        )
-
     # ------------------------------------------------------------------
     # Engine
     # ------------------------------------------------------------------
@@ -642,20 +603,12 @@ class MemoryController:
 
     def _admit_arrivals(self) -> None:
         """Move requests whose arrival time has come into the queues."""
-        admitted = False
         arrivals = self._arrivals
         now = self.now
         mapping = self.mapping
         decode = mapping.decode
         flat_index = mapping.flat_bank_index
         heappop = heapq.heappop
-        sched = self._sched
-        # note_admit inlined (hot path): invalidate the bank's candidate
-        # slot and mark it dirty for incremental plan repair.
-        cand_read = sched.cand_read
-        cand_write = sched.cand_write
-        dirty_read = sched.dirty_read
-        dirty_write = sched.dirty_write
         ev_admit = self._ev_admit
         # Forwarding probe short-circuits on the buffered-address dict so
         # the empty-buffer case skips the line-align arithmetic.
@@ -663,7 +616,6 @@ class MemoryController:
             self.config.read_forwarding
         ) else None
         while arrivals and arrivals[0][0] <= now:
-            admitted = True
             __, __, req = heappop(arrivals)
             coords = decode(req.address)
             flat = flat_index(coords)
@@ -691,13 +643,9 @@ class MemoryController:
                 bank = self._banks[flat]
                 req.row_open_on_arrival = bank.open_row == coords.row
                 self._read_queue.add(req, coords, flat)
-                cand_read[flat] = None
-                dirty_read.append(flat)
                 is_write = False
             else:
                 self._write_buffer.add(req, coords, flat)
-                cand_write[flat] = None
-                dirty_write.append(flat)
                 is_write = True
             if ev_admit:
                 event = RequestAdmitted(
@@ -705,23 +653,18 @@ class MemoryController:
                 )
                 for handler in ev_admit:
                     handler(event)
-        if admitted:
-            sched.epoch += 1
 
     def _run(self, t_limit: int, stop_on_read: bool) -> None:
         packed = self._packed
         if packed is not None:
-            if "_plan_entry" in self.__dict__:
-                self._eject_packed()
-            else:
-                packed.run(t_limit, stop_on_read)
-                return
+            packed.run(t_limit, stop_on_read)
+            return
         stats = self.stats
         while self.now < t_limit:
             if stop_on_read and stats.reads_completed == stats.reads_enqueued:
                 break
             before = stats.reads_completed
-            advanced = self._run_one_step(t_limit, stop_on_read)
+            advanced = self._run_one_step(t_limit)
             if stop_on_read and stats.reads_completed > before:
                 break
             if not advanced:
@@ -729,9 +672,6 @@ class MemoryController:
         if self.now > t_limit:
             self.now = t_limit
         self._collect_finished(self.now)
-
-    def _next_arrival_after(self, t: int) -> int:
-        return self._arrivals[0][0] if self._arrivals else FAR_FUTURE
 
     def _advance_to(self, t: int, t_limit: int) -> bool:
         """Jump time forward, delivering completions on the way."""
@@ -744,20 +684,9 @@ class MemoryController:
         self.now = target
         return True
 
-    def _run_one_step(self, t_limit: int, stop_on_read: bool = False) -> bool:
+    def _run_one_step(self, t_limit: int) -> bool:
         """Issue one command or advance time once. Returns False when
-        nothing can happen before `t_limit` (caller should stop).
-
-        `stop_on_read` tells the step that its caller breaks out of the
-        stepping loop as soon as a read completes; the fused wait-and-
-        issue shortcut must then not issue past a completion.
-        """
-        packed = self._packed
-        if packed is not None and packed.active:
-            # Direct stepping (tests, bespoke drivers) bypasses the
-            # packed dispatch in _run/drain: restore the object queues
-            # so this step sees the real state.
-            packed.flush()
+        nothing can happen before `t_limit` (caller should stop)."""
         now = self.now
         arrivals = self._arrivals
         if arrivals and arrivals[0][0] <= now:
@@ -792,41 +721,21 @@ class MemoryController:
             refresh.perform(now)
             return True
 
-        # 3. Scheduling decision: cached while no admission/issue/refresh
-        # happened and `now` is below the starvation-flip horizon. The
-        # `_plan_entry` instance-dict check keeps fault injections that
-        # monkeypatch the planner (reliability drills) on the recompute
-        # path even if they were installed after a plan was cached.
-        sched = self._sched
-        if (
-            sched.plan_epoch == sched.epoch
-            and now < sched.plan_valid_until
-            and "_plan_entry" not in self.__dict__
-        ):
-            best = sched.plan
-            write_mode = sched.plan_write_mode
+        # 3. Scheduling decision, planned from scratch: the drain policy
+        # picks the active queue, the scheduler derives the decision.
+        wbuf = self._write_buffer
+        drain = self._drain
+        if not drain.draining and not wbuf.queue:
+            # Empty, idle write buffer: the drain update would be a
+            # no-op returning False (occupancy 0 is below every
+            # watermark), so skip the call.
+            write_mode = False
         else:
-            # _compute_plan, inlined (hot path): the drain policy picks
-            # the active queue, the scheduler derives the decision.
-            wbuf = self._write_buffer
-            drain = self._drain
-            if not drain.draining and not wbuf.queue:
-                # Empty, idle write buffer: the drain update would be a
-                # no-op returning False (occupancy 0 is below every
-                # watermark), so skip the call.
-                write_mode = False
-            else:
-                write_mode = drain.update(
-                    now, len(wbuf.queue), bool(self._read_queue)
-                )
-            queue = wbuf.queue if write_mode else self._read_queue
-            if self._fast_engine and "_plan_entry" not in self.__dict__:
-                best = sched.decide(now, write_mode, queue)
-            else:
-                best = sched.reference_plan(queue, write_mode)
-                sched.plan = best
-                sched.plan_write_mode = write_mode
-                sched.invalidate()  # never reused: re-plan next step
+            write_mode = drain.update(
+                now, len(wbuf.queue), bool(self._read_queue)
+            )
+        queue = wbuf.queue if write_mode else self._read_queue
+        best = self._sched.reference_plan(queue, write_mode)
 
         next_arrival = arrivals[0][0] if arrivals else FAR_FUTURE
         if best is None:
@@ -865,21 +774,17 @@ class MemoryController:
         issue_at = key[0]
         if issue_at > now:
             # Blocked: record why, then advance (arrivals or refresh may
-            # preempt the wait). The binding constraint is stable for the
-            # lifetime of the plan (all constraint times are absolute),
-            # so it is derived once and reused across re-entries.
+            # preempt the wait).
             wake = issue_at
             if next_arrival < wake:
                 wake = next_arrival
-            refresh_due = refresh.next_due
-            if refresh_due < wake:
-                wake = refresh_due
+            if refresh.next_due < wake:
+                wake = refresh.next_due
             end = wake if wake < t_limit else t_limit
             if end > now:
-                block = sched.plan_block
-                if block is None:
-                    block = sched.block_info(entry, cmd_type, coords, issue_at)
-                    sched.plan_block = block
+                block = self._sched.block_info(
+                    entry, cmd_type, coords, issue_at
+                )
                 bg = coords.bank_group if coords is not None else -1
                 # Requester attribution of the wait: the victim is the
                 # planned candidate's requester; the blocker is whoever
@@ -930,31 +835,6 @@ class MemoryController:
                         )
                         for handler in self._ev_stalled:
                             handler(event)
-            # Fused wait-and-issue: when the planned command itself is the
-            # wake event (no arrival or refresh preempts it — strictly,
-            # since a tie would admit/refresh first on re-entry), its
-            # issue cycle is inside this run's limit, and the cached plan
-            # would pass the next step's validity check unchanged (same
-            # epoch, below the starvation horizon), the step re-entry is a
-            # no-op re-derivation — skip it and issue here. Under
-            # stop_on_read the caller must see completions before the
-            # next issue, so the shortcut requires no in-flight data
-            # finishing by the issue cycle.
-            if (
-                next_arrival > issue_at
-                and refresh_due > issue_at
-                and issue_at < t_limit
-                and issue_at < sched.plan_valid_until
-                and sched.plan_epoch == sched.epoch
-                and not (
-                    stop_on_read
-                    and self._in_flight
-                    and self._in_flight[0][0] <= issue_at
-                )
-            ):
-                self._advance_to(issue_at, t_limit)
-                self._issue(entry, cmd_type, coords, write_mode)
-                return True
             return self._advance_to(wake, t_limit)
 
         self._issue(entry, cmd_type, coords, write_mode)
@@ -967,7 +847,7 @@ class MemoryController:
         Delegates to the scheduler component. Kept as a controller
         method because it is the documented fault-injection patch point
         (:func:`repro.reliability.faults.force_stall` replaces it in the
-        instance dict; the plan-cache guards check for exactly that).
+        instance dict after dropping the packed engine).
         """
         return self._sched.plan_entry(entry, write_mode)
 
@@ -989,13 +869,6 @@ class MemoryController:
         t = self.now
         self._last_cmd_issue = t
         flat = coords.flat if entry is None else entry.flat_bank
-        # note_issue inlined (hot path): timing moved, the plan and the
-        # bank's candidate slots are stale.
-        sched = self._sched
-        sched.epoch += 1
-        sched.timing_epoch += 1
-        sched.cand_read[flat] = None
-        sched.cand_write[flat] = None
         ev_command = self._ev_command
         if entry is None:
             # Policy precharge: nothing is waiting for this bank. The

@@ -1,13 +1,15 @@
 """Packed struct-of-arrays controller engine (``engine="packed"``).
 
-The object engine (``"fast"``) pays for its flexibility in attribute
-chatter: every scheduling step walks ``Bank``/``RankTiming``/
-``QueuedRequest`` objects and re-binds dozens of names. This engine
-packs the same state into flat ``array('q')`` columns — one int64 column
-per field, indexed by flat bank / entry id — and runs the whole
-admit → refresh → decide → issue loop inside a single closure whose
-hot names are cell variables, so the ~100k ``run_until`` calls of a
-simulation pay no per-call re-hoisting.
+The object path (the ``"reference"`` engine) pays for its flexibility
+in attribute chatter: every scheduling step walks ``Bank``/
+``RankTiming``/``QueuedRequest`` objects and re-plans from scratch.
+This engine packs the same state into flat ``array('q')`` columns — one
+int64 column per field, indexed by flat bank / entry id — and runs the
+whole admit → refresh → decide → issue loop inside a single closure
+whose hot names are cell variables, so the ~100k ``run_until`` calls of
+a simulation pay no per-call re-hoisting. It is the production engine
+for every stock policy: FR-FCFS and FCFS, the ``wrr`` and ``bank-reg``
+QoS arbiters, both page policies and all three refresh policies.
 
 Layout (struct of arrays; see docs/performance.md for the diagram):
 
@@ -24,27 +26,35 @@ Layout (struct of arrays; see docs/performance.md for the diagram):
   rank (oldest sits at the next write position when full, matching
   ``deque(maxlen=4)``).
 * **Candidate cache** — per queue, per bank: entry index (-1 invalid),
-  kind code, starvation-flip cycle and bank gate, mirroring the object
-  scheduler's per-bank tuples.
+  kind code, starvation-flip cycle and bank gate of the bank's FR-FCFS
+  candidate, valid until an admission or command on the bank, a
+  refresh, or the starvation flip.
 
 The arrays are *authoritative while the engine is active*; the
 ``Bank``/``RankTiming``/``RequestQueue`` objects go stale and are
 rebuilt by :meth:`flush` (which deactivates the engine) whenever object
 state must be observed — ``stall_snapshot``, the ``banks`` property,
-checkpoint pickling, or a fault injection patching ``_plan_entry``.
-:meth:`pack` converts the other way on (re)activation; the
+checkpoint pickling, or a fault drill switching the controller to the
+object path. :meth:`pack` converts the other way on (re)activation; the
 ``pack ⇄ flush`` round trip is property-tested in
-``tests/dram/test_packed_roundtrip.py``.
+``tests/dram/test_packed_properties.py``.
 
 The columns are stdlib ``array`` objects, so indexing yields plain
 Python ints and no numpy scalar can ever reach the fingerprinted log
 tuples.
 
-Scheduling semantics are replicated *exactly* from the object engine —
-same candidate selection, same (time, priority, req_id) tournament,
-same plan cache and fused wait-and-issue shortcut, same merge-on-append
-blocked windows and requester attribution — and held bit-identical by
-the golden fingerprints and ``tests/golden/test_differential.py``.
+Scheduling semantics are the object path's *exactly* — same candidate
+selection, same arbiter stage (the QoS helpers of
+:mod:`repro.dram.components.qos` are called, not copied), same
+(time, priority, req_id) tournament, same merge-on-append blocked
+windows and requester attribution — and held bit-identical to the
+reference engine by the golden fingerprints and
+``tests/golden/test_differential.py``. Only this loop memoizes: it
+keeps the decision (plan cache) until an admission, issue, refresh or
+starvation flip; repairs it from the banks admitted to when nothing
+moved command timing (not under the QoS arbiters, which re-scan); and
+issues a blocked plan in the step its wait ends (fused wait-and-issue).
+docs/performance.md has the validity arguments.
 """
 
 from __future__ import annotations
@@ -67,6 +77,7 @@ from repro.dram.components.refreshing import (
     NoRefresh,
     SameBankRefresh,
 )
+from repro.dram.components.qos import BankRegScheduler, WrrScheduler
 from repro.dram.components.scheduling import FcfsScheduler, FrFcfsScheduler
 from repro.dram.rank import BlockScope
 from repro.dram.scheduler import RequestQueue
@@ -98,27 +109,36 @@ _SCOPE_CHANNEL = BlockScope.CHANNEL
 _NO_OWNER = (-1, False)
 
 
+#: The component classes the packed loop runs (exact types: a subclass
+#: may override anything, so it runs on the reference engine).
+_PACKED_SCHEDULERS = (
+    FrFcfsScheduler, FcfsScheduler, WrrScheduler, BankRegScheduler,
+)
+_PACKED_PAGE_POLICIES = (OpenPagePolicy, ClosedPagePolicy)
+_PACKED_REFRESH = (AllBankRefresh, SameBankRefresh, NoRefresh)
+
+
 def packed_fallback_reason(controller) -> str | None:
     """Why `controller` cannot run packed, or None when it can.
 
-    The packed loop replicates the stock fr-fcfs/fcfs schedulers, both
-    page policies and all three refresh policies. Anything else — the
-    QoS arbiters, custom registrations — falls back to the object path
-    (the controller logs the reason once).
+    `controller` is anything carrying the controller's ``_sched``,
+    ``_page`` and ``_refresh`` components. The packed loop runs the
+    four stock schedulers, both page policies and all three refresh
+    policies; :class:`~repro.dram.controller.ControllerConfig` refuses
+    ``engine="packed"`` for anything else, naming this reason.
     """
-    sched_t = type(controller._sched)
-    if sched_t is not FrFcfsScheduler and sched_t is not FcfsScheduler:
-        return f"scheduler {controller._sched.name!r} is not packed yet"
-    page_t = type(controller._page)
-    if page_t is not OpenPagePolicy and page_t is not ClosedPagePolicy:
-        return f"page policy {controller._page.name!r} is not packed yet"
-    refresh_t = type(controller._refresh)
-    if refresh_t not in (AllBankRefresh, SameBankRefresh, NoRefresh):
-        return (
-            f"refresh policy "
-            f"{getattr(controller._refresh, 'name', refresh_t.__name__)!r}"
-            f" is not packed yet"
-        )
+    for kind, component, supported in (
+        ("scheduling policy", controller._sched, _PACKED_SCHEDULERS),
+        ("page policy", controller._page, _PACKED_PAGE_POLICIES),
+        ("refresh policy", controller._refresh, _PACKED_REFRESH),
+    ):
+        cls = type(component)
+        if cls not in supported:
+            name = getattr(component, "name", "?")
+            return (
+                f"{kind} {name!r} ({cls.__qualname__}) is not one the "
+                f"packed loop runs"
+            )
     return None
 
 
@@ -341,11 +361,6 @@ class PackedEngine:
                 )
         ctrl._read_queue = RequestQueue(B)
         ctrl._write_buffer.queue = RequestQueue(B)
-        # The object scheduler's caches hold stale entries now.
-        sched = ctrl._sched
-        sched.invalidate()
-        sched.cand_read = [None] * B
-        sched.cand_write = [None] * B
         self._reset_plan = True
         self.active = True
 
@@ -470,10 +485,6 @@ class PackedEngine:
                 req = e_req[i]
                 queue.add(req, decode(req.address), e_flat[i])
             i = e_ng[i]
-        sched = ctrl._sched
-        sched.invalidate()
-        sched.cand_read = [None] * self.B
-        sched.cand_write = [None] * self.B
 
     # ------------------------------------------------------------------
     def run(self, t_limit: int, stop_on_read: bool,
@@ -491,10 +502,10 @@ class PackedEngine:
         flat array), so the ~100k calls per simulation skip the object
         engine's per-call hoisting entirely. The control flow is a
         faithful transcription of ``MemoryController._run`` /
-        ``_run_one_step`` / ``_issue``, the component ``decide`` /
-        ``plan_entry`` / ``block_info`` methods and the refresh
-        ``perform`` sequences; comments here mark the *mapping*, the
-        originals document the *why*.
+        ``_run_one_step`` / ``_issue``, the scheduler component's
+        ``reference_plan`` / ``plan_entry`` / ``block_info`` methods and
+        the refresh ``perform`` sequences; comments here mark the
+        *mapping*, the originals document the *why*.
         """
         eng = self
         ctrl = self._ctrl
@@ -552,7 +563,23 @@ class PackedEngine:
         flat_index = mapping.flat_bank_index
         line_address = mapping.line_address
         closed_policy = type(ctrl._page) is ClosedPagePolicy
-        fcfs_mode = type(ctrl._sched) is FcfsScheduler
+        sched = ctrl._sched
+        fcfs_mode = type(sched) is FcfsScheduler
+        # QoS arbiter stage (the object path's `arbitrate`): wrr filters
+        # the per-bank candidates by requester credit, a budgeted
+        # bank-reg re-times over-budget CAS candidates. An unbudgeted
+        # bank-reg is plain FR-FCFS. Under an arbiter the scan collects
+        # every candidate and the plan is never repaired incrementally.
+        wrr = type(sched) is WrrScheduler
+        reg_gate = (
+            sched.gate
+            if type(sched) is BankRegScheduler and sched.budget is not None
+            else None
+        )
+        qos = wrr or reg_gate is not None
+        repairable = not fcfs_mode and not qos
+        note_service = ctrl._note_service
+        qos_cands: list = []
         last_req_by_bank = ctrl._last_req_by_bank
         log_commands = ctrl.log.commands
         bursts = ctrl._log_bursts
@@ -622,14 +649,17 @@ class PackedEngine:
         plan_epoch_v = -1
         plan_valid = 0
         plan_wmode = False
+        plan_gated = False
         blk_set = False
         blk_scope = _SCOPE_NONE
         blk_reason = ""
-        # Timing epoch + dirty-bank masks for incremental plan repair
-        # (mirrors FrFcfsScheduler.timing_epoch / dirty_read/dirty_write:
+        # Plan cache: the decision stays valid while the scheduling
+        # epoch (admissions, issues, refreshes) is unchanged and `now`
+        # is below the starvation horizon `plan_valid`.
+        # Timing epoch + dirty-bank masks for incremental plan repair:
         # only issue and refresh move command timing; admissions merely
         # mark their bank dirty so the next decide can repair the cached
-        # plan from the dirty banks instead of rescanning every bank).
+        # plan from the dirty banks instead of rescanning every bank.
         t_epoch = 0
         plan_t_epoch = -1
         dirty_r = 0
@@ -659,7 +689,7 @@ class PackedEngine:
             nonlocal gh_r, gt_r, gh_w, gt_w, mask_r, mask_w, rq_n, wq_n
             nonlocal bus_free, bus_last, last_chan, epoch
             nonlocal plan_has, plan_time, plan_ent, plan_kind, plan_flat
-            nonlocal plan_epoch_v, plan_valid, plan_wmode
+            nonlocal plan_epoch_v, plan_valid, plan_wmode, plan_gated
             nonlocal blk_set, blk_scope, blk_reason
             nonlocal t_epoch, plan_t_epoch, dirty_r, dirty_w
 
@@ -1001,6 +1031,7 @@ class PackedEngine:
                         best_ent = -1
                         best_kind = 0
                         best_flat = -1
+                        best_gated = False
                         if write_mode:
                             bhead = bh_w
                             rowh = rh_w
@@ -1019,17 +1050,19 @@ class PackedEngine:
                             cf = cr_f
                             cb = cr_b
                             m = mask_r
-                        # Incremental repair (FrFcfsScheduler.decide):
-                        # when only admissions bumped the epoch (timing
-                        # unchanged, same write mode, no starvation flip
-                        # due) and the cached winner's bank is clean,
-                        # seed the tournament with the cached plan and
-                        # scan just the dirty banks. Policy precharges
-                        # are skipped — admissions only remove them.
+                        # Incremental repair: when only admissions bumped
+                        # the epoch (timing unchanged, same write mode, no
+                        # starvation flip due), every planned candidate's
+                        # issue time is unchanged, so new arrivals can only
+                        # displace the winner directly. If the cached
+                        # winner's bank is clean, seed the tournament with
+                        # the cached plan and scan just the dirty banks.
+                        # Policy precharges are skipped — admissions only
+                        # remove them.
                         incremental = False
                         changed = False
                         if (
-                            not fcfs_mode
+                            repairable
                             and plan_t_epoch == t_epoch
                             and plan_epoch_v >= 0
                             and plan_wmode == write_mode
@@ -1060,7 +1093,7 @@ class PackedEngine:
                                 horizon = plan_valid
                                 m &= dirty
                         if fcfs_mode:
-                            # FcfsScheduler.decide: global-oldest only.
+                            # FCFS: global-oldest only.
                             # When the walk drains the chain the tail must
                             # be dropped with the head: a tail left at a
                             # served entry would absorb the next append
@@ -1142,8 +1175,9 @@ class PackedEngine:
                                 best_kind = kcode
                                 best_flat = f
                         else:
-                            # FrFcfsScheduler.decide: fused per-bank scan
-                            # over banks with pending work.
+                            # FR-FCFS: fused per-bank candidate selection
+                            # (RequestQueue.candidates) and timing
+                            # (plan_entry) over banks with pending work.
                             cas_seen = 0
                             act_seen = 0
                             while m:
@@ -1266,7 +1300,11 @@ class PackedEngine:
                                 if time < min_cmd:
                                     time = min_cmd
                                 tie = e_rid[ent]
-                                if (
+                                if qos:
+                                    qos_cands.append(
+                                        (time, prio, tie, ent, kcode, f)
+                                    )
+                                elif (
                                     time < best_time
                                     or (
                                         time == best_time
@@ -1286,6 +1324,37 @@ class PackedEngine:
                                     best_kind = kcode
                                     best_flat = f
                                     changed = True
+                            if qos:
+                                # The arbiter stage, then the tournament.
+                                if wrr:
+                                    allowed = sched.allowed_requesters({
+                                        e_req[c[3]].requester_id
+                                        for c in qos_cands
+                                    })
+                                for time, prio, tie, ent, kcode, f in (
+                                    qos_cands
+                                ):
+                                    rq = e_req[ent].requester_id
+                                    gated = False
+                                    if wrr:
+                                        if rq not in allowed:
+                                            continue
+                                    elif kcode == 0:
+                                        t2 = reg_gate(rq, f, time)
+                                        if t2 != time:
+                                            time = t2
+                                            gated = True
+                                    if (time, prio, tie) < (
+                                        best_time, best_prio, best_tie
+                                    ):
+                                        best_time = time
+                                        best_prio = prio
+                                        best_tie = tie
+                                        best_ent = ent
+                                        best_kind = kcode
+                                        best_flat = f
+                                        best_gated = gated
+                                qos_cands.clear()
                         if closed_policy and not incremental:
                             # ClosedPagePolicy.plan_candidates: precharge
                             # open rows nothing is waiting for.
@@ -1347,6 +1416,7 @@ class PackedEngine:
                                     best_ent = -1
                                     best_kind = 3
                                     best_flat = f
+                                    best_gated = False
                         if incremental and not changed:
                             # Winner survived: keep the cached plan (and
                             # its lazily derived block info).
@@ -1357,6 +1427,7 @@ class PackedEngine:
                             plan_ent = best_ent
                             plan_kind = best_kind
                             plan_flat = best_flat
+                            plan_gated = best_gated
                             plan_valid = horizon if not fcfs_mode else _FAR
                             blk_set = False
                         plan_epoch_v = epoch
@@ -1421,6 +1492,9 @@ class PackedEngine:
                                 if plan_ent < 0:
                                     blk_scope = _SCOPE_BANK
                                     blk_reason = "auto_precharge"
+                                elif plan_gated:
+                                    blk_scope = _SCOPE_BANK
+                                    blk_reason = "bank_regulation"
                                 elif plan_kind == 2:
                                     blk_scope = _SCOPE_BANK
                                     blk_reason = "tRAS/tWR/tRTP"
@@ -1712,6 +1786,8 @@ class PackedEngine:
                             burst_o.append(rq)
                             cas_w.append((now, de, f))
                             cas_o.append(rq)
+                            if qos:
+                                note_service(rq, f, now)
                             e_srv[ent] = 1
                             if is_w:
                                 wq_n -= 1

@@ -165,50 +165,6 @@ class RankTiming:
                 return Block(t, BlockScope.RANK, "tWTR_S")
         return Block(t, BlockScope.CHANNEL, "data_bus")
 
-    def cas_scan_state(self, is_write: bool) -> tuple:
-        """Rank-level CAS gate plus per-group state, for fused scans.
-
-        Candidate scans query many bank groups at one instant; the
-        rank-wide terms (tCCD_S, turnaround, bus) are the same for every
-        candidate, so they are computed once here. Returns
-        ``(rank_gate, last_cas_group, last_write_data_end_group)`` — the
-        third element is None for writes (no tWTR term). The caller
-        finishes per bank group:
-        ``max(rank_gate, last_cas_group[bg] + tCCD_L,
-        last_write_data_end_group[bg] + tWTR_L)``, matching
-        :meth:`earliest_cas_time` exactly.
-        """
-        t = self._last_cas_rank + self._tCCD_S
-        if is_write:
-            t2 = self._last_read_issue + self._read_to_write
-            if t2 > t:
-                t = t2
-            t2 = self._bus_gate(is_write=True)
-            if t2 > t:
-                t = t2
-            return t, self._last_cas_group, None
-        t2 = self._last_write_data_end_rank + self._tWTR_S
-        if t2 > t:
-            t = t2
-        t2 = self._bus_gate(is_write=False)
-        if t2 > t:
-            t = t2
-        return t, self._last_cas_group, self._last_write_data_end_group
-
-    def act_scan_state(self) -> tuple:
-        """Rank-level ACT gate plus per-group state, for fused scans.
-
-        Returns ``(rank_gate, last_act_group)``; the caller finishes with
-        ``max(rank_gate, last_act_group[bg] + tRRD_L)``, matching
-        :meth:`earliest_act_time` exactly.
-        """
-        t = self._last_act_rank + self._tRRD_S
-        if len(self._act_window) == 4:
-            t2 = self._act_window[0] + self._tFAW
-            if t2 > t:
-                t = t2
-        return t, self._last_act_group
-
     def earliest_act_time(self, now: int, bank_group: int) -> int:
         """Earliest cycle an ACTIVATE in `bank_group` may issue."""
         t = self._last_act_group[bank_group] + self._tRRD_L

@@ -26,8 +26,6 @@ SCHEDULING_POLICIES = ("fr-fcfs", "fcfs")
 
 #: "No starvation cap": larger than any realistic request age.
 _NO_CAP = 1 << 62
-#: "Selection never flips on its own": matches the controller's FAR_FUTURE.
-_FAR = 1 << 62
 
 
 @dataclass(slots=True)
@@ -173,62 +171,16 @@ class RequestQueue:
                 f"unknown scheduling policy {policy!r}; "
                 f"expected one of {sorted(SCHEDULING_POLICIES)}"
             )
-        entries, __ = self.select_candidates(open_rows, now, starvation_cap)
-        return entries
-
-    def select_candidates(
-        self,
-        open_rows: list[int | None],
-        now: int,
-        starvation_cap: int | None,
-    ) -> tuple[list[QueuedRequest], int]:
-        """FR-FCFS candidates plus the selection's validity horizon.
-
-        Returns ``(entries, valid_until)``: the same per-bank candidates
-        :meth:`candidates` yields for ``fr-fcfs``, and the earliest
-        future cycle at which the selection could change *without* any
-        enqueue/serve/row-state change — i.e. the first cycle a bank's
-        oldest request crosses the starvation cap and displaces a
-        younger row hit. Callers may cache the selection until then.
-        Banks whose chosen candidate already is their oldest request
-        never flip, so they contribute no horizon.
-        """
         if starvation_cap is None:
             starvation_cap = _NO_CAP
         result = []
-        valid_until = _FAR
-        by_row = self._by_row
-        bank_fifo = self._bank_fifo
         for flat_bank in self._active_banks:
-            fifo = bank_fifo[flat_bank]
-            oldest = None
-            while fifo:
-                head = fifo[0]
-                if head.served:
-                    fifo.popleft()
-                else:
-                    oldest = head
-                    break
+            oldest = self._head(self._bank_fifo[flat_bank])
             if oldest is None:
                 continue
             entry = None
             row = open_rows[flat_bank]
             if row is not None and now - oldest.request.arrival <= starvation_cap:
-                rows = by_row[flat_bank]
-                rfifo = rows.get(row)
-                if rfifo is not None:
-                    while rfifo:
-                        head = rfifo[0]
-                        if head.served:
-                            rfifo.popleft()
-                        else:
-                            entry = head
-                            break
-                    if entry is None:
-                        del rows[row]
-                if entry is not None and entry is not oldest:
-                    flip = oldest.request.arrival + starvation_cap + 1
-                    if flip < valid_until:
-                        valid_until = flip
+                entry = self.oldest_row_hit(flat_bank, row)
             result.append(entry if entry is not None else oldest)
-        return result, valid_until
+        return result

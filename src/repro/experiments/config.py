@@ -119,9 +119,10 @@ def paper_system(
     docs/devices.md); ``None`` keeps the paper's DDR4-2400.
 
     `engine` selects the controller stepping engine from
-    :data:`repro.dram.controller.ENGINES` (``"packed"``, ``"fast"``,
-    ``"reference"``); ``None`` keeps the
-    :class:`~repro.dram.controller.ControllerConfig` default.
+    :data:`repro.dram.controller.ENGINES`: ``"packed"`` (the
+    :class:`~repro.dram.controller.ControllerConfig` default, kept by
+    ``None``) runs every stock policy; ``"reference"`` re-plans every
+    step and is needed for custom policies.
 
     Every knob is validated eagerly here (naming the bad field) so a
     sweep over many points fails at construction, not mid-run.

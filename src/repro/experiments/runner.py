@@ -89,10 +89,10 @@ def run_synthetic(
     :data:`repro.devices.DEVICES` registry (None = the paper's
     DDR4-2400); see :func:`~repro.experiments.config.paper_system`.
 
-    `engine` selects the controller stepping engine (``"packed"``,
-    ``"fast"`` or ``"reference"``, see
-    :data:`repro.dram.controller.ENGINES`); None keeps the
-    :class:`~repro.dram.controller.ControllerConfig` default.
+    `engine` selects the controller stepping engine (``"packed"`` or
+    ``"reference"``, see :data:`repro.dram.controller.ENGINES`); None
+    keeps the :class:`~repro.dram.controller.ControllerConfig` default,
+    ``"packed"``.
     """
     scale = get_scale(scale)
     # The scaled (GAP) hierarchy: with the paper's full 11 MB LLC, runs

@@ -125,10 +125,17 @@ def force_stall(controller, after_cycle: int = 0) -> None:
     Every scheduling candidate is pushed infinitely far into the future,
     so queued requests are never served while refresh keeps time moving —
     the exact livelock shape the forward-progress watchdog exists for.
-    Patches the controller instance in place.
+    Patches the controller instance in place. The packed loop never
+    calls ``_plan_entry``, so the drill first writes the packed engine's
+    state back and drops it: the controller continues on the object
+    path, which plans through the patched seam.
     """
     from repro.dram.controller import FAR_FUTURE
 
+    packed = controller._packed
+    if packed is not None:
+        packed.flush()
+        controller._packed = None
     original = controller._plan_entry
 
     def stalled_plan(entry, write_mode):

@@ -5,7 +5,7 @@ DRAM event log plus the derived bandwidth and latency stacks — into a
 small JSON-serializable dict with a content digest. Two runs produce
 the same fingerprint if and only if they recorded byte-identical event
 timelines and bit-identical stack components, which is exactly the
-contract the performance-engineered fast scheduling engine must uphold
+contract the performance-engineered packed controller engine must uphold
 against the reference engine (see ``docs/performance.md``).
 
 Used by:

@@ -3,8 +3,8 @@
 The mapping must be a bijection between byte addresses below the
 channel capacity and (coordinates, line-offset) pairs, for *any* valid
 scheme. These properties back the per-bank candidate caches in the
-fast scheduling engine, which key cache entries and dirty-bank lists on
-``flat_bank_index`` — a collision or a non-invertible decode would
+packed controller engine, which key cache entries and dirty-bank masks
+on ``flat_bank_index`` — a collision or a non-invertible decode would
 silently corrupt scheduling decisions.
 """
 

@@ -8,13 +8,14 @@ Locks down :mod:`repro.dram.packed` from three angles:
   rank/bus fences and the refresh fences — and a round-tripped
   controller finishes the stream bit-identically to one that never
   packed.
-* **Engine agreement** — random request streams produce the same event
-  log digest and the same counters under ``packed``, ``fast`` and
-  ``reference``, across both stock schedulers and both page policies.
-* **Eager rejection** — a custom scheduler registration that exposes
-  neither of the object-engine seams (``decide`` /
-  ``reference_plan``) is refused at config time by ``engine="packed"``
-  with an error naming the policy, instead of failing mid-run.
+* **Engine agreement** — random multi-requester streams produce the
+  same event log digest, the same requester-owner sidecars and the same
+  counters under ``packed`` and ``reference``, across the stock and QoS
+  schedulers and both page policies.
+* **Eager rejection** — a custom scheduler registration is refused at
+  config time by ``engine="packed"`` with an error naming the policy
+  (it runs under ``engine="reference"``), instead of running something
+  else.
 """
 
 from __future__ import annotations
@@ -31,28 +32,43 @@ from repro.dram import (
     RequestType,
 )
 from repro.dram import components
+from repro.dram.components.scheduling import FrFcfsScheduler
 from repro.dram.packed import PackedEngine
 from repro.errors import ConfigurationError
 from repro.reliability.fingerprint import event_log_digest
 from tests.conftest import run_stream
 
-ENGINES = ("packed", "fast", "reference")
+#: Schedulers the engines must agree on: the stock pair plus both QoS
+#: arbiters, with a budget tight enough that bank-reg gates often.
+SCHEDULERS = (
+    "fr-fcfs", "fcfs", "wrr", "wrr:3,1", "bank-reg:period=200,budget=2",
+)
+
+
+#: Stream shapes, as (max inter-arrival gap, max line index): sparse
+#: over many rows, and bursty over few rows, where requesters contend
+#: and bank-reg's budget binds.
+SPARSE = (120, (1 << 14) - 1)
+BURSTY = (20, 255)
 
 
 @st.composite
-def streams(draw):
-    """A single-requester mixed read/write stream."""
+def streams(draw, requesters: int = 1, shapes=(SPARSE,)):
+    """A mixed read/write stream over `requesters` requester ids."""
+    max_gap, max_line = draw(st.sampled_from(shapes))
     count = draw(st.integers(min_value=1, max_value=50))
     t = 0
     requests = []
     for _ in range(count):
-        t += draw(st.integers(min_value=0, max_value=120))
-        line = draw(st.integers(min_value=0, max_value=(1 << 14) - 1))
+        t += draw(st.integers(min_value=0, max_value=max_gap))
+        line = draw(st.integers(min_value=0, max_value=max_line))
         is_write = draw(st.booleans()) and draw(st.booleans())
+        requester = draw(st.integers(min_value=0, max_value=requesters - 1))
         requests.append(Request(
             RequestType.WRITE if is_write else RequestType.READ,
             line * 64,
             arrival=t,
+            requester_id=requester,
         ))
     return requests
 
@@ -60,19 +76,20 @@ def streams(draw):
 def spec_of(requests):
     """Pickle the stream into a rebuildable form (runs mutate requests)."""
     return [
-        (rq.req_type, rq.address, rq.arrival) for rq in requests
+        (rq.req_type, rq.address, rq.arrival, rq.requester_id)
+        for rq in requests
     ]
 
 
 def rebuild(stream_spec):
     return [
-        Request(type_, address, arrival=arrival)
-        for type_, address, arrival in stream_spec
+        Request(type_, address, arrival=arrival, requester_id=requester)
+        for type_, address, arrival, requester in stream_spec
     ]
 
 
 def make_controller(
-    engine: str = "fast",
+    engine: str = "reference",
     scheduling: str = "fr-fcfs",
     page_policy: str = "open",
 ) -> MemoryController:
@@ -168,68 +185,88 @@ class TestPackFlushRoundTrip:
         )
 
 
-class TestEngineAgreement:
-    """All three engines emit the same events and counters."""
+def observed(ctrl: MemoryController) -> dict:
+    """Everything the stacks read from a finished run, by name.
 
-    @settings(max_examples=15, deadline=None)
+    ``stats.precharges`` is left out of the counters on purpose: when
+    a drain ends while a closed-page policy precharge waits, the packed
+    loop issues it in the same step (fused wait-and-issue) and the
+    reference engine stops first. Policy precharges record no event-log
+    window, so the stacks are unaffected.
+    """
+    log = ctrl.log
+    stats = ctrl.stats
+    return {
+        "digest": event_log_digest(log),
+        "burst_owners": list(log.burst_owners),
+        "cas_owners": list(log.cas_owners),
+        "pre_owner_windows": list(log.pre_owner_windows),
+        "act_owner_windows": list(log.act_owner_windows),
+        "blocked_owners": list(log.blocked_owners),
+        "counters": (
+            stats.reads_enqueued, stats.writes_enqueued,
+            stats.reads_completed, stats.writes_completed,
+            stats.activates, stats.row_hits, stats.row_misses,
+            stats.page_hit_rate, ctrl.now,
+        ),
+    }
+
+
+class TestEngineAgreement:
+    """Packed and reference emit the same events, owners and counters."""
+
+    @settings(max_examples=60, deadline=None)
     @given(
-        requests=streams(),
-        scheduling=st.sampled_from(["fr-fcfs", "fcfs"]),
+        requests=streams(requesters=3, shapes=(SPARSE, BURSTY)),
+        scheduling=st.sampled_from(SCHEDULERS),
         page_policy=st.sampled_from(["open", "closed"]),
     )
-    def test_three_engines_agree(self, requests, scheduling, page_policy):
+    def test_engines_agree(self, requests, scheduling, page_policy):
         spec = spec_of(requests)
-        digests = {}
-        counters = {}
-        for engine in ENGINES:
-            ctrl = run_stream(
+        packed, reference = (
+            observed(run_stream(
                 make_controller(engine, scheduling, page_policy),
                 rebuild(spec),
-            )
-            digests[engine] = event_log_digest(ctrl.log)
-            counters[engine] = (
-                ctrl.stats.reads_enqueued, ctrl.stats.writes_enqueued,
-                ctrl.stats.page_hit_rate, ctrl.now,
-            )
-        assert digests["packed"] == digests["fast"], (
-            f"packed != fast for {scheduling}/{page_policy}"
+            ))
+            for engine in ("packed", "reference")
         )
-        assert digests["packed"] == digests["reference"], (
-            f"packed != reference for {scheduling}/{page_policy}"
-        )
-        assert counters["packed"] == counters["fast"]
-        assert counters["packed"] == counters["reference"]
+        for name in packed:
+            assert packed[name] == reference[name], (
+                f"packed != reference on {name} for "
+                f"{scheduling}/{page_policy}"
+            )
 
 
 class TestEagerRejection:
     """Unsupported-policy combos fail at config time, naming the policy."""
 
-    def test_packed_rejects_seamless_scheduler(self):
-        class OpaqueScheduler:
-            """Registrable but exposes no object-engine planner seam."""
+    def test_packed_rejects_custom_scheduler(self):
+        class CustomScheduler(FrFcfsScheduler):
+            """A custom policy: the packed loop cannot know what it
+            overrides."""
 
-            name = "test-opaque"
+            name = "test-custom"
 
-            def bind(self, controller):  # pragma: no cover - never bound
-                pass
-
-        name = "test-opaque"
-        components.SCHEDULERS.register(name)(OpaqueScheduler)
+        name = "test-custom"
+        components.SCHEDULERS.register(name)(CustomScheduler)
         try:
-            with pytest.raises(ConfigurationError, match=name):
+            with pytest.raises(ConfigurationError, match=name) as excinfo:
                 ControllerConfig(spec=DDR4_2400, engine="packed",
                                  scheduling=name)
-            # The same registration is fine under the object engines.
-            ControllerConfig(spec=DDR4_2400, engine="fast",
-                             scheduling=name)
+            assert "engine='reference'" in str(excinfo.value)
+            # The same registration runs on the reference engine.
+            ctrl = run_stream(
+                make_controller("reference", name),
+                [Request(RequestType.READ, i * 64, arrival=i)
+                 for i in range(8)],
+            )
+            assert ctrl.stats.reads_completed == 8
         finally:
             del components.SCHEDULERS._factories[name]
 
     def test_engine_error_lists_sorted_choices(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            ControllerConfig(spec=DDR4_2400, engine="warp")
-        message = str(excinfo.value)
-        assert "fast" in message and "packed" in message
-        assert message.index("fast") < message.index("packed") < (
-            message.index("reference")
-        )
+        for engine in ("warp", "fast"):
+            with pytest.raises(ConfigurationError) as excinfo:
+                ControllerConfig(spec=DDR4_2400, engine=engine)
+            message = str(excinfo.value)
+            assert message.index("packed") < message.index("reference")

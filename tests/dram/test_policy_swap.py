@@ -65,7 +65,7 @@ class TestSchedulingSwap:
 
     def test_engines_agree_for_fcfs_too(self):
         digests = []
-        for engine in ("fast", "reference"):
+        for engine in ("packed", "reference"):
             mc = controller(scheduling="fcfs", engine=engine)
             run_stream(mc, mixed_stream())
             digests.append(event_log_digest(mc.log))

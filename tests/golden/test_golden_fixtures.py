@@ -10,7 +10,7 @@ Three scenarios cover the scheduler's main regimes:
   interplay, cross-core request interleaving).
 
 The fingerprints pin the *entire* event log and both stacks bit-for-bit,
-so they lock down exactly the behaviour the fast-engine optimizations
+so they lock down exactly the behaviour the packed-engine optimizations
 (plan cache, candidate caches, incremental repair, event-sweep
 accounting) must preserve. See docs/performance.md.
 """

@@ -66,7 +66,6 @@ def assert_identical_stacks(a, b):
 
 @pytest.mark.parametrize("core_engine,engine", [
     ("fast", "packed"),
-    ("fast", "fast"),
     ("reference", "packed"),
     ("reference", "reference"),
 ])

@@ -134,7 +134,6 @@ class TestIntegration:
 
 @pytest.mark.parametrize("core_engine,engine", [
     ("fast", "packed"),
-    ("fast", "fast"),
     ("reference", "packed"),
     ("reference", "reference"),
 ])

@@ -234,6 +234,18 @@ class TestExitCodes:
         assert "ConfigurationError" in err
         assert "cores" in err
 
+    @pytest.mark.parametrize("cycles", ["0", "-5"])
+    def test_nonpositive_watchdog_cycles_rejected(self, cycles, capsys):
+        """0 reaches the watchdog (it is not "use the default")."""
+        code = main([
+            "analyze", "random", "--cores", "1",
+            "--watchdog-cycles", cycles,
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "ConfigurationError" in err
+        assert "threshold_cycles" in err
+
     def test_trace_format_error_in_process(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
         bad.write_text("DRAMTRACE v1 DDR4-2400 100\nREQ zero R 0x0 1\n")
