@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests plus the fault-injection smoke suite, each under
-# a hard wall-clock timeout so a livelocked simulator fails the build
-# instead of hanging it.
+# CI gate: tier-1 tests plus the service, chaos, QoS and device smokes
+# and the benchmark's pins, each under a hard wall-clock timeout so a
+# livelocked simulator fails the build instead of hanging it.
 #
 # Usage: scripts/ci_check.sh [fast]
 #   fast  — additionally deselect tests marked 'slow'
@@ -11,7 +11,6 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
 TIER1_TIMEOUT="${TIER1_TIMEOUT:-540}"
-SMOKE_TIMEOUT="${SMOKE_TIMEOUT:-120}"
 # The harness self-tests take ~6 s; the pin check runs every benchmark
 # workload once at seed 42.
 BENCH_TIMEOUT="${BENCH_TIMEOUT:-420}"
@@ -42,10 +41,6 @@ fi
 echo "== tier-1 test suite (timeout ${TIER1_TIMEOUT}s) =="
 timeout --signal=KILL "$TIER1_TIMEOUT" \
     python -m pytest -x -q "${MARKER_ARGS[@]}"
-
-echo "== fault-injection smoke (timeout ${SMOKE_TIMEOUT}s) =="
-timeout --signal=KILL "$SMOKE_TIMEOUT" \
-    python -m pytest -x -q tests/reliability/test_faults.py
 
 echo "== parallel service smoke (timeout ${SERVICE_TIMEOUT}s) =="
 # 2-worker batch run twice: asserts parallel fingerprints match the

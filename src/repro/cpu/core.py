@@ -49,6 +49,12 @@ class TraceItem:
             parallelism of about k.
         branch_mispredicts: mispredicted branches in this block.
         barrier: synchronization point — the core waits for all cores.
+
+    Items are shared, so ``frozen=True`` is load-bearing: the GAP
+    tracer interns equal items, putting one object at many positions of
+    a run's traces, and the synthetic block cache hands the same item
+    lists to every run of one configuration. A mutable item would let
+    one position or run change another.
     """
 
     instructions: int = 0

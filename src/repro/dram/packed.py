@@ -1642,6 +1642,13 @@ class PackedEngine:
                             if in_flight and in_flight[0][0] <= issue_at:
                                 _finish(issue_at, now)
                             now = issue_at
+                            # The loop-top idle check this path skips: a
+                            # drain with nothing left pending stops here,
+                            # before a waiting policy precharge issues.
+                            if stop_when_idle and not (
+                                arrivals or in_flight or rq_n or wq_n
+                            ):
+                                break
                         else:
                             target = wake if wake < t_limit else t_limit
                             if target <= now:

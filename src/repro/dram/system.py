@@ -101,7 +101,10 @@ class MemorySystem(CompositeMemory):
             ForwardProgressWatchdog,
         )
 
-        threshold = threshold_cycles or DEFAULT_STALL_THRESHOLD
+        threshold = (
+            DEFAULT_STALL_THRESHOLD if threshold_cycles is None
+            else threshold_cycles
+        )
         watchdogs = []
         for mc in self.controllers:
             watchdog = ForwardProgressWatchdog(threshold)

@@ -68,11 +68,31 @@ class MemoryLayout:
 
 
 class CoreTracer:
-    """Accumulates one core's trace items."""
+    """Accumulates one core's trace items.
 
-    def __init__(self, core_id: int) -> None:
+    Items are interned: each emission looks its field values up in
+    `table` and appends the object already built for them, constructing
+    a :class:`TraceItem` only on a miss. Graph kernels emit the same
+    item over and over (a vertex's offsets line, a popular neighbor's
+    property load), so most emissions are hits. Sharing one object
+    between trace positions is safe because ``TraceItem`` is frozen.
+    :func:`make_tracers` gives the tracers of one kernel run one table,
+    which is dropped with them when the run returns its traces.
+    """
+
+    def __init__(
+        self, core_id: int, table: dict[tuple, TraceItem] | None = None
+    ) -> None:
         self.core_id = core_id
         self.items: list[TraceItem] = []
+        self._table = {} if table is None else table
+
+    def _emit(self, fields: tuple) -> None:
+        """Append the interned item with `fields` (TraceItem order)."""
+        item = self._table.get(fields)
+        if item is None:
+            item = self._table[fields] = TraceItem(*fields)
+        self.items.append(item)
 
     # ------------------------------------------------------------------
     def load(
@@ -83,19 +103,11 @@ class CoreTracer:
         dep: int = 0,
     ) -> None:
         """A point load of ``ref[index]``."""
-        self.items.append(TraceItem(
-            instructions=instructions,
-            address=ref.addr(index),
-            dependency_distance=dep,
-        ))
+        self._emit((instructions, ref.addr(index), False, dep, 0, False))
 
     def store(self, ref: ArrayRef, index: int, instructions: int = 1) -> None:
         """A point store to ``ref[index]``."""
-        self.items.append(TraceItem(
-            instructions=instructions,
-            address=ref.addr(index),
-            is_store=True,
-        ))
+        self._emit((instructions, ref.addr(index), True, 0, 0, False))
 
     def scan(
         self,
@@ -117,32 +129,30 @@ class CoreTracer:
         while index < stop:
             line_end = min(stop, (index // per_line + 1) * per_line)
             elems = line_end - index
-            self.items.append(TraceItem(
-                instructions=elems * instructions_per_elem,
-                address=ref.addr(index),
-                is_store=store,
+            self._emit((
+                elems * instructions_per_elem, ref.addr(index), store,
+                0, 0, False,
             ))
             index = line_end
 
     def work(self, instructions: int) -> None:
         """Non-memory computation."""
         if instructions > 0:
-            self.items.append(TraceItem(instructions=instructions))
+            self._emit((instructions, -1, False, 0, 0, False))
 
     def branch(self, mispredicts: int = 1, instructions: int = 2) -> None:
         """A data-dependent, poorly-predicted branch."""
-        self.items.append(TraceItem(
-            instructions=instructions, branch_mispredicts=mispredicts,
-        ))
+        self._emit((instructions, -1, False, 0, mispredicts, False))
 
     def barrier(self) -> None:
         """Synchronize with all other cores."""
-        self.items.append(TraceItem(barrier=True))
+        self._emit((0, -1, False, 0, 0, True))
 
 
 def make_tracers(cores: int) -> list[CoreTracer]:
-    """One CoreTracer per core."""
-    return [CoreTracer(core_id) for core_id in range(cores)]
+    """One CoreTracer per core, sharing one intern table."""
+    table: dict[tuple, TraceItem] = {}
+    return [CoreTracer(core_id, table) for core_id in range(cores)]
 
 
 def barrier_all(tracers: list[CoreTracer]) -> None:

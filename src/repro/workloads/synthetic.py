@@ -28,8 +28,10 @@ from repro.workloads.base import Workload, stagger_base
 #: TraceItem lists instead of regenerating them — and so the fast core
 #: engine always sees an indexable block rather than a generator.
 #: Keyed by (pattern, config, placement, core); bounded LRU so
-#: paper-scale sweeps cannot accumulate unbounded memory. Blocks are
-#: shared across runs and must never be mutated (TraceItem is frozen).
+#: paper-scale sweeps cannot accumulate unbounded memory. Blocks and
+#: their items are shared between runs, as interned GAP items are
+#: between trace positions, so TraceItem's ``frozen=True`` is
+#: load-bearing; the blocks themselves must never be mutated either.
 _BLOCK_CACHE: OrderedDict[tuple, list[TraceItem]] = OrderedDict()
 _BLOCK_CACHE_MAX = 32
 

@@ -9,9 +9,10 @@ Locks down :mod:`repro.dram.packed` from three angles:
   controller finishes the stream bit-identically to one that never
   packed.
 * **Engine agreement** — random multi-requester streams produce the
-  same event log digest, the same requester-owner sidecars and the same
-  counters under ``packed`` and ``reference``, across the stock and QoS
-  schedulers and both page policies.
+  same event log digest, the same requester-owner sidecars, the same
+  counters and the same final open rows under ``packed`` and
+  ``reference``, across the stock and QoS schedulers and both page
+  policies, and over three enqueue→drain phases under closed page.
 * **Eager rejection** — a custom scheduler registration is refused at
   config time by ``engine="packed"`` with an error naming the policy
   (it runs under ``engine="reference"``), instead of running something
@@ -186,14 +187,9 @@ class TestPackFlushRoundTrip:
 
 
 def observed(ctrl: MemoryController) -> dict:
-    """Everything the stacks read from a finished run, by name.
-
-    ``stats.precharges`` is left out of the counters on purpose: when
-    a drain ends while a closed-page policy precharge waits, the packed
-    loop issues it in the same step (fused wait-and-issue) and the
-    reference engine stops first. Policy precharges record no event-log
-    window, so the stacks are unaffected.
-    """
+    """Everything the stacks read from a finished run, by name, plus
+    the state a later run would start from: the counters and every
+    bank's open row."""
     log = ctrl.log
     stats = ctrl.stats
     return {
@@ -206,14 +202,32 @@ def observed(ctrl: MemoryController) -> dict:
         "counters": (
             stats.reads_enqueued, stats.writes_enqueued,
             stats.reads_completed, stats.writes_completed,
-            stats.activates, stats.row_hits, stats.row_misses,
+            stats.activates, stats.precharges,
+            stats.row_hits, stats.row_misses,
             stats.page_hit_rate, ctrl.now,
         ),
+        "open_rows": [bank.open_row for bank in ctrl.banks],
     }
 
 
+def run_phases(ctrl: MemoryController, phases) -> MemoryController:
+    """Enqueue and drain each phase in turn, its arrivals offset to the
+    cycle the previous drain ended; then finalize accounting."""
+    for phase in phases:
+        base = ctrl.now
+        for type_, address, arrival, requester in phase:
+            ctrl.enqueue(Request(
+                type_, address, arrival=base + arrival,
+                requester_id=requester,
+            ))
+        ctrl.drain()
+    ctrl.finalize()
+    return ctrl
+
+
 class TestEngineAgreement:
-    """Packed and reference emit the same events, owners and counters."""
+    """Packed and reference emit the same events, owners and counters,
+    and leave the same rows open."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -234,6 +248,32 @@ class TestEngineAgreement:
             assert packed[name] == reference[name], (
                 f"packed != reference on {name} for "
                 f"{scheduling}/{page_policy}"
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        phases=st.lists(
+            streams(requesters=3, shapes=(SPARSE, BURSTY)),
+            min_size=3, max_size=3,
+        ),
+        scheduling=st.sampled_from(SCHEDULERS),
+    )
+    def test_engines_agree_across_drains(self, phases, scheduling):
+        # Closed page: every drain can end while a policy precharge
+        # waits, and the next phase starts from whatever the drain left
+        # open, so a precharge issued past the end of a drain moves
+        # every later phase's log.
+        specs = [spec_of(phase) for phase in phases]
+        packed, reference = (
+            observed(run_phases(
+                make_controller(engine, scheduling, "closed"), specs,
+            ))
+            for engine in ("packed", "reference")
+        )
+        for name in packed:
+            assert packed[name] == reference[name], (
+                f"packed != reference on {name} for {scheduling}/closed "
+                f"over {len(specs)} drains"
             )
 
 

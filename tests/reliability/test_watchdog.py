@@ -130,6 +130,25 @@ class TestIntegration:
             mc.watchdog is dog
             for mc, dog in zip(system.controllers, dogs)
         )
+        assert all(dog.threshold_cycles == 5_000 for dog in dogs)
+
+    def test_memory_system_attach_default_threshold(self):
+        from repro.dram.system import MemorySystem, MemorySystemConfig
+
+        system = MemorySystem(MemorySystemConfig(channels=2))
+        dogs = system.attach_watchdogs()
+        assert all(
+            dog.threshold_cycles == DEFAULT_STALL_THRESHOLD for dog in dogs
+        )
+
+    @pytest.mark.parametrize("threshold", [0, -5])
+    def test_memory_system_rejects_nonpositive_threshold(self, threshold):
+        # 0 is a threshold like -5, not a request for the default.
+        from repro.dram.system import MemorySystem, MemorySystemConfig
+
+        system = MemorySystem(MemorySystemConfig(channels=2))
+        with pytest.raises(ConfigurationError, match="threshold_cycles"):
+            system.attach_watchdogs(threshold_cycles=threshold)
 
 
 @pytest.mark.parametrize("core_engine,engine", [
