@@ -117,7 +117,9 @@ class AddressMapping:
 
         Addresses beyond the capacity wrap around (the high bits are
         ignored), matching real controllers' behaviour of only decoding
-        the bits they own.
+        the bits they own. A subclass that overrides ``decode`` must
+        override :meth:`locate` to match: the packed controller admits
+        requests through ``locate`` alone.
         """
         b = self._decode_bits
         return Coordinates(
@@ -127,6 +129,23 @@ class AddressMapping:
             (address >> b[6]) & b[7],
             (address >> b[8]) & b[9],
             (address >> b[10]) & b[11],
+        )
+
+    def locate(self, address: int) -> tuple[int, int]:
+        """``(flat bank index, row)`` of a physical byte address.
+
+        Equal to ``(flat_bank_index(decode(address)),
+        decode(address).row)``, from the same slice table, without
+        building the :class:`Coordinates`; the packed controller's
+        admission path calls it once per request. A subclass that
+        overrides :meth:`decode` must override this to match.
+        """
+        b = self._decode_bits
+        return (
+            ((address >> b[2]) & b[3]) * self._banks_per_rank
+            + ((address >> b[4]) & b[5]) * self._banks_per_group
+            + ((address >> b[6]) & b[7]),
+            (address >> b[8]) & b[9],
         )
 
     def encode(self, coords: Coordinates, offset: int = 0) -> int:

@@ -370,7 +370,21 @@ class MemoryController:
     # Public API
     # ------------------------------------------------------------------
     def enqueue(self, request: Request) -> None:
-        """Accept a request; its ``arrival`` must be >= the current time."""
+        """Accept a request; its ``arrival`` must be >= the current time.
+
+        ``arrival`` and ``address`` must be plain ``int`` (not bool,
+        float or a numpy integer): both engines write them into the
+        fingerprinted event log, which holds Python ints only.
+        """
+        if type(request.arrival) is not int or (
+            type(request.address) is not int
+        ):
+            raise ConfigurationError(
+                f"request {request.req_id}: arrival and address must be "
+                f"int, got {type(request.arrival).__name__} "
+                f"{request.arrival!r} and {type(request.address).__name__} "
+                f"{request.address!r}"
+            )
         if request.arrival < self.now:
             raise ConfigurationError(
                 f"request arrives at {request.arrival} but controller time "

@@ -3,8 +3,8 @@
 The object path (the ``"reference"`` engine) pays for its flexibility
 in attribute chatter: every scheduling step walks ``Bank``/
 ``RankTiming``/``QueuedRequest`` objects and re-plans from scratch.
-This engine packs the same state into flat ``array('q')`` columns — one
-int64 column per field, indexed by flat bank / entry id — and runs the
+This engine packs the same state into flat columns — one plain list
+per field, indexed by flat bank / entry id — and runs the
 whole admit → refresh → decide → issue loop inside a single closure
 whose hot names are cell variables, so the ~100k ``run_until`` calls of
 a simulation pay no per-call re-hoisting. It is the production engine
@@ -15,7 +15,7 @@ Layout (struct of arrays; see docs/performance.md for the diagram):
 
 * **Entry table** — append-only columns ``row/flat/req_id/arrival``
   plus intrusive linked lists ``next_in_bank`` / ``next_in_row`` /
-  ``next_global`` and a ``served`` byte; the read queue and the write
+  ``next_global`` and a ``served`` flag; the read queue and the write
   queue are chains through one shared table. Row chains are keyed
   ``(flat << 40) | row`` in plain dicts.
 * **Bank state** — ``open_row`` (-1 = closed), ``next_act/pre/cas``,
@@ -30,7 +30,7 @@ Layout (struct of arrays; see docs/performance.md for the diagram):
   candidate, valid until an admission or command on the bank, a
   refresh, or the starvation flip.
 
-The arrays are *authoritative while the engine is active*; the
+The columns are *authoritative while the engine is active*; the
 ``Bank``/``RankTiming``/``RequestQueue`` objects go stale and are
 rebuilt by :meth:`flush` (which deactivates the engine) whenever object
 state must be observed — ``stall_snapshot``, the ``banks`` property,
@@ -39,9 +39,15 @@ object path. :meth:`pack` converts the other way on (re)activation; the
 ``pack ⇄ flush`` round trip is property-tested in
 ``tests/dram/test_packed_properties.py``.
 
-The columns are stdlib ``array`` objects, so indexing yields plain
-Python ints and no numpy scalar can ever reach the fingerprinted log
-tuples.
+The columns are lists rather than ``array('q')``: CPython 3.11
+specializes list subscripts but not array ones, and an array read boxes
+a new int each time (docs/performance.md has the measurement). A list
+accepts any object, so the plain Python ints of the fingerprinted log
+tuples rest on what enters the loop: ``MemoryController.enqueue``
+refuses a request whose ``arrival`` or ``address`` is not exactly an
+``int`` (a bool, float or numpy integer raises), the ``TimingSpec``
+fields and run limits are ints, and the loop only adds, subtracts,
+shifts and compares them.
 
 Scheduling semantics are the object path's *exactly* — same candidate
 selection, same arbiter stage (the QoS helpers of
@@ -60,7 +66,6 @@ docs/performance.md has the validity arguments.
 from __future__ import annotations
 
 import heapq
-from array import array
 
 from repro.core.events import (
     CommandIssued,
@@ -145,9 +150,9 @@ def packed_fallback_reason(controller) -> str | None:
 class PackedEngine:
     """SoA state + mega-loop for one :class:`MemoryController`.
 
-    Life cycle: constructed eagerly (cheap — arrays are allocated
+    Life cycle: constructed eagerly (cheap — columns are allocated
     lazily on first :meth:`run`), :meth:`pack` pulls the object state
-    into the arrays and *empties* the object queues, :meth:`run` steps
+    into the columns and *empties* the object queues, :meth:`run` steps
     the packed loop, :meth:`flush` writes everything back and
     deactivates. ``active`` tells the controller's size properties
     whether the packed columns or the object queues are authoritative.
@@ -163,7 +168,7 @@ class PackedEngine:
         self.wq_len = 0
 
     # ------------------------------------------------------------------
-    # Pickling: closures and views are unpicklable and the arrays are
+    # Pickling: closures and views are unpicklable and the columns are
     # meaningless without them; the controller flushes before pickling
     # (see MemoryController.__getstate__), so only the link survives.
     # ------------------------------------------------------------------
@@ -188,43 +193,41 @@ class PackedEngine:
         R = self.R = org.ranks
 
         # Flat-index decompositions (mirrors Bank.__init__ / paging).
-        self.bg_of = array("q", [(f % org.banks) // org.banks_per_group
-                                 for f in range(B)])
-        self.bank_of = array("q", [f % org.banks_per_group
-                                   for f in range(B)])
-        self.rank_of = array("q", [f // org.banks for f in range(B)])
+        self.bg_of = [(f % org.banks) // org.banks_per_group
+                      for f in range(B)]
+        self.bank_of = [f % org.banks_per_group for f in range(B)]
+        self.rank_of = [f // org.banks for f in range(B)]
 
-        zeros = [0] * B
+        # Every column below is a list of its own: two fields sharing one
+        # list object would alias.
         # Bank state columns.
-        self.b_row = array("q", [-1] * B)
-        self.b_nact = array("q", zeros)
-        self.b_npre = array("q", zeros)
-        self.b_ncas = array("q", zeros)
-        self.b_pre_u = array("q", zeros)
-        self.b_act_u = array("q", zeros)
-        self.b_cdu = array("q", zeros)
+        self.b_row = [-1] * B
+        self.b_nact = [0] * B
+        self.b_npre = [0] * B
+        self.b_ncas = [0] * B
+        self.b_pre_u = [0] * B
+        self.b_act_u = [0] * B
+        self.b_cdu = [0] * B
         # Bank stat columns.
-        self.bs_act = array("q", zeros)
-        self.bs_pre = array("q", zeros)
-        self.bs_rd = array("q", zeros)
-        self.bs_wr = array("q", zeros)
-        self.bs_hit = array("q", zeros)
-        self.bs_miss = array("q", zeros)
+        self.bs_act = [0] * B
+        self.bs_pre = [0] * B
+        self.bs_rd = [0] * B
+        self.bs_wr = [0] * B
+        self.bs_hit = [0] * B
+        self.bs_miss = [0] * B
         # Rank state: per-(rank, group) columns, rank-major.
-        never_rg = [_NEVER] * (R * G)
-        self.rg_cas = array("q", never_rg)
-        self.rg_act = array("q", never_rg)
-        self.rg_wend = array("q", never_rg)
-        never_r = [_NEVER] * R
-        self.rk_cas = array("q", never_r)
-        self.rk_act = array("q", never_r)
-        self.rk_ri = array("q", never_r)
-        self.rk_wend = array("q", never_r)
+        self.rg_cas = [_NEVER] * (R * G)
+        self.rg_act = [_NEVER] * (R * G)
+        self.rg_wend = [_NEVER] * (R * G)
+        self.rk_cas = [_NEVER] * R
+        self.rk_act = [_NEVER] * R
+        self.rk_ri = [_NEVER] * R
+        self.rk_wend = [_NEVER] * R
         # tFAW ring: 4 slots per rank; oldest at the next write position
         # once full (deque(maxlen=4) semantics).
-        self.faw = array("q", [0] * (R * 4))
-        self.faw_n = array("q", [0] * R)
-        self.faw_p = array("q", [0] * R)
+        self.faw = [0] * (R * 4)
+        self.faw_n = [0] * R
+        self.faw_p = [0] * R
         # Shared-bus / channel scalars (engine attrs; the runner loads
         # them into cells at entry and stores back at exit).
         self.bus_free = 0
@@ -232,22 +235,22 @@ class PackedEngine:
         self.last_chan = -1
 
         # Entry table (shared by both queues; chains disambiguate).
-        self.e_row = array("q")
-        self.e_flat = array("q")
-        self.e_rid = array("q")
-        self.e_arr = array("q")
-        self.e_nb = array("q")   # next in bank chain (-1 = end)
-        self.e_nr = array("q")   # next in row chain
-        self.e_ng = array("q")   # next in global chain
-        self.e_srv = bytearray()
-        self.e_req = []          # parallel list of Request objects
+        self.e_row: list[int] = []
+        self.e_flat: list[int] = []
+        self.e_rid: list[int] = []
+        self.e_arr: list[int] = []
+        self.e_nb: list[int] = []   # next in bank chain (-1 = end)
+        self.e_nr: list[int] = []   # next in row chain
+        self.e_ng: list[int] = []   # next in global chain
+        self.e_srv: list[int] = []  # 1 once served
+        self.e_req: list = []       # parallel list of Request objects
         # Per-queue chain heads/tails and counts.
-        self.bh_r = array("q", [-1] * B)
-        self.bt_r = array("q", [-1] * B)
-        self.bh_w = array("q", [-1] * B)
-        self.bt_w = array("q", [-1] * B)
-        self.cnt_r = array("q", zeros)
-        self.cnt_w = array("q", zeros)
+        self.bh_r = [-1] * B
+        self.bt_r = [-1] * B
+        self.bh_w = [-1] * B
+        self.bt_w = [-1] * B
+        self.cnt_r = [0] * B
+        self.cnt_w = [0] * B
         self.rh_r: dict[int, int] = {}
         self.rt_r: dict[int, int] = {}
         self.rh_w: dict[int, int] = {}
@@ -258,21 +261,21 @@ class PackedEngine:
         self.mask_w = 0
 
         # Candidate caches (entry -1 = invalid slot).
-        self.cr_e = array("q", [-1] * B)
-        self.cr_k = array("q", zeros)
-        self.cr_f = array("q", zeros)
-        self.cr_b = array("q", zeros)
-        self.cw_e = array("q", [-1] * B)
-        self.cw_k = array("q", zeros)
-        self.cw_f = array("q", zeros)
-        self.cw_b = array("q", zeros)
+        self.cr_e = [-1] * B
+        self.cr_k = [0] * B
+        self.cr_f = [0] * B
+        self.cr_b = [0] * B
+        self.cw_e = [-1] * B
+        self.cw_k = [0] * B
+        self.cw_f = [0] * B
+        self.cw_b = [0] * B
 
         self._reset_plan = True
         self._runner = self._make_runner()
         self._ready = True
 
     # ------------------------------------------------------------------
-    # Object state -> arrays
+    # Object state -> columns
     # ------------------------------------------------------------------
     def pack(self) -> None:
         """Pull controller object state into the columns and activate.
@@ -328,10 +331,9 @@ class PackedEngine:
         # Reset the entry table and chains, then repack both queues in
         # their global arrival order.
         for column in (self.e_row, self.e_flat, self.e_rid, self.e_arr,
-                       self.e_nb, self.e_nr, self.e_ng):
-            del column[:]
-        del self.e_srv[:]
-        self.e_req.clear()
+                       self.e_nb, self.e_nr, self.e_ng, self.e_srv,
+                       self.e_req):
+            column.clear()
         for f in range(B):
             self.bh_r[f] = -1
             self.bt_r[f] = -1
@@ -420,7 +422,7 @@ class PackedEngine:
         return i
 
     # ------------------------------------------------------------------
-    # Arrays -> object state
+    # Columns -> object state
     # ------------------------------------------------------------------
     def flush(self) -> None:
         """Write the columns back into the objects and deactivate."""
@@ -499,7 +501,7 @@ class PackedEngine:
         """Build the mega-loop closure over the engine's columns.
 
         Every name the loop touches per step is a closure cell (or a
-        flat array), so the ~100k calls per simulation skip the object
+        flat column), so the ~100k calls per simulation skip the object
         engine's per-call hoisting entirely. The control flow is a
         faithful transcription of ``MemoryController._run`` /
         ``_run_one_step`` / ``_issue``, the scheduler component's
@@ -559,8 +561,7 @@ class PackedEngine:
         forwarding = ctrl.config.read_forwarding
         wb_note_fwd = wbuf.note_forwarded_read
         mapping = ctrl.mapping
-        decode = mapping.decode
-        flat_index = mapping.flat_bank_index
+        locate = mapping.locate
         line_address = mapping.line_address
         closed_policy = type(ctrl._page) is ClosedPagePolicy
         sched = ctrl._sched
@@ -732,8 +733,7 @@ class PackedEngine:
                             admitted = True
                             __, __, req = heappop(arrivals)
                             addr = req.address
-                            coords = decode(addr)
-                            flat = flat_index(coords)
+                            flat, row = locate(addr)
                             if req.req_type is _RT_READ:
                                 if forwarding and wbA and (
                                     line_address(addr) in wbA
@@ -756,7 +756,6 @@ class PackedEngine:
                                         for handler in ev_admit:
                                             handler(event)
                                     continue
-                                row = coords.row
                                 req.row_open_on_arrival = (
                                     b_row[flat] == row
                                 )
@@ -799,7 +798,6 @@ class PackedEngine:
                             else:
                                 # WriteBuffer.add (raw-address keying).
                                 i = len(e_rid)
-                                row = coords.row
                                 e_row.append(row)
                                 e_flat.append(flat)
                                 e_rid.append(req.req_id)

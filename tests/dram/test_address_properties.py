@@ -5,32 +5,53 @@ channel capacity and (coordinates, line-offset) pairs, for *any* valid
 scheme. These properties back the per-bank candidate caches in the
 packed controller engine, which key cache entries and dirty-bank masks
 on ``flat_bank_index`` — a collision or a non-invertible decode would
-silently corrupt scheduling decisions.
+silently corrupt scheduling decisions. The flat index includes the
+rank, so the bijection properties also run a two-rank organization.
+The packed engine admits requests through ``locate``, which must agree
+with ``decode`` for every registered scheme on every device preset.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.devices import DEVICES  # also registers the "lpddr5" scheme
+from repro.dram.address import SCHEMES as SCHEME_REGISTRY
 from repro.dram.address import AddressMapping, Coordinates
-from repro.dram.timing import Organization
+from repro.dram.timing import DDR4_2400, Organization
+from repro.errors import ConfigurationError
 
 ORG = Organization()
+ORG_2RANK = DDR4_2400.with_organization(ranks=2).organization
 SCHEMES = {
     "default": AddressMapping.default_scheme(ORG),
     "interleaved": AddressMapping.interleaved_scheme(ORG),
+    "default/2rank": AddressMapping.default_scheme(ORG_2RANK),
+    "interleaved/2rank": AddressMapping.interleaved_scheme(ORG_2RANK),
 }
 
 addresses = st.integers(min_value=0, max_value=2**40 - 1)
 scheme_names = st.sampled_from(sorted(SCHEMES))
-coordinates = st.builds(
-    Coordinates,
-    channel=st.just(0),
-    rank=st.just(0),
-    bank_group=st.integers(0, ORG.bank_groups - 1),
-    bank=st.integers(0, ORG.banks_per_group - 1),
-    row=st.integers(0, ORG.rows - 1),
-    column=st.integers(0, ORG.columns - 1),
+
+
+def coordinates(org: Organization):
+    return st.builds(
+        Coordinates,
+        channel=st.just(0),
+        rank=st.integers(0, org.ranks - 1),
+        bank_group=st.integers(0, org.bank_groups - 1),
+        bank=st.integers(0, org.banks_per_group - 1),
+        row=st.integers(0, org.rows - 1),
+        column=st.integers(0, org.columns - 1),
+    )
+
+
+#: (scheme name, coordinates valid for that scheme's organization).
+mapped_coordinates = scheme_names.flatmap(
+    lambda name: st.tuples(
+        st.just(name), coordinates(SCHEMES[name].organization)
+    )
 )
 
 
@@ -49,10 +70,11 @@ def test_encode_inverts_decode(scheme, address):
     assert rebuilt == address % mapping.capacity_bytes
 
 
-@given(scheme=scheme_names, coords=coordinates,
+@given(case=mapped_coordinates,
        offset=st.integers(0, ORG.line_bytes - 1))
-def test_decode_inverts_encode(scheme, coords, offset):
+def test_decode_inverts_encode(case, offset):
     """encode → decode recovers every coordinate field exactly."""
+    scheme, coords = case
     mapping = SCHEMES[scheme]
     address = mapping.encode(coords, offset)
     assert address < mapping.capacity_bytes
@@ -72,12 +94,18 @@ def test_distinct_lines_decode_to_distinct_coordinates(scheme, lines):
     assert len(decoded) == len(lines)
 
 
-@given(scheme=scheme_names, coords=coordinates)
-def test_flat_bank_index_is_consistent_and_bounded(scheme, coords):
+@given(case=mapped_coordinates)
+def test_flat_bank_index_is_consistent_and_bounded(case):
+    scheme, coords = case
     mapping = SCHEMES[scheme]
+    org = mapping.organization
     flat = mapping.flat_bank_index(coords)
-    assert 0 <= flat < ORG.banks
-    assert flat == coords.bank_group * ORG.banks_per_group + coords.bank
+    assert 0 <= flat < org.total_banks
+    assert flat == (
+        coords.rank * org.banks
+        + coords.bank_group * org.banks_per_group
+        + coords.bank
+    )
 
 
 @given(start_line=st.integers(0, 2**20))
@@ -114,3 +142,67 @@ def test_default_stride_fills_a_page_before_moving(start_line):
         columns.append(coords.column)
     assert len(seen_banks) == 1
     assert columns == list(range(ORG.columns))
+
+
+# ----------------------------------------------------------------------
+# locate: the packed admission's (flat bank, row) decode.
+# ----------------------------------------------------------------------
+#: Every device preset's per-channel organization, plus DDR4 with two
+#: ranks (no preset has a rank field).
+ORGANIZATIONS = {
+    **{
+        name: DEVICES.create(name).spec.organization
+        for name in DEVICES.names()
+    },
+    "ddr4-2400-2rank": ORG_2RANK,
+}
+
+
+def _registry_mappings() -> dict[tuple[str, str, int], AddressMapping]:
+    """Every registered scheme on every organization it accepts, with
+    one and two channels (a channel field moves every shift above the
+    line offset), keyed (scheme, organization, channels)."""
+    built = {}
+    for scheme in sorted(SCHEME_REGISTRY):
+        for org_name, org in ORGANIZATIONS.items():
+            for channels in (1, 2):
+                try:
+                    mapping = SCHEME_REGISTRY[scheme](org, channels)
+                except ConfigurationError:
+                    # e.g. the bank-group-less lpddr5 scheme on an
+                    # organization with bank groups.
+                    continue
+                built[scheme, org_name, channels] = mapping
+    return built
+
+
+LOCATE_MAPPINGS = _registry_mappings()
+
+#: Below every organization's capacity (2**29 to 2**34 bytes with two
+#: channels) and far above it, where the high bits must be ignored.
+any_addresses = st.one_of(
+    st.integers(min_value=0, max_value=2**36),
+    st.integers(min_value=2**36, max_value=2**64),
+)
+
+
+def test_locate_cases_cover_every_scheme_and_organization():
+    assert {key[0] for key in LOCATE_MAPPINGS} == set(SCHEME_REGISTRY)
+    assert {"default", "interleaved", "lpddr5"} <= set(SCHEME_REGISTRY)
+    assert {key[1] for key in LOCATE_MAPPINGS} == set(ORGANIZATIONS)
+
+
+@pytest.mark.parametrize(
+    "key", sorted(LOCATE_MAPPINGS),
+    ids=[f"{s}-{o}-{c}ch" for s, o, c in sorted(LOCATE_MAPPINGS)],
+)
+@given(address=any_addresses)
+@settings(max_examples=40)
+def test_locate_matches_decode(key, address):
+    """locate(a) is (flat_bank_index(decode(a)), decode(a).row)."""
+    mapping = LOCATE_MAPPINGS[key]
+    coords = mapping.decode(address)
+    located = mapping.locate(address)
+    assert located == (mapping.flat_bank_index(coords), coords.row)
+    assert all(type(value) is int for value in located)
+    assert 0 <= located[0] < mapping.organization.total_banks

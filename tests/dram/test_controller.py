@@ -1,5 +1,6 @@
 """Integration tests for the memory controller."""
 
+import numpy
 import pytest
 
 from repro.dram import (
@@ -9,6 +10,7 @@ from repro.dram import (
     Request,
     RequestType,
 )
+from repro.dram.controller import ENGINES
 from repro.dram.wqueue import WriteQueueConfig
 from repro.errors import ConfigurationError
 
@@ -233,6 +235,27 @@ class TestEventLogSanity:
         mc.run_until(1000)
         with pytest.raises(ConfigurationError):
             mc.enqueue(Request(RequestType.READ, 0, arrival=10))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("field", ["arrival", "address"])
+    @pytest.mark.parametrize(
+        "value", [10.5, 10.0, True, numpy.int64(10)],
+        ids=["float", "integral-float", "bool", "numpy-int64"],
+    )
+    def test_non_int_arrival_or_address_rejected(self, engine, field, value):
+        # Both engines write arrivals and addresses into the
+        # fingerprinted log, which holds plain ints; a bool is an int
+        # subclass and a numpy integer compares equal to one, so the
+        # check is on the exact type.
+        fields = {"arrival": 10, "address": 64, field: value}
+        mc = MemoryController(ControllerConfig(engine=engine))
+        with pytest.raises(ConfigurationError, match="must be int"):
+            mc.enqueue(Request(
+                RequestType.READ, fields["address"],
+                arrival=fields["arrival"],
+            ))
+        assert mc.pending_requests == 0
+        assert mc.stats.reads_enqueued == 0
 
     def test_multi_rank_controller(self):
         spec = SPEC.with_organization(ranks=2)

@@ -11,8 +11,9 @@ Locks down :mod:`repro.dram.packed` from three angles:
 * **Engine agreement** — random multi-requester streams produce the
   same event log digest, the same requester-owner sidecars, the same
   counters and the same final open rows under ``packed`` and
-  ``reference``, across the stock and QoS schedulers and both page
-  policies, and over three enqueue→drain phases under closed page.
+  ``reference``, across the stock and QoS schedulers, both page
+  policies and one or two ranks, and over three enqueue→drain phases
+  under closed page.
 * **Eager rejection** — a custom scheduler registration is refused at
   config time by ``engine="packed"`` with an error naming the policy
   (it runs under ``engine="reference"``), instead of running something
@@ -47,10 +48,18 @@ SCHEDULERS = (
 
 
 #: Stream shapes, as (max inter-arrival gap, max line index): sparse
-#: over many rows, and bursty over few rows, where requesters contend
-#: and bank-reg's budget binds.
+#: over many rows, bursty over few rows, where requesters contend and
+#: bank-reg's budget binds, and dense over many rows, where commands to
+#: different ranks (two-rank specs) follow each other closely.
 SPARSE = (120, (1 << 14) - 1)
 BURSTY = (20, 255)
+DENSE = (20, (1 << 14) - 1)
+
+#: Timing specs the engines must agree on: the single-rank default and
+#: two ranks, where the packed loop's per-rank gate scratch, tFAW rings
+#: and tRTRS bus switch all take part. SPARSE and DENSE cross the rank
+#: bit (address bit 17 of the two-rank default scheme); BURSTY does not.
+SPECS = (DDR4_2400, DDR4_2400.with_organization(ranks=2))
 
 
 @st.composite
@@ -93,9 +102,10 @@ def make_controller(
     engine: str = "reference",
     scheduling: str = "fr-fcfs",
     page_policy: str = "open",
+    spec=DDR4_2400,
 ) -> MemoryController:
     return MemoryController(ControllerConfig(
-        spec=DDR4_2400, engine=engine, scheduling=scheduling,
+        spec=spec, engine=engine, scheduling=scheduling,
         page_policy=page_policy,
     ))
 
@@ -231,23 +241,25 @@ class TestEngineAgreement:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        requests=streams(requesters=3, shapes=(SPARSE, BURSTY)),
+        requests=streams(requesters=3, shapes=(SPARSE, BURSTY, DENSE)),
         scheduling=st.sampled_from(SCHEDULERS),
         page_policy=st.sampled_from(["open", "closed"]),
+        timing=st.sampled_from(SPECS),
     )
-    def test_engines_agree(self, requests, scheduling, page_policy):
+    def test_engines_agree(self, requests, scheduling, page_policy, timing):
         spec = spec_of(requests)
         packed, reference = (
             observed(run_stream(
-                make_controller(engine, scheduling, page_policy),
+                make_controller(engine, scheduling, page_policy, timing),
                 rebuild(spec),
             ))
             for engine in ("packed", "reference")
         )
+        ranks = timing.organization.ranks
         for name in packed:
             assert packed[name] == reference[name], (
                 f"packed != reference on {name} for "
-                f"{scheduling}/{page_policy}"
+                f"{scheduling}/{page_policy}, {ranks} rank(s)"
             )
 
     @settings(max_examples=40, deadline=None)

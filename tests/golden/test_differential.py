@@ -83,7 +83,7 @@ def run_config(
 # oracle everywhere: both page policies, both stock schedulers, store
 # mixes, the QoS arbiters (run with two requester domains, so the
 # arbiters actually arbitrate) and the packed loop per channel under
-# DDR5/LPDDR5 timing presets.
+# the DDR5, LPDDR5 and HBM2 (eight pseudo-channels) presets.
 PACKED_MATRIX = [
     # (pattern, store_fraction, page_policy, scheduling, device)
     ("sequential", 0.0, "open", "fr-fcfs", None),
@@ -101,6 +101,8 @@ PACKED_MATRIX = [
     ("random", 0.0, "open", "fr-fcfs", "ddr5-4800"),
     ("sequential", 0.3, "closed", "fr-fcfs", "ddr5-4800"),
     ("random", 0.0, "open", "fr-fcfs", "lpddr5-6400"),
+    ("random", 0.2, "open", "fr-fcfs", "hbm2"),
+    ("sequential", 0.5, "closed", "fr-fcfs", "hbm2"),
 ]
 
 #: The one row where the engines' *blocked attribution* differs. Both
