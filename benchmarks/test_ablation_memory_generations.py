@@ -9,13 +9,11 @@ import pytest
 
 from repro.dram import (
     ControllerConfig,
-    DDR4_2400,
-    DDR4_3200,
-    DDR5_4800,
     MemoryController,
     Request,
     RequestType,
 )
+from repro.dram.timing import DDR4_2400, DDR4_3200, DDR5_4800
 from repro.stacks.bandwidth import bandwidth_stack_from_log
 
 SPECS = (DDR4_2400, DDR4_3200, DDR5_4800)
@@ -23,7 +21,7 @@ SPECS = (DDR4_2400, DDR4_3200, DDR5_4800)
 
 def run_spec(spec, stride=64, count=1500):
     mc = MemoryController(ControllerConfig(
-        spec=spec, address_scheme="interleaved", refresh_enabled=False,
+        spec=spec, address_scheme="interleaved", refresh="none",
     ))
     for i in range(count):
         mc.enqueue(Request(RequestType.READ, i * stride, arrival=0))

@@ -8,7 +8,8 @@ component.
 
 import pytest
 
-from repro.dram import ControllerConfig, DDR4_2400, MemoryController, Request, RequestType
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
+from repro.dram.timing import DDR4_2400
 from repro.stacks.bandwidth import bandwidth_stack_from_log
 from repro.stacks.latency import latency_stack_from_requests
 
@@ -16,7 +17,9 @@ SPEC = DDR4_2400
 
 
 def run_refresh(enabled: bool):
-    mc = MemoryController(ControllerConfig(refresh_enabled=enabled))
+    mc = MemoryController(
+        ControllerConfig(refresh="all-bank" if enabled else "none")
+    )
     for i in range(3000):
         mc.enqueue(Request(RequestType.READ, i * 64, arrival=i * 12))
     mc.drain()

@@ -4,7 +4,8 @@ FR-FCFS's row-hit preference is the paper's configuration; strict FCFS
 forgoes reordering and pays more precharge/activate on mixed traffic.
 """
 
-from repro.dram import ControllerConfig, DDR4_2400, MemoryController, Request, RequestType
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
+from repro.dram.timing import DDR4_2400
 
 SPEC = DDR4_2400
 
@@ -12,7 +13,7 @@ SPEC = DDR4_2400
 def run_policy(policy: str):
     """Two interleaved row streams per bank: reordering wins."""
     mc = MemoryController(ControllerConfig(
-        scheduling=policy, refresh_enabled=False,
+        scheduling=policy, refresh="none",
     ))
     # Alternate between two rows of the same bank: FCFS ping-pongs
     # (conflict per request), FR-FCFS batches row hits.

@@ -10,13 +10,13 @@ import pytest
 
 from repro.dram import (
     ControllerConfig,
-    DDR4_2400,
     MemoryController,
     MemorySystem,
     MemorySystemConfig,
     Request,
     RequestType,
 )
+from repro.dram.timing import DDR4_2400
 from repro.stacks.bandwidth import bandwidth_stack_from_log
 
 SPEC = DDR4_2400
@@ -26,7 +26,7 @@ def run_ranks(ranks: int):
     """ACT-bound row-miss traffic striped over all banks and ranks."""
     spec = SPEC.with_organization(ranks=ranks)
     mc = MemoryController(ControllerConfig(
-        spec=spec, address_scheme="interleaved", refresh_enabled=False,
+        spec=spec, address_scheme="interleaved", refresh="none",
     ))
     rank_shift = next(
         (shift for name, shift, __ in mc.mapping._slices if name == "rank"),

@@ -4,7 +4,8 @@ Larger write buffers drain less often; the writeburst latency component
 shrinks monotonically-ish with capacity on a read/write-mixed stream.
 """
 
-from repro.dram import ControllerConfig, DDR4_2400, MemoryController, Request, RequestType
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
+from repro.dram.timing import DDR4_2400
 from repro.dram.wqueue import WriteQueueConfig
 from repro.stacks.latency import latency_stack_from_requests
 
@@ -14,7 +15,7 @@ CAPACITIES = (8, 32, 128)
 
 def run_capacity(capacity: int):
     mc = MemoryController(ControllerConfig(
-        refresh_enabled=False,
+        refresh="none",
         write_queue=WriteQueueConfig(capacity=capacity),
     ))
     # Reads with a steady write stream to a conflicting region.

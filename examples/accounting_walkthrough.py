@@ -9,9 +9,9 @@ chip, a 1/n per-bank split during precharge/activate, bank-idle for the
 idle banks, and a full-width constraints block for the Tr2w turnaround.
 """
 
-from repro.dram import DDR4_2400
 from repro.dram.controller import EventLog
 from repro.dram.rank import BlockScope
+from repro.dram.timing import DDR4_2400
 from repro.stacks.bandwidth import BandwidthStackAccountant
 from repro.viz.ascii_art import render_stacks
 
@@ -26,16 +26,21 @@ def build_fig1_timeline() -> tuple[EventLog, int]:
         refresh_windows=[(0, 20)],
         # Bank 0 then closes its old row and opens the new one; bank 1
         # activates a bit later. The other banks sit idle.
-        pre_windows=[(20, 30, 0)],
-        act_windows=[(30, 40, 0), (44, 54, 1)],
-        # Two reads and, after the read-to-write turnaround, one write.
+        # Windows end with the requester that caused them (one, here).
+        pre_windows=[(20, 30, 0, 0)],
+        act_windows=[(30, 40, 0, 0), (44, 54, 1, 0)],
+        # Two reads and, after the read-to-write turnaround, one write:
+        # (start, end, is_write, core, requester).
         bursts=[
-            (40, 44, False),   # read, bank 0
-            (54, 58, False),   # read, bank 1
-            (70, 74, True),    # write
+            (40, 44, False, 0, 0),   # read, bank 0
+            (54, 58, False, 0, 0),   # read, bank 1
+            (70, 74, True, 0, 0),    # write
         ],
-        # Tr2w: the rank-wide read-to-write constraint delays the write.
-        blocked=[(58, 70, BlockScope.RANK, -1, "read_to_write")],
+        # Tr2w: the rank-wide read-to-write constraint delays the write
+        # of requester 0, which created it itself (no interference).
+        blocked=[
+            (58, 70, BlockScope.RANK, -1, "read_to_write", 0, False),
+        ],
     )
     return log, 74
 

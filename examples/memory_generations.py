@@ -9,13 +9,11 @@ row-missing traffic.
 
 from repro.dram import (
     ControllerConfig,
-    DDR4_2400,
-    DDR4_3200,
-    DDR5_4800,
     MemoryController,
     Request,
     RequestType,
 )
+from repro.dram.timing import DDR4_2400, DDR4_3200, DDR5_4800
 from repro.stacks.bandwidth import bandwidth_stack_from_log
 from repro.stacks.latency import latency_stack_from_requests
 from repro.viz.ascii_art import render_stack_table

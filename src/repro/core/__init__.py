@@ -7,8 +7,7 @@ no simulation logic, only the seams:
   (:class:`~repro.core.interfaces.SchedulerPolicy`,
   :class:`~repro.core.interfaces.PagePolicy`,
   :class:`~repro.core.interfaces.WriteDrainPolicy`,
-  :class:`~repro.core.interfaces.RefreshPolicy`,
-  :class:`~repro.core.interfaces.AccountingTap`) plus the shared
+  :class:`~repro.core.interfaces.RefreshPolicy`) plus the shared
   single-/multi-channel :class:`~repro.core.interfaces.MemoryInterface`
   contract and its :class:`~repro.core.interfaces.CompositeMemory`
   aggregation base;
@@ -32,7 +31,6 @@ from repro.core.events import (
     SchedulerHeartbeat,
 )
 from repro.core.interfaces import (
-    AccountingTap,
     CompositeMemory,
     MemoryInterface,
     PagePolicy,
@@ -43,7 +41,6 @@ from repro.core.interfaces import (
 from repro.core.registry import ComponentRegistry
 
 __all__ = [
-    "AccountingTap",
     "CommandIssued",
     "ComponentRegistry",
     "CompositeMemory",

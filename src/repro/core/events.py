@@ -11,10 +11,10 @@ listens to :class:`SchedulerHeartbeat`) and the live utilization meter
 :class:`CommandIssued` / :class:`RefreshStarted`).
 
 The complete, replayable timeline (every burst, per-bank command
-window, refresh/drain/blocked interval) is materialized by the
-controller's accounting tap
-(:class:`~repro.dram.components.accounting.EventLogTap`) and consumed
-offline by the stack accountants; the bus carries the *online* stream.
+window, refresh/drain/blocked interval) is recorded in the
+controller's :class:`~repro.dram.components.accounting.EventLog` and
+consumed offline by the stack accountants; the bus carries the *online*
+stream.
 
 Performance contract: publishing costs one truthiness check on an empty
 handler list when nobody subscribed. :meth:`EventBus.handlers` returns

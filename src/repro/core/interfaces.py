@@ -1,6 +1,6 @@
 """Component interfaces of the memory-controller architecture.
 
-The controller monolith is decomposed into five concerns, each behind a
+The controller monolith is decomposed into four concerns, each behind a
 narrow protocol and registered in a :mod:`repro.core.registry`
 registry keyed by the config strings of
 :class:`~repro.dram.controller.ControllerConfig`:
@@ -12,9 +12,7 @@ registry keyed by the config strings of
 * :class:`WriteDrainPolicy` — when the write buffer preempts reads
   (``watermark``, ``burst``);
 * :class:`RefreshPolicy` — when and how refresh happens
-  (``all-bank``, ``same-bank``, ``none``);
-* :class:`AccountingTap` — what is recorded for the stack accountants
-  (``event-log``, ``null``).
+  (``all-bank``, ``same-bank``, ``none``).
 
 The concrete implementations live in :mod:`repro.dram.components`.
 
@@ -40,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dram.commands import Request
 
 __all__ = [
-    "AccountingTap",
     "CompositeMemory",
     "MemoryInterface",
     "PagePolicy",
@@ -249,15 +246,3 @@ class RefreshPolicy(Protocol):
     def perform(self, now: int) -> None:
         """Run one refresh sequence starting at `now`."""
         ...
-
-
-class AccountingTap(Protocol):
-    """What the controller records for the offline accountants.
-
-    The tap owns the :class:`~repro.dram.components.accounting.EventLog`
-    whose timelines the bandwidth/latency stack accountants and the
-    reliability fingerprint consume.
-    """
-
-    name: str
-    log: Any

@@ -19,45 +19,6 @@ from repro.dram.system import MemorySystem, MemorySystemConfig
 from repro.dram.validator import TimingValidator, validate_controller
 from repro.dram.timing import Organization, TimingSpec
 
-#: Deprecated module attributes: timing-spec constants now resolved
-#: through the repro.devices registry (same objects, so existing runs
-#: stay bit-identical). Import from repro.dram.timing, or select a
-#: device preset (ControllerConfig(device="ddr4-2400")) instead.
-_DEPRECATED_SPECS = {
-    "DDR4_2400": "ddr4-2400",
-    "DDR4_3200": "ddr4-3200",
-    "DDR5_4800": None,  # no 1:1 preset: ddr5-4800 adds tRFCsb/sub-channels
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_SPECS:
-        import warnings
-
-        import repro.dram.timing as _timing
-
-        device = _DEPRECATED_SPECS[name]
-        hint = (
-            f"select the {device!r} device preset "
-            f"(ControllerConfig(device={device!r}))"
-            if device is not None
-            else "see the 'ddr5-4800' device preset for the full "
-            "sub-channel model"
-        )
-        warnings.warn(
-            f"repro.dram.{name} is deprecated; import it from "
-            f"repro.dram.timing, or {hint}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if device is not None:
-            from repro.devices import DEVICES
-
-            return DEVICES.create(device).spec
-        return getattr(_timing, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AddressMapping",
     "components",
@@ -65,9 +26,6 @@ __all__ = [
     "CommandType",
     "ControllerConfig",
     "Coordinates",
-    "DDR4_2400",
-    "DDR4_3200",
-    "DDR5_4800",
     "MemoryController",
     "MemorySystem",
     "MemorySystemConfig",

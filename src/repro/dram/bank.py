@@ -48,8 +48,8 @@ class Bank:
         spec: TimingSpec,
         bank_group: int,
         bank: int,
-        pre_windows: list[tuple[int, int, int]],
-        act_windows: list[tuple[int, int, int]],
+        pre_windows: list[tuple[int, int, int, int]],
+        act_windows: list[tuple[int, int, int, int]],
         flat_index: int,
     ) -> None:
         self._spec = spec
@@ -101,14 +101,18 @@ class Bank:
     # Command application. Callers must respect the earliest-issue times;
     # violations raise ProtocolError/TimingViolationError in strict mode.
     # ------------------------------------------------------------------
-    def do_precharge(self, t: int, record: bool = True) -> None:
+    def do_precharge(
+        self, t: int, requester: int = -1, record: bool = True
+    ) -> None:
         """Issue PRECHARGE at cycle t: close the open row.
 
-        `record=False` (policy/auto precharges) updates all timing state
-        but does not log a busy window: a precharge issued while nothing
-        is waiting for the bank costs no *potential* bandwidth, so the
-        bandwidth stack does not show it (the paper: with a closed
-        policy "precharges are done in parallel with data transfers").
+        The logged window names `requester`, the request that needed
+        the precharge (-1 for refresh). `record=False` (policy/auto
+        precharges) updates all timing state but does not log a busy
+        window: a precharge issued while nothing is waiting for the
+        bank costs no *potential* bandwidth, so the bandwidth stack does
+        not show it (the paper: with a closed policy "precharges are
+        done in parallel with data transfers").
         """
         if self.open_row is None:
             raise ProtocolError(
@@ -121,10 +125,11 @@ class Bank:
             self.next_act = done
         self.stats.precharges += 1
         if record:
-            self._pre_windows.append((t, done, self.flat_index))
+            self._pre_windows.append((t, done, self.flat_index, requester))
 
-    def do_activate(self, t: int, row: int) -> None:
-        """Issue ACTIVATE at cycle t: open `row` into the page buffer."""
+    def do_activate(self, t: int, row: int, requester: int = -1) -> None:
+        """Issue ACTIVATE at cycle t: open `row` into the page buffer for
+        `requester`'s request."""
         if self.open_row is not None:
             raise ProtocolError(
                 f"ACTIVATE to open bank {self.bank_group}/{self.bank}"
@@ -137,7 +142,7 @@ class Bank:
         self.next_pre = max(self.next_pre, t + self._tRAS)
         self.next_act = max(self.next_act, t + self._tRC)
         self.stats.activates += 1
-        self._act_windows.append((t, ready, self.flat_index))
+        self._act_windows.append((t, ready, self.flat_index, requester))
 
     def do_cas(self, t: int, is_write: bool, row_hit: bool) -> None:
         """Issue READ or WRITE at cycle t to the open row."""

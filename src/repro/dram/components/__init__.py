@@ -1,6 +1,6 @@
 """Pluggable memory-controller components and their registries.
 
-The controller is assembled from five component kinds, each resolved
+The controller is assembled from four component kinds, each resolved
 from a :class:`~repro.core.registry.ComponentRegistry` keyed by the
 config string that selects it:
 
@@ -16,9 +16,10 @@ WRITE_DRAIN         ``write_drain``          ``watermark`` (default),
                                              ``burst``
 REFRESH             ``refresh``              ``all-bank`` (default),
                                              ``none``, ``same-bank``
-ACCOUNTING          ``accounting``           ``event-log`` (default),
-                                             ``null``
 ==================  =======================  ==========================
+
+Every controller records the one :class:`EventLog` the stack
+accountants read; recording is not a component.
 
 Scheduler strings may carry parameters after a colon when the policy
 declares ``accepts_params`` — ``"wrr:2,1"`` (per-requester weights) and
@@ -41,7 +42,7 @@ See ``docs/architecture.md`` for the component interfaces.
 from __future__ import annotations
 
 from repro.core.registry import ComponentRegistry
-from repro.dram.components.accounting import EventLog, EventLogTap, NullTap
+from repro.dram.components.accounting import EventLog
 from repro.dram.components.draining import (
     BurstDrainPolicy,
     WatermarkDrainPolicy,
@@ -78,11 +79,6 @@ REFRESH: ComponentRegistry = ComponentRegistry("refresh policy")
 REFRESH.register("all-bank")(AllBankRefresh)
 REFRESH.register("none")(NoRefresh)
 REFRESH.register("same-bank")(SameBankRefresh)
-
-#: Accounting taps, keyed by ``ControllerConfig.accounting``.
-ACCOUNTING: ComponentRegistry = ComponentRegistry("accounting tap")
-ACCOUNTING.register("event-log")(EventLogTap)
-ACCOUNTING.register("null")(NullTap)
 
 
 def scheduling_base_name(spec: str) -> str:
@@ -125,17 +121,14 @@ def validate_scheduling(spec: str) -> str:
 
 
 __all__ = [
-    "ACCOUNTING",
     "AllBankRefresh",
     "BankRegScheduler",
     "BurstDrainPolicy",
     "ClosedPagePolicy",
     "EventLog",
-    "EventLogTap",
     "FcfsScheduler",
     "FrFcfsScheduler",
     "NoRefresh",
-    "NullTap",
     "OpenPagePolicy",
     "PAGE_POLICIES",
     "SameBankRefresh",

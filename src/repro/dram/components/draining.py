@@ -36,7 +36,7 @@ class WatermarkDrainPolicy:
         self._low_entries = config.low_entries
         self.draining = False
         #: Completed forced-drain windows [(start, end)], shared by
-        #: reference with the accounting tap's event log.
+        #: reference with the controller's event log.
         self.windows: list[tuple[int, int]] = []
         self._drain_start = -1
         self.stats_forced_drains = 0

@@ -121,7 +121,7 @@ class SameBankRefresh:
         t_ref = max(t_ref, bank.next_act)
         refresh_end = t_ref + self._tRFCsb
         ctrl.log.bank_refresh_windows.append(
-            (t_ref, refresh_end, bank.flat_index)
+            (t_ref, refresh_end, bank.flat_index, -1)
         )
         bank.next_act = max(bank.next_act, refresh_end)
         bank.next_pre = max(bank.next_pre, refresh_end)

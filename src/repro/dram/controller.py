@@ -9,10 +9,10 @@ intervals with their binding constraint) is recorded in an event log that
 the stack accountants in :mod:`repro.stacks` consume.
 
 The controller itself is a thin composition shell: scheduling, page
-policy, write draining, refresh and accounting are pluggable components
-resolved from the registries in :mod:`repro.dram.components` by the
-config strings of :class:`ControllerConfig`. Besides the offline event
-log, the controller publishes a typed *online* stream on an
+policy, write draining and refresh are pluggable components resolved
+from the registries in :mod:`repro.dram.components` by the config
+strings of :class:`ControllerConfig`. Besides the offline event log
+(:class:`EventLog`), the controller publishes a typed *online* stream on an
 :class:`~repro.core.events.EventBus` (command issues, queue admissions,
 request completions, refresh windows, scheduler heartbeats) that live
 observers — the forward-progress watchdog, the live utilization meter —
@@ -108,11 +108,9 @@ class ControllerConfig:
         keep_command_trace: record every DRAM command (off by default;
             the stack accounting does not need it, but the offline trace
             tooling in :mod:`repro.trace` does).
-        refresh_enabled: set False to disable refresh (ablation).
-        refresh: refresh policy name (``"all-bank"`` or ``"none"``);
-            None derives it from `refresh_enabled`.
-        accounting: ``"event-log"`` records the full timeline;
-            ``"null"`` records nothing (pure timing runs).
+        refresh: refresh policy name (``"all-bank"``, ``"same-bank"``
+            or ``"none"``, the refresh ablation); None selects the
+            device's default (``"all-bank"`` without a device).
         starvation_cap: FR-FCFS reordering bound — a request older than
             this many cycles beats younger row hits to its bank.
         engine: ``"packed"`` (default) runs the struct-of-arrays batch
@@ -140,11 +138,9 @@ class ControllerConfig:
     read_forwarding: bool = True
     forward_latency: int = 4
     keep_command_trace: bool = False
-    refresh_enabled: bool = True
     engine: str = "packed"
     write_drain: str = "watermark"
     refresh: str | None = None
-    accounting: str = "event-log"
     device: str | None = None
 
     def __post_init__(self) -> None:
@@ -174,7 +170,6 @@ class ControllerConfig:
         components.validate_scheduling(self.scheduling)
         components.WRITE_DRAIN.get(self.write_drain)
         components.REFRESH.get(self.resolved_refresh)
-        components.ACCOUNTING.get(self.accounting)
         if self.engine == "packed":
             # The packed loop runs the stock policies only; refuse any
             # other here, naming it, instead of running something else.
@@ -198,9 +193,7 @@ class ControllerConfig:
     @property
     def resolved_refresh(self) -> str:
         """The effective refresh-policy name."""
-        if self.refresh is not None:
-            return self.refresh
-        return "all-bank" if self.refresh_enabled else "none"
+        return "all-bank" if self.refresh is None else self.refresh
 
     def make_mapping(self) -> AddressMapping:
         """Build the configured address mapping."""
@@ -268,9 +261,8 @@ class MemoryController:
         #: The typed online event stream (:mod:`repro.core.events`).
         self.events = bus if bus is not None else EventBus()
 
-        #: Accounting tap owning the offline :class:`EventLog`.
-        self.tap = components.ACCOUNTING.create(self.config.accounting)
-        self.log = self.tap.log
+        #: The offline record of the run (layout on :class:`EventLog`).
+        self.log = EventLog()
         self.stats = ControllerStats()
         self._banks = [
             Bank(
@@ -338,14 +330,6 @@ class MemoryController:
         self._log_bursts = self.log.bursts
         self._log_cas_windows = self.log.cas_windows
         self._log_blocked = self.log.blocked
-        # Requester-attribution sidecars (see EventLog): appended in
-        # lockstep with their primaries so per-requester stacks can be
-        # built without touching the fingerprinted timelines.
-        self._log_burst_owners = self.log.burst_owners
-        self._log_cas_owners = self.log.cas_owners
-        self._log_pre_owners = self.log.pre_owner_windows
-        self._log_act_owners = self.log.act_owner_windows
-        self._log_blocked_owners = self.log.blocked_owners
         # Last requester to issue a request-driven command, per bank and
         # channel-wide: a blocked candidate whose binding constraint was
         # last touched by a *different* requester counts as interference.
@@ -762,7 +746,9 @@ class MemoryController:
                 if end > now:
                     # Blocked windows are disjoint and appended in time
                     # order, so a window starting where the previous one
-                    # ended with the same payload extends it in place.
+                    # ended with the same payload extends it in place. A
+                    # pipeline drain blocks no requester in particular:
+                    # shared row, never interference.
                     lb = self._log_blocked
                     last = lb[-1] if lb else None
                     if (
@@ -773,15 +759,13 @@ class MemoryController:
                     ):
                         lb[-1] = (
                             last[0], end, BlockScope.CHANNEL, -1,
-                            "data_inflight",
+                            "data_inflight", -1, False,
                         )
                     else:
-                        lb.append(
-                            (now, end, BlockScope.CHANNEL, -1, "data_inflight")
-                        )
-                        # Pipeline drain blocks no requester in
-                        # particular: shared row, never interference.
-                        self._log_blocked_owners.append((-1, False))
+                        lb.append((
+                            now, end, BlockScope.CHANNEL, -1,
+                            "data_inflight", -1, False,
+                        ))
             return self._advance_to(wake, t_limit)
 
         (key, entry, cmd_type, coords) = best
@@ -824,12 +808,10 @@ class MemoryController:
                 else:
                     victim = -1
                     inter = False
-                owner = (victim, inter)
                 # Extend the previous window in place when contiguous
                 # with an identical payload (windows are disjoint and
                 # time-ordered, so this changes no attribution).
                 lb = self._log_blocked
-                lbo = self._log_blocked_owners
                 last = lb[-1] if lb else None
                 if (
                     last is not None
@@ -837,12 +819,18 @@ class MemoryController:
                     and last[2] is block.scope
                     and last[3] == bg
                     and last[4] == block.reason
-                    and lbo[-1] == owner
+                    and last[5] == victim
+                    and last[6] == inter
                 ):
-                    lb[-1] = (last[0], end, block.scope, bg, block.reason)
+                    lb[-1] = (
+                        last[0], end, block.scope, bg, block.reason,
+                        victim, inter,
+                    )
                 else:
-                    lb.append((now, end, block.scope, bg, block.reason))
-                    lbo.append(owner)
+                    lb.append((
+                        now, end, block.scope, bg, block.reason, victim,
+                        inter,
+                    ))
                     if inter and self._ev_stalled:
                         event = RequesterStalled(
                             now, end, victim, blocker, block.reason
@@ -913,17 +901,15 @@ class MemoryController:
         self._last_req_channel = rq
         stats = self.stats
         if cmd_type is _PRE:
-            bank.do_precharge(t)
+            bank.do_precharge(t, rq)
             stats.precharges += 1
-            self._log_pre_owners.append((t, t + self._tRP, flat, rq))
             if req.own_pre_start < 0:
                 req.own_pre_start = t
                 req.own_pre_end = t + self._tRP
         elif cmd_type is _ACT:
-            bank.do_activate(t, coords.row)
+            bank.do_activate(t, coords.row, rq)
             self._ranks[coords.rank].record_act(t, coords.bank_group)
             stats.activates += 1
-            self._log_act_owners.append((t, t + self._tRCD, flat, rq))
             if req.own_act_start < 0:
                 req.own_act_start = t
                 req.own_act_end = t + self._tRCD
@@ -947,11 +933,9 @@ class MemoryController:
             req.finish = data_end
             req.row_hit = effective_hit
             self._log_bursts.append(
-                (data_start, data_end, is_write, req.core_id)
+                (data_start, data_end, is_write, req.core_id, rq)
             )
-            self._log_burst_owners.append(rq)
-            self._log_cas_windows.append((t, data_end, entry.flat_bank))
-            self._log_cas_owners.append(rq)
+            self._log_cas_windows.append((t, data_end, flat, rq))
             note_service = self._note_service
             if note_service is not None:
                 note_service(rq, flat, t)

@@ -110,9 +110,6 @@ _SCOPE_BG = BlockScope.BANK_GROUP
 _SCOPE_RANK = BlockScope.RANK
 _SCOPE_CHANNEL = BlockScope.CHANNEL
 
-#: Shared owner tuple for pipeline-drain windows (never interference).
-_NO_OWNER = (-1, False)
-
 
 #: The component classes the packed loop runs (exact types: a subclass
 #: may override anything, so it runs on the reference engine).
@@ -586,11 +583,6 @@ class PackedEngine:
         bursts = ctrl._log_bursts
         cas_w = ctrl._log_cas_windows
         lb = ctrl._log_blocked
-        burst_o = ctrl._log_burst_owners
-        cas_o = ctrl._log_cas_owners
-        pre_o = ctrl._log_pre_owners
-        act_o = ctrl._log_act_owners
-        lbo = ctrl._log_blocked_owners
         pre_w = ctrl.log.pre_windows
         act_w = ctrl.log.act_windows
         refresh_w = ctrl.log.refresh_windows
@@ -932,7 +924,7 @@ class PackedEngine:
                                             b_nact[f] = done
                                         bs_pre[f] += 1
                                         stats.precharges += 1
-                                        pre_w.append((t_pre, done, f))
+                                        pre_w.append((t_pre, done, f, -1))
                                 if trace_commands:
                                     log_commands.append(Command(
                                         cmd_type=_CT_PRE_ALL, issue=t_pre,
@@ -980,7 +972,7 @@ class PackedEngine:
                                 if done > b_nact[f]:
                                     b_nact[f] = done
                                 bs_pre[f] += 1
-                                pre_w.append((t_pre, done, f))
+                                pre_w.append((t_pre, done, f, -1))
                                 stats.precharges += 1
                                 if trace_commands:
                                     log_commands.append(Command(
@@ -992,7 +984,9 @@ class PackedEngine:
                             if c > t_ref:
                                 t_ref = c
                             refresh_end = t_ref + tRFCsb
-                            bank_refresh_w.append((t_ref, refresh_end, f))
+                            bank_refresh_w.append(
+                                (t_ref, refresh_end, f, -1)
+                            )
                             if refresh_end > b_nact[f]:
                                 b_nact[f] = refresh_end
                             if refresh_end > b_npre[f]:
@@ -1455,14 +1449,13 @@ class PackedEngine:
                                 ):
                                     lb[-1] = (
                                         last[0], end, _SCOPE_CHANNEL, -1,
-                                        "data_inflight",
+                                        "data_inflight", -1, False,
                                     )
                                 else:
                                     lb.append((
                                         now, end, _SCOPE_CHANNEL, -1,
-                                        "data_inflight",
+                                        "data_inflight", -1, False,
                                     ))
-                                    lbo.append(_NO_OWNER)
                         target = wake if wake < t_limit else t_limit
                         if target <= now:
                             break
@@ -1599,7 +1592,6 @@ class PackedEngine:
                                 victim = -1
                                 blocker = -1
                                 inter = False
-                            owner = (victim, inter)
                             last = lb[-1] if lb else None
                             if (
                                 last is not None
@@ -1607,16 +1599,18 @@ class PackedEngine:
                                 and last[2] is blk_scope
                                 and last[3] == bg
                                 and last[4] == blk_reason
-                                and lbo[-1] == owner
+                                and last[5] == victim
+                                and last[6] == inter
                             ):
                                 lb[-1] = (
-                                    last[0], end, blk_scope, bg, blk_reason
+                                    last[0], end, blk_scope, bg, blk_reason,
+                                    victim, inter,
                                 )
                             else:
-                                lb.append(
-                                    (now, end, blk_scope, bg, blk_reason)
-                                )
-                                lbo.append(owner)
+                                lb.append((
+                                    now, end, blk_scope, bg, blk_reason,
+                                    victim, inter,
+                                ))
                                 if inter and ev_stalled:
                                     event = RequesterStalled(
                                         now, end, victim, blocker,
@@ -1707,9 +1701,8 @@ class PackedEngine:
                             if done > b_nact[f]:
                                 b_nact[f] = done
                             bs_pre[f] += 1
-                            pre_w.append((now, done, f))
+                            pre_w.append((now, done, f, rq))
                             stats.precharges += 1
-                            pre_o.append((now, done, f, rq))
                             if req.own_pre_start < 0:
                                 req.own_pre_start = now
                                 req.own_pre_end = done
@@ -1728,7 +1721,7 @@ class PackedEngine:
                             if t2 > b_nact[f]:
                                 b_nact[f] = t2
                             bs_act[f] += 1
-                            act_w.append((now, ready, f))
+                            act_w.append((now, ready, f, rq))
                             i2 = rk * G + bg
                             rg_act[i2] = now
                             rk_act[rk] = now
@@ -1738,7 +1731,6 @@ class PackedEngine:
                             if faw_n[rk] < 4:
                                 faw_n[rk] += 1
                             stats.activates += 1
-                            act_o.append((now, ready, f, rq))
                             if req.own_act_start < 0:
                                 req.own_act_start = now
                                 req.own_act_end = ready
@@ -1787,10 +1779,8 @@ class PackedEngine:
                             req.data_start = ds
                             req.finish = de
                             req.row_hit = hit
-                            bursts.append((ds, de, is_w, req.core_id))
-                            burst_o.append(rq)
-                            cas_w.append((now, de, f))
-                            cas_o.append(rq)
+                            bursts.append((ds, de, is_w, req.core_id, rq))
+                            cas_w.append((now, de, f, rq))
                             if qos:
                                 note_service(rq, f, now)
                             e_srv[ent] = 1

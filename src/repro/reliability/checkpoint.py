@@ -8,7 +8,7 @@ running to completion produces *bit-identical* stacks to an
 uninterrupted run — the checkpoint is taken between main-loop
 iterations, where the loop carries no hidden state.
 
-File format (version 2)::
+File format (version 3)::
 
     8 bytes   magic  b"REPROCKP"
     2 bytes   format version, big-endian
@@ -17,7 +17,9 @@ File format (version 2)::
 The version covers the pickled state schema, not just the framing:
 v2 systems carry the device-library fields (composite multi-channel
 memory, ``_composite``), so v1 payloads would restore into objects
-missing attributes and must be rejected up front.
+missing attributes; v3 event logs carry each window's requester in its
+tuple, where a v2 log kept it in separate lists. Older payloads are
+rejected up front.
 
 ``meta`` records the cycle, next request id and package version; the
 request-id sequence is restored on load so requests created after a
@@ -34,7 +36,7 @@ from repro.dram.commands import request_id_state, restore_request_id_state
 from repro.errors import CheckpointError
 
 CHECKPOINT_MAGIC = b"REPROCKP"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class ReplayableTrace:

@@ -180,6 +180,6 @@ def overlap_bursts(log, overlap_cycles: int = 2) -> None:
         log.bursts[-1][0], log.bursts[-1][1], log.bursts[-1][2],
     )
     length = max(1, end - start)
-    log.bursts.append(
-        (end - overlap_cycles, end - overlap_cycles + length, is_write, -1)
-    )
+    log.bursts.append((
+        end - overlap_cycles, end - overlap_cycles + length, is_write, -1, -1,
+    ))

@@ -24,38 +24,39 @@ from __future__ import annotations
 
 import hashlib
 import json
+from operator import itemgetter
 
-#: EventLog attributes folded into the digest, in a fixed order.
-_LOG_FIELDS = (
-    "bursts",
-    "pre_windows",
-    "act_windows",
-    "cas_windows",
-    "refresh_windows",
-    "drain_windows",
-    "blocked",
-)
+from repro.dram.components.accounting import DIGEST_WIDTHS
 
 
 def event_log_digest(log) -> str:
     """SHA-256 over the controller's recorded timelines.
 
     Covers every list the stack accountants consume (bursts, per-bank
-    command windows, refresh/drain windows, blocked intervals). Entries
-    are hashed via ``repr``, which is exact for the int/str/enum tuples
-    the log holds — no float formatting is involved.
+    command windows, refresh/drain windows, blocked intervals), each
+    projected to its leading fields in
+    :data:`~repro.dram.components.accounting.DIGEST_WIDTHS`: the
+    requesters the windows carry are left out, so the digest of a run
+    is the one its log had before they were added. Entries are hashed
+    via ``repr``, which is exact for the int/str/enum tuples the log
+    holds — no float formatting is involved.
     """
     h = hashlib.sha256()
-    for name in _LOG_FIELDS:
+    for name, width in DIGEST_WIDTHS.items():
+        entries = getattr(log, name)
+        if name == "bank_refresh_windows" and not entries:
+            # Hashed only when present, so every all-bank (historic)
+            # fixture digest is unchanged by the list's existence.
+            continue
+        # The bytes of repr(list) of the projected entries, one entry at
+        # a time: a list of fresh tuples would trigger collector passes
+        # that move the caller's live run into the oldest generation,
+        # where it outlives its last reference.
+        fields = itemgetter(slice(0, width))
         h.update(name.encode())
-        h.update(repr(getattr(log, name)).encode())
-    # Same-bank refresh windows are hashed only when present so every
-    # all-bank (historic) fixture digest is unchanged by the field's
-    # existence.
-    bank_refresh = getattr(log, "bank_refresh_windows", None)
-    if bank_refresh:
-        h.update(b"bank_refresh_windows")
-        h.update(repr(bank_refresh).encode())
+        h.update(b"[")
+        h.update(", ".join(map(repr, map(fields, entries))).encode())
+        h.update(b"]")
     return h.hexdigest()
 
 

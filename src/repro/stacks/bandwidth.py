@@ -179,14 +179,13 @@ class BandwidthStackAccountant:
     ) -> dict[int, dict[str, float]]:
         """Achieved read/write bandwidth per originating core, in GB/s.
 
-        Bursts recorded without a core id land under core -1.
+        Bursts recorded without a core id (offline logs, injected
+        faults) land under core -1.
         """
         if total_cycles <= 0:
             raise AccountingError("total_cycles must be positive")
         cycles: dict[int, dict[str, int]] = {}
-        for entry in log.bursts:
-            start, end, is_write = entry[0], entry[1], entry[2]
-            core = entry[3] if len(entry) > 3 else -1
+        for start, end, is_write, core, __ in log.bursts:
             start = max(start, 0)
             end = min(end, total_cycles)
             if start >= end:

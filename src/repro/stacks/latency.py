@@ -262,7 +262,7 @@ def refresh_windows_for_latency(log) -> list[tuple[int, int]]:
     if not bank:
         return log.refresh_windows
     merged = sorted(
-        list(log.refresh_windows) + [(s, e) for s, e, __ in bank]
+        list(log.refresh_windows) + [(s, e) for s, e, *__ in bank]
     )
     out: list[tuple[int, int]] = []
     for s, e in merged:

@@ -2,8 +2,8 @@
 
 The aggregate accountants attribute every channel cycle to a
 *component*; this module additionally attributes it to the *requester*
-that caused it, using the owner sidecars the controller records next to
-its event log (:class:`~repro.dram.components.accounting.EventLog`).
+that caused it, which every window of the controller's event log names
+(:class:`~repro.dram.components.accounting.EventLog`).
 
 The bandwidth decomposition partitions exactly the same integer units
 (1/n_banks of a cycle) as
@@ -13,8 +13,8 @@ aggregates back to the channel stack *by construction*:
 
 * data bursts           -> the owning requester's ``read``/``write``;
 * precharge/activate    -> the requester whose request triggered the
-  command (refresh-driven precharges have no owner sidecar and land on
-  the shared row);
+  command (refresh-driven precharges name requester -1 and land on the
+  shared row);
 * CAS-in-flight banks   -> the CAS owner's ``constraints``;
 * blocked waiting       -> the victim requester: ``interference`` when
   the binding constraint was last touched by a *different* requester,
@@ -55,7 +55,6 @@ from repro.stacks.segments import (
     Cover,
     column,
     latency_split,
-    padded,
     read_table,
 )
 
@@ -205,7 +204,7 @@ class RequesterLatencyAccountant:
         refresh = Cover.of(log.refresh_windows)
         drain = Cover.of(log.drain_windows)
         burst_start, burst_end = column(log.bursts, 0), column(log.bursts, 1)
-        burst_owner = padded(log.burst_owners, len(log.bursts))
+        burst_owner = column(log.bursts, 4)
         stacks: dict[int, Stack] = {}
         for requester in np.unique(requester_of).tolist():
             mine = rows[requester_of == requester]

@@ -70,14 +70,6 @@ def column(rows, index: int) -> np.ndarray:
     )
 
 
-def padded(owners, length: int) -> np.ndarray:
-    """An index-aligned owner sidecar, shared past its end."""
-    out = np.full(length, SHARED_REQUESTER, np.int64)
-    count = min(len(owners), length)
-    out[:count] = np.fromiter(owners, np.int64, count=count)
-    return out
-
-
 def read_table(reads) -> np.ndarray:
     """Per read: arrival, CAS, finish and its own pre/act windows."""
     return table(map(_READ_FIELDS, reads), 7, len(reads))
@@ -222,14 +214,13 @@ class ChannelTimeline:
     Args:
         log: the channel's event log.
         total_cycles: accounted cycles; windows are clipped to them.
-        num_banks: flat banks; bank indices wrap ``% num_banks`` (offline
-            logs record precharge-all with a negative flat bank).
+        num_banks: flat banks; bank indices wrap ``% num_banks``.
         overlap: called as ``overlap(start, residual)`` for each burst,
             in ``(start, end, is_write)`` order, that starts before an
             earlier one ended or before cycle 0. Overlapped cycles stay
             with the earlier burst.
         bin_cycles: also cut at its multiples, for :meth:`per_bin`.
-        owners: read the requester sidecars too, for :meth:`owned`.
+        owners: also read each window's requester, for :meth:`owned`.
     """
 
     def __init__(
@@ -241,7 +232,7 @@ class ChannelTimeline:
         self._bursts(log, total_cycles, overlap)
         refresh = Cover.of(log.refresh_windows)
         block_start, block_end = column(log.blocked, 0), column(log.blocked, 1)
-        bank_lists = [table(getattr(log, name, ()), 3) for name in _BANK_LISTS]
+        bank_lists = [table(getattr(log, name), 4) for name in _BANK_LISTS]
         bins = np.arange(0, total_cycles, bin_cycles or total_cycles)
         cuts = np.concatenate([
             [total_cycles], bins, self.burst_start, self.burst_end,
@@ -255,7 +246,7 @@ class ChannelTimeline:
         first = self.edges[:-1]
         self.on_bus = covering(self.burst_start, self.burst_end, first)
         self.refreshing = refresh.contains(first)
-        self._bank_states(log, bank_lists)
+        self._bank_states(bank_lists)
         self._blocked(log, block_start, block_end, first)
 
     def _bursts(self, log, total_cycles: int, overlap) -> None:
@@ -274,10 +265,10 @@ class ChannelTimeline:
         self.burst_start, self.burst_end = start[keep], end[keep]
         self.burst_write = np.append(False, write[keep] != 0)
         if self.owners:
-            owner = padded(log.burst_owners, len(bursts))[order][keep]
+            owner = column(bursts, 4)[order][keep]
             self.burst_owner = np.append(SHARED_REQUESTER, owner)
 
-    def _bank_states(self, log, bank_lists) -> None:
+    def _bank_states(self, bank_lists) -> None:
         """Per-bank state intervals, and the banks in each state per segment.
 
         Each (bank, kind) slot counts its open windows, and a bank's
@@ -297,8 +288,7 @@ class ChannelTimeline:
             deltas.append(np.repeat(np.array([1, -1], np.int8), m))
             kinds.append(np.full(2 * m, kind, np.int8))
             if self.owners:
-                owners += [self._slot_owners(log, kind, windows),
-                           np.zeros(m, int)]
+                owners += [windows[:, 3], np.zeros(m, np.int64)]
         bank = np.concatenate(banks)
         time = np.concatenate(times)
         order = np.lexsort((time, bank))
@@ -345,38 +335,6 @@ class ChannelTimeline:
                 owner[source], SHARED_REQUESTER,
             )
 
-    @staticmethod
-    def _slot_owners(log, kind: int, windows: np.ndarray) -> np.ndarray:
-        """The requester of each window of one bank-state list."""
-        if kind == CAS:
-            return padded(log.cas_owners, len(windows))
-        listed = {PRE: log.pre_owner_windows, ACT: log.act_owner_windows}
-        if not listed.get(kind):
-            return np.full(len(windows), SHARED_REQUESTER, np.int64)
-        # Pre/act owners come from a (start, end, bank, requester) sidecar
-        # matched on the whole window; the row listed last wins. Sort the
-        # sidecar rows ahead of the windows, then carry each key's last
-        # sidecar row forward onto the windows with that key.
-        sidecar = table(listed[kind], 4)
-        keys = np.concatenate((sidecar[:, :3], windows))
-        order = np.lexsort(
-            (np.arange(len(keys)), keys[:, 2], keys[:, 1], keys[:, 0])
-        )
-        key_end = run_ends(*(keys[order, i] for i in range(3)))
-        key_id = np.cumsum(np.append(True, key_end[:-1]))
-        from_sidecar = order < len(sidecar)
-        recent = np.maximum.accumulate(
-            np.where(from_sidecar, np.arange(len(order)), -1)
-        )
-        row = np.minimum(order[np.maximum(recent, 0)], len(sidecar) - 1)
-        owner = np.where(
-            (recent >= 0) & (key_id[np.maximum(recent, 0)] == key_id),
-            sidecar[row, 3], SHARED_REQUESTER,
-        )
-        out = np.empty(len(windows), np.int64)
-        out[order[~from_sidecar] - len(sidecar)] = owner[~from_sidecar]
-        return out
-
     def _blocked(self, log, start, end, first) -> None:
         """The class (and victim) of the blocked window at each segment.
 
@@ -413,13 +371,8 @@ class ChannelTimeline:
         block_class[-1] = UNBLOCKED
         self.block_class = block_class[window]
         if self.owners:
-            owners = log.blocked_owners
-            count = min(len(owners), len(blocked))
-            pairs = table(owners, 2, count)
-            victim = np.full(len(blocked) + 1, SHARED_REQUESTER, np.int64)
-            victim[:count] = pairs[:, 0]
-            foreign = np.zeros(len(blocked) + 1, bool)
-            foreign[:count] = pairs[:, 1] != 0
+            victim = np.append(column(blocked, 5), SHARED_REQUESTER)
+            foreign = np.append(column(blocked, 6) != 0, False)
             self.block_victim = victim[window]
             self.block_foreign = foreign[window]
 

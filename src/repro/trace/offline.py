@@ -2,14 +2,28 @@
 
 Rebuilds a channel event log from commands + request arrivals (Sec. IV's
 "the bandwidth stack can be constructed offline from this trace") and
-runs the normal accountant on it.
+runs the normal accountant on it. A precharge-all (``PREA``) becomes one
+precharge window per bank open at that cycle, as the controller logs it;
+the open banks are tracked from the ``ACT`` and ``PRE`` records. The
+rebuilt windows name no requester (-1): the trace does not carry it.
 
-Fidelity note: the online controller records the *scope* of the binding
-constraint for every blocked interval, which the per-bank ``constraints``
-vs ``bank_idle`` split uses. A bare command trace does not carry that
-information, so offline blocked intervals (cycles with a pending request
-but no pre/act activity) are charged rank-wide to ``constraints``. All
-other components are reconstructed exactly.
+Fidelity notes:
+
+* the online controller records the *scope* of the binding constraint
+  for every blocked interval, which the per-bank ``constraints`` vs
+  ``bank_idle`` split uses. A bare command trace does not carry that
+  information, so offline blocked intervals (cycles with a pending
+  request but no pre/act activity) are charged rank-wide to
+  ``constraints``;
+* the controller does not log a closed-page policy precharge (nothing
+  waits on it), but the trace holds it, so offline it replays as a busy
+  precharge window;
+* a v1 ``CMD`` record has no rank field, so :func:`capture_trace`
+  refuses a multi-rank controller rather than fold rank 1 onto rank 0.
+
+For a one-rank, open-page, all-bank-refresh run the ``read``,
+``write``, ``refresh``, ``precharge`` and ``activate`` components match
+the online stack exactly.
 """
 
 from __future__ import annotations
@@ -51,12 +65,19 @@ def capture_trace(controller: MemoryController) -> TraceFile:
     """Extract a TraceFile from a finished controller run.
 
     The controller must have been configured with
-    ``keep_command_trace=True``.
+    ``keep_command_trace=True`` and have one rank: the trace format has
+    no rank field.
     """
     if not controller.config.keep_command_trace:
         raise TraceFormatError(
             "controller was not recording commands "
             "(set keep_command_trace=True)"
+        )
+    ranks = controller.spec.organization.ranks
+    if ranks > 1:
+        raise TraceFormatError(
+            f"cannot capture a {ranks}-rank controller: trace format v1 "
+            f"has no rank field"
         )
     trace = TraceFile(
         spec_name=controller.spec.name,
@@ -92,13 +113,26 @@ def event_log_from_trace(
     bpg = spec.organization.banks_per_group
     log = EventLog()
     serve_time: dict[int, int] = {}
+    open_banks: set[int] = set()
 
     for cmd in trace.commands:
         flat = cmd.bank_group * bpg + cmd.bank
         if cmd.name == "ACT":
-            log.act_windows.append((cmd.issue, cmd.issue + spec.tRCD, flat))
-        elif cmd.name in ("PRE", "PREA"):
-            log.pre_windows.append((cmd.issue, cmd.issue + spec.tRP, flat))
+            open_banks.add(flat)
+            log.act_windows.append(
+                (cmd.issue, cmd.issue + spec.tRCD, flat, -1)
+            )
+        elif cmd.name == "PRE":
+            open_banks.discard(flat)
+            log.pre_windows.append(
+                (cmd.issue, cmd.issue + spec.tRP, flat, -1)
+            )
+        elif cmd.name == "PREA":
+            for bank in sorted(open_banks):
+                log.pre_windows.append(
+                    (cmd.issue, cmd.issue + spec.tRP, bank, -1)
+                )
+            open_banks.clear()
         elif cmd.name == "REF":
             log.refresh_windows.append((cmd.issue, cmd.issue + spec.tRFC))
         elif cmd.name in ("RD", "WR"):
@@ -106,8 +140,8 @@ def event_log_from_trace(
             lead = spec.tCWL if is_write else spec.tCL
             start = cmd.issue + lead
             end = start + spec.burst_cycles
-            log.bursts.append((start, end, is_write))
-            log.cas_windows.append((cmd.issue, end, flat))
+            log.bursts.append((start, end, is_write, -1, -1))
+            log.cas_windows.append((cmd.issue, end, flat, -1))
             if cmd.req_id >= 0:
                 serve_time[cmd.req_id] = cmd.issue
         else:
@@ -124,7 +158,7 @@ def event_log_from_trace(
     merged = iv.union(pending, [])
     for start, end in merged:
         log.blocked.append(
-            (start, end, BlockScope.RANK, -1, "offline_pending")
+            (start, end, BlockScope.RANK, -1, "offline_pending", -1, False)
         )
     return log
 

@@ -82,7 +82,6 @@ class TestBuiltInRegistries:
             components.PAGE_POLICIES,
             components.WRITE_DRAIN,
             components.REFRESH,
-            components.ACCOUNTING,
         ):
             assert len(registry) >= 2, registry.kind
 

@@ -1,5 +1,5 @@
 """End-to-end device-preset behaviour: config resolution, full runs,
-stack conservation, composite-result API, and the deprecation shims.
+stack conservation, composite-result API, and the removed spec aliases.
 """
 
 import pytest
@@ -150,32 +150,15 @@ class TestSameBankRefreshValidation:
 
 
 class TestDeprecatedAliases:
-    def test_dram_aliases_warn_and_resolve_through_the_registry(self):
-        import repro.dram as dram
-
-        for alias, device in (("DDR4_2400", "ddr4-2400"),
-                              ("DDR4_3200", "ddr4-3200")):
-            with pytest.warns(DeprecationWarning, match=device):
-                spec = getattr(dram, alias)
-            assert spec is DEVICES.create(device).spec
-
-    def test_top_level_aliases_delegate(self):
-        import repro
-
-        with pytest.warns(DeprecationWarning):
-            spec = repro.DDR4_2400
-        assert spec is DDR4_2400
-
-    def test_ddr5_constant_still_importable(self):
-        import repro.dram as dram
-        from repro.dram import timing
-
-        with pytest.warns(DeprecationWarning):
-            spec = dram.DDR5_4800
-        assert spec is timing.DDR5_4800
+    """The package-level spec aliases are gone: the specs are imported
+    from :mod:`repro.dram.timing` only."""
 
     def test_unknown_attribute_raises(self):
-        import repro.dram as dram
+        import repro
+        import repro.dram
 
-        with pytest.raises(AttributeError):
-            dram.DDR3_1600
+        for module in (repro, repro.dram):
+            for name in ("DDR3_1600", "DDR4_2400", "DDR4_3200", "DDR5_4800"):
+                assert name not in module.__all__
+                with pytest.raises(AttributeError):
+                    getattr(module, name)

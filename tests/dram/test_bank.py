@@ -17,9 +17,9 @@ def make_bank():
 class TestActivate:
     def test_opens_row(self):
         bank, __, act = make_bank()
-        bank.do_activate(100, row=7)
+        bank.do_activate(100, row=7, requester=2)
         assert bank.open_row == 7
-        assert act == [(100, 100 + DDR4_2400.tRCD, 0)]
+        assert act == [(100, 100 + DDR4_2400.tRCD, 0, 2)]
 
     def test_cas_gated_by_trcd(self):
         bank, __, __ = make_bank()
@@ -49,7 +49,7 @@ class TestPrecharge:
         bank.do_activate(0, row=3)
         bank.do_precharge(100)
         assert bank.open_row is None
-        assert pre == [(100, 100 + DDR4_2400.tRP, 0)]
+        assert pre == [(100, 100 + DDR4_2400.tRP, 0, -1)]
 
     def test_act_gated_by_trp(self):
         bank, __, __ = make_bank()

@@ -5,12 +5,12 @@ import pytest
 
 from repro.dram import (
     ControllerConfig,
-    DDR4_2400,
     MemoryController,
     Request,
     RequestType,
 )
 from repro.dram.controller import ENGINES
+from repro.dram.timing import DDR4_2400
 from repro.dram.wqueue import WriteQueueConfig
 from repro.errors import ConfigurationError
 
@@ -61,7 +61,7 @@ class TestThroughput:
     def test_same_page_reads_pace_at_tccd_l(self):
         # Back-to-back reads within one page (one bank, one bank group)
         # sustain one line per tCCD_L: burst/tCCD_L of peak utilization.
-        mc = MemoryController(ControllerConfig(refresh_enabled=False))
+        mc = MemoryController(ControllerConfig(refresh="none"))
         run_stream(mc, make_reads(120, gap=0))  # 120 lines < one 128-line page
         data_cycles = 120 * SPEC.burst_cycles
         utilization = data_cycles / mc.now
@@ -73,7 +73,7 @@ class TestThroughput:
         # A fully-queued sequential stream spans pages in different bank
         # groups; FR-FCFS interleaves them at tCCD_S and nearly saturates
         # the channel.
-        mc = MemoryController(ControllerConfig(refresh_enabled=False))
+        mc = MemoryController(ControllerConfig(refresh="none"))
         run_stream(mc, make_reads(512, gap=0))
         utilization = 512 * SPEC.burst_cycles / mc.now
         assert utilization > 0.9
@@ -81,7 +81,7 @@ class TestThroughput:
     def test_interleaved_reads_saturate_channel(self):
         # Reads striped across bank groups reach ~full bus utilization.
         config = ControllerConfig(
-            address_scheme="interleaved", refresh_enabled=False
+            address_scheme="interleaved", refresh="none"
         )
         mc = MemoryController(config)
         run_stream(mc, make_reads(500, gap=0))
@@ -89,12 +89,12 @@ class TestThroughput:
         assert utilization > 0.9
 
     def test_page_hit_rate_sequential(self):
-        mc = MemoryController(ControllerConfig(refresh_enabled=False))
+        mc = MemoryController(ControllerConfig(refresh="none"))
         run_stream(mc, make_reads(512, gap=4))
         assert mc.stats.page_hit_rate > 0.95
 
     def test_random_rows_all_miss(self):
-        mc = MemoryController(ControllerConfig(refresh_enabled=False))
+        mc = MemoryController(ControllerConfig(refresh="none"))
         # Stride of one row within a bank: every access a new row.
         row_stride = 1 << 21
         reads = make_reads(100, stride=row_stride, gap=60)
@@ -171,7 +171,7 @@ class TestRefresh:
         assert not any(b.is_open for b in mc.banks)
 
     def test_refresh_can_be_disabled(self):
-        mc = MemoryController(ControllerConfig(refresh_enabled=False))
+        mc = MemoryController(ControllerConfig(refresh="none"))
         mc.run_until(SPEC.tREFI * 3)
         assert mc.stats.refreshes == 0
 
@@ -257,6 +257,46 @@ class TestEventLogSanity:
         assert mc.pending_requests == 0
         assert mc.stats.reads_enqueued == 0
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_windows_name_their_requester(self, engine):
+        # Two requesters on different rows of the same banks, sparse
+        # enough to idle with data in flight and to leave rows open at
+        # the first refresh.
+        mc = MemoryController(ControllerConfig(engine=engine))
+        run_stream(mc, [
+            Request(
+                RequestType.READ, (requester << 22) + i * 64,
+                arrival=i * 150 + requester * 70, core_id=requester,
+                requester_id=requester,
+            )
+            for i in range(100) for requester in (0, 1)
+        ])
+        log = mc.log
+        refresh_starts = {start for start, __ in log.refresh_windows}
+        by_refresh = [w for w in log.pre_windows if w[1] in refresh_starts]
+        assert by_refresh
+        assert all(w[3] == -1 for w in by_refresh)
+        act, cas = set(log.act_windows), set(log.cas_windows)
+        bursts = set(log.bursts)
+        requested = set()
+        for req in mc.completed_requests:
+            rq = req.requester_id
+            flat = mc.mapping.flat_bank_index(mc.mapping.decode(req.address))
+            if req.own_pre_start >= 0:
+                requested.add((req.own_pre_start, req.own_pre_end, flat, rq))
+            if req.own_act_start >= 0:
+                assert (
+                    req.own_act_start, req.own_act_end, flat, rq
+                ) in act
+            assert (req.cas_issue, req.finish, flat, rq) in cas
+            assert (req.data_start, req.finish, False, rq, rq) in bursts
+        # Every other precharge was requested, by both requesters.
+        assert requested == set(log.pre_windows) - set(by_refresh)
+        assert {w[3] for w in requested} == {0, 1}
+        inflight = [w for w in log.blocked if w[4] == "data_inflight"]
+        assert inflight
+        assert all(w[5:] == (-1, False) for w in inflight)
+
     def test_multi_rank_controller(self):
         spec = SPEC.with_organization(ranks=2)
         mc = MemoryController(ControllerConfig(spec=spec))
@@ -271,7 +311,7 @@ class TestEventLogSanity:
             spec = SPEC.with_organization(ranks=ranks)
             mc = MemoryController(ControllerConfig(
                 spec=spec, address_scheme="interleaved",
-                refresh_enabled=False,
+                refresh="none",
             ))
             rank_shift = next(
                 (shift for name, shift, __ in mc.mapping._slices
@@ -306,7 +346,7 @@ class TestEventLogSanity:
 
         def run(alternate: bool) -> int:
             mc = MemoryController(ControllerConfig(
-                spec=spec, refresh_enabled=False,
+                spec=spec, refresh="none",
             ))
             reads = []
             for i in range(64):

@@ -9,8 +9,8 @@ Locks down :mod:`repro.dram.packed` from three angles:
   controller finishes the stream bit-identically to one that never
   packed.
 * **Engine agreement** — random multi-requester streams produce the
-  same event log digest, the same requester-owner sidecars, the same
-  counters and the same final open rows under ``packed`` and
+  same event log (every list, each window's requester included), the
+  same counters and the same final open rows under ``packed`` and
   ``reference``, across the stock and QoS schedulers, both page
   policies and one or two ranks, and over three enqueue→drain phases
   under closed page.
@@ -22,13 +22,14 @@ Locks down :mod:`repro.dram.packed` from three angles:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dram import (
     ControllerConfig,
-    DDR4_2400,
     MemoryController,
     Request,
     RequestType,
@@ -36,8 +37,8 @@ from repro.dram import (
 from repro.dram import components
 from repro.dram.components.scheduling import FrFcfsScheduler
 from repro.dram.packed import PackedEngine
+from repro.dram.timing import DDR4_2400
 from repro.errors import ConfigurationError
-from repro.reliability.fingerprint import event_log_digest
 from tests.conftest import run_stream
 
 #: Schedulers the engines must agree on: the stock pair plus both QoS
@@ -191,24 +192,19 @@ class TestPackFlushRoundTrip:
         candidate.drain()
         candidate.finalize()
 
-        assert event_log_digest(candidate.log) == event_log_digest(
-            control.log
-        )
+        assert candidate.log == control.log
 
 
 def observed(ctrl: MemoryController) -> dict:
-    """Everything the stacks read from a finished run, by name, plus
-    the state a later run would start from: the counters and every
-    bank's open row."""
-    log = ctrl.log
+    """Everything the stacks read from a finished run — every event-log
+    list in full, requesters included — by name, plus the state a later
+    run would start from: the counters and every bank's open row."""
     stats = ctrl.stats
     return {
-        "digest": event_log_digest(log),
-        "burst_owners": list(log.burst_owners),
-        "cas_owners": list(log.cas_owners),
-        "pre_owner_windows": list(log.pre_owner_windows),
-        "act_owner_windows": list(log.act_owner_windows),
-        "blocked_owners": list(log.blocked_owners),
+        **{
+            entry.name: getattr(ctrl.log, entry.name)
+            for entry in dataclasses.fields(ctrl.log)
+        },
         "counters": (
             stats.reads_enqueued, stats.writes_enqueued,
             stats.reads_completed, stats.writes_completed,

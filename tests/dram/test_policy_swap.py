@@ -1,20 +1,20 @@
 """Component-swap tests: every policy is selected by a config string.
 
 Each pluggable concern of the controller (scheduling, page policy,
-write draining, refresh, accounting) must be swappable purely through
+write draining, refresh) must be swappable purely through
 :class:`ControllerConfig` strings, with at least two registered
 implementations whose behavior observably differs.
 """
 
 import pytest
 
+from repro.devices import DEVICES
 from repro.dram import (
     ControllerConfig,
     MemoryController,
     Request,
     RequestType,
 )
-from repro.dram.components.accounting import EventLogTap, NullTap
 from repro.dram.components.draining import (
     BurstDrainPolicy,
     WatermarkDrainPolicy,
@@ -48,7 +48,7 @@ class TestSchedulingSwap:
         # Two interleaved row streams to one bank: FR-FCFS reorders for
         # row hits, FCFS serves strictly in age order and ping-pongs.
         def run(scheduling):
-            mc = controller(scheduling=scheduling, refresh_enabled=False)
+            mc = controller(scheduling=scheduling, refresh="none")
             requests = []
             for i in range(20):
                 row = (i % 2) * (1 << 21)  # alternate rows, same bank
@@ -86,7 +86,7 @@ class TestWriteDrainSwap:
     def test_burst_drains_deeper_than_watermark(self):
         def drained_writes(write_drain):
             mc = controller(write_drain=write_drain, write_queue=self.WQ,
-                            refresh_enabled=False)
+                            refresh="none")
             # Writes plus a trickle of reads keeps read-pressure on, so
             # draining stops as early as the policy allows.
             requests = make_writes(40, stride=64, gap=1)
@@ -114,36 +114,19 @@ class TestRefreshSwap:
         assert mc.log.refresh_windows == []
         assert mc.stats.refreshes == 0
 
-    def test_refresh_enabled_flag_still_works(self):
-        # Back-compat: refresh_enabled=False derives the "none" policy.
-        mc = controller(refresh_enabled=False)
-        assert isinstance(mc._refresh, NoRefresh)
-        assert ControllerConfig(refresh_enabled=False).resolved_refresh == \
-            "none"
+    @pytest.mark.parametrize("device", DEVICES.names())
+    def test_none_policy_overrides_every_preset(self, device):
+        # A stream spanning several refresh intervals: the preset's own
+        # policy refreshes during it, "none" never does.
+        def run(refresh):
+            mc = controller(device=device, refresh=refresh)
+            return run_stream(mc, make_reads(60, stride=4096, gap=400))
 
-    def test_explicit_refresh_overrides_flag(self):
-        config = ControllerConfig(refresh_enabled=False, refresh="all-bank")
-        assert config.resolved_refresh == "all-bank"
-
-
-class TestAccountingSwap:
-    def test_config_string_selects_component(self):
-        assert isinstance(controller().tap, EventLogTap)
-        assert isinstance(controller(accounting="null").tap, NullTap)
-
-    def test_null_tap_records_nothing_but_timing_matches(self):
-        logged = controller()
-        silent = controller(accounting="null")
-        stream = mixed_stream()
-        run_stream(logged, list(stream))
-        run_stream(silent, list(stream))
-        # Same cycle-exact behavior...
-        assert silent.now == logged.now
-        assert silent.stats.reads_completed == logged.stats.reads_completed
-        # ...but no materialized timeline.
-        assert len(logged.log.bursts) > 0
-        assert len(silent.log.bursts) == 0
-        assert len(silent.log.refresh_windows) == 0
+        assert run(None).stats.refreshes > 0
+        mc = run("none")
+        assert mc.stats.refreshes == 0
+        assert mc.log.refresh_windows == []
+        assert mc.log.bank_refresh_windows == []
 
 
 class TestUnknownNames:
@@ -152,7 +135,6 @@ class TestUnknownNames:
         ("page_policy", "ajar"),
         ("write_drain", "sieve"),
         ("refresh", "per-bank"),
-        ("accounting", "ledger"),
     ])
     def test_unknown_component_name_rejected(self, field, value):
         with pytest.raises(ConfigurationError) as excinfo:

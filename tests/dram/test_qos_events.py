@@ -19,11 +19,11 @@ from repro.core.events import (
 )
 from repro.dram import (
     ControllerConfig,
-    DDR4_2400,
     MemoryController,
     Request,
     RequestType,
 )
+from repro.dram.timing import DDR4_2400
 from repro.viz.live import LiveUtilizationMeter
 from tests.conftest import run_stream
 
@@ -111,8 +111,8 @@ class TestRequesterIdOnBus:
         run_stream(ctrl, requests)
         logged = {
             (start, scope, reason): victim
-            for (start, __, scope, ___, reason), (victim, inter)
-            in zip(ctrl.log.blocked, ctrl.log.blocked_owners)
+            for start, __, scope, ___, reason, victim, inter
+            in ctrl.log.blocked
             if inter
         }
         assert stalls

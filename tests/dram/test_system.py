@@ -4,12 +4,12 @@ import pytest
 
 from repro.dram import (
     ControllerConfig,
-    DDR4_2400,
     MemorySystem,
     MemorySystemConfig,
     Request,
     RequestType,
 )
+from repro.dram.timing import DDR4_2400
 from repro.errors import ConfigurationError
 
 

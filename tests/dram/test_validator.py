@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dram import (
     ControllerConfig,
-    DDR4_2400,
     MemoryController,
     Request,
     RequestType,
 )
 from repro.dram.commands import Command, CommandType
+from repro.dram.timing import DDR4_2400
 from repro.dram.validator import TimingValidator, validate_controller
 from repro.errors import ConfigurationError, TimingViolationError
 

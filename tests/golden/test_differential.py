@@ -158,12 +158,12 @@ def test_packed_engine_matches_reference(
         return
     # The stacks and every command timeline must still match exactly:
     # the delta is confined to blocked attribution.
-    from repro.reliability.fingerprint import _LOG_FIELDS
+    from repro.dram.components.accounting import DIGEST_WIDTHS
 
     for ch, (plog, rlog) in enumerate(zip(
         _channel_logs(runs["packed"]), _channel_logs(runs["reference"])
     )):
-        for name in _LOG_FIELDS:
+        for name in DIGEST_WIDTHS:
             if name == "blocked":
                 continue
             assert getattr(plog, name) == getattr(rlog, name), (

@@ -11,11 +11,11 @@ import pytest
 
 from repro.dram import (
     ControllerConfig,
-    DDR4_2400,
     MemoryController,
     Request,
     RequestType,
 )
+from repro.dram.timing import DDR4_2400
 from repro.dram.validator import TimingValidator
 from repro.errors import (
     AccountingError,

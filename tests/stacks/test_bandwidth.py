@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.dram import ControllerConfig, DDR4_2400, MemoryController
+from repro.dram import ControllerConfig, MemoryController
 from repro.dram.controller import EventLog
 from repro.dram.rank import BlockScope
+from repro.dram.timing import DDR4_2400
 from repro.errors import AccountingError
 from repro.stacks.bandwidth import (
     BANDWIDTH_COMPONENTS,
@@ -27,13 +28,15 @@ class TestHandBuiltTimelines:
     """Synthetic event logs with known, hand-computable answers."""
 
     def test_fully_busy_channel_is_all_read(self):
-        log = EventLog(bursts=[(i * 4, i * 4 + 4, False) for i in range(25)])
+        log = EventLog(
+            bursts=[(i * 4, i * 4 + 4, False, 0, 0) for i in range(25)]
+        )
         stack = account(log, 100)
         assert stack["read"] == pytest.approx(PEAK)
         assert stack.total == pytest.approx(PEAK)
 
     def test_read_write_split(self):
-        log = EventLog(bursts=[(0, 50, False), (50, 100, True)])
+        log = EventLog(bursts=[(0, 50, False, 0, 0), (50, 100, True, 0, 0)])
         stack = account(log, 100)
         assert stack["read"] == pytest.approx(PEAK / 2)
         assert stack["write"] == pytest.approx(PEAK / 2)
@@ -51,15 +54,15 @@ class TestHandBuiltTimelines:
     def test_single_bank_activate_splits_one_sixteenth(self):
         # One bank activates for the whole window: 1/16 activate,
         # 15/16 bank-idle (paper's 1/n rule).
-        log = EventLog(act_windows=[(0, 100, 3)])
+        log = EventLog(act_windows=[(0, 100, 3, 0)])
         stack = account(log, 100)
         assert stack["activate"] == pytest.approx(PEAK / N)
         assert stack["bank_idle"] == pytest.approx(PEAK * (N - 1) / N)
 
     def test_pre_and_act_in_different_banks(self):
         log = EventLog(
-            pre_windows=[(0, 100, 0)],
-            act_windows=[(0, 100, 1)],
+            pre_windows=[(0, 100, 0, 0)],
+            act_windows=[(0, 100, 1, 0)],
         )
         stack = account(log, 100)
         assert stack["precharge"] == pytest.approx(PEAK / N)
@@ -69,7 +72,7 @@ class TestHandBuiltTimelines:
     def test_refresh_has_priority_over_activate(self):
         log = EventLog(
             refresh_windows=[(0, 100)],
-            act_windows=[(0, 100, 0)],
+            act_windows=[(0, 100, 0, 0)],
         )
         stack = account(log, 100)
         assert stack["refresh"] == pytest.approx(PEAK)
@@ -78,14 +81,18 @@ class TestHandBuiltTimelines:
     def test_rank_scope_block_is_full_constraints(self):
         # Fig. 1's Tr2w: a rank-wide turnaround charges the whole channel.
         log = EventLog(
-            blocked=[(0, 100, BlockScope.RANK, -1, "read_to_write")]
+            blocked=[
+                (0, 100, BlockScope.RANK, -1, "read_to_write", 0, False)
+            ]
         )
         stack = account(log, 100)
         assert stack["constraints"] == pytest.approx(PEAK)
 
     def test_bank_group_scope_block_splits_by_group(self):
         log = EventLog(
-            blocked=[(0, 100, BlockScope.BANK_GROUP, 0, "tCCD_L")]
+            blocked=[
+                (0, 100, BlockScope.BANK_GROUP, 0, "tCCD_L", 0, False)
+            ]
         )
         stack = account(log, 100)
         bpg = SPEC.organization.banks_per_group
@@ -93,22 +100,26 @@ class TestHandBuiltTimelines:
         assert stack["bank_idle"] == pytest.approx(PEAK * (N - bpg) / N)
 
     def test_bank_scope_block(self):
-        log = EventLog(blocked=[(0, 100, BlockScope.BANK, 0, "tRAS")])
+        log = EventLog(
+            blocked=[(0, 100, BlockScope.BANK, 0, "tRAS", 0, False)]
+        )
         stack = account(log, 100)
         assert stack["constraints"] == pytest.approx(PEAK / N)
         assert stack["bank_idle"] == pytest.approx(PEAK * (N - 1) / N)
 
     def test_pre_act_has_priority_over_blocked(self):
         log = EventLog(
-            act_windows=[(0, 100, 0)],
-            blocked=[(0, 100, BlockScope.RANK, -1, "tFAW")],
+            act_windows=[(0, 100, 0, 0)],
+            blocked=[(0, 100, BlockScope.RANK, -1, "tFAW", 0, False)],
         )
         stack = account(log, 100)
         assert stack["constraints"] == 0.0
         assert stack["activate"] == pytest.approx(PEAK / N)
 
     def test_overlapping_bursts_raise(self):
-        log = EventLog(bursts=[(0, 10, False), (5, 15, False)])
+        log = EventLog(
+            bursts=[(0, 10, False, 0, 0), (5, 15, False, 0, 0)]
+        )
         with pytest.raises(AccountingError):
             account(log, 100)
 
@@ -126,10 +137,15 @@ class TestFig1Example:
         acct = BandwidthStackAccountant(spec4)
         log = EventLog(
             refresh_windows=[(0, 20)],
-            pre_windows=[(20, 30, 0)],
-            act_windows=[(30, 40, 0), (44, 54, 1)],
-            bursts=[(40, 44, False), (54, 58, False), (70, 74, True)],
-            blocked=[(58, 70, BlockScope.RANK, -1, "read_to_write")],
+            pre_windows=[(20, 30, 0, 0)],
+            act_windows=[(30, 40, 0, 0), (44, 54, 1, 0)],
+            bursts=[
+                (40, 44, False, 0, 0), (54, 58, False, 0, 0),
+                (70, 74, True, 0, 0),
+            ],
+            blocked=[
+                (58, 70, BlockScope.RANK, -1, "read_to_write", 0, False)
+            ],
         )
         stack = acct.account(log, 74)
         peak = spec4.peak_bandwidth_gbps

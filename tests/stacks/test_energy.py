@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.dram import ControllerConfig, DDR4_2400, MemoryController, Request, RequestType
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
 from repro.dram.controller import EventLog
+from repro.dram.timing import DDR4_2400
 from repro.errors import AccountingError
 from repro.stacks.energy import (
     ENERGY_COMPONENTS,
@@ -24,8 +25,10 @@ class TestHandBuilt:
             refresh_nj=100.0, background_mw=0.0,
         )
         log = EventLog(
-            bursts=[(0, 4, False), (4, 8, True), (8, 12, False)],
-            act_windows=[(0, 17, 0)],
+            bursts=[
+                (0, 4, False, 0, 0), (4, 8, True, 0, 0), (8, 12, False, 0, 0),
+            ],
+            act_windows=[(0, 17, 0, 0)],
             refresh_windows=[(100, 520)],
         )
         stack = EnergyAccountant(SPEC, model).account(log, 1000)

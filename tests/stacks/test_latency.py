@@ -4,11 +4,11 @@ import pytest
 
 from repro.dram import (
     ControllerConfig,
-    DDR4_2400,
     MemoryController,
     Request,
     RequestType,
 )
+from repro.dram.timing import DDR4_2400
 from repro.dram.wqueue import WriteQueueConfig
 from repro.errors import AccountingError
 from repro.stacks.latency import (
@@ -148,7 +148,7 @@ class TestAccount:
 
 class TestSimulated:
     def test_uncontended_stream_is_mostly_base(self):
-        mc = MemoryController(ControllerConfig(refresh_enabled=False))
+        mc = MemoryController(ControllerConfig(refresh="none"))
         run_stream(mc, make_reads(100, gap=50))
         stack = latency_stack_from_requests(
             mc.completed_requests, mc.log, SPEC
@@ -156,7 +156,7 @@ class TestSimulated:
         assert stack.fraction("base") > 0.8
 
     def test_saturated_stream_has_queueing(self):
-        mc = MemoryController(ControllerConfig(refresh_enabled=False))
+        mc = MemoryController(ControllerConfig(refresh="none"))
         run_stream(mc, make_reads(500, gap=2))
         stack = latency_stack_from_requests(
             mc.completed_requests, mc.log, SPEC
@@ -164,7 +164,7 @@ class TestSimulated:
         assert stack["queue"] > stack["base"]
 
     def test_row_misses_show_pre_act(self):
-        mc = MemoryController(ControllerConfig(refresh_enabled=False))
+        mc = MemoryController(ControllerConfig(refresh="none"))
         run_stream(mc, make_reads(100, stride=1 << 21, gap=60))
         stack = latency_stack_from_requests(
             mc.completed_requests, mc.log, SPEC
@@ -173,7 +173,7 @@ class TestSimulated:
 
     def test_write_bursts_show_in_latency(self):
         config = ControllerConfig(
-            refresh_enabled=False,
+            refresh="none",
             write_queue=WriteQueueConfig(capacity=8, high_watermark=0.5,
                                          low_watermark=0.1),
         )
@@ -200,7 +200,7 @@ class TestSimulated:
         assert stack["refresh"] > 0
 
     def test_series_buckets_by_completion(self):
-        mc = MemoryController(ControllerConfig(refresh_enabled=False))
+        mc = MemoryController(ControllerConfig(refresh="none"))
         run_stream(mc, make_reads(300, gap=10))
         acct = LatencyStackAccountant(SPEC)
         series = acct.account_series(

@@ -4,8 +4,8 @@ import pytest
 
 from repro.cpu import CpuSystem, SystemConfig
 from repro.cpu.core import TraceItem
-from repro.dram import DDR4_2400
 from repro.dram.controller import EventLog
+from repro.dram.timing import DDR4_2400
 from repro.errors import AccountingError
 from repro.stacks.bandwidth import BandwidthStackAccountant
 
@@ -16,17 +16,18 @@ PEAK = SPEC.peak_bandwidth_gbps
 class TestHandBuilt:
     def test_split_by_core(self):
         log = EventLog(bursts=[
-            (0, 4, False, 0),
-            (4, 8, False, 1),
-            (8, 12, True, 1),
+            (0, 4, False, 0, 0),
+            (4, 8, False, 1, 1),
+            (8, 12, True, 1, 1),
         ])
         per_core = BandwidthStackAccountant(SPEC).per_core_achieved(log, 48)
         assert per_core[0]["read"] == pytest.approx(PEAK * 4 / 48)
         assert per_core[1]["read"] == pytest.approx(PEAK * 4 / 48)
         assert per_core[1]["write"] == pytest.approx(PEAK * 4 / 48)
 
-    def test_legacy_three_tuples_land_on_minus_one(self):
-        log = EventLog(bursts=[(0, 4, False)])
+    def test_bursts_without_a_core_land_on_minus_one(self):
+        # As an offline-rebuilt log records them.
+        log = EventLog(bursts=[(0, 4, False, -1, -1)])
         per_core = BandwidthStackAccountant(SPEC).per_core_achieved(log, 8)
         assert -1 in per_core
 
@@ -36,7 +37,7 @@ class TestHandBuilt:
 
     def test_sum_matches_aggregate_stack(self):
         log = EventLog(bursts=[
-            (i * 6, i * 6 + 4, i % 2 == 0, i % 3) for i in range(30)
+            (i * 6, i * 6 + 4, i % 2 == 0, i % 3, i % 3) for i in range(30)
         ])
         acct = BandwidthStackAccountant(SPEC)
         per_core = acct.per_core_achieved(log, 200)

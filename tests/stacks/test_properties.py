@@ -19,11 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dram import (
     ControllerConfig,
-    DDR4_2400,
     MemoryController,
     Request,
     RequestType,
 )
+from repro.dram.timing import DDR4_2400
 from repro.dram.wqueue import WriteQueueConfig
 from repro.stacks.bandwidth import BandwidthStackAccountant
 from repro.stacks.latency import LatencyStackAccountant
@@ -56,7 +56,7 @@ configs = st.sampled_from([
     ControllerConfig(page_policy="closed"),
     ControllerConfig(address_scheme="interleaved"),
     ControllerConfig(scheduling="fcfs"),
-    ControllerConfig(refresh_enabled=False),
+    ControllerConfig(refresh="none"),
     ControllerConfig(
         page_policy="closed",
         address_scheme="interleaved",

@@ -4,10 +4,10 @@ The accountants classify whole segments of the timeline at once
 (:mod:`repro.stacks.segments`). The oracle here applies the paper's
 priority rules literally instead, one cycle at a time, and hypothesis
 checks all four accountants against it on small random event logs:
-overlapping same-slot windows, duplicate blocked windows with different
-payloads, same-bank refresh, windows running past the end of the run,
-negative (offline precharge-all) and out-of-range bank indices, owner
-sidecars shorter than their lists, and multi-bin series.
+overlapping same-slot windows, duplicate windows with different
+requesters or payloads, same-bank refresh, windows running past the end
+of the run, negative and out-of-range bank indices, shared (-1)
+requesters, and multi-bin series.
 """
 
 from __future__ import annotations
@@ -50,16 +50,12 @@ def owner_at(log, kind: str, bank: int, t: int) -> int:
     `bank` (the one listed last, on a tie)."""
     windows = getattr(log, f"{kind}_windows")
     latest = None
-    for i, (start, __, b) in enumerate(windows):
+    for i, (start, __, b, __) in enumerate(windows):
         if b % N == bank and start <= t and (
             latest is None or start >= windows[latest][0]
         ):
             latest = i
-    if kind == "cas":
-        owners = log.cas_owners
-        return owners[latest] if latest < len(owners) else SHARED
-    sidecar = {w[:3]: w[3] for w in getattr(log, f"{kind}_owner_windows")}
-    return sidecar.get(windows[latest], SHARED)
+    return windows[latest][3]
 
 
 def cycle_units(log, t: int) -> list[tuple[int, str, int]]:
@@ -69,7 +65,7 @@ def cycle_units(log, t: int) -> list[tuple[int, str, int]]:
     )
     if on_bus:
         (__, __, is_write), i = on_bus[0]
-        owner = log.burst_owners[i] if i < len(log.burst_owners) else SHARED
+        owner = log.bursts[i][4]
         return [(owner, "write" if is_write else "read", N)]
     if any(covers(w, t) for w in log.refresh_windows):
         return [(SHARED, "refresh", N)]
@@ -99,11 +95,7 @@ def cycle_units(log, t: int) -> list[tuple[int, str, int]]:
     keys = sorted(w[:2] for w in log.blocked if covers(w, t))
     if keys:
         i = max(j for j, w in enumerate(log.blocked) if w[:2] == keys[0])
-        __, __, scope, __, reason = log.blocked[i]
-        victim, foreign = (
-            log.blocked_owners[i] if i < len(log.blocked_owners)
-            else (SHARED, False)
-        )
+        __, __, scope, __, reason, victim, foreign = log.blocked[i]
         waiting = "interference" if foreign else "constraints"
         if reason == "data_inflight":
             return [(SHARED, "idle", N)]
@@ -165,14 +157,18 @@ def spans(max_start: int = 70, max_length: int = 14):
     ).map(lambda p: (p[0], p[0] + p[1]))
 
 
-#: Bank indices past both ends: offline logs record precharge-all with
-#: a negative flat bank, and indices wrap modulo the bank count.
+#: Requesters (and cores) of reads; a window may name the shared row.
+requesters = st.integers(0, 2)
+owners = st.integers(SHARED, 2)
+#: Bank indices past both ends wrap modulo the bank count.
 bank_windows = st.lists(
-    st.tuples(spans(), st.integers(-5, N + 4)).map(lambda p: (*p[0], p[1])),
+    st.tuples(spans(), st.integers(-5, N + 4), owners).map(
+        lambda p: (*p[0], p[1], p[2])
+    ),
     max_size=8,
 )
-requesters = st.integers(0, 2)
 reasons = st.sampled_from(["tCCD_L", "bus", "data_inflight"])
+foreign = st.booleans()
 scopes = st.sampled_from(list(BlockScope))
 
 
@@ -186,30 +182,29 @@ def event_logs(draw, overlapping_bursts: bool = False):
         else:
             start = t + draw(st.integers(0, 10))
         t = start + draw(st.integers(0, 8))
-        bursts.append((start, t, draw(st.booleans()), draw(requesters)))
+        bursts.append((
+            start, t, draw(st.booleans()), draw(requesters), draw(owners),
+        ))
     # Half the logs keep every bank quiet, so blocked windows decide.
     quiet = draw(st.booleans())
     pre, act, cas, bank_refresh = (
         [] if quiet else draw(bank_windows) for __ in range(4)
     )
+    for windows in (pre, act, cas):
+        # The same (start, end, bank), another requester: the window
+        # listed last owns the interval.
+        repeated = windows[:draw(st.integers(0, 1))]
+        windows += [w[:3] + (draw(owners),) for w in repeated]
     blocked = [
-        (s, e, draw(scopes), 0, draw(reasons))
+        (s, e, draw(scopes), 0, draw(reasons), draw(owners), draw(foreign))
         for s, e in draw(st.lists(spans(), max_size=8))
     ]
     for i in draw(st.lists(st.integers(0, 7), max_size=3)):
         if i < len(blocked):  # the same (start, end), another payload
-            blocked.append((*blocked[i][:2], draw(scopes), 1, draw(reasons)))
-
-    def owned(windows):
-        chosen = [
-            w + (draw(requesters),) for w in windows if draw(st.booleans())
-        ]
-        # A repeated key: the owner listed last wins.
-        return chosen + [w[:3] + (draw(requesters),) for w in chosen[:1]]
-
-    def shorter(size, elements):
-        return draw(st.lists(elements, max_size=size))
-
+            blocked.append((
+                *blocked[i][:2], draw(scopes), 1, draw(reasons),
+                draw(owners), draw(foreign),
+            ))
     log = EventLog(
         bursts=bursts,
         pre_windows=pre,
@@ -218,13 +213,6 @@ def event_logs(draw, overlapping_bursts: bool = False):
         bank_refresh_windows=bank_refresh,
         refresh_windows=draw(st.lists(spans(), max_size=3)),
         blocked=blocked,
-        burst_owners=shorter(len(bursts), requesters),
-        pre_owner_windows=owned(pre),
-        act_owner_windows=owned(act),
-    )
-    log.cas_owners = shorter(len(log.cas_windows), requesters)
-    log.blocked_owners = shorter(
-        len(blocked), st.tuples(requesters, st.booleans())
     )
     return log, total
 
@@ -366,11 +354,7 @@ def test_requester_latency_matches_oracle(case, requests, base):
     reads = counted(requests)
     assert set(stacks) == {r.requester_id for r in reads}
     for requester, stack in stacks.items():
-        foreign = [
-            b for i, b in enumerate(log.bursts)
-            if (log.burst_owners[i] if i < len(log.burst_owners)
-                else SHARED) not in (requester, SHARED)
-        ]
+        foreign = [b for b in log.bursts if b[4] not in (requester, SHARED)]
         mine = [r for r in reads if r.requester_id == requester]
         sums = dict.fromkeys(REQUESTER_LATENCY_COMPONENTS, 0)
         for read in mine:

@@ -20,6 +20,7 @@ class TestCoreArchitecture:
             assert hasattr(repro.core, name), name
 
     def test_registries_are_populated(self):
+        from repro.core.registry import ComponentRegistry
         from repro.dram import components
 
         assert components.SCHEDULERS.names() == (
@@ -30,7 +31,10 @@ class TestCoreArchitecture:
         assert components.REFRESH.names() == (
             "all-bank", "none", "same-bank"
         )
-        assert components.ACCOUNTING.names() == ("event-log", "null")
+        assert {
+            name for name, value in vars(components).items()
+            if isinstance(value, ComponentRegistry)
+        } == {"SCHEDULERS", "PAGE_POLICIES", "WRITE_DRAIN", "REFRESH"}
 
     def test_memory_interface_satisfied(self):
         from repro.core import MemoryInterface
@@ -78,23 +82,8 @@ class TestDeviceLibrary:
         )
 
     def test_timing_constants_live_in_the_timing_module(self):
-        # The canonical import path; no deprecation machinery involved.
+        # Their only import path: the packages re-export none of them.
         from repro.dram.timing import DDR4_2400, DDR4_3200, DDR5_4800
 
         for spec in (DDR4_2400, DDR4_3200, DDR5_4800):
             assert spec.name
-
-    def test_dram_namespace_aliases_are_deprecated(self):
-        import warnings
-
-        import repro.dram
-
-        for name in ("DDR4_2400", "DDR4_3200", "DDR5_4800"):
-            assert name in repro.dram.__all__
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    getattr(repro.dram, name)
-                except DeprecationWarning:
-                    continue
-                raise AssertionError(f"{name} did not warn")

@@ -4,9 +4,10 @@ import io
 
 import pytest
 
-from repro.dram import ControllerConfig, DDR4_2400, MemoryController, Request, RequestType
-from repro.errors import TraceFormatError
-from repro.stacks.bandwidth import bandwidth_stack_from_log
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
+from repro.dram.timing import DDR4_2400
+from repro.errors import TraceFormatError, exit_code_for
+from repro.stacks.bandwidth import BandwidthStackAccountant
 from repro.trace.events import CommandRecord, RequestRecord, TraceFile
 from repro.trace.io import read_trace, write_trace
 from repro.trace.offline import (
@@ -56,6 +57,17 @@ class TestRoundTrip:
         with pytest.raises(TraceFormatError):
             capture_trace(mc)
 
+    def test_capture_refuses_multi_rank(self):
+        # A CMD record has no rank field: replay would fold rank 1 onto
+        # rank 0.
+        mc = MemoryController(ControllerConfig(
+            spec=DDR4_2400.with_organization(ranks=2),
+            keep_command_trace=True,
+        ))
+        with pytest.raises(TraceFormatError, match="2-rank") as info:
+            capture_trace(mc)
+        assert exit_code_for(info.value) == 4
+
 
 class TestFormatErrors:
     def test_empty(self):
@@ -88,15 +100,19 @@ class TestFormatErrors:
 
 class TestOfflineReconstruction:
     def test_data_components_match_online(self):
-        mc = run_recorded()
-        online = bandwidth_stack_from_log(mc.log, mc.now, mc.spec)
+        # Past tREFI with rows open: the trace holds a precharge-all,
+        # which the controller logged as one window per open bank.
+        mc = run_recorded(2000)
         trace = capture_trace(mc)
-        offline = offline_bandwidth_stack(trace)
-        assert offline["read"] == pytest.approx(online["read"], rel=1e-6)
-        assert offline["write"] == pytest.approx(online["write"], rel=1e-6)
-        assert offline["refresh"] == pytest.approx(
-            online["refresh"], rel=1e-6
-        )
+        (prea,) = [c.issue for c in trace.commands if c.name == "PREA"]
+        assert sum(w[0] == prea for w in mc.log.pre_windows) > 1
+        accountant = BandwidthStackAccountant(mc.spec)
+        online = accountant.account_cycles(mc.log, mc.now)[0]
+        offline = accountant.account_cycles(
+            event_log_from_trace(trace), trace.total_cycles
+        )[0]
+        for name in ("read", "write", "refresh", "precharge", "activate"):
+            assert offline[name] == online[name], name
 
     def test_offline_stack_sums_to_peak(self):
         mc = run_recorded()
