@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests plus the service, chaos, QoS and device smokes
+# CI gate: tier-1 tests plus the service, QoS and device smokes
 # and the benchmark's pins, each under a hard wall-clock timeout so a
 # livelocked simulator fails the build instead of hanging it.
 #
@@ -15,7 +15,6 @@ TIER1_TIMEOUT="${TIER1_TIMEOUT:-540}"
 # workload once at seed 42.
 BENCH_TIMEOUT="${BENCH_TIMEOUT:-420}"
 SERVICE_TIMEOUT="${SERVICE_TIMEOUT:-180}"
-CHAOS_TIMEOUT="${CHAOS_TIMEOUT:-120}"
 QOS_TIMEOUT="${QOS_TIMEOUT:-120}"
 DEVICES_TIMEOUT="${DEVICES_TIMEOUT:-120}"
 
@@ -47,15 +46,6 @@ echo "== parallel service smoke (timeout ${SERVICE_TIMEOUT}s) =="
 # serial reference and the second invocation is >=90% cache hits.
 timeout --signal=KILL "$SERVICE_TIMEOUT" \
     python scripts/service_smoke.py --jobs 2
-
-echo "== chaos smoke (timeout ${CHAOS_TIMEOUT}s) =="
-# Inline-mode pass over the resilience mechanisms: injected worker
-# faults, journal kill/resume, disk-full cache degradation, and the
-# spawn circuit breaker. The full fault matrix (including real process
-# kills on a pool) is tests/service/test_chaos.py; its pooled cells
-# are marked 'slow' and run with the tier-1 suite unless 'fast'.
-timeout --signal=KILL "$CHAOS_TIMEOUT" \
-    python scripts/chaos_smoke.py
 
 echo "== QoS smoke (timeout ${QOS_TIMEOUT}s) =="
 # Tiny 2-requester WRR run: exact per-requester conservation, latency

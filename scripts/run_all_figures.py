@@ -4,11 +4,12 @@
 Writes per-figure text to results/<fig>.txt and SVGs alongside; prints a
 timing summary. Used to produce the numbers recorded in EXPERIMENTS.md.
 
-Figures are independent jobs, so they can be farmed out to the parallel
-execution service (``--jobs N``) and cached (``--cache-dir DIR``): a
-re-run with an unchanged configuration replays each figure's text from
-the cache instead of resimulating. A figure that fails no longer kills
-the batch silently — its captured output and traceback are printed, the
+Figures are independent jobs run on the execution service: inline at
+``--jobs 1`` (the default), on N worker processes at ``--jobs N``, and
+cached with ``--cache-dir DIR``: a re-run with an unchanged
+configuration replays each figure's text from the cache instead of
+resimulating. A figure that fails does not kill the batch silently —
+its error is printed (with the traceback when it ran inline), the
 remaining figures still run, and the script exits nonzero at the end.
 
 With ``--journal PATH`` every finished figure is appended to a
@@ -26,13 +27,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import importlib
-import io
 import os
 import sys
-import time
 import traceback
-from contextlib import redirect_stdout
 
 FIGURES = ("fig2", "fig3", "fig4", "fig6", "fig7", "fig8", "fig9",
            "figqos", "figstd")
@@ -43,33 +40,6 @@ def _write_text(output_dir: str, name: str, text: str) -> str:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
     return path
-
-
-def run_serial(figures, scale: str, output_dir: str) -> list[str]:
-    """Run figures one by one in-process; returns the failed names."""
-    failed = []
-    for name in figures:
-        module = importlib.import_module(f"repro.experiments.{name}")
-        start = time.time()
-        buffer = io.StringIO()
-        try:
-            with redirect_stdout(buffer):
-                module.main(scale=scale, output_dir=output_dir)
-        except Exception:
-            # Surface everything: whatever the figure printed before it
-            # died, then the traceback — and keep going.
-            captured = buffer.getvalue()
-            if captured:
-                print(captured, end="" if captured.endswith("\n") else "\n")
-            print(f"{name}: FAILED after {time.time() - start:6.1f}s",
-                  flush=True)
-            traceback.print_exc()
-            failed.append(name)
-            continue
-        elapsed = time.time() - start
-        path = _write_text(output_dir, name, buffer.getvalue())
-        print(f"{name}: {elapsed:6.1f}s -> {path}", flush=True)
-    return failed
 
 
 def run_service(
@@ -85,7 +55,6 @@ def run_service(
     from the original run already being in ``output_dir``.
     """
     from repro.service import BatchJournal, ExecutionService, Job
-    from repro.service.events import ServiceDegraded
 
     job_list = [
         Job(
@@ -97,10 +66,6 @@ def run_service(
         for name in figures
     ]
     service = ExecutionService(workers=jobs, cache=cache_dir)
-    service.bus.subscribe(ServiceDegraded, lambda event: print(
-        f"DEGRADED [{event.component} -> {event.mode}] {event.reason}",
-        file=sys.stderr, flush=True,
-    ))
 
     def on_result(index, job, payload, cached):
         path = _write_text(output_dir, job.label, payload["text"])
@@ -122,6 +87,7 @@ def run_service(
             journal.close()
     for failure in batch.failures:
         print(f"{failure}", flush=True)
+        traceback.print_exception(failure.error)
     return [failure.job.label for failure in batch.failures]
 
 
@@ -134,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("output_dir", nargs="?", default="results")
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (default 1: serial, in-process)",
+        help="worker processes (default 1: inline, in-process)",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -155,6 +121,8 @@ def main(argv: list[str] | None = None) -> int:
         help="resume an interrupted run from the --journal file",
     )
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     if args.resume and not args.journal:
         parser.error("--resume requires --journal PATH")
 
@@ -166,13 +134,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"unknown figures: {', '.join(unknown)}")
 
     os.makedirs(args.output_dir, exist_ok=True)
-    if args.jobs > 1 or args.cache_dir or args.journal:
-        failed = run_service(
-            figures, args.scale, args.output_dir, args.jobs,
-            args.cache_dir, args.journal, args.resume,
-        )
-    else:
-        failed = run_serial(figures, args.scale, args.output_dir)
+    failed = run_service(
+        figures, args.scale, args.output_dir, args.jobs,
+        args.cache_dir, args.journal, args.resume,
+    )
     if failed:
         print(
             f"{len(failed)} figure(s) failed: {', '.join(failed)}",

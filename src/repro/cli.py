@@ -17,9 +17,9 @@ Subcommands:
 Failures surface as one-line messages on stderr with distinct exit
 codes per error family (see :data:`repro.errors.EXIT_CODES`), never as
 tracebacks. The robustness-relevant codes (``docs/chaos.md``):
-``6`` simulation timeout, ``12`` worker crash, ``13`` circuit breaker
-open with degradation disabled (``batch --no-degrade``), ``14`` corrupt
-batch journal (``batch --journal ... --resume``).
+``10`` simulation timeout, ``12`` worker crash or a worker that could
+not be spawned, ``14`` corrupt batch journal (``batch --journal ...
+--resume``).
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--scale", choices=("ci", "paper"), default="ci")
     batch.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (default 1: serial in-process)",
+        help="worker processes (default 1: inline, in-process)",
     )
     batch.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -187,17 +187,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "(recomputes only the unfinished points)",
     )
     batch.add_argument(
-        "--no-degrade", action="store_true",
-        help="fail fast (exit code 13) instead of degrading to inline "
-        "execution when worker processes repeatedly fail to spawn",
-    )
-    batch.add_argument(
         "--csv", default=None, metavar="PATH",
         help="write the final sweep table as CSV",
     )
     batch.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-point wall-clock budget",
+        help="per-point wall-clock budget (seconds > 0)",
     )
     batch.add_argument(
         "--retries", type=int, default=0, metavar="N",
@@ -206,11 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--quiet", action="store_true",
         help="suppress per-point progress lines",
-    )
-    batch.add_argument(
-        "--profile-dir", default=None, metavar="DIR",
-        help="dump one cProfile pstats file per point into DIR "
-        "(serial-only: requires --jobs 1 and no --cache-dir)",
     )
 
     phases = sub.add_parser(
@@ -265,7 +255,7 @@ def _add_reliability_args(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget for the run",
+        help="wall-clock budget for the run (seconds > 0)",
     )
     group.add_argument(
         "--no-guard", action="store_true",
@@ -409,7 +399,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.core.events import EventBus
     from repro.errors import ConfigurationError
     from repro.experiments.sweep import grid, run_sweep
-    from repro.service.events import JobFailed, JobFinished, ServiceDegraded
+    from repro.service.events import JobFailed, JobFinished
     from repro.viz.live import BatchProgressMeter
 
     def _split(raw: str, convert=str, sep: str = ",") -> tuple:
@@ -445,53 +435,26 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             "--resume requires --journal PATH (the journal to resume "
             "from)"
         )
-    profiling = args.profile_dir is not None
-    if profiling and (
-        args.jobs > 1 or args.cache_dir is not None or args.journal
-    ):
-        raise ConfigurationError(
-            "--profile-dir is serial-only: profiles from worker "
-            "processes or cache hits would be meaningless; use "
-            "--jobs 1 without --cache-dir/--journal"
-        )
-    # Profiled sweeps run on run_sweep's plain serial path (the event
-    # bus would route them through the execution service, which rejects
-    # profile_dir); per-point progress uses the `progress` callback.
-    bus = None if profiling else EventBus()
-    meter = None
-    progress = None
-    if bus is not None:
-        meter = BatchProgressMeter(total=len(points)).attach(bus)
-        if not args.quiet:
-            def _print_finished(event) -> None:
-                marker = (
-                    "cache" if event.cached else f"{event.elapsed_s:.1f}s"
-                )
-                print(f"  [{meter.status_line()}] {event.label} ({marker})",
-                      flush=True)
+    bus = EventBus()
+    meter = BatchProgressMeter(total=len(points)).attach(bus)
+    if not args.quiet:
+        def _print_finished(event) -> None:
+            marker = (
+                "cache" if event.cached else f"{event.elapsed_s:.1f}s"
+            )
+            print(f"  [{meter.status_line()}] {event.label} ({marker})",
+                  flush=True)
 
-            def _print_failed(event) -> None:
-                stage = "FAILED" if event.final else "retrying"
-                print(
-                    f"  [{meter.status_line()}] {event.label} {stage}: "
-                    f"{event.error_type}: {event.message}",
-                    flush=True,
-                )
-
-            bus.subscribe(JobFinished, _print_finished)
-            bus.subscribe(JobFailed, _print_failed)
-        def _print_degraded(event) -> None:
+        def _print_failed(event) -> None:
+            stage = "FAILED" if event.final else "retrying"
             print(
-                f"  DEGRADED [{event.component} -> {event.mode}] "
-                f"{event.reason}",
-                file=sys.stderr,
+                f"  [{meter.status_line()}] {event.label} {stage}: "
+                f"{event.error_type}: {event.message}",
                 flush=True,
             )
 
-        bus.subscribe(ServiceDegraded, _print_degraded)
-    elif not args.quiet:
-        def progress(record) -> None:
-            print(f"  {record.point.label} done", flush=True)
+        bus.subscribe(JobFinished, _print_finished)
+        bus.subscribe(JobFailed, _print_failed)
 
     print(
         f"batch: {len(points)} point(s) at scale {args.scale!r} on "
@@ -502,12 +465,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             + (" (resume)" if args.resume else "")
             if args.journal else ""
         )
-        + (f", profiles to {args.profile_dir}" if profiling else "")
     )
     result = run_sweep(
         points,
         scale=args.scale,
-        progress=progress,
         timeout_s=args.timeout,
         retries=args.retries,
         jobs=args.jobs,
@@ -516,19 +477,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         jsonl_path=args.jsonl,
         journal_path=args.journal,
         resume=args.resume,
-        fallback_inline=not args.no_degrade,
-        profile_dir=args.profile_dir,
     )
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write(result.to_csv())
-    if meter is not None:
-        print(f"batch: {meter.status_line()}")
-    else:
-        print(
-            f"batch: {len(result.records)} ok, "
-            f"{len(result.failures)} failed"
-        )
+    print(f"batch: {meter.status_line()}")
     if result.records:
         best = result.best_bandwidth()
         print(

@@ -120,22 +120,11 @@ class WorkerSpawnError(WorkerCrashError):
     """A pool worker process could not be started at all.
 
     Distinct from a mid-job crash: no job was lost, the pool simply
-    failed to bring a worker up (fork/spawn resource exhaustion, a
-    broken interpreter). Repeated spawn failures trip the execution
-    service's circuit breaker (see :mod:`repro.service.health`), which
-    degrades the batch to inline execution instead of failing it.
-    Shares the :class:`WorkerCrashError` exit code (12).
-    """
-
-
-class CircuitOpenError(ReproError):
-    """The service's worker-pool circuit breaker is open.
-
-    Raised only when graceful degradation is disabled
-    (``ExecutionService(fallback_inline=False)`` / ``batch
-    --no-degrade``): the pool failed to spawn workers repeatedly and
-    the service was configured to fail fast rather than fall back to
-    inline execution.
+    failed to bring a worker up (spawn resource exhaustion, a broken
+    interpreter). The execution service does not retry or fall back:
+    the error ends the batch, whose journal (if any) already holds
+    every job that finished before it. Shares the
+    :class:`WorkerCrashError` exit code (12).
     """
 
 
@@ -163,7 +152,8 @@ EXIT_CODES: dict[type, int] = {
     SimulationTimeoutError: 10,
     CheckpointError: 11,
     WorkerCrashError: 12,
-    CircuitOpenError: 13,
+    # 13 is retired and stays unassigned, so a script that branched on
+    # it never misreads a newer error.
     JournalCorruptError: 14,
 }
 

@@ -5,12 +5,12 @@ store fraction, page policy, bank indexing — producing one record per
 point with its headline metrics and stacks. Useful for regenerating any
 figure-like slice, and for CSV/JSONL export into external tooling.
 
-Every grid point is an independent, deterministic job, so
-:func:`run_sweep` can execute through the parallel execution service
-(:mod:`repro.service`): pass ``jobs=N`` for a multiprocess run and/or
-``cache=...`` for fingerprint-keyed result reuse. The serial in-process
-path (``jobs=1``, no cache) is kept bit-for-bit: a parallel sweep's
-per-point ``fingerprint`` digests equal the serial ones.
+Every grid point is an independent, deterministic job, and
+:func:`run_sweep` always executes through the execution service
+(:mod:`repro.service`): ``jobs=1`` runs the points inline, in-process;
+``jobs=N`` fans them out over N spawn workers; ``cache=...`` adds
+fingerprint-keyed result reuse. Per-point ``fingerprint`` digests are
+identical either way.
 """
 
 from __future__ import annotations
@@ -18,15 +18,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import os
-import re
-import time
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError
 from repro.experiments.config import ExperimentScale
-from repro.experiments.runner import run_synthetic
 from repro.stacks.components import Stack
 
 
@@ -74,7 +70,7 @@ class SweepRecord:
 
     ``fingerprint`` is the point's ``result_fingerprint`` digest — the
     content hash of the full event timeline and stacks — identical
-    whether the point ran serially, on a worker pool, or came out of
+    whether the point ran inline, on a worker pool, or came out of
     the result cache. ``cached`` marks records served from the cache.
     """
 
@@ -232,45 +228,30 @@ def run_sweep(
     progress=None,
     timeout_s: float | None = None,
     retries: int = 0,
-    backoff_s: float = 1.0,
-    guard_factory=None,
     jobs: int = 1,
     cache=None,
     bus=None,
     jsonl_path: str | None = None,
     journal_path: str | None = None,
     resume: bool = False,
-    fallback_inline: bool = True,
-    profile_dir: str | None = None,
 ) -> SweepResult:
-    """Run every point; `progress` (if given) is called per record.
+    """Run every point on the execution service.
 
-    Robustness knobs:
+    `progress` (if given) is called per record, in completion order.
 
     Args:
-        timeout_s: wall-clock budget per point. A point that exceeds it
-            raises :class:`~repro.errors.SimulationTimeoutError`
-            internally and is retried like any other failure.
+        timeout_s: wall-clock budget per point (None, or seconds > 0).
+            A point that exceeds it fails with
+            :class:`~repro.errors.SimulationTimeoutError` and is
+            retried like any other failure.
         retries: extra attempts per failing point (so ``retries=2``
-            means up to three runs of that point).
-        backoff_s: base retry delay; the sleep before retry `k` is
-            ``min(cap, backoff_s * 2**(k-1))`` scaled into ``[1/2, 1]``
-            of itself by a seeded RNG (see
-            :class:`~repro.service.health.BackoffPolicy`).
-        guard_factory: optional callable returning the
-            :class:`~repro.reliability.guard.ReliabilityGuard` for each
-            attempt; overrides `timeout_s`. Called fresh per attempt —
-            guards hold armed deadlines and must not be reused.
-            Serial-only (guards are not picklable policy, and the
-            service applies its own guard); combined with ``jobs>1`` it
-            raises :class:`~repro.errors.ConfigurationError`.
-
-    Execution-service knobs (see :mod:`repro.service`):
-
-    Args:
-        jobs: worker processes. 1 (default) runs serially in-process;
-            N>1 fans the grid out over a spawn-based worker pool. The
-            per-point ``fingerprint`` digests are identical either way.
+            means up to three runs of that point), each re-queued at
+            once.
+        jobs: worker processes, passed to
+            :class:`~repro.service.service.ExecutionService` unchanged.
+            1 (default) runs inline, in-process; N>1 fans the grid out
+            over a spawn-based worker pool. The per-point
+            ``fingerprint`` digests are identical either way.
         cache: a :class:`~repro.service.cache.ResultCache`, a cache
             directory path, or None. With a cache, unchanged points are
             served from disk (``record.cached`` is True) and only
@@ -287,150 +268,65 @@ def run_sweep(
             path. With ``resume=True`` an existing journal's finished
             points are replayed instead of recomputed, so a killed
             sweep picks up where it died — with identical fingerprints
-            for the replayed points. Runs through the execution service
-            even at ``jobs=1``, so it cannot be combined with
-            ``guard_factory`` or ``profile_dir``.
+            for the replayed points.
         resume: replay an existing journal at `journal_path` (ignored
             without one).
-        fallback_inline: when repeated worker-spawn failures open the
-            service's circuit breaker, True (default) degrades the
-            sweep to inline execution; False raises
-            :class:`~repro.errors.CircuitOpenError` instead.
-        profile_dir: dump one cProfile ``<label>.pstats`` file per
-            point into this directory (created if missing); load them
-            with :mod:`pstats`. Serial-only: profiling inside worker
-            processes would capture only pickling overhead, so combined
-            with ``jobs>1``, ``cache`` or ``bus`` it raises
-            :class:`~repro.errors.ConfigurationError`.
 
-    Failing points never abort the sweep: after the retry budget the
-    point is recorded in ``result.failures`` and the sweep moves on, so
-    a mostly-healthy grid still reports its healthy part.
+    Failing points never abort the sweep: after their retries they are
+    recorded in ``result.failures`` and the sweep moves on, so a
+    mostly-healthy grid still reports its healthy part. A worker that
+    cannot be spawned raises :class:`~repro.errors.WorkerSpawnError`.
+
+    To profile a whole sweep, run it under ``python -m cProfile``;
+    ``dram-stacks analyze --profile`` profiles a single point.
     """
-    if (
-        jobs > 1
-        or cache is not None
-        or bus is not None
-        or journal_path is not None
-    ):
-        if guard_factory is not None:
-            raise ConfigurationError(
-                "run_sweep(guard_factory=...) is serial-only; it cannot "
-                "be combined with jobs>1, cache, bus or journal_path"
-            )
-        if profile_dir is not None:
-            raise ConfigurationError(
-                "run_sweep(profile_dir=...) is serial-only; it cannot "
-                "be combined with jobs>1, cache, bus or journal_path"
-            )
-        return _run_sweep_service(
-            points, scale, progress, timeout_s, retries, backoff_s,
-            jobs, cache, bus, jsonl_path, journal_path, resume,
-            fallback_inline,
-        )
-    if profile_dir is not None:
-        os.makedirs(profile_dir, exist_ok=True)
-    result = SweepResult()
-    with _jsonl_writer(jsonl_path) as emit_line:
-        for point in points:
-            profiler = None
-            if profile_dir is not None:
-                import cProfile
+    # Imported here so that importing the experiments package never
+    # loads the service (or multiprocessing).
+    from repro.service.journal import BatchJournal
+    from repro.service.service import ExecutionService
 
-                profiler = cProfile.Profile()
-                profiler.enable()
-            outcome = _run_point(
-                point, scale, timeout_s, retries, backoff_s, guard_factory
-            )
-            if profiler is not None:
-                profiler.disable()
-                profiler.dump_stats(
-                    os.path.join(
-                        profile_dir, _profile_filename(point.label)
-                    )
+    job_list = [point_job(point, scale, timeout_s) for point in points]
+    service = ExecutionService(
+        workers=jobs, cache=cache, bus=bus, retries=retries
+    )
+    journal = None
+    if journal_path is not None:
+        journal = BatchJournal(journal_path, resume=resume)
+    by_index: dict[int, SweepRecord] = {}
+    try:
+        with _jsonl_writer(jsonl_path) as emit_line:
+
+            def on_result(index, job, payload, cached):
+                record = _record_from_payload(
+                    points[index], payload, cached
                 )
-            if isinstance(outcome, SweepFailure):
-                result.failures.append(outcome)
-                emit_line(outcome.to_json_dict())
-                continue
-            result.records.append(outcome)
-            emit_line(outcome.to_json_dict())
-            if progress is not None:
-                progress(outcome)
+                by_index[index] = record
+                emit_line(record.to_json_dict())
+                if progress is not None:
+                    progress(record)
+
+            batch = service.run(
+                job_list, on_result=on_result, journal=journal
+            )
+            result = SweepResult(
+                records=[
+                    by_index[i]
+                    for i in range(len(points))
+                    if i in by_index
+                ],
+            )
+            for failure in batch.failures:
+                sweep_failure = SweepFailure(
+                    point=points[failure.index],
+                    error=failure.error,
+                    attempts=failure.attempts,
+                )
+                result.failures.append(sweep_failure)
+                emit_line(sweep_failure.to_json_dict())
+    finally:
+        if journal is not None:
+            journal.close()
     return result
-
-
-def _profile_filename(label: str) -> str:
-    """Filesystem-safe pstats filename for a point label."""
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", label) + ".pstats"
-
-
-def _run_point(
-    point: SweepPoint,
-    scale,
-    timeout_s: float | None,
-    retries: int,
-    backoff_s: float,
-    guard_factory,
-) -> "SweepRecord | SweepFailure":
-    from repro.service.health import BackoffPolicy
-
-    # Per-point policy so delays do not depend on grid order; seeded,
-    # so the serial path's retry timing is as reproducible as the
-    # service's.
-    backoff = BackoffPolicy(base_s=backoff_s, seed=0)
-    attempts = 0
-    while True:
-        attempts += 1
-        if guard_factory is not None:
-            guard = guard_factory()
-        elif timeout_s is not None:
-            from repro.reliability.guard import ReliabilityGuard
-
-            guard = ReliabilityGuard.default()
-            guard.wall_timeout_s = timeout_s
-        else:
-            guard = None  # run_synthetic applies the default guard
-        try:
-            sim = run_synthetic(
-                point.pattern,
-                cores=point.cores,
-                store_fraction=point.store_fraction,
-                page_policy=point.page_policy,
-                address_scheme=point.address_scheme,
-                scale=scale,
-                guard=guard,
-                scheduling=point.scheduling,
-                requesters=(
-                    point.requesters if point.requesters > 1 else None
-                ),
-                device=(
-                    point.device if point.device != "ddr4-2400" else None
-                ),
-                engine=(
-                    point.engine if point.engine != "packed" else None
-                ),
-            )
-        except ReproError as error:
-            if attempts > retries:
-                return SweepFailure(
-                    point=point, error=error, attempts=attempts
-                )
-            time.sleep(backoff.delay(attempts))
-            continue
-        bandwidth = sim.bandwidth_stack(point.label)
-        latency = sim.latency_stack(point.label)
-        from repro.reliability.fingerprint import result_fingerprint
-
-        return SweepRecord(
-            point=point,
-            achieved_gbps=bandwidth["read"] + bandwidth["write"],
-            avg_latency_ns=latency.total,
-            page_hit_rate=sim.memory.stats.page_hit_rate,
-            bandwidth=bandwidth,
-            latency=latency,
-            fingerprint=result_fingerprint(sim)["digest"],
-        )
 
 
 def point_job(
@@ -492,75 +388,6 @@ def _record_from_payload(
         fingerprint=payload["fingerprint"]["digest"],
         cached=cached,
     )
-
-
-def _run_sweep_service(
-    points: list[SweepPoint],
-    scale,
-    progress,
-    timeout_s: float | None,
-    retries: int,
-    backoff_s: float,
-    jobs: int,
-    cache,
-    bus,
-    jsonl_path: str | None,
-    journal_path: str | None = None,
-    resume: bool = False,
-    fallback_inline: bool = True,
-) -> SweepResult:
-    """Grid execution through :class:`repro.service.ExecutionService`."""
-    from repro.service.journal import BatchJournal
-    from repro.service.service import ExecutionService
-
-    service = ExecutionService(
-        workers=max(1, jobs),
-        cache=cache,
-        bus=bus,
-        timeout_s=timeout_s,
-        retries=retries,
-        backoff_s=backoff_s,
-        fallback_inline=fallback_inline,
-    )
-    job_list = [point_job(point, scale, timeout_s) for point in points]
-    journal = None
-    if journal_path is not None:
-        journal = BatchJournal(journal_path, resume=resume)
-    by_index: dict[int, SweepRecord] = {}
-    try:
-        with _jsonl_writer(jsonl_path) as emit_line:
-
-            def on_result(index, job, payload, cached):
-                record = _record_from_payload(
-                    points[index], payload, cached
-                )
-                by_index[index] = record
-                emit_line(record.to_json_dict())
-                if progress is not None:
-                    progress(record)
-
-            batch = service.run(
-                job_list, on_result=on_result, journal=journal
-            )
-            result = SweepResult(
-                records=[
-                    by_index[i]
-                    for i in range(len(points))
-                    if i in by_index
-                ],
-            )
-            for failure in batch.failures:
-                sweep_failure = SweepFailure(
-                    point=points[failure.index],
-                    error=failure.error,
-                    attempts=failure.attempts,
-                )
-                result.failures.append(sweep_failure)
-                emit_line(sweep_failure.to_json_dict())
-    finally:
-        if journal is not None:
-            journal.close()
-    return result
 
 
 class _jsonl_writer:

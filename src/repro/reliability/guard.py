@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 
-from repro.errors import SimulationTimeoutError
+from repro.errors import ConfigurationError, SimulationTimeoutError
 from repro.reliability.auditor import InvariantAuditor
 from repro.reliability.checkpoint import CheckpointManager
 from repro.reliability.watchdog import ForwardProgressWatchdog
@@ -31,6 +31,29 @@ from repro.reliability.watchdog import ForwardProgressWatchdog
 #: Loop iterations between wall-clock reads (time.monotonic is cheap but
 #: not free; the loop runs millions of iterations).
 _TICKS_PER_CLOCK_CHECK = 256
+
+
+def check_timeout(value, owner: str):
+    """`value` if it is None or a number of seconds > 0; else raise.
+
+    A zero or negative budget would time out every run, and a NaN one
+    would be silently ignored (every comparison with NaN is False), so
+    both raise :class:`~repro.errors.ConfigurationError` here, where
+    the value enters: :class:`ReliabilityGuard` and
+    :class:`repro.service.job.Job`.
+    """
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not value > 0
+    ):
+        raise ConfigurationError(
+            f"{owner} must be None or a number of seconds > 0, "
+            f"got {value!r}"
+        )
+    return value
 
 
 class ReliabilityGuard:
@@ -65,7 +88,9 @@ class ReliabilityGuard:
         self.watchdog = watchdog
         self.auditor = auditor
         self.checkpoints = checkpoints
-        self.wall_timeout_s = wall_timeout_s
+        self.wall_timeout_s = check_timeout(
+            wall_timeout_s, "ReliabilityGuard(wall_timeout_s=...)"
+        )
         self.audit_interval_cycles = max(1, audit_interval_cycles)
         self.final_audit = final_audit
         self._deadline: float | None = None

@@ -6,8 +6,9 @@ The batch backbone of the repo: deterministic, content-addressed jobs
 (:mod:`~repro.service.cache`), and the orchestrating
 :class:`~repro.service.service.ExecutionService` that the sweep
 harness, ``scripts/run_all_figures.py`` and the ``dram-stacks batch``
-CLI all run on. Progress is published as typed topics
-(:mod:`~repro.service.events`) on a :class:`repro.core.events.EventBus`.
+CLI all run on, at every worker count. Progress is published as typed
+topics (:mod:`~repro.service.events`) on a
+:class:`repro.core.events.EventBus`.
 
 See ``docs/service.md`` for the job model, cache layout, and the
 determinism argument.
@@ -29,54 +30,27 @@ Quickstart::
         print(job.label, payload["metrics"]["achieved_gbps"])
 """
 
-from repro.service.cache import (
-    CACHE_MODES,
-    DEFAULT_CACHE_DIR,
-    CacheStats,
-    ResultCache,
-)
-from repro.service.events import (
-    CacheFault,
-    JobFailed,
-    JobFinished,
-    JobStarted,
-    ServiceDegraded,
-)
+from repro.service.cache import DEFAULT_CACHE_DIR, CacheStats, ResultCache
+from repro.service.events import JobFailed, JobFinished, JobStarted
 from repro.service.executors import (
     EXECUTORS,
     execute_job,
     stack_from_payload,
     stack_to_payload,
 )
-from repro.service.health import (
-    DEFAULT_BACKOFF_CAP_S,
-    BackoffPolicy,
-    CircuitBreaker,
-)
-from repro.service.job import JOB_FORMAT, JOB_KINDS, Job
+from repro.service.job import JOB_FORMAT, Job
 from repro.service.journal import JOURNAL_FORMAT, BatchJournal
 from repro.service.pool import PoolEvent, WorkerPool, default_worker_count
-from repro.service.service import (
-    BatchResult,
-    ExecutionService,
-    JobFailure,
-    run_jobs,
-)
+from repro.service.service import BatchResult, ExecutionService, JobFailure
 
 __all__ = [
-    "BackoffPolicy",
     "BatchJournal",
     "BatchResult",
-    "CACHE_MODES",
-    "CacheFault",
     "CacheStats",
-    "CircuitBreaker",
-    "DEFAULT_BACKOFF_CAP_S",
     "DEFAULT_CACHE_DIR",
     "EXECUTORS",
     "ExecutionService",
     "JOB_FORMAT",
-    "JOB_KINDS",
     "JOURNAL_FORMAT",
     "Job",
     "JobFailed",
@@ -85,11 +59,9 @@ __all__ = [
     "JobStarted",
     "PoolEvent",
     "ResultCache",
-    "ServiceDegraded",
     "WorkerPool",
     "default_worker_count",
     "execute_job",
-    "run_jobs",
     "stack_from_payload",
     "stack_to_payload",
 ]

@@ -22,22 +22,13 @@ Entry format (one JSON file per result)::
 Robustness — the explicit error policy: **``get`` and ``put`` never
 raise**. Writes are atomic (temp file + ``os.replace``); unreadable or
 mismatched entries count as misses and are deleted (an
-``invalid-entry`` self-heal); IO errors on either side are counted in
-:class:`CacheStats` and published as
-:class:`~repro.service.events.CacheFault` on the attached bus instead
-of failing the batch. Persistent errors walk the degradation ladder
-
-    ``ok`` → ``read-only`` (``write_error_limit`` consecutive write
-    failures, e.g. a full or read-only disk: stop writing, keep
-    serving hits) → ``bypass`` (``read_error_limit`` consecutive read
-    failures too: stop touching the disk entirely)
-
-publishing a :class:`~repro.service.events.ServiceDegraded` event per
-transition. A degraded batch still completes with correct results —
-every miss simply recomputes. :meth:`ResultCache.evict` prunes by
-entry count and/or age (oldest write time first). Nothing here locks —
-concurrent writers of the same digest race benignly because they write
-identical content.
+``invalid-entry`` self-heal); an IO error on either side is counted in
+:class:`CacheStats` and absorbed one call at a time — that lookup is a
+miss, that write is skipped — so a full or failing disk costs reuse,
+never results: every miss simply recomputes. :meth:`ResultCache.evict`
+prunes by entry count and/or age (oldest write time first). Nothing
+here locks — concurrent writers of the same digest race benignly
+because they write identical content.
 """
 
 from __future__ import annotations
@@ -53,9 +44,6 @@ from repro.service.job import JOB_FORMAT, Job
 
 #: Conventional cache root, relative to the working directory.
 DEFAULT_CACHE_DIR = os.path.join("results", ".cache")
-
-#: Operating modes along the degradation ladder, healthiest first.
-CACHE_MODES = ("ok", "read-only", "bypass")
 
 
 @dataclass
@@ -89,25 +77,11 @@ class ResultCache:
             unbounded. :meth:`put` auto-evicts past ``2 * max_entries``
             so long-running batches cannot grow the directory without
             bound between explicit evictions.
-        write_error_limit: consecutive :meth:`put` IO failures before
-            the cache trips into ``read-only`` mode.
-        read_error_limit: consecutive :meth:`get` IO failures before
-            the cache trips into ``bypass`` mode.
-        bus: optional :class:`~repro.core.events.EventBus` receiving
-            :class:`~repro.service.events.CacheFault` per absorbed
-            error and :class:`~repro.service.events.ServiceDegraded`
-            per mode transition. The execution service attaches its
-            own bus automatically.
     """
 
     root: str | Path = DEFAULT_CACHE_DIR
     max_entries: int | None = None
-    write_error_limit: int = 3
-    read_error_limit: int = 3
-    bus: object | None = None
     stats: CacheStats = field(default_factory=CacheStats)
-    #: Current rung on the degradation ladder (see :data:`CACHE_MODES`).
-    mode: str = field(default="ok", init=False)
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
@@ -116,14 +90,6 @@ class ResultCache:
                 f"ResultCache.max_entries must be >= 1 or None, "
                 f"got {self.max_entries!r}"
             )
-        if self.write_error_limit < 1 or self.read_error_limit < 1:
-            raise ConfigurationError(
-                "ResultCache error limits must be >= 1, got "
-                f"write_error_limit={self.write_error_limit!r}, "
-                f"read_error_limit={self.read_error_limit!r}"
-            )
-        self._consecutive_read_errors = 0
-        self._consecutive_write_errors = 0
 
     # ------------------------------------------------------------------
     def path_for(self, digest: str) -> Path:
@@ -135,43 +101,29 @@ class ResultCache:
 
         Never raises. Corrupt files, foreign formats, and digest
         mismatches are treated as misses and removed so they cannot
-        mask themselves as hits forever; IO errors are counted
-        (``stats.read_errors``), published as ``CacheFault`` events,
-        and trip ``bypass`` mode once persistent.
+        mask themselves as hits forever; an IO error is counted
+        (``stats.read_errors``) and the lookup is a miss.
         """
-        if self.mode == "bypass":
-            self.stats.misses += 1
-            return None
         path = self.path_for(digest)
         try:
             entry = self._read_entry(path, digest)
         except FileNotFoundError:
             self.stats.misses += 1
-            self._consecutive_read_errors = 0
             return None
-        except json.JSONDecodeError as error:
-            self._heal(path, digest, f"unparseable entry: {error}")
+        except json.JSONDecodeError:
+            self._heal(path)
             return None
-        except OSError as error:
+        except OSError:
             self.stats.read_errors += 1
             self.stats.misses += 1
-            self._consecutive_read_errors += 1
-            self._fault("read-error", digest, str(error))
-            if self._consecutive_read_errors >= self.read_error_limit:
-                self._degrade(
-                    "bypass",
-                    f"{self._consecutive_read_errors} consecutive read "
-                    f"errors (last: {error})",
-                )
             return None
-        self._consecutive_read_errors = 0
         if (
             not isinstance(entry, dict)
             or entry.get("format") != JOB_FORMAT
             or entry.get("digest") != digest
             or "payload" not in entry
         ):
-            self._heal(path, digest, "foreign format or digest mismatch")
+            self._heal(path)
             return None
         self.stats.hits += 1
         return entry["payload"]
@@ -179,14 +131,10 @@ class ResultCache:
     def put(self, job: Job, payload: dict) -> Path | None:
         """Store `payload` under `job.digest()`; returns the entry path.
 
-        Never raises. In ``read-only``/``bypass`` mode, or when the
-        write itself fails (counted in ``stats.write_errors``,
-        published as a ``CacheFault``), it returns None and the batch
-        carries on uncached. ``write_error_limit`` consecutive failures
-        trip ``read-only`` mode.
+        Never raises. When the write fails (counted in
+        ``stats.write_errors``) it returns None and the batch carries on
+        uncached.
         """
-        if self.mode != "ok":
-            return None
         digest = job.digest()
         path = self.path_for(digest)
         body = json.dumps({
@@ -198,18 +146,9 @@ class ResultCache:
         }, sort_keys=True)
         try:
             self._write_entry(path, digest, body)
-        except OSError as error:
+        except OSError:
             self.stats.write_errors += 1
-            self._consecutive_write_errors += 1
-            self._fault("write-error", digest, str(error))
-            if self._consecutive_write_errors >= self.write_error_limit:
-                self._degrade(
-                    "read-only",
-                    f"{self._consecutive_write_errors} consecutive "
-                    f"write errors (last: {error})",
-                )
             return None
-        self._consecutive_write_errors = 0
         self.stats.writes += 1
         if self.max_entries is not None:
             # Opportunistic pruning: only scan the directory once the
@@ -219,7 +158,7 @@ class ResultCache:
         return path
 
     # ------------------------------------------------------------------
-    # IO seams (overridden by the chaos harness to inject faults)
+    # IO seams (overridden by the tests' fault-injecting cache)
     # ------------------------------------------------------------------
     def _read_entry(self, path: Path, digest: str) -> dict:
         """Read and parse one entry file (raises OSError/JSON errors)."""
@@ -236,36 +175,11 @@ class ResultCache:
         finally:
             tmp.unlink(missing_ok=True)
 
-    # ------------------------------------------------------------------
-    # Error-policy internals
-    # ------------------------------------------------------------------
-    def _heal(self, path: Path, digest: str, detail: str) -> None:
-        """Drop a corrupt entry: count, publish, treat as a miss."""
+    def _heal(self, path: Path) -> None:
+        """Drop a corrupt entry: count it and treat it as a miss."""
         self._drop(path)
         self.stats.invalid += 1
         self.stats.misses += 1
-        self._consecutive_read_errors = 0
-        self._fault("invalid-entry", digest, detail)
-
-    def _fault(self, kind: str, digest: str, detail: str) -> None:
-        if self.bus is not None:
-            from repro.service.events import CacheFault
-
-            self.bus.publish(CacheFault(
-                kind=kind, digest=digest, detail=detail,
-            ))
-
-    def _degrade(self, mode: str, reason: str) -> None:
-        """Move down the ladder (never up) and publish the transition."""
-        if CACHE_MODES.index(mode) <= CACHE_MODES.index(self.mode):
-            return
-        self.mode = mode
-        if self.bus is not None:
-            from repro.service.events import ServiceDegraded
-
-            self.bus.publish(ServiceDegraded(
-                component="cache", mode=mode, reason=reason,
-            ))
 
     # ------------------------------------------------------------------
     def entries(self) -> list[Path]:

@@ -11,15 +11,8 @@ Lifecycle per job: one :class:`JobStarted` per *attempt*, then exactly
 one of :class:`JobFinished` (success — possibly served from cache, see
 ``cached``) or :class:`JobFailed`. A retried job therefore emits
 ``JobStarted``/``JobFailed(final=False)`` pairs before its terminal
-event; ``JobFailed(final=True)`` means the retry budget is exhausted
-and the job will appear in the batch's failure list.
-
-Degradation topics: :class:`CacheFault` is published for every cache
-error the error policy absorbs (corrupt-entry self-heal, read/write IO
-failure), and :class:`ServiceDegraded` whenever a component drops to a
-reduced operating mode (cache read-only/bypass, pool→inline fallback,
-retry budget exhausted) — see ``docs/chaos.md`` for the full
-degradation ladder.
+event; ``JobFailed(final=True)`` means the job's retries are spent
+and it will appear in the batch's failure list.
 """
 
 from __future__ import annotations
@@ -30,8 +23,6 @@ __all__ = [
     "JobStarted",
     "JobFinished",
     "JobFailed",
-    "CacheFault",
-    "ServiceDegraded",
 ]
 
 
@@ -71,7 +62,7 @@ class JobFailed:
     """One attempt at a job failed.
 
     ``final`` distinguishes an attempt that will be retried
-    (``False``) from the terminal failure after the retry budget
+    (``False``) from the terminal failure after the job's last retry
     (``True``). ``error_type`` is the :class:`~repro.errors.ReproError`
     subclass name (``"WorkerCrashError"`` for hard worker deaths).
     """
@@ -83,44 +74,3 @@ class JobFailed:
     message: str
     attempt: int
     final: bool
-
-
-@dataclass(frozen=True, slots=True)
-class CacheFault:
-    """One cache error absorbed by the result cache's error policy.
-
-    ``kind`` is ``"read-error"`` (the entry file could not be read),
-    ``"write-error"`` (the entry could not be written — includes
-    disk-full), or ``"invalid-entry"`` (a corrupt/mismatched entry was
-    self-healed by deletion). The batch is never failed by any of
-    these; the matching :class:`~repro.service.cache.CacheStats`
-    counter is incremented alongside each event.
-    """
-
-    kind: str
-    digest: str
-    detail: str
-
-
-@dataclass(frozen=True, slots=True)
-class ServiceDegraded:
-    """A service component fell back to a reduced operating mode.
-
-    ``component``/``mode`` pairs published today:
-
-    * ``"cache"`` → ``"read-only"`` (persistent write errors: stop
-      writing, keep serving hits) then ``"bypass"`` (persistent read
-      errors too: stop touching the cache entirely);
-    * ``"pool"`` → ``"inline"`` (the worker-spawn circuit breaker
-      opened; remaining jobs run in-process);
-    * ``"backoff"`` → ``"no-retry"`` (the total retry-sleep budget is
-      spent; subsequent failures are final without sleeping).
-
-    Results remain correct in every degraded mode — only throughput
-    and reuse suffer. Consumers: :class:`~repro.viz.live.BatchProgressMeter`
-    and the ``dram-stacks batch`` CLI printer.
-    """
-
-    component: str
-    mode: str
-    reason: str

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import io
 import os
+import sys
 import time
 from contextlib import redirect_stdout
 from typing import Any
@@ -264,11 +265,16 @@ class FigureExecutor:
         scale = job.resolved_scale()
         start = time.perf_counter()
         buffer = io.StringIO()
-        with redirect_stdout(buffer):
-            module.main(
-                scale=scale if scale is not None else "ci",
-                output_dir=output_dir,
-            )
+        try:
+            with redirect_stdout(buffer):
+                module.main(
+                    scale=scale if scale is not None else "ci",
+                    output_dir=output_dir,
+                )
+        except BaseException:
+            # Keep what the figure printed before it died.
+            sys.stdout.write(buffer.getvalue())
+            raise
         return {
             "name": name,
             "text": buffer.getvalue(),
@@ -281,17 +287,24 @@ class ProbeExecutor:
     """Test/diagnostic instrument: a job with scripted (mis)behaviour.
 
     Exercises every failure path of the pool and service without
-    touching the simulator. ``job.config`` keys:
+    touching the simulator — it is the service's one fault injector.
+    ``job.config`` keys:
 
-    * ``sleep_s`` — busy-wait this long before doing anything else
+    * ``sleep_s`` — busy-wait this long before returning or failing
       (drives the hard-kill timeout path; deliberately ignores guards).
     * ``marker_dir`` — directory used to count attempts across retries
-      (one token file is created per attempt).
+      and processes (one token file is created per attempt, before any
+      scripted fault, so a killed attempt still counts).
+    * ``hang_times`` — on the first N attempts, busy-wait ``sleep_s``
+      and then raise :class:`SimulationTimeoutError`, as a cooperative
+      guard would; later attempts skip the wait. In a pool, a
+      ``sleep_s`` past the job's hard-kill deadline gets the worker
+      killed mid-wait instead.
     * ``fail_times`` — raise :class:`SimulationTimeoutError` on the
       first N attempts (requires ``marker_dir`` to ever succeed).
     * ``crash_times`` — die via ``os._exit`` on the first N attempts
       when running inside a worker process (crash isolation path); in
-      inline mode this degrades to raising :class:`WorkerCrashError`.
+      inline mode it raises :class:`WorkerCrashError` instead.
     * ``value`` — payload content to return on success.
 
     Probe results are never cached (``cacheable = False``).
@@ -301,11 +314,6 @@ class ProbeExecutor:
 
     def execute(self, job: Job) -> dict:
         config = dict(job.config)
-        sleep_s = float(config.get("sleep_s", 0.0))
-        if sleep_s:
-            deadline = time.monotonic() + sleep_s
-            while time.monotonic() < deadline:
-                time.sleep(min(0.05, sleep_s))
         attempt = 1
         marker_dir = config.get("marker_dir")
         if marker_dir:
@@ -319,6 +327,16 @@ class ProbeExecutor:
                 "w",
             ):
                 pass
+        hang_times = int(config.get("hang_times", 0))
+        sleep_s = float(config.get("sleep_s", 0.0))
+        if sleep_s and (not hang_times or attempt <= hang_times):
+            deadline = time.monotonic() + sleep_s
+            while time.monotonic() < deadline:
+                time.sleep(min(0.05, sleep_s))
+        if attempt <= hang_times:
+            raise SimulationTimeoutError(
+                f"probe scripted hang of {sleep_s}s (attempt {attempt})"
+            )
         if attempt <= int(config.get("crash_times", 0)):
             self._crash()
         if attempt <= int(config.get("fail_times", 0)):
@@ -344,13 +362,6 @@ def execute_job(job: Job) -> tuple[dict, bool]:
     executors are wrapped in :class:`WorkerCrashError` so callers only
     ever see the library's error hierarchy.
     """
-    if "REPRO_CHAOS" in os.environ:
-        # Chaos harness hook (tests/scripts only): scripted crashes,
-        # hangs and errors keyed on the job label. One dict lookup on
-        # the production fast path; see repro.service.chaos.
-        from repro.service.chaos import maybe_inject
-
-        maybe_inject(job)
     executor = EXECUTORS.create(job.kind)
     try:
         payload = executor.execute(job)

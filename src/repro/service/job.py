@@ -27,15 +27,12 @@ from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentScale, get_scale
+from repro.reliability.guard import check_timeout
 
 #: Bumped whenever the canonical job serialization or the payload
 #: schema changes shape; folded into every digest so stale cache
 #: entries from an older format can never be returned as hits.
 JOB_FORMAT = 1
-
-#: Executor names with built-in implementations (see
-#: :mod:`repro.service.executors`).
-JOB_KINDS = ("synthetic", "gap", "figure", "probe")
 
 
 def _check_json_value(value: Any, path: str) -> None:
@@ -78,7 +75,7 @@ class Job:
     """One deterministic, independently executable unit of work.
 
     Attributes:
-        kind: executor name (see :data:`JOB_KINDS`); resolved through
+        kind: executor name, resolved through
             :data:`repro.service.executors.EXECUTORS`, so registered
             custom kinds work everywhere built-ins do.
         config: executor-specific knobs; must be plain JSON data. For
@@ -89,9 +86,10 @@ class Job:
         seed: RNG seed forwarded to executors that take one.
         label: display name for progress output; not part of the
             digest.
-        timeout_s: per-job wall-clock budget; enforced cooperatively
-            (reliability guard) in-process and by a hard kill in the
-            worker pool. Not part of the digest.
+        timeout_s: per-job wall-clock budget in seconds (None, or a
+            number > 0); enforced cooperatively (reliability guard)
+            in-process and by a hard kill in the worker pool. Not part
+            of the digest.
     """
 
     kind: str
@@ -110,6 +108,7 @@ class Job:
             raise ConfigurationError(
                 f"Job.seed must be an int, got {self.seed!r}"
             )
+        check_timeout(self.timeout_s, "Job.timeout_s")
         _check_json_value(dict(self.config), "config")
         # Resolve eagerly so a bad scale name fails at Job construction,
         # not inside a worker process.

@@ -22,7 +22,7 @@ Failure semantics (the crash-isolation contract):
   :class:`~repro.errors.SimulationTimeoutError` first and the kill only
   catches code that stopped reaching guard ticks at all.
 
-Retry/backoff policy deliberately lives one layer up, in
+Retry policy deliberately lives one layer up, in
 :class:`repro.service.service.ExecutionService` — the pool executes
 each dispatched attempt exactly once.
 """
@@ -91,14 +91,14 @@ class WorkerPool:
     :meth:`dispatch`, so constructing a pool is free.
     """
 
-    def __init__(self, workers: int, start_method: str = "spawn") -> None:
+    def __init__(self, workers: int) -> None:
         if not isinstance(workers, int) or workers < 1:
             raise ConfigurationError(
                 f"WorkerPool(workers=...) must be a positive int, "
                 f"got {workers!r}"
             )
         self.size = workers
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context("spawn")
         self._result_queue = None
         self._workers: dict[int, _Worker] = {}
         self._idle: list[int] = []

@@ -5,8 +5,8 @@ of :class:`~repro.service.job.Job` descriptions and produces one
 payload (or terminal failure) per job, consulting the result cache
 before doing any work, fanning execution out over a
 :class:`~repro.service.pool.WorkerPool` (or running inline for
-``workers=1``), retrying failed attempts with jittered exponential
-backoff, and publishing :mod:`repro.service.events` topics on an
+``workers=1``), re-queueing failed attempts at once while retries
+remain, and publishing :mod:`repro.service.events` topics on an
 :class:`~repro.core.events.EventBus` for progress consumers.
 
 Determinism: jobs are independent and each runs in a fresh, seeded
@@ -21,13 +21,13 @@ Robustness (see ``docs/chaos.md`` for the full story):
 * **Crash-safe resume** — pass ``journal=`` to :meth:`run` and every
   terminal outcome is WAL'd (:mod:`repro.service.journal`); a batch
   killed mid-run resumes recomputing only the unfinished jobs.
-* **Graceful degradation** — repeated worker-spawn failures trip a
-  circuit breaker (:mod:`repro.service.health`) that falls back to
-  inline execution; a cache with persistent IO errors trips into
-  read-only then bypass mode; a spent retry-sleep budget stops
-  retries. Each transition publishes a
-  :class:`~repro.service.events.ServiceDegraded` event, and the batch
-  still completes with correct results.
+* **Fail fast** — a job that keeps failing ends as a
+  :class:`JobFailure` with its typed error while the rest of the batch
+  completes; a worker that cannot be spawned at all raises
+  :class:`~repro.errors.WorkerSpawnError` (exit code 12) out of
+  :meth:`ExecutionService.run`, with every job finished before it
+  already journaled. Cache IO errors never fail a job: each one is
+  counted and that lookup or write is skipped.
 
 Inline mode (``workers=1``) executes in-process: no spawn cost, full
 monkeypatch-ability, cooperative timeouts only — crash isolation
@@ -39,32 +39,21 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import repro.errors as errors_mod
 from repro.core.events import EventBus
 from repro.errors import (
-    CircuitOpenError,
     ConfigurationError,
     ReproError,
     SimulationTimeoutError,
     WorkerCrashError,
-    WorkerSpawnError,
 )
 from repro.service.cache import ResultCache
-from repro.service.events import (
-    JobFailed,
-    JobFinished,
-    JobStarted,
-    ServiceDegraded,
-)
+from repro.service.events import JobFailed, JobFinished, JobStarted
 from repro.service.executors import execute_job
-from repro.service.health import (
-    DEFAULT_BACKOFF_CAP_S,
-    BackoffPolicy,
-    CircuitBreaker,
-)
 from repro.service.job import Job
 from repro.service.journal import BatchJournal
 from repro.service.pool import WorkerPool
@@ -76,7 +65,7 @@ ResultCallback = Callable[[int, Job, dict, bool], None]
 
 @dataclass
 class JobFailure:
-    """A job that kept failing after its whole retry budget."""
+    """A job that kept failing after all of its retries."""
 
     job: Job
     index: int
@@ -103,19 +92,11 @@ class BatchResult:
     journal_hits: int = 0
     executed: int = 0
     elapsed_s: float = 0.0
-    #: Every :class:`~repro.service.events.ServiceDegraded` event
-    #: observed on the service bus while this batch ran.
-    degradations: list = field(default_factory=list)
 
     @property
     def complete(self) -> bool:
         """True when every job produced a payload."""
         return not self.failures
-
-    @property
-    def degraded(self) -> bool:
-        """True when any component fell back during this batch."""
-        return bool(self.degradations)
 
     @property
     def hit_rate(self) -> float:
@@ -139,35 +120,17 @@ class ExecutionService:
     """Runs job batches with caching, parallelism, and retries.
 
     Args:
-        workers: worker processes; 1 executes inline (no subprocess).
+        workers: worker processes (a positive int); 1 executes inline
+            (no subprocess).
         cache: a :class:`ResultCache`, a directory path for one, or
-            None to disable caching. The service bus is attached to the
-            cache (unless it already has one) so cache faults and
-            degradations are observable.
+            None to disable caching.
         bus: event bus for :mod:`repro.service.events` topics; a
             private bus is created when omitted (so ``service.bus`` is
             always subscribable).
         timeout_s: default per-job wall-clock budget; a job's own
             ``timeout_s`` takes precedence.
-        retries: extra attempts per failing job.
-        backoff_s: base retry delay; see :class:`BackoffPolicy` for the
-            jittered formula (``min(cap, base * 2**(k-1))`` scaled
-            uniformly into ``[1/2, 1]`` by a seeded RNG).
-        backoff_cap_s: per-attempt sleep ceiling.
-        retry_budget_s: total sleep budget across the whole batch;
-            once spent, failures become terminal without sleeping and a
-            ``backoff``/``no-retry`` degradation event is published.
-            None (default) means unbounded.
-        backoff_seed: seed for the jitter RNG — the delay sequence is
-            deterministic under a fixed seed.
-        fallback_inline: when the worker-spawn circuit breaker opens,
-            True (default) degrades the batch to inline execution;
-            False raises :class:`~repro.errors.CircuitOpenError`
-            (exit code 13).
-        spawn_failure_limit: consecutive worker-spawn failures before
-            the circuit breaker opens.
-        start_method: multiprocessing start method (tests only; spawn
-            is the supported default).
+        retries: extra attempts per failing job, each re-queued at
+            once.
     """
 
     def __init__(
@@ -177,13 +140,6 @@ class ExecutionService:
         bus: EventBus | None = None,
         timeout_s: float | None = None,
         retries: int = 0,
-        backoff_s: float = 1.0,
-        backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
-        retry_budget_s: float | None = None,
-        backoff_seed: int = 0,
-        fallback_inline: bool = True,
-        spawn_failure_limit: int = 3,
-        start_method: str = "spawn",
     ) -> None:
         if not isinstance(workers, int) or workers < 1:
             raise ConfigurationError(
@@ -200,28 +156,9 @@ class ExecutionService:
             cache = ResultCache(cache)
         self.cache = cache
         self.bus = bus if bus is not None else EventBus()
-        if self.cache is not None and self.cache.bus is None:
-            self.cache.bus = self.bus
         self.timeout_s = timeout_s
         self.retries = retries
-        self.backoff_s = backoff_s
-        self.backoff_cap_s = backoff_cap_s
-        self.retry_budget_s = retry_budget_s
-        self.backoff_seed = backoff_seed
-        self.fallback_inline = fallback_inline
-        self.spawn_failure_limit = spawn_failure_limit
-        self.start_method = start_method
-        self._sleep = time.sleep  # patchable in tests
         self._journal: BatchJournal | None = None
-        self._backoff_state = self._fresh_backoff()
-
-    def _fresh_backoff(self) -> BackoffPolicy:
-        return BackoffPolicy(
-            base_s=self.backoff_s,
-            cap_s=self.backoff_cap_s,
-            budget_s=self.retry_budget_s,
-            seed=self.backoff_seed,
-        )
 
     # ------------------------------------------------------------------
     def run(
@@ -232,9 +169,11 @@ class ExecutionService:
     ) -> BatchResult:
         """Execute `jobs`; returns payloads aligned with the input order.
 
-        Failing jobs never abort the batch: after the retry budget they
+        Failing jobs never abort the batch: after their retries they
         are recorded in ``result.failures`` and everything else still
-        completes.
+        completes. A worker that cannot be spawned raises
+        :class:`~repro.errors.WorkerSpawnError`; with a journal, every
+        job finished before it is already recorded there.
 
         Args:
             journal: a :class:`~repro.service.journal.BatchJournal`, or
@@ -251,9 +190,6 @@ class ExecutionService:
         started = time.perf_counter()
         result = BatchResult(jobs=jobs, payloads=[None] * len(jobs))
         self._journal = journal
-        self._backoff_state = self._fresh_backoff()
-        record_degradation = result.degradations.append
-        self.bus.subscribe(ServiceDegraded, record_degradation)
         try:
             pending = self._replay_journal(jobs, result, on_result)
             if pending:
@@ -262,7 +198,6 @@ class ExecutionService:
                 else:
                     self._run_pooled(pending, result, on_result)
         finally:
-            self.bus.unsubscribe(ServiceDegraded, record_degradation)
             self._journal = None
             if own_journal:
                 journal.close()
@@ -388,16 +323,13 @@ class ExecutionService:
         error: ReproError,
         attempt: int,
         result: BatchResult,
-    ) -> float | None:
-        """Publish a failure; returns the backoff delay before the
-        retry, or None when the failure is terminal (retry budget spent
-        or the backoff deadline exhausted)."""
+    ) -> bool:
+        """Publish a failed attempt; returns True when the job retries.
+
+        A job past its last retry is recorded as a terminal failure
+        (and journaled).
+        """
         retry = attempt <= self.retries
-        delay = None
-        if retry:
-            delay = self._backoff(attempt)
-            if delay is None:
-                retry = False
         self.bus.publish(JobFailed(
             index=index,
             digest=digest,
@@ -416,33 +348,10 @@ class ExecutionService:
                     digest, job.display_label,
                     type(error).__name__, str(error), attempt,
                 )
-        return delay
-
-    def _backoff(self, attempt: int) -> float | None:
-        """Jittered, capped, budgeted sleep before retry `attempt`.
-
-        The formula (see :class:`~repro.service.health.BackoffPolicy`)
-        is ``min(backoff_cap_s, backoff_s * 2**(attempt-1))`` scaled
-        uniformly into ``[1/2, 1]`` of itself by an RNG seeded with
-        ``backoff_seed`` — deterministic under a fixed seed. Returns
-        None once ``retry_budget_s`` is spent; the first exhaustion
-        publishes a ``backoff``/``no-retry`` degradation event.
-        """
-        already_exhausted = self._backoff_state.exhausted
-        delay = self._backoff_state.delay(attempt)
-        if delay is None and not already_exhausted:
-            self.bus.publish(ServiceDegraded(
-                component="backoff",
-                mode="no-retry",
-                reason=(
-                    f"retry sleep budget of {self.retry_budget_s}s "
-                    f"spent; remaining failures are final"
-                ),
-            ))
-        return delay
+        return retry
 
     # ------------------------------------------------------------------
-    # Inline execution (workers=1, and the pooled-fallback path)
+    # Inline execution (workers=1)
     # ------------------------------------------------------------------
     def _run_inline(
         self,
@@ -467,11 +376,9 @@ class ExecutionService:
                 try:
                     payload, cacheable = execute_job(job)
                 except ReproError as error:
-                    delay = self._fail_attempt(
+                    if self._fail_attempt(
                         index, job, digest, error, attempt, result
-                    )
-                    if delay is not None:
-                        self._sleep(delay)
+                    ):
                         continue
                     break
                 self._finish(
@@ -489,139 +396,50 @@ class ExecutionService:
         result: BatchResult,
         on_result: ResultCallback | None,
     ) -> None:
-        """Pooled execution behind the worker-spawn circuit breaker.
-
-        Spawn failures (the pool cannot start or replace a worker)
-        retry the remaining work on a fresh pool until the breaker
-        opens; then the batch degrades to inline execution — or, with
-        ``fallback_inline=False``, fails fast with
-        :class:`~repro.errors.CircuitOpenError`.
-        """
-        breaker = CircuitBreaker(self.spawn_failure_limit, name="pool")
-        last_error: WorkerSpawnError | None = None
-        while not breaker.open:
-            remaining = self._unresolved(items, result)
-            if not remaining:
-                return
-            try:
-                self._run_pooled_attempt(remaining, result, on_result)
-                return
-            except WorkerSpawnError as error:
-                last_error = error
-                breaker.record_failure()
-        remaining = self._unresolved(items, result)
-        if not self.fallback_inline:
-            raise CircuitOpenError(
-                f"worker pool circuit breaker open after "
-                f"{breaker.failures} consecutive spawn failures "
-                f"(last: {last_error}); inline fallback disabled"
-            )
-        self.bus.publish(ServiceDegraded(
-            component="pool",
-            mode="inline",
-            reason=(
-                f"{breaker.failures} consecutive worker-spawn "
-                f"failures (last: {last_error}); running "
-                f"{len(remaining)} remaining job(s) inline"
-            ),
-        ))
-        self._run_inline(remaining, result, on_result)
-
-    def _unresolved(
-        self,
-        items: list[tuple[int, Job, str]],
-        result: BatchResult,
-    ) -> list[tuple[int, Job, str]]:
-        """Items with no terminal outcome yet (payload or failure)."""
-        failed = {failure.index for failure in result.failures}
-        return [
-            (index, job, digest)
-            for index, job, digest in items
-            if result.payloads[index] is None and index not in failed
-        ]
-
-    def _run_pooled_attempt(
-        self,
-        items: list[tuple[int, Job, str]],
-        result: BatchResult,
-        on_result: ResultCallback | None,
-    ) -> None:
+        """Pooled execution; a spawn failure propagates out of the pool."""
         jobs_by_index = {index: job for index, job, _ in items}
         digests = {index: digest for index, _, digest in items}
-        resolved: set[int] = set()  # indices with a terminal outcome
-        #: (ready_at_monotonic, index, attempt) awaiting dispatch.
         # Cache hits are resolved before the pool exists, so a fully
-        # warm batch never pays worker-spawn cost at all.
-        pending: list[tuple[float, int, int]] = []
-        for index, job, digest in items:
-            if self._try_cache(index, job, digest, result, on_result):
-                resolved.add(index)
-            else:
-                pending.append((0.0, index, 1))
+        # warm batch never pays worker-spawn cost at all. Each job is
+        # looked up exactly once.
+        pending: deque[tuple[int, int]] = deque(
+            (index, 1)
+            for index, job, digest in items
+            if not self._try_cache(index, job, digest, result, on_result)
+        )
         if not pending:
             return
         #: task_id -> (index, attempt, start_perf)
         in_flight: dict[int, tuple[int, int, float]] = {}
         next_task_id = 0
-        with WorkerPool(self.workers, self.start_method) as pool:
+        with WorkerPool(self.workers) as pool:
             while pending or in_flight:
-                now = time.monotonic()
-                # Dispatch everything ready, in index order, while
-                # workers are idle. Cache lookups happen here so a
-                # duplicate digest completed earlier in this very batch
-                # is already a hit by the time its twin dispatches.
-                pending.sort()
-                dispatched_any = True
-                while pending and dispatched_any:
-                    dispatched_any = False
-                    ready_at, index, attempt = pending[0]
-                    if ready_at > now:
-                        break
-                    job, digest = jobs_by_index[index], digests[index]
-                    if attempt == 1 and self._try_cache(
-                        index, job, digest, result, on_result
-                    ):
-                        pending.pop(0)
-                        resolved.add(index)
-                        dispatched_any = True
-                        continue
-                    if pool.idle_workers == 0:
-                        break
+                # Dispatch while workers are idle: first attempts in
+                # index order, then retries in the order they failed.
+                while pending and pool.idle_workers:
+                    index, attempt = pending.popleft()
+                    job = jobs_by_index[index]
                     worker_id = pool.dispatch(
                         next_task_id, job, job.timeout_s
                     )
-                    if worker_id is None:
-                        break
-                    pending.pop(0)
                     in_flight[next_task_id] = (
                         index, attempt, time.perf_counter()
                     )
                     self.bus.publish(JobStarted(
                         index=index,
-                        digest=digest,
+                        digest=digests[index],
                         label=job.display_label,
                         attempt=attempt,
                         worker=worker_id,
                     ))
                     next_task_id += 1
-                    dispatched_any = True
-                if not in_flight and pending:
-                    # Nothing running; wait out the nearest backoff.
-                    wait = max(0.0, pending[0][0] - time.monotonic())
-                    if wait:
-                        self._sleep(min(wait, 0.5))
-                    continue
-                block = 0.05 if pending else 0.2
-                for event in pool.poll(block):
+                for event in pool.poll(0.05 if pending else 0.2):
                     info = in_flight.pop(event.job_id, None)
                     if info is None:
                         continue  # stale event for a resolved task
                     index, attempt, start_perf = info
-                    if index in resolved:
-                        continue
                     job, digest = jobs_by_index[index], digests[index]
                     if event.kind == "ok":
-                        resolved.add(index)
                         self._finish(
                             index, job, digest,
                             event.body["payload"],
@@ -646,26 +464,7 @@ class ExecutionService:
                             f"worker died mid-job (exit code "
                             f"{event.body.get('exitcode')!r})"
                         )
-                    delay = self._fail_attempt(
+                    if self._fail_attempt(
                         index, job, digest, error, attempt, result
-                    )
-                    if delay is not None:
-                        pending.append((
-                            time.monotonic() + delay,
-                            index,
-                            attempt + 1,
-                        ))
-                    else:
-                        resolved.add(index)
-
-
-def run_jobs(
-    jobs: Sequence[Job],
-    workers: int = 1,
-    on_result: ResultCallback | None = None,
-    journal: BatchJournal | str | None = None,
-    **service_kwargs,
-) -> BatchResult:
-    """One-shot convenience wrapper around :class:`ExecutionService`."""
-    service = ExecutionService(workers=workers, **service_kwargs)
-    return service.run(jobs, on_result=on_result, journal=journal)
+                    ):
+                        pending.append((index, attempt + 1))

@@ -153,12 +153,9 @@ class BatchProgressMeter:
 
     Subscribes to :class:`~repro.service.events.JobStarted` /
     :class:`~repro.service.events.JobFinished` /
-    :class:`~repro.service.events.JobFailed` /
-    :class:`~repro.service.events.ServiceDegraded` and tracks how a
-    batch is going: completed/failed/cached counts, retries observed,
-    which labels are in flight right now, and any degradation
-    transitions (cache read-only/bypass, pool inline fallback,
-    retry-budget exhaustion).
+    :class:`~repro.service.events.JobFailed` and tracks how a batch is
+    going: completed/failed/cached counts, retries observed, and which
+    labels are in flight right now.
 
     Args:
         total: expected number of jobs (used by :meth:`status_line`;
@@ -178,38 +175,23 @@ class BatchProgressMeter:
         self.retries = 0
         #: Labels currently executing (insertion-ordered).
         self.in_flight: dict[str, int] = {}
-        #: ``"component->mode"`` strings, one per ServiceDegraded event
-        #: observed (a degraded batch says so in its status line).
-        self.degradations: list[str] = []
 
     def attach(self, bus: EventBus) -> "BatchProgressMeter":
         """Subscribe this meter's handlers to `bus`; returns self."""
-        from repro.service.events import (
-            JobFailed,
-            JobFinished,
-            JobStarted,
-            ServiceDegraded,
-        )
+        from repro.service.events import JobFailed, JobFinished, JobStarted
 
         bus.subscribe(JobStarted, self.on_started)
         bus.subscribe(JobFinished, self.on_finished)
         bus.subscribe(JobFailed, self.on_failed)
-        bus.subscribe(ServiceDegraded, self.on_degraded)
         return self
 
     def detach(self, bus: EventBus) -> None:
         """Remove this meter's handlers from `bus` (idempotent)."""
-        from repro.service.events import (
-            JobFailed,
-            JobFinished,
-            JobStarted,
-            ServiceDegraded,
-        )
+        from repro.service.events import JobFailed, JobFinished, JobStarted
 
         bus.unsubscribe(JobStarted, self.on_started)
         bus.unsubscribe(JobFinished, self.on_finished)
         bus.unsubscribe(JobFailed, self.on_failed)
-        bus.unsubscribe(ServiceDegraded, self.on_degraded)
 
     # ------------------------------------------------------------------
     # Bus handlers
@@ -233,10 +215,6 @@ class BatchProgressMeter:
             self.in_flight.pop(event.label, None)
             self.failed += 1
 
-    def on_degraded(self, event) -> None:
-        """Handle one ServiceDegraded (cache/pool/backoff fallback)."""
-        self.degradations.append(f"{event.component}->{event.mode}")
-
     # ------------------------------------------------------------------
     @property
     def done(self) -> int:
@@ -259,8 +237,6 @@ class BatchProgressMeter:
         line = f"{self.done}{total} done"
         if parts:
             line += f" ({', '.join(parts)})"
-        if self.degradations:
-            line += f" | degraded: {', '.join(self.degradations)}"
         if self.in_flight:
             running = ", ".join(list(self.in_flight)[:4])
             if len(self.in_flight) > 4:

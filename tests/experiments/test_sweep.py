@@ -85,20 +85,25 @@ class TestRunSweep:
 
 
 class TestRobustness:
-    """Per-point timeout, retry-with-backoff and partial results."""
+    """Per-point timeout, immediate retries and partial results.
+
+    Points run through the execution service's inline mode, whose
+    synthetic executor calls ``repro.experiments.runner.run_synthetic``;
+    the tests patch it there.
+    """
 
     def test_failing_point_recorded_not_fatal(self, monkeypatch):
         from repro.errors import SimulationStalledError
-        from repro.experiments import sweep as sweep_mod
+        from repro.experiments import runner
 
-        real = sweep_mod.run_synthetic
+        real = runner.run_synthetic
 
         def flaky(pattern, **kwargs):
             if pattern == "random":
                 raise SimulationStalledError("injected stall")
             return real(pattern, **kwargs)
 
-        monkeypatch.setattr(sweep_mod, "run_synthetic", flaky)
+        monkeypatch.setattr(runner, "run_synthetic", flaky)
         points = grid(patterns=("sequential", "random"))
         result = run_sweep(points, scale=TINY)
         assert not result.complete
@@ -111,13 +116,12 @@ class TestRobustness:
         assert failure.attempts == 1
         assert "SimulationStalledError" in str(failure)
 
-    def test_retry_with_backoff_then_success(self, monkeypatch):
+    def test_retry_then_success(self, monkeypatch):
         from repro.errors import SimulationTimeoutError
-        from repro.experiments import sweep as sweep_mod
+        from repro.experiments import runner
 
-        real = sweep_mod.run_synthetic
+        real = runner.run_synthetic
         calls = {"n": 0}
-        sleeps = []
 
         def flaky(pattern, **kwargs):
             calls["n"] += 1
@@ -125,37 +129,26 @@ class TestRobustness:
                 raise SimulationTimeoutError("injected timeout")
             return real(pattern, **kwargs)
 
-        monkeypatch.setattr(sweep_mod, "run_synthetic", flaky)
-        monkeypatch.setattr(sweep_mod.time, "sleep", sleeps.append)
-        result = run_sweep(
-            [SweepPoint()], scale=TINY, retries=2, backoff_s=0.5
-        )
+        monkeypatch.setattr(runner, "run_synthetic", flaky)
+        result = run_sweep([SweepPoint()], scale=TINY, retries=2)
         assert result.complete
         assert calls["n"] == 3
-        # Jittered exponential backoff: each delay is uniform in
-        # [raw/2, raw] with raw = backoff_s * 2**(k-1), deterministic
-        # under the fixed default seed.
-        from repro.service.health import BackoffPolicy
-
-        reference = BackoffPolicy(base_s=0.5, seed=0)
-        assert sleeps == [reference.delay(1), reference.delay(2)]
-        assert 0.25 <= sleeps[0] <= 0.5 and 0.5 <= sleeps[1] <= 1.0
 
     def test_retries_exhausted(self, monkeypatch):
         from repro.errors import SimulationTimeoutError
-        from repro.experiments import sweep as sweep_mod
+        from repro.experiments import runner
 
         def always_fails(pattern, **kwargs):
             raise SimulationTimeoutError("injected timeout")
 
-        monkeypatch.setattr(sweep_mod, "run_synthetic", always_fails)
-        monkeypatch.setattr(sweep_mod.time, "sleep", lambda s: None)
+        monkeypatch.setattr(runner, "run_synthetic", always_fails)
         result = run_sweep([SweepPoint()], scale=TINY, retries=2)
         assert len(result.failures) == 1
         assert result.failures[0].attempts == 3
 
     def test_timeout_builds_deadline_guard(self, monkeypatch):
-        from repro.experiments import sweep as sweep_mod
+        from repro.errors import WorkerCrashError
+        from repro.experiments import runner
 
         seen = {}
 
@@ -163,30 +156,18 @@ class TestRobustness:
             seen["guard"] = kwargs["guard"]
             return None
 
-        monkeypatch.setattr(sweep_mod, "run_synthetic", capture)
-        with pytest.raises(AttributeError):
-            # The stub returns None; the sweep then touching the result
-            # proves run_synthetic actually received the guard first.
-            run_sweep([SweepPoint()], scale=TINY, timeout_s=30.0)
+        monkeypatch.setattr(runner, "run_synthetic", capture)
+        result = run_sweep([SweepPoint()], scale=TINY, timeout_s=30.0)
+        # The stub returns None; the executor then touching the result
+        # proves run_synthetic actually received the guard first.
+        assert isinstance(result.failures[0].error, WorkerCrashError)
         assert seen["guard"].wall_timeout_s == 30.0
         assert seen["guard"].watchdog is not None
 
-    def test_guard_factory_called_per_attempt(self, monkeypatch):
-        from repro.errors import SimulationTimeoutError
-        from repro.experiments import sweep as sweep_mod
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_nonpositive_jobs_rejected(self, jobs):
+        from repro.errors import ConfigurationError
 
-        made = []
+        with pytest.raises(ConfigurationError, match="workers"):
+            run_sweep([SweepPoint()], scale=TINY, jobs=jobs)
 
-        def factory():
-            made.append(object())
-            return None  # run_synthetic treats None as default guard
-
-        def always_fails(pattern, **kwargs):
-            raise SimulationTimeoutError("injected")
-
-        monkeypatch.setattr(sweep_mod, "run_synthetic", always_fails)
-        monkeypatch.setattr(sweep_mod.time, "sleep", lambda s: None)
-        run_sweep(
-            [SweepPoint()], scale=TINY, retries=2, guard_factory=factory
-        )
-        assert len(made) == 3

@@ -5,12 +5,14 @@ every batch either completes with correct results (bit-identical
 payloads and fingerprints) or fails with a documented exit code —
 never hangs, never silently drops a point.
 
-Fault kinds (see :mod:`repro.service.chaos` and ``docs/chaos.md``):
-worker-plane ``crash`` / ``hang`` / ``error`` via the ``REPRO_CHAOS``
-environment plan, cache-plane read faults, write faults, disk-full
-(ENOSPC) and corrupt entries via :class:`ChaosCache`. Each kind runs
-in both inline (``workers=1``) and pooled execution; the pooled cells
-spawn real processes and are marked ``slow``.
+Fault kinds (see ``docs/chaos.md``): worker-plane ``crash`` / ``hang``
+/ ``error`` scripted through ``probe`` job config (attempts are
+counted in a marker directory, so "fail the first N attempts" is exact
+across processes), and cache-plane read faults, write faults,
+disk-full (ENOSPC) and corrupt entries through the ``chaos_cache``
+fixture. Each kind runs in both inline (``workers=1``) and pooled
+execution; the pooled cells spawn real processes and are marked
+``slow``.
 """
 
 import errno
@@ -23,24 +25,20 @@ import time
 import pytest
 
 import repro
-from repro.core.events import EventBus
 from repro.errors import (
     EXIT_CODES,
-    CircuitOpenError,
+    SimulationTimeoutError,
     WorkerSpawnError,
     exit_code_for,
 )
 from repro.experiments.config import ExperimentScale
 from repro.service import (
     BatchJournal,
-    CacheFault,
     ExecutionService,
     Job,
     ResultCache,
-    ServiceDegraded,
     WorkerPool,
 )
-from repro.service.chaos import CHAOS_ENV, ChaosCache, chaos_plan, pick_targets
 
 TINY = ExperimentScale("tiny", synthetic_accesses=800)
 
@@ -50,6 +48,10 @@ MODES = [
     pytest.param(1, id="inline"),
     pytest.param(2, id="pooled", marks=pytest.mark.slow),
 ]
+
+#: Probe config key scripting each worker-plane fault kind.
+FAULT_KEYS = {"crash": "crash_times", "hang": "hang_times",
+              "error": "fail_times"}
 
 
 def probe_jobs(count=3):
@@ -70,6 +72,14 @@ def synthetic_jobs():
     ]
 
 
+@pytest.fixture(scope="module")
+def clean_payloads():
+    """Payloads of the synthetic jobs from a fault-free inline run."""
+    result = ExecutionService().run(synthetic_jobs())
+    assert result.complete
+    return result.payloads
+
+
 def assert_contract(result, jobs):
     """No point silently dropped: every index resolved exactly one way,
     and every terminal failure maps to a documented exit code."""
@@ -81,62 +91,68 @@ def assert_contract(result, jobs):
         assert exit_code_for(failure.error) in EXIT_CODES.values()
 
 
+def refuse_spawn(monkeypatch):
+    def refuse(self):
+        raise WorkerSpawnError("chaos: spawn refused")
+
+    monkeypatch.setattr(WorkerPool, "_spawn_worker", refuse)
+
+
 class TestWorkerPlaneMatrix:
     """crash / hang / error × inline / pooled, transient (retried)."""
 
     @pytest.mark.parametrize("workers", MODES)
     @pytest.mark.parametrize("kind", ["crash", "hang", "error"])
     def test_transient_fault_batch_still_completes(
-        self, kind, workers, tmp_path, monkeypatch
+        self, kind, workers, tmp_path, clean_payloads
     ):
-        jobs = probe_jobs()
-        victim = pick_targets([job.label for job in jobs], 1, seed=3)[0]
-        if kind == "hang" and workers > 1:
-            # Past the hard-kill deadline: the worker dies mid-wait.
-            hang_s, timeout_s = 30.0, 0.3
-        else:
-            # Inline has no hard kill by design; the injected hang
-            # finishes quickly and fails cooperatively.
-            hang_s, timeout_s = 0.05, None
-        if timeout_s is not None:
-            jobs = [
-                Job(job.kind, dict(job.config), label=job.label,
-                    timeout_s=timeout_s)
-                for job in jobs
-            ]
-        monkeypatch.setenv(CHAOS_ENV, chaos_plan(
-            tmp_path / "chaos-state",
-            [{"match": victim, "kind": kind, "times": 1,
-              "hang_s": hang_s}],
-        ))
-        service = ExecutionService(
-            workers=workers, retries=2, backoff_s=0.001
-        )
+        fault = {
+            FAULT_KEYS[kind]: 1,
+            "marker_dir": str(tmp_path / "markers"),
+            "value": 7,
+        }
+        timeout_s = None
+        if kind == "hang":
+            if workers > 1:
+                # Past the hard-kill deadline: the worker dies mid-wait.
+                fault["sleep_s"], timeout_s = 30.0, 0.3
+            else:
+                # Inline has no hard kill by design; the scripted hang
+                # finishes quickly and fails cooperatively.
+                fault["sleep_s"] = 0.05
+        synthetic = synthetic_jobs()
+        jobs = [
+            synthetic[0],
+            Job("probe", fault, label="victim", timeout_s=timeout_s),
+            synthetic[1],
+        ]
+        service = ExecutionService(workers=workers, retries=2)
         start = time.monotonic()
         result = service.run(jobs)
         assert time.monotonic() - start < 60.0  # never hangs
         assert_contract(result, jobs)
-        assert result.complete  # one injected fault, two retries
-        assert [p["value"] for p in result.payloads] == [0, 1, 2]
+        assert result.complete  # one scripted fault, two retries
+        assert result.payloads[1] == {"value": 7, "attempt": 2}
+        # The healthy jobs beside the victim are untouched by it.
+        assert [result.payloads[0], result.payloads[2]] == (
+            clean_payloads[:2]
+        )
 
     @pytest.mark.parametrize("workers", MODES)
     def test_persistent_fault_fails_with_documented_code(
-        self, workers, tmp_path, monkeypatch
+        self, workers, tmp_path
     ):
         jobs = probe_jobs()
-        victim = jobs[1].label
-        monkeypatch.setenv(CHAOS_ENV, chaos_plan(
-            tmp_path / "chaos-state",
-            [{"match": victim, "kind": "error", "times": 99}],
-        ))
-        service = ExecutionService(
-            workers=workers, retries=1, backoff_s=0.001
+        jobs[1] = Job(
+            "probe",
+            {"fail_times": 99, "marker_dir": str(tmp_path / "markers")},
+            label="p1",
         )
+        service = ExecutionService(workers=workers, retries=1)
         result = service.run(jobs)
         assert_contract(result, jobs)
         assert [f.index for f in result.failures] == [1]
-        from repro.errors import SimulationTimeoutError
-
+        assert result.failures[0].attempts == 2
         assert exit_code_for(result.failures[0].error) == (
             EXIT_CODES[SimulationTimeoutError]
         )
@@ -147,8 +163,8 @@ class TestWorkerPlaneMatrix:
 
 class TestCachePlaneMatrix:
     """Cache IO faults × inline / pooled: the batch completes with
-    bit-identical payloads, and every absorbed fault is counted and
-    published."""
+    bit-identical payloads, and every absorbed fault is counted — one
+    call at a time, with the same counts in both modes."""
 
     def _reference(self, tmp_path):
         """Prime a healthy cache and return the reference payloads."""
@@ -158,116 +174,91 @@ class TestCachePlaneMatrix:
         return result.payloads
 
     @pytest.mark.parametrize("workers", MODES)
-    def test_read_faults_recompute_identically(self, workers, tmp_path):
+    def test_read_faults_recompute_identically(
+        self, workers, tmp_path, chaos_cache
+    ):
         reference = self._reference(tmp_path)
-        faults = []
-        bus = EventBus()
-        bus.subscribe(CacheFault, faults.append)
-        cache = ChaosCache(
-            tmp_path / "cache", read_faults=2, read_error_limit=99
-        )
-        service = ExecutionService(workers=workers, cache=cache, bus=bus)
+        cache = chaos_cache(tmp_path / "cache", read_faults=2)
+        service = ExecutionService(workers=workers, cache=cache)
         result = service.run(synthetic_jobs())
         assert result.complete
         assert result.payloads == reference  # recomputed bit-identically
-        assert cache.stats.read_errors == 2
-        assert [f.kind for f in faults] == ["read-error", "read-error"]
-        assert cache.mode == "ok"  # below the limit: no degradation
+        stats = cache.stats
+        assert (stats.read_errors, stats.misses, stats.hits) == (2, 2, 1)
+        assert stats.writes == 2  # both recomputed entries rewritten
 
     @pytest.mark.parametrize("workers", MODES)
-    def test_corrupt_entries_self_heal(self, workers, tmp_path):
+    def test_corrupt_entries_self_heal(
+        self, workers, tmp_path, chaos_cache
+    ):
         reference = self._reference(tmp_path)
-        faults = []
-        bus = EventBus()
-        bus.subscribe(CacheFault, faults.append)
-        cache = ChaosCache(tmp_path / "cache", corrupt_faults=1)
-        service = ExecutionService(workers=workers, cache=cache, bus=bus)
+        cache = chaos_cache(tmp_path / "cache", corrupt_faults=1)
+        service = ExecutionService(workers=workers, cache=cache)
         result = service.run(synthetic_jobs())
         assert result.complete
         assert result.payloads == reference
-        assert cache.stats.invalid == 1
-        assert [f.kind for f in faults] == ["invalid-entry"]
+        stats = cache.stats
+        assert (stats.invalid, stats.misses, stats.hits) == (1, 1, 2)
+        assert stats.writes == 1  # the healed entry was rewritten
 
     @pytest.mark.parametrize("workers", MODES)
     def test_write_faults_are_absorbed_and_counted(
-        self, workers, tmp_path
+        self, workers, tmp_path, chaos_cache, clean_payloads
     ):
-        faults = []
-        bus = EventBus()
-        bus.subscribe(CacheFault, faults.append)
-        cache = ChaosCache(
-            tmp_path / "cache", write_faults=2, write_error_limit=99
-        )
-        service = ExecutionService(workers=workers, cache=cache, bus=bus)
-        result = service.run(synthetic_jobs())
-        assert result.complete
-        assert cache.stats.write_errors == 2
-        assert cache.stats.writes == 1  # the third write landed
-        assert [f.kind for f in faults] == ["write-error", "write-error"]
-
-    @pytest.mark.parametrize("workers", MODES)
-    def test_disk_full_trips_read_only_and_batch_completes(
-        self, workers, tmp_path
-    ):
-        cache = ChaosCache(
-            tmp_path / "cache",
-            write_faults=99,
-            write_errno=errno.ENOSPC,
-            write_error_limit=2,
-        )
+        cache = chaos_cache(tmp_path / "cache", write_faults=2)
         service = ExecutionService(workers=workers, cache=cache)
         result = service.run(synthetic_jobs())
-        assert result.complete  # degraded, not failed
-        assert cache.mode == "read-only"
-        assert result.degraded
-        assert [(d.component, d.mode) for d in result.degradations] == [
-            ("cache", "read-only")
-        ]
-        assert cache.stats.writes == 0
-
-    def test_read_faults_past_limit_trip_bypass(self, tmp_path):
-        self._reference(tmp_path)
-        cache = ChaosCache(
-            tmp_path / "cache", read_faults=99, read_error_limit=2
-        )
-        service = ExecutionService(cache=cache)
-        result = service.run(synthetic_jobs())
         assert result.complete
-        assert cache.mode == "bypass"
-        assert ("cache", "bypass") in [
-            (d.component, d.mode) for d in result.degradations
-        ]
-        # Bypass really bypasses: only the pre-trip lookups raised.
-        assert cache.stats.read_errors == 2
+        assert result.payloads == clean_payloads
+        assert cache.stats.write_errors == 2
+        assert cache.stats.writes == 1  # the third write landed
 
-
-class TestSpawnCircuitBreaker:
-    def test_spawn_failures_fall_back_inline(self, monkeypatch):
-        def refuse(self):
-            raise WorkerSpawnError("chaos: spawn refused")
-
-        monkeypatch.setattr(WorkerPool, "_spawn_worker", refuse)
-        jobs = probe_jobs()
-        service = ExecutionService(workers=2, spawn_failure_limit=2)
-        result = service.run(jobs)
-        assert_contract(result, jobs)
-        assert result.complete  # inline fallback ran every job
-        assert [p["value"] for p in result.payloads] == [0, 1, 2]
-        assert [(d.component, d.mode) for d in result.degradations] == [
-            ("pool", "inline")
-        ]
-
-    def test_no_degrade_raises_circuit_open(self, monkeypatch):
-        def refuse(self):
-            raise WorkerSpawnError("chaos: spawn refused")
-
-        monkeypatch.setattr(WorkerPool, "_spawn_worker", refuse)
-        service = ExecutionService(
-            workers=2, spawn_failure_limit=2, fallback_inline=False
+    @pytest.mark.parametrize("workers", MODES)
+    def test_disk_full_skips_every_put_and_batch_completes(
+        self, workers, tmp_path, chaos_cache, clean_payloads
+    ):
+        cache = chaos_cache(
+            tmp_path / "cache",
+            write_faults=10**9,
+            write_errno=errno.ENOSPC,
         )
-        with pytest.raises(CircuitOpenError) as excinfo:
-            service.run(probe_jobs())
-        assert exit_code_for(excinfo.value) == 13
+        service = ExecutionService(workers=workers, cache=cache)
+        for run in (1, 2):
+            result = service.run(synthetic_jobs())
+            assert result.complete
+            assert result.payloads == clean_payloads
+            # Nothing ever landed, so every job recomputes every time
+            # and every put is skipped and counted.
+            assert result.cache_hits == 0
+            assert cache.stats.write_errors == 3 * run
+            assert cache.stats.writes == 0
+
+
+class TestSpawnFailure:
+    def test_spawn_failure_raises_and_journal_resumes(
+        self, tmp_path, monkeypatch, clean_payloads
+    ):
+        """A refused spawn fails fast with exit code 12; the jobs that
+        finished before it stay journaled, and a resumed run completes
+        with the clean payloads."""
+        jobs = synthetic_jobs()
+        cache = ResultCache(tmp_path / "cache")
+        assert ExecutionService(cache=cache).run(jobs[:2]).complete
+        journal_path = tmp_path / "batch.jsonl"
+        refuse_spawn(monkeypatch)
+        service = ExecutionService(workers=2, cache=cache)
+        with pytest.raises(WorkerSpawnError) as excinfo:
+            service.run(jobs, journal=journal_path)
+        assert exit_code_for(excinfo.value) == 12
+        monkeypatch.undo()
+        with BatchJournal(journal_path, resume=True) as journal:
+            # The two cache hits resolved (and were journaled) before
+            # the pool tried to start.
+            assert len(journal) == 2
+            resumed = ExecutionService().run(jobs, journal=journal)
+        assert resumed.complete
+        assert resumed.journal_hits == 2 and resumed.executed == 1
+        assert resumed.payloads == clean_payloads
 
     def test_cache_hits_resolve_before_any_spawn(
         self, tmp_path, monkeypatch
@@ -275,20 +266,14 @@ class TestSpawnCircuitBreaker:
         cache = ResultCache(tmp_path / "cache")
         jobs = synthetic_jobs()
         assert ExecutionService(cache=cache).run(jobs).complete
-
-        def refuse(self):
-            raise WorkerSpawnError("chaos: spawn refused")
-
-        monkeypatch.setattr(WorkerPool, "_spawn_worker", refuse)
+        refuse_spawn(monkeypatch)
         service = ExecutionService(workers=2, cache=cache)
         result = service.run(jobs)
+        # Fully warm batch: no worker was ever needed.
         assert result.complete
         assert result.cache_hits == len(jobs)
-        # Fully warm batch: the breaker never even engaged.
-        assert result.degradations == []
 
 
-@pytest.mark.slow
 class TestKillResume:
     def test_killed_mid_batch_resumes_with_identical_fingerprints(
         self, tmp_path

@@ -76,6 +76,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Job("synthetic", {}, seed=True)
 
+    @pytest.mark.parametrize(
+        "timeout_s", [0, 0.0, -2.0, float("nan"), True, "5"]
+    )
+    def test_rejects_nonpositive_or_non_numeric_timeout(self, timeout_s):
+        with pytest.raises(ConfigurationError, match="Job.timeout_s"):
+            Job("probe", timeout_s=timeout_s)
+
+    @pytest.mark.parametrize("timeout_s", [None, 0.001, 30, float("inf")])
+    def test_accepts_none_or_positive_timeout(self, timeout_s):
+        assert Job("probe", timeout_s=timeout_s).timeout_s == timeout_s
+
 
 class TestRoundTrip:
     def test_to_from_dict_preserves_digest_and_fields(self):

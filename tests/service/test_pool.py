@@ -55,9 +55,7 @@ class TestCrashIsolation:
             "probe",
             {"crash_times": 1, "marker_dir": str(tmp_path), "value": 7},
         )
-        service = ExecutionService(
-            workers=2, retries=1, backoff_s=0.01, bus=bus
-        )
+        service = ExecutionService(workers=2, retries=1, bus=bus)
         result = service.run([job])
         assert result.complete
         assert result.payloads[0] == {"value": 7, "attempt": 2}
@@ -69,7 +67,7 @@ class TestCrashIsolation:
         doomed = Job(
             "probe", {"crash_times": 99, "marker_dir": str(tmp_path)}
         )
-        service = ExecutionService(workers=2, retries=1, backoff_s=0.01)
+        service = ExecutionService(workers=2, retries=1)
         result = service.run([doomed, healthy])
         assert len(result.failures) == 1
         failure = result.failures[0]

@@ -15,7 +15,6 @@ from repro.errors import (
 )
 from repro.experiments.config import ExperimentScale
 from repro.service import (
-    BackoffPolicy,
     ExecutionService,
     Job,
     JobFailed,
@@ -100,45 +99,50 @@ class TestEvents:
 
     def test_retry_publishes_nonfinal_then_final_failures(self, tmp_path):
         bus = EventBus()
-        failures = []
-        bus.subscribe(JobFailed, failures.append)
-        service = ExecutionService(bus=bus, retries=1, backoff_s=0.5)
-        sleeps = []
-        service._sleep = sleeps.append
+        log = []
+        for topic in (JobStarted, JobFailed):
+            bus.subscribe(topic, log.append)
+        service = ExecutionService(bus=bus, retries=1)
         job = Job(
             "probe",
             {"fail_times": 99, "marker_dir": str(tmp_path)},
         )
         result = service.run([job])
         assert not result.complete
-        assert [f.final for f in failures] == [False, True]
-        # One jittered backoff before the retry: same seed, same delay.
-        expected = BackoffPolicy(base_s=0.5, seed=0).delay(1)
-        assert sleeps == [expected]
-        assert 0.25 <= sleeps[0] <= 0.5  # equal jitter: [base/2, base]
+        # The failed attempt is re-queued at once: no wait between it
+        # and the retry's JobStarted.
+        assert [
+            (type(e).__name__, getattr(e, "final", None)) for e in log
+        ] == [
+            ("JobStarted", None), ("JobFailed", False),
+            ("JobStarted", None), ("JobFailed", True),
+        ]
 
 
 class TestRetries:
     def test_fail_then_succeed(self, tmp_path):
-        service = ExecutionService(retries=2, backoff_s=0.01)
-        sleeps = []
-        service._sleep = sleeps.append
+        service = ExecutionService(retries=2)
         job = Job(
             "probe",
             {"fail_times": 2, "marker_dir": str(tmp_path), "value": 9},
         )
         result = service.run([job])
         assert result.complete
-        assert result.payloads[0]["value"] == 9
-        # Jittered exponential backoff, deterministic under the seed.
-        reference = BackoffPolicy(base_s=0.01, seed=0)
-        assert sleeps == [reference.delay(1), reference.delay(2)]
-        assert 0.005 <= sleeps[0] <= 0.01
-        assert 0.01 <= sleeps[1] <= 0.02
+        assert result.payloads[0] == {"value": 9, "attempt": 3}
+
+    def test_hang_then_succeed(self, tmp_path):
+        service = ExecutionService(retries=1)
+        job = Job(
+            "probe",
+            {"hang_times": 1, "sleep_s": 0.01,
+             "marker_dir": str(tmp_path), "value": 4},
+        )
+        result = service.run([job])
+        assert result.complete
+        assert result.payloads[0] == {"value": 4, "attempt": 2}
 
     def test_exhausted_retries_recorded_with_error(self, tmp_path):
-        service = ExecutionService(retries=1, backoff_s=0.01)
-        service._sleep = lambda s: None
+        service = ExecutionService(retries=1)
         result = service.run([
             Job("probe", {"fail_times": 99, "marker_dir": str(tmp_path)}),
         ])
@@ -170,6 +174,17 @@ class TestValidation:
     def test_rejects_negative_retries(self):
         with pytest.raises(ConfigurationError):
             ExecutionService(retries=-1)
+
+    @pytest.mark.parametrize("timeout_s", [0, -2.0, float("nan")])
+    def test_bad_service_timeout_fails_before_any_job(self, timeout_s):
+        """The service default reaches each job through
+        ``dataclasses.replace``, which re-runs the job's own check."""
+        started = []
+        service = ExecutionService(timeout_s=timeout_s)
+        service.bus.subscribe(JobStarted, started.append)
+        with pytest.raises(ConfigurationError, match="timeout_s"):
+            service.run([Job("probe", {"value": 1})])
+        assert started == []
 
     def test_unknown_job_kind_fails_the_job(self):
         result = ExecutionService().run([Job("warp-drive", {})])

@@ -152,7 +152,7 @@ class TestBatch:
         assert "(resume)" in warm
         assert "1 cached" in warm
 
-    def test_spawn_failure_degrades_to_inline(self, monkeypatch, capsys):
+    def test_spawn_failure_exits_12(self, monkeypatch, capsys):
         from repro.errors import WorkerSpawnError
         from repro.service.pool import WorkerPool
 
@@ -163,10 +163,36 @@ class TestBatch:
         assert main([
             "batch", "--patterns", "sequential", "--jobs", "2",
             "--quiet",
-        ]) == 0  # degraded, not failed
-        captured = capsys.readouterr()
-        assert "DEGRADED [pool -> inline]" in captured.err
-        assert "degraded: pool->inline" in captured.out
+        ]) == 12  # fails fast: no inline fallback
+        assert "WorkerSpawnError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_nonpositive_jobs_rejected(self, jobs, capsys):
+        assert main([
+            "batch", "--patterns", "sequential", "--jobs", jobs,
+            "--quiet",
+        ]) == 3
+        assert "ConfigurationError" in capsys.readouterr().err
+
+    def test_nonpositive_timeout_spawns_no_worker(
+        self, monkeypatch, capsys
+    ):
+        from repro.errors import WorkerSpawnError
+        from repro.service.pool import WorkerPool
+
+        spawned = []
+
+        def record(self):
+            spawned.append(1)
+            raise WorkerSpawnError("test: spawn attempted")
+
+        monkeypatch.setattr(WorkerPool, "_spawn_worker", record)
+        assert main([
+            "batch", "--patterns", "sequential", "--timeout", "0",
+            "--jobs", "2", "--quiet",
+        ]) == 3
+        assert "timeout_s" in capsys.readouterr().err
+        assert spawned == []
 
     def test_quiet_suppresses_per_point_lines(self, tmp_path, capsys):
         assert main([
@@ -198,28 +224,6 @@ class TestProfile:
             "repro" in filename and "core.py" in filename
             for filename, __, __ in stats.stats
         )
-
-    def test_batch_profile_dir_one_pstats_per_point(self, tmp_path):
-        import pstats
-
-        profile_dir = tmp_path / "profiles"
-        assert main([
-            "batch", "--patterns", "sequential,random", "--cores", "1",
-            "--scale", "ci", "--quiet",
-            "--profile-dir", str(profile_dir),
-        ]) == 0
-        dumps = sorted(profile_dir.glob("*.pstats"))
-        assert len(dumps) == 2
-        for dump in dumps:
-            stats = pstats.Stats(str(dump))
-            assert stats.total_calls > 0
-
-    def test_batch_profile_dir_is_serial_only(self, tmp_path, capsys):
-        assert main([
-            "batch", "--patterns", "sequential", "--jobs", "2",
-            "--profile-dir", str(tmp_path / "profiles"),
-        ]) == 3
-        assert "serial-only" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -261,22 +265,17 @@ class TestExitCodes:
         assert code == 11
         assert "CheckpointError" in capsys.readouterr().err
 
-    def test_circuit_open_exit_code_with_no_degrade(
-        self, monkeypatch, capsys
-    ):
-        from repro.errors import WorkerSpawnError
-        from repro.service.pool import WorkerPool
-
-        def refuse(self):
-            raise WorkerSpawnError("injected spawn failure")
-
-        monkeypatch.setattr(WorkerPool, "_spawn_worker", refuse)
+    @pytest.mark.parametrize("timeout", ["0", "-2", "nan"])
+    def test_nonpositive_timeout_rejected(self, timeout, capsys):
+        """0 and negatives would time out every run; NaN would be
+        silently ignored."""
         code = main([
-            "batch", "--patterns", "sequential", "--jobs", "2",
-            "--no-degrade", "--quiet",
+            "analyze", "sequential", "--timeout", timeout,
         ])
-        assert code == 13
-        assert "CircuitOpenError" in capsys.readouterr().err
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "ConfigurationError" in err
+        assert "wall_timeout_s" in err
 
     def test_corrupt_journal_exit_code(self, tmp_path, capsys):
         journal = tmp_path / "batch.jsonl"

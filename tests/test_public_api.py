@@ -50,6 +50,31 @@ class TestCoreArchitecture:
 
 
 class TestEntryPoints:
+    def test_package_import_loads_no_service(self):
+        """Importing the package, its experiments and the CLI loads no
+        execution-service module and no multiprocessing: only running a
+        batch does (``run_sweep`` imports the service when called)."""
+        import os
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys\n"
+            "import repro, repro.experiments, repro.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith(\n"
+            "    ('repro.service', 'multiprocessing'))))\n"
+        )
+        package_root = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=package_root),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_cli_main_importable(self):
         from repro.cli import main
 

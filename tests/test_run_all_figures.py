@@ -2,8 +2,9 @@
 
 The historical bug: a figure raising inside ``redirect_stdout`` lost
 both its captured output and its traceback, and the batch carried on as
-if nothing happened. These tests pin the fix — buffer printed, full
-traceback printed, remaining figures still run, nonzero exit.
+if nothing happened. These tests pin the fix on the one batch path, the
+execution service's inline mode — buffer printed, error and traceback
+printed, remaining figures still run, nonzero exit.
 """
 
 import sys
@@ -11,6 +12,8 @@ import types
 from pathlib import Path
 
 import pytest
+
+from repro.experiments.config import get_scale
 
 SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -40,7 +43,8 @@ def fake_figures(monkeypatch):
         raise ValueError("synthetic figure explosion")
 
     def healthy_main(scale, output_dir):
-        print(f"healthy figure at {scale}")
+        # Figure jobs hand main() the resolved ExperimentScale.
+        print(f"healthy figure at {get_scale(scale).name}")
 
     install("figbroken", broken_main)
     install("fighealthy", healthy_main)
@@ -48,17 +52,19 @@ def fake_figures(monkeypatch):
 
 
 class TestSerialFailureReporting:
+    """``--jobs 1``: the service runs the figures inline, one by one."""
+
     def test_failure_surfaces_buffer_and_traceback(
         self, run_all_figures, fake_figures, tmp_path, capsys
     ):
-        failed = run_all_figures.run_serial(
-            fake_figures, "ci", str(tmp_path)
+        failed = run_all_figures.run_service(
+            fake_figures, "ci", str(tmp_path), 1, None
         )
         captured = capsys.readouterr()
         assert failed == ["figbroken"]
         # The output captured before the crash is not swallowed...
         assert "partial table the figure printed before dying" in captured.out
-        assert "figbroken: FAILED" in captured.out
+        assert "figbroken: WorkerCrashError" in captured.out
         # ...and neither is the traceback (on stderr).
         assert "ValueError: synthetic figure explosion" in captured.err
         assert "Traceback" in captured.err
@@ -66,7 +72,9 @@ class TestSerialFailureReporting:
     def test_remaining_figures_still_run(
         self, run_all_figures, fake_figures, tmp_path, capsys
     ):
-        run_all_figures.run_serial(fake_figures, "ci", str(tmp_path))
+        run_all_figures.run_service(
+            fake_figures, "ci", str(tmp_path), 1, None
+        )
         assert (tmp_path / "fighealthy.txt").read_text() == (
             "healthy figure at ci\n"
         )
@@ -75,8 +83,8 @@ class TestSerialFailureReporting:
     def test_healthy_batch_writes_all_texts(
         self, run_all_figures, fake_figures, tmp_path, capsys
     ):
-        failed = run_all_figures.run_serial(
-            ("fighealthy",), "ci", str(tmp_path)
+        failed = run_all_figures.run_service(
+            ("fighealthy",), "ci", str(tmp_path), 1, None
         )
         assert failed == []
         assert "fighealthy:" in capsys.readouterr().out
@@ -105,3 +113,12 @@ class TestMainExitCode:
     ):
         with pytest.raises(SystemExit):
             run_all_figures.main(["ci", "--figures", "figbogus"])
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_nonpositive_jobs_is_a_usage_error(
+        self, run_all_figures, tmp_path, jobs, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            run_all_figures.main(["ci", str(tmp_path), "--jobs", jobs])
+        assert excinfo.value.code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
