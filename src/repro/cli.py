@@ -10,7 +10,6 @@ Subcommands:
 * ``batch`` — run a configuration grid through the parallel execution
   service (worker pool + result cache) with live progress.
 * ``trace`` — build a bandwidth stack from a stored command trace.
-* ``resume`` — continue a checkpointed run to completion.
 * ``specs`` — list the registered memory device presets
   (see :data:`repro.devices.DEVICES` and docs/devices.md).
 
@@ -19,7 +18,8 @@ codes per error family (see :data:`repro.errors.EXIT_CODES`), never as
 tracebacks. The robustness-relevant codes (``docs/chaos.md``):
 ``10`` simulation timeout, ``12`` worker crash or a worker that could
 not be spawned, ``14`` corrupt batch journal (``batch --journal ...
---resume``).
+--resume``). A killed ``analyze`` run is rerun; a killed ``batch``
+resumes from its journal.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.dram import components
 from repro.dram.address import SCHEMES
 from repro.dram.controller import ENGINES
 from repro.errors import ReproError, exit_code_for
-from repro.experiments.runner import resume_run, run_gap, run_synthetic
+from repro.experiments.runner import run_gap, run_synthetic
 from repro.trace.io import read_trace_path
 from repro.trace.offline import offline_bandwidth_stack
 from repro.viz.ascii_art import render_stacks
@@ -221,15 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("path")
 
-    resume = sub.add_parser(
-        "resume", help="continue a checkpointed run to completion"
-    )
-    resume.add_argument(
-        "checkpoint",
-        help="checkpoint file, or a directory of them (newest is used)",
-    )
-    _add_reliability_args(resume)
-
     sub.add_parser("specs", help="list built-in timing specs")
     return parser
 
@@ -239,14 +230,6 @@ def _add_reliability_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--watchdog-cycles", type=int, default=None, metavar="N",
         help="stall threshold in memory cycles (default 200000)",
-    )
-    group.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="write periodic checkpoints here",
-    )
-    group.add_argument(
-        "--checkpoint-interval", type=int, default=1_000_000, metavar="N",
-        help="cycles between checkpoints (default 1000000)",
     )
     group.add_argument(
         "--audit-mode", choices=("strict", "warn", "repair", "off"),
@@ -270,7 +253,6 @@ def _guard_from_args(args: argparse.Namespace):
     :meth:`CpuSystem.run` accepts.
     """
     from repro.reliability.auditor import InvariantAuditor
-    from repro.reliability.checkpoint import CheckpointManager
     from repro.reliability.guard import ReliabilityGuard
     from repro.reliability.watchdog import (
         DEFAULT_STALL_THRESHOLD,
@@ -287,16 +269,8 @@ def _guard_from_args(args: argparse.Namespace):
         None if args.audit_mode == "off"
         else InvariantAuditor(mode=args.audit_mode)
     )
-    checkpoints = None
-    if args.checkpoint_dir:
-        checkpoints = CheckpointManager(
-            args.checkpoint_dir, interval_cycles=args.checkpoint_interval
-        )
     return ReliabilityGuard(
-        watchdog=watchdog,
-        auditor=auditor,
-        checkpoints=checkpoints,
-        wall_timeout_s=args.timeout,
+        watchdog=watchdog, auditor=auditor, wall_timeout_s=args.timeout
     )
 
 
@@ -533,28 +507,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_resume(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.errors import CheckpointError
-    from repro.reliability.checkpoint import latest_checkpoint
-
-    path = args.checkpoint
-    if os.path.isdir(path):
-        found = latest_checkpoint(path)
-        if found is None:
-            raise CheckpointError(f"no checkpoints found in {path!r}")
-        path = found
-    result = resume_run(path, guard=_guard_from_args(args))
-    bandwidth = result.bandwidth_stack("bandwidth")
-    latency = result.latency_stack("latency")
-    cycles = result.cycle_stack("cycles")
-    print(render_report(
-        bandwidth, latency, cycles, title=f"resumed from {path}"
-    ))
-    return 0
-
-
 def _cmd_specs(args: argparse.Namespace) -> int:
     for name in DEVICES.names():
         preset = DEVICES.create(name)
@@ -589,7 +541,6 @@ def main(argv: list[str] | None = None) -> int:
         "batch": _cmd_batch,
         "phases": _cmd_phases,
         "trace": _cmd_trace,
-        "resume": _cmd_resume,
         "specs": _cmd_specs,
     }
     try:

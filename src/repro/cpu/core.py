@@ -196,12 +196,10 @@ class IntervalCore:
         self._recent_loads: deque[OutstandingLoad] = deque(maxlen=64)
         self._blocked_since: float | None = None
         self._blocked_on: OutstandingLoad | None = None
-        # Fast-engine trace block: when the trace is an indexable list
-        # (or a ReplayableTrace wrapping one) the fast engine runs off
-        # `_items`/`_pos` directly instead of the `_trace` iterator.
-        self._items: list[TraceItem] | tuple[TraceItem, ...] | None = None
+        # Fast-engine trace block: the fast engine runs off `_items`/
+        # `_pos` directly instead of the `_trace` iterator.
+        self._items: list[TraceItem] | tuple[TraceItem, ...] = ()
         self._pos = 0
-        self._replay = None  # ReplayableTrace whose cursor mirrors _pos
         # Free pool of OutstandingLoad objects safe to recycle (never
         # referenced from request metadata or the recent-load ring).
         self._load_pool: list[OutstandingLoad] = []
@@ -209,25 +207,17 @@ class IntervalCore:
 
     # ------------------------------------------------------------------
     def set_trace(self, trace) -> None:
-        """Install a new instruction trace; the core becomes runnable."""
+        """Install a new instruction trace; the core becomes runnable.
+
+        A trace that is not a list or tuple (a generator, say) is made
+        into a list once, so both engines step the same items.
+        """
+        if not isinstance(trace, (list, tuple)):
+            trace = list(trace)
+        self._items = trace
         self._trace = iter(trace)
-        self._pending = None
-        self._replay = None
         self._pos = 0
-        if isinstance(trace, (list, tuple)):
-            self._items = trace
-        else:
-            # ReplayableTrace, duck-typed so this module need not import
-            # the reliability package: run off its backing list and
-            # mirror the cursor so checkpoints observe trace progress.
-            items = getattr(trace, "_items", None)
-            pos = getattr(trace, "_pos", None)
-            if type(items) is list and type(pos) is int:
-                self._items = items
-                self._pos = pos
-                self._replay = trace
-            else:
-                self._items = None
+        self._pending = None
         self.state = RUNNING
 
     @property
@@ -359,9 +349,6 @@ class IntervalCore:
         self.t = t
         self._pos = pos
         self._pending = item
-        replay = self._replay
-        if replay is not None:
-            replay._pos = pos
         self.state = state
         return state
 
@@ -372,12 +359,9 @@ class IntervalCore:
         float the reference path adds to ``self.t`` or to the cycle
         stack is produced by an identical expression here, so results
         stay bit-identical (the differential matrix in ``tests/golden``
-        holds both engines to that). Falls back to the reference stepper
-        when the trace was not materialized as an indexable block.
+        holds both engines to that).
         """
         items = self._items
-        if items is None:
-            return self._advance_reference(quantum)
         t = self.t
         deadline = t + quantum
         pos = self._pos

@@ -27,7 +27,6 @@ from repro.cpu.hierarchy import AccessResult, CacheHierarchy, HierarchyConfig
 from repro.dram.commands import Request, RequestType
 from repro.dram.controller import ControllerConfig, MemoryController
 from repro.errors import ConfigurationError, SimulationStalledError
-from repro.reliability.checkpoint import ReplayableTrace
 from repro.reliability.guard import ReliabilityGuard
 from repro.stacks.bandwidth import BandwidthStackAccountant
 from repro.stacks.components import Stack, StackSeries
@@ -119,10 +118,6 @@ class CpuSystem:
         # Outstanding DRAM reads per core (demand + prefetch): models the
         # L2 miss buffer that bounds each core's memory-level parallelism.
         self._dram_inflight = [0] * self.config.cores
-        #: Reliability guard for the current run (see `run`). Detached
-        #: from checkpoints on save; re-armed by `resume`.
-        self._guard: ReliabilityGuard | None = None
-        self._max_cycles: int | None = None
         #: Wake heap of (t, core_index) for RUNNING cores; rebuilt at
         #: the top of every `_run_loop` call (see there for invariants).
         self._wake_heap: list[tuple[float, int]] = []
@@ -261,7 +256,11 @@ class CpuSystem:
                 forward-progress watchdog plus warn-mode invariant
                 auditor. Pass ``False`` to run bare, or a configured
                 :class:`~repro.reliability.guard.ReliabilityGuard` to
-                add checkpoints and a wall-clock budget.
+                add a wall-clock budget or change the audit mode.
+
+        A killed run is not resumed: rerun it. Batches restart point by
+        point from their journal (``dram-stacks batch --journal PATH
+        --resume``).
         """
         traces = list(traces)
         if len(traces) != len(self.cores):
@@ -272,40 +271,15 @@ class CpuSystem:
             guard = ReliabilityGuard.default()
         elif guard is False:
             guard = None
-        if guard is not None and guard.checkpoints is not None:
-            # Generator traces cannot be pickled; materialize them into
-            # position-tracking wrappers so checkpoints capture where
-            # each core's trace stands.
-            traces = [
-                t if isinstance(t, ReplayableTrace) else ReplayableTrace(t)
-                for t in traces
-            ]
         for core, trace in zip(self.cores, traces):
             core.set_trace(trace)
-        self._guard = guard
-        self._max_cycles = max_cycles
         if guard is not None:
             guard.attach(self)
-        return self._run_loop()
+        return self._run_loop(guard, max_cycles)
 
-    def resume(
-        self, guard: "ReliabilityGuard | None" = None
+    def _run_loop(
+        self, guard: ReliabilityGuard | None, max_cycles: int | None
     ) -> "SimulationResult":
-        """Continue a run restored from a checkpoint.
-
-        Checkpoints strip the guard (it holds wall-clock deadlines and
-        filesystem state); pass a fresh one here, or None to keep
-        whatever the system currently carries.
-        """
-        if guard is not None:
-            self._guard = guard
-        if self._guard is not None:
-            self._guard.attach(self)
-        return self._run_loop()
-
-    def _run_loop(self) -> "SimulationResult":
-        guard = self._guard
-        max_cycles = self._max_cycles
         cores = self.cores
         quantum = self.config.quantum
         memory = self.memory
@@ -392,7 +366,7 @@ class CpuSystem:
             if gc_was_enabled:
                 gc.enable()
 
-        return self._finalize(max_cycles)
+        return self._finalize(guard, max_cycles)
 
     def _min_core_time(self) -> float:
         active = [c.t for c in self.cores if c.state != FINISHED]
@@ -435,7 +409,9 @@ class CpuSystem:
             core.finish_barrier(release)
             heappush(heap, (core.t, core.core_id))
 
-    def _finalize(self, max_cycles: int | None) -> "SimulationResult":
+    def _finalize(
+        self, guard: ReliabilityGuard | None, max_cycles: int | None
+    ) -> "SimulationResult":
         self.memory.drain()
         self.memory.finalize()
         end = max(
@@ -447,10 +423,10 @@ class CpuSystem:
         for core in self.cores:
             if core.t < end:
                 core.account_idle_until(end)
-        if self._guard is not None:
-            self._guard.finish(self, end)
-        auditor = self._guard.auditor if self._guard is not None else None
-        return SimulationResult(self, end, auditor=auditor)
+        if guard is None:
+            return SimulationResult(self, end)
+        guard.finish(self)
+        return SimulationResult(self, end, auditor=guard.auditor)
 
 
 class SimulationResult:

@@ -9,6 +9,7 @@ preceded by PRECHARGE and/or ACTIVATE when the target row is not open.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum, auto
 
@@ -42,34 +43,9 @@ class CommandType(Enum):
         return self.name.lower()
 
 
-class _RequestIdAllocator:
-    """Monotone request-id source whose position can be saved/restored.
-
-    Request ids double as age tie-breakers in the scheduler, so a resumed
-    checkpoint must continue the sequence past every id it restored —
-    otherwise new requests would look older than in-flight ones.
-    """
-
-    def __init__(self) -> None:
-        self.next_id = 0
-
-    def __call__(self) -> int:
-        value = self.next_id
-        self.next_id += 1
-        return value
-
-
-_request_ids = _RequestIdAllocator()
-
-
-def request_id_state() -> int:
-    """The next request id to be allocated (for checkpointing)."""
-    return _request_ids.next_id
-
-
-def restore_request_id_state(next_id: int) -> None:
-    """Fast-forward the id sequence (never rewinds below the current)."""
-    _request_ids.next_id = max(_request_ids.next_id, next_id)
+#: Request ids, monotone for the life of the process. They double as
+#: age tie-breakers in the scheduler.
+_request_ids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -100,7 +76,7 @@ class Request:
     requester_id: int = 0
     is_prefetch: bool = False
     meta: object = None
-    req_id: int = field(default_factory=_request_ids)
+    req_id: int = field(default_factory=_request_ids.__next__)
 
     # Fields filled in by the controller during service. They are part of
     # the public record: latency accounting reads them after completion.

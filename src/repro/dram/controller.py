@@ -39,7 +39,7 @@ from repro.core.events import (
     SchedulerHeartbeat,
 )
 from repro.dram import components
-from repro.dram.address import AddressMapping
+from repro.dram.address import SCHEMES, AddressMapping
 from repro.dram.bank import Bank
 from repro.dram.commands import Command, CommandType, Request, RequestType
 from repro.dram.components.accounting import EventLog
@@ -89,7 +89,9 @@ class ControllerConfig:
 
     Attributes:
         spec: DRAM timing specification (default: the paper's DDR4-2400).
-        address_scheme: ``"default"`` or ``"interleaved"`` (Fig. 5).
+        address_scheme: a name in :data:`repro.dram.address.SCHEMES`:
+            ``"default"`` or ``"interleaved"`` (Fig. 5), or a device
+            scheme such as ``"lpddr5"``.
         page_policy: ``"open"`` keeps rows open until a conflict;
             ``"closed"`` precharges a bank as soon as no pending request
             targets its open row.
@@ -104,15 +106,19 @@ class ControllerConfig:
             to an empty buffer).
         read_forwarding: serve reads that hit a buffered write directly
             from the write buffer.
-        forward_latency: cycles for a forwarded read.
+        forward_latency: cycles for a forwarded read, >= 0; ``0``
+            completes a forwarded read in the cycle it arrives.
         keep_command_trace: record every DRAM command (off by default;
             the stack accounting does not need it, but the offline trace
             tooling in :mod:`repro.trace` does).
         refresh: refresh policy name (``"all-bank"``, ``"same-bank"``
             or ``"none"``, the refresh ablation); None selects the
             device's default (``"all-bank"`` without a device).
-        starvation_cap: FR-FCFS reordering bound — a request older than
-            this many cycles beats younger row hits to its bank.
+        starvation_cap: FR-FCFS reordering bound, >= 0 — a request
+            older than this many cycles beats younger row hits to its
+            bank. ``0`` serves each bank in arrival order: a row hit
+            overtakes only requests that arrived in the same cycle.
+            ``None`` removes the bound.
         engine: ``"packed"`` (default) runs the struct-of-arrays batch
             loop of :mod:`repro.dram.packed`; it runs the stock
             policies only and refuses any other at config time.
@@ -144,11 +150,13 @@ class ControllerConfig:
     device: str | None = None
 
     def __post_init__(self) -> None:
+        # Importing the device library also registers its address
+        # schemes ("lpddr5"), which the scheme check below accepts.
+        from repro.devices import DEVICES
+
         if self.device is not None:
             # Resolve the preset first: it supplies the spec and the
             # defaults the registry checks below then validate.
-            from repro.devices import DEVICES
-
             preset = DEVICES.create(self.device)
             object.__setattr__(self, "spec", preset.spec)
             if self.refresh is None and preset.refresh != "all-bank":
@@ -164,6 +172,18 @@ class ControllerConfig:
                 f"unknown engine {self.engine!r}; expected one of "
                 f"{sorted(ENGINES)}"
             )
+        if self.address_scheme not in SCHEMES:
+            raise ConfigurationError(
+                f"unknown address_scheme {self.address_scheme!r}; "
+                f"expected one of {sorted(SCHEMES)}"
+            )
+        for name in ("forward_latency", "starvation_cap"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigurationError(
+                    f"ControllerConfig({name}=...) must be >= 0, "
+                    f"got {value!r}"
+                )
         # Registry lookups raise ConfigurationError with the expected
         # names when a policy string is unknown.
         components.PAGE_POLICIES.get(self.page_policy)
@@ -240,12 +260,6 @@ class MemoryController:
     share one :class:`~repro.core.events.EventBus` across channels;
     standalone controllers get their own.
     """
-
-    #: Class-level default so checkpoints pickled before the packed
-    #: engine existed unpickle cleanly (they resume on the object path).
-    #: Also None under ``engine="reference"`` and after a fault drill
-    #: (:func:`repro.reliability.faults.force_stall`) dropped it.
-    _packed: PackedEngine | None = None
 
     def __init__(
         self,
@@ -346,9 +360,12 @@ class MemoryController:
         self._ev_stalled = events.handlers(RequesterStalled)
 
         # Packed struct-of-arrays engine (see repro.dram.packed); the
-        # config has already refused policies it does not run.
-        if self.config.engine == "packed":
-            self._packed = PackedEngine(self)
+        # config has already refused policies it does not run. None
+        # under ``engine="reference"`` and after a fault drill
+        # (:func:`repro.reliability.faults.force_stall`) dropped it.
+        self._packed: PackedEngine | None = (
+            PackedEngine(self) if self.config.engine == "packed" else None
+        )
 
     # ------------------------------------------------------------------
     # Public API
@@ -559,15 +576,6 @@ class MemoryController:
         if packed is not None and packed.active:
             n += packed.wq_len
         return n
-
-    def __getstate__(self) -> dict:
-        """Checkpoint hook: the packed arrays (and the runner closure
-        they feed) do not pickle — write them back to the objects first
-        and let the engine serialize as an inactive shell."""
-        packed = self._packed
-        if packed is not None and packed.active:
-            packed.flush()
-        return dict(self.__dict__)
 
     # ------------------------------------------------------------------
     # Engine

@@ -33,11 +33,10 @@ Layout (struct of arrays; see docs/performance.md for the diagram):
 The columns are *authoritative while the engine is active*; the
 ``Bank``/``RankTiming``/``RequestQueue`` objects go stale and are
 rebuilt by :meth:`flush` (which deactivates the engine) whenever object
-state must be observed — ``stall_snapshot``, the ``banks`` property,
-checkpoint pickling, or a fault drill switching the controller to the
-object path. :meth:`pack` converts the other way on (re)activation; the
-``pack ⇄ flush`` round trip is property-tested in
-``tests/dram/test_packed_properties.py``.
+state must be observed — ``stall_snapshot``, the ``banks`` property, or
+a fault drill switching the controller to the object path. :meth:`pack`
+converts the other way on (re)activation; the ``pack ⇄ flush`` round
+trip is property-tested in ``tests/dram/test_packed_properties.py``.
 
 The columns are lists rather than ``array('q')``: CPython 3.11
 specializes list subscripts but not array ones, and an array read boxes
@@ -161,21 +160,6 @@ class PackedEngine:
         self._ready = False
         # Sizes mirrored for the controller's properties while active
         # (synced at every run exit and heartbeat).
-        self.rq_len = 0
-        self.wq_len = 0
-
-    # ------------------------------------------------------------------
-    # Pickling: closures and views are unpicklable and the columns are
-    # meaningless without them; the controller flushes before pickling
-    # (see MemoryController.__getstate__), so only the link survives.
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        return {"_ctrl": self._ctrl}
-
-    def __setstate__(self, state):
-        self._ctrl = state["_ctrl"]
-        self.active = False
-        self._ready = False
         self.rq_len = 0
         self.wq_len = 0
 

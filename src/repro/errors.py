@@ -97,14 +97,6 @@ class SimulationTimeoutError(ReproError):
     """
 
 
-class CheckpointError(ReproError):
-    """A simulation checkpoint could not be written, read or applied.
-
-    Covers unreadable files, bad magic/version headers, and payloads that
-    do not contain a resumable system.
-    """
-
-
 class WorkerCrashError(ReproError):
     """A parallel-service worker died without delivering its result.
 
@@ -150,10 +142,9 @@ EXIT_CODES: dict[type, int] = {
     WorkloadError: 8,
     SimulationStalledError: 9,
     SimulationTimeoutError: 10,
-    CheckpointError: 11,
     WorkerCrashError: 12,
-    # 13 is retired and stays unassigned, so a script that branched on
-    # it never misreads a newer error.
+    # 11 and 13 are retired and stay unassigned, so a script that
+    # branched on either never misreads a newer error.
     JournalCorruptError: 14,
 }
 

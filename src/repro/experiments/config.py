@@ -127,11 +127,6 @@ def paper_system(
     Every knob is validated eagerly here (naming the bad field) so a
     sweep over many points fails at construction, not mid-run.
     """
-    # Registers the device-specific address schemes (e.g. "lpddr5") as
-    # an import side effect, so scheme validation below sees them.
-    import repro.devices  # noqa: F401
-    from repro.dram.address import SCHEMES
-
     if not isinstance(cores, int) or isinstance(cores, bool) or cores < 1:
         raise ConfigurationError(
             f"paper_system(cores=...) must be a positive int, got {cores!r}"
@@ -140,11 +135,6 @@ def paper_system(
         raise ConfigurationError(
             f"paper_system(write_queue_capacity=...) must be >= 1, "
             f"got {write_queue_capacity!r}"
-        )
-    if address_scheme not in SCHEMES:
-        raise ConfigurationError(
-            f"paper_system(address_scheme=...) must be one of "
-            f"{sorted(SCHEMES)}, got {address_scheme!r}"
         )
     if isinstance(requesters, bool):
         raise ConfigurationError(

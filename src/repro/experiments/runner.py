@@ -61,7 +61,6 @@ def run_synthetic(
     address_scheme: str = "default",
     scale: str | ExperimentScale = "ci",
     write_queue_capacity: int = 32,
-    label: str = "",
     guard=None,
     scheduling: str = "fr-fcfs",
     core_engine: str | None = None,
@@ -73,8 +72,8 @@ def run_synthetic(
 
     `guard` is forwarded to :meth:`CpuSystem.run`: None for the default
     watchdog + warn-mode auditor, False for a bare run, or a configured
-    :class:`~repro.reliability.guard.ReliabilityGuard` (e.g. with
-    checkpoints or a wall-clock budget).
+    :class:`~repro.reliability.guard.ReliabilityGuard` (e.g. with a
+    wall-clock budget).
 
     `core_engine` selects the core stepper (``"fast"`` or
     ``"reference"``, see :data:`repro.cpu.core.CORE_ENGINES`); None
@@ -127,7 +126,6 @@ def run_qos(
     store_fraction: float = 0.0,
     page_policy: str = "open",
     scale: str | ExperimentScale = "ci",
-    label: str = "",
     guard=None,
     scheduling: str = "wrr",
     core_engine: str | None = None,
@@ -237,31 +235,3 @@ def run_gap(
     result = system.run(workload.traces(cores), guard=guard)
     return result, workload
 
-
-def resume_run(checkpoint_path: str, guard=None) -> SimulationResult:
-    """Resume a killed run from a checkpoint file and run to completion.
-
-    Restores the full system (cores, trace positions, caches, memory
-    controller, accounting) from `checkpoint_path` and re-enters the
-    main loop. Because checkpoints are taken between loop iterations of
-    a deterministic simulator, the finished result is bit-identical to
-    the uninterrupted run.
-
-    Args:
-        checkpoint_path: file written by
-            :class:`~repro.reliability.checkpoint.CheckpointManager`
-            (or :func:`~repro.reliability.checkpoint.save_checkpoint`).
-        guard: fresh :class:`~repro.reliability.guard.ReliabilityGuard`
-            for the remainder of the run; checkpoints never include one.
-            None gets the same default guard a fresh run would (watchdog
-            plus warn-mode auditor); pass False to resume bare.
-    """
-    from repro.reliability.checkpoint import load_checkpoint
-    from repro.reliability.guard import ReliabilityGuard
-
-    system = load_checkpoint(checkpoint_path)
-    if guard is None:
-        guard = ReliabilityGuard.default()
-    elif guard is False:
-        guard = None
-    return system.resume(guard=guard)

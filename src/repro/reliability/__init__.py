@@ -1,12 +1,12 @@
-"""Simulation guardrails: watchdog, checkpoint/resume, invariant auditing.
+"""Simulation guardrails: watchdog, invariant auditing, wall-clock budget.
 
-This package keeps long simulations trustworthy and recoverable:
+This package keeps long simulations trustworthy. A killed run is not
+resumed mid-way: it is rerun, and a killed batch restarts point by point
+from its journal (:mod:`repro.service.journal`).
 
 * :mod:`~repro.reliability.watchdog` — forward-progress watchdog that
   turns scheduler livelocks into a diagnosable
   :class:`~repro.errors.SimulationStalledError` instead of a hang;
-* :mod:`~repro.reliability.checkpoint` — periodic serialization of the
-  whole co-simulated system so a killed run resumes where it stopped;
 * :mod:`~repro.reliability.auditor` — in-loop verification that stack
   components sum to their totals, with ``strict`` / ``warn`` / ``repair``
   handling;
@@ -19,12 +19,6 @@ This package keeps long simulations trustworthy and recoverable:
 """
 
 from repro.reliability.auditor import AuditViolation, AuditWarning, InvariantAuditor
-from repro.reliability.checkpoint import (
-    CheckpointManager,
-    latest_checkpoint,
-    load_checkpoint,
-    save_checkpoint,
-)
 from repro.reliability.fingerprint import (
     diff_fingerprints,
     event_log_digest,
@@ -38,7 +32,6 @@ from repro.reliability.watchdog import ForwardProgressWatchdog, StallDiagnostic
 __all__ = [
     "AuditViolation",
     "AuditWarning",
-    "CheckpointManager",
     "ForwardProgressWatchdog",
     "InvariantAuditor",
     "ReliabilityGuard",
@@ -46,9 +39,6 @@ __all__ = [
     "diff_fingerprints",
     "event_log_digest",
     "fingerprint_digest",
-    "latest_checkpoint",
-    "load_checkpoint",
     "qos_fingerprint",
     "result_fingerprint",
-    "save_checkpoint",
 ]

@@ -15,9 +15,12 @@ policy:
   fold the residual into the idle component) so downstream invariants
   hold again.
 
-The auditor also performs cheap *incremental* checks during simulation
-(event-log well-formedness over only the events appended since the last
-audit), so corruption is caught close to where it happened.
+Exactness itself is checked by the accountants an auditor is handed to
+(``auditor=``), as :class:`~repro.cpu.system.SimulationResult` does for
+every stack it builds. The auditor also performs cheap *incremental*
+checks during simulation (event-log well-formedness over only the events
+appended since the last audit), so corruption is caught close to where
+it happened.
 """
 
 from __future__ import annotations
@@ -153,35 +156,3 @@ class InvariantAuditor:
                     f"blocked interval [{s}, {e}) runs backwards",
                 )
         cursors["blocked"] = len(blocked)
-
-    # ------------------------------------------------------------------
-    # Full-run audits (used by the guard at checkpoints and at the end).
-    # ------------------------------------------------------------------
-    def audit_bandwidth(self, spec, log, total_cycles: int, bin_cycles=None):
-        """Re-run the exact bandwidth attribution under this auditor.
-
-        Verifies, per accounting interval, that the components sum to the
-        elapsed channel cycles. Returns the per-bin counters.
-        """
-        from repro.stacks.bandwidth import BandwidthStackAccountant
-
-        accountant = BandwidthStackAccountant(spec, auditor=self)
-        return accountant.account_cycles(log, total_cycles, bin_cycles)
-
-    def audit_latency(
-        self, spec, requests, refresh_windows, drain_windows,
-        base_controller_cycles: int = 0,
-    ):
-        """Verify the latency decomposition of every completed read.
-
-        Checks that components are non-negative and sum to the measured
-        latency. Returns the resulting average stack.
-        """
-        from repro.stacks.latency import LatencyStackAccountant
-
-        accountant = LatencyStackAccountant(
-            spec, base_controller_cycles, auditor=self
-        )
-        return accountant.account(
-            requests, refresh_windows, drain_windows, label="audit"
-        )

@@ -13,8 +13,8 @@ Used by:
 * ``tests/golden`` — fixtures commit fingerprints of seeded mini-runs;
   any change to scheduling, timing, or accounting that shifts a single
   cycle shows up as a digest mismatch.
-* determinism tests — same seed must mean same fingerprint, across
-  repeated runs and across a checkpoint/resume boundary.
+* determinism tests — same seed must mean same fingerprint across
+  repeated runs.
 * ``bench/run.py`` — the benchmark digests every point's stacks in
   this layout and checks them against its seed-42 pins, so a speedup
   that changes results is never reported as a win.

@@ -11,12 +11,10 @@ compare:
 * wall-clock budget: checked every ``_TICKS_PER_CLOCK_CHECK`` ticks,
   raising :class:`~repro.errors.SimulationTimeoutError` cooperatively;
 * invariant auditor: incremental event-log audit every
-  ``audit_interval_cycles`` simulated cycles, plus (with
-  ``final_audit=True``) a full bandwidth/latency exactness audit when
-  the run finishes;
-* checkpoints: written every ``checkpoint.interval_cycles`` simulated
-  cycles when a :class:`~repro.reliability.checkpoint.CheckpointManager`
-  is configured.
+  ``_AUDIT_INTERVAL_CYCLES`` simulated cycles and once more when the
+  run finishes. The auditor then travels on the
+  :class:`~repro.cpu.system.SimulationResult` into every accountant, so
+  exactness is audited whenever a stack is built.
 """
 
 from __future__ import annotations
@@ -25,12 +23,14 @@ import time
 
 from repro.errors import ConfigurationError, SimulationTimeoutError
 from repro.reliability.auditor import InvariantAuditor
-from repro.reliability.checkpoint import CheckpointManager
 from repro.reliability.watchdog import ForwardProgressWatchdog
 
 #: Loop iterations between wall-clock reads (time.monotonic is cheap but
 #: not free; the loop runs millions of iterations).
 _TICKS_PER_CLOCK_CHECK = 256
+
+#: Simulated cycles between incremental event-log audits.
+_AUDIT_INTERVAL_CYCLES = 250_000
 
 
 def check_timeout(value, owner: str):
@@ -57,42 +57,25 @@ def check_timeout(value, owner: str):
 
 
 class ReliabilityGuard:
-    """Watchdog + auditor + checkpointing + wall-clock budget for one run.
+    """Watchdog + auditor + wall-clock budget for one run.
 
     Args:
         watchdog: forward-progress watchdog, or None to disable.
         auditor: invariant auditor, or None to disable auditing.
-        checkpoints: checkpoint manager, or None to disable checkpoints.
         wall_timeout_s: wall-clock budget for the run, or None.
-        audit_interval_cycles: simulated cycles between incremental
-            event-log audits.
-        final_audit: rebuild the bandwidth and latency stacks at end of
-            run purely to check exactness. Off by default: the auditor
-            travels on the :class:`SimulationResult` into every
-            accountant, so exactness is already audited whenever a
-            stack is actually built — the finish-time rebuild would
-            double that accounting work for runs that consume their
-            stacks. Turn on for runs whose results are never otherwise
-            accounted (e.g. pure soak tests).
     """
 
     def __init__(
         self,
         watchdog: ForwardProgressWatchdog | None = None,
         auditor: InvariantAuditor | None = None,
-        checkpoints: CheckpointManager | None = None,
         wall_timeout_s: float | None = None,
-        audit_interval_cycles: int = 250_000,
-        final_audit: bool = False,
     ) -> None:
         self.watchdog = watchdog
         self.auditor = auditor
-        self.checkpoints = checkpoints
         self.wall_timeout_s = check_timeout(
             wall_timeout_s, "ReliabilityGuard(wall_timeout_s=...)"
         )
-        self.audit_interval_cycles = max(1, audit_interval_cycles)
-        self.final_audit = final_audit
         self._deadline: float | None = None
         self._tick_count = 0
         self._last_audit_cycle = 0
@@ -102,7 +85,7 @@ class ReliabilityGuard:
     @classmethod
     def default(cls) -> "ReliabilityGuard":
         """The guard every full-system run gets unless told otherwise:
-        watchdog on, auditor in ``warn`` mode, no checkpoints."""
+        watchdog on, auditor in ``warn`` mode, no deadline."""
         return cls(
             watchdog=ForwardProgressWatchdog(),
             auditor=InvariantAuditor(mode="warn"),
@@ -110,7 +93,7 @@ class ReliabilityGuard:
 
     # ------------------------------------------------------------------
     def attach(self, system) -> None:
-        """Arm the guard for a (possibly resumed) run of `system`."""
+        """Arm the guard for a run of `system`."""
         if self.watchdog is not None:
             system.memory.attach_watchdog(self.watchdog)
         if self.wall_timeout_s is not None:
@@ -122,8 +105,6 @@ class ReliabilityGuard:
     def tick(self, system) -> None:
         """One main-loop heartbeat; cheap unless an interval elapsed."""
         self._tick_count += 1
-        if self.checkpoints is not None:
-            self.checkpoints.maybe_checkpoint(system)
         if self._tick_count % _TICKS_PER_CLOCK_CHECK:
             return
         if (
@@ -137,7 +118,7 @@ class ReliabilityGuard:
         cycle = system.memory.now
         if (
             self.auditor is not None
-            and cycle - self._last_audit_cycle >= self.audit_interval_cycles
+            and cycle - self._last_audit_cycle >= _AUDIT_INTERVAL_CYCLES
         ):
             self._last_audit_cycle = cycle
             self._audit_logs(system.memory)
@@ -149,35 +130,10 @@ class ReliabilityGuard:
                 log, self._audit_cursors.setdefault(key, {})
             )
 
-    def finish(self, system, total_cycles: int) -> None:
-        """End-of-run audit: drain the incremental log audit, and (when
-        ``final_audit`` is set) check the exact stack invariants."""
-        if self.auditor is None:
-            return
-        self._audit_logs(system.memory)
-        if not self.final_audit:
-            return
-        from repro.stacks.latency import refresh_windows_for_latency
-
-        base_cycles = (
-            system.config.core.noc_request_cycles
-            + system.config.core.noc_response_cycles
-        )
-        channels = getattr(system.memory, "channels", None) or [system.memory]
-        for mc in channels:
-            self.auditor.audit_bandwidth(
-                mc.spec,
-                mc.log,
-                total_cycles,
-                bin_cycles=self.audit_interval_cycles,
-            )
-            self.auditor.audit_latency(
-                mc.spec,
-                mc.completed_requests,
-                refresh_windows_for_latency(mc.log),
-                mc.log.drain_windows,
-                base_controller_cycles=base_cycles,
-            )
+    def finish(self, system) -> None:
+        """End-of-run audit: drain the incremental log audit."""
+        if self.auditor is not None:
+            self._audit_logs(system.memory)
 
 
 def _channel_logs(memory) -> list:

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.cpu import CpuSystem, SystemConfig
-from repro.cpu.core import CoreConfig, TraceItem
+from repro.cpu.core import CoreConfig, IntervalCore, TraceItem
 from repro.errors import ConfigurationError
+from repro.reliability.fingerprint import diff_fingerprints, result_fingerprint
 
 
 def seq_trace(n, start=1 << 28, instructions=8, stride=64, store_every=0):
@@ -52,6 +53,25 @@ class TestSingleCore:
         result = system.run([seq_trace(3000, store_every=2)])
         # Dirty lines must eventually evict as DRAM writes.
         assert result.dram_writes > 100
+
+    def test_fast_engine_steps_a_generator_trace(self, monkeypatch):
+        """A generator trace is made into a list once, so the fast
+        engine steps it and matches the reference stepper exactly."""
+        reference = CpuSystem(SystemConfig(
+            cores=1, core=CoreConfig(engine="reference"),
+        )).run([list(seq_trace(600, store_every=3))], guard=False)
+
+        def refuse(self, quantum):
+            raise AssertionError("the reference stepper ran")
+
+        monkeypatch.setattr(IntervalCore, "_advance_reference", refuse)
+        fast = CpuSystem(SystemConfig(
+            cores=1, core=CoreConfig(engine="fast"),
+        )).run([seq_trace(600, store_every=3)], guard=False)
+        problems = diff_fingerprints(
+            result_fingerprint(reference), result_fingerprint(fast)
+        )
+        assert not problems, "\n".join(problems)
 
     def test_dependent_chain_serializes(self):
         system_dep = CpuSystem(SystemConfig(cores=1))

@@ -135,6 +135,7 @@ class TestUnknownNames:
         ("page_policy", "ajar"),
         ("write_drain", "sieve"),
         ("refresh", "per-bank"),
+        ("address_scheme", "nope"),
     ])
     def test_unknown_component_name_rejected(self, field, value):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -142,3 +143,13 @@ class TestUnknownNames:
         message = str(excinfo.value)
         assert repr(value) in message
         assert "expected one of" in message
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("field,value", [
+        ("forward_latency", -30),
+        ("starvation_cap", -1),
+    ])
+    def test_negative_cycle_count_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ControllerConfig(**{field: value})

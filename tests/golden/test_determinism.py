@@ -1,13 +1,9 @@
 """Determinism: same seed ⇒ byte-identical event log.
 
 The simulator must be a pure function of (configuration, traces, seed):
-
-* two fresh runs of the same seeded workload record identical event
-  timelines — not just matching stacks, the same windows at the same
-  cycles (checked through the event-log content digest);
-* a run killed mid-way and resumed from its checkpoint records the
-  same event log as the uninterrupted run, i.e. the checkpoint/resume
-  boundary is invisible in the recorded history.
+two fresh runs of the same seeded workload record identical event
+timelines — not just matching stacks, the same windows at the same
+cycles (checked through the event-log content digest).
 
 These are the properties the golden fixtures lean on: a fingerprint is
 only worth committing if re-running the scenario cannot legitimately
@@ -16,19 +12,12 @@ produce a different one.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import SimulationTimeoutError
-from repro.experiments.runner import resume_run, run_gap, run_synthetic
-from repro.reliability.auditor import InvariantAuditor
-from repro.reliability.checkpoint import CheckpointManager
+from repro.experiments.runner import run_gap, run_synthetic
 from repro.reliability.fingerprint import (
     diff_fingerprints,
     event_log_digest,
     result_fingerprint,
 )
-from repro.reliability.guard import ReliabilityGuard
-from repro.reliability.watchdog import ForwardProgressWatchdog
 
 
 def assert_same_fingerprint(a, b, context: str) -> None:
@@ -60,44 +49,3 @@ def test_repeated_gap_runs_are_identical():
         first.memory.log
     ), "different seeds produced the same event log"
 
-
-class KillAt(ReliabilityGuard):
-    """Guard that simulates a hard kill at a fixed simulated cycle."""
-
-    def __init__(self, checkpoints, kill_cycle):
-        super().__init__(
-            watchdog=ForwardProgressWatchdog(),
-            auditor=InvariantAuditor(mode="warn"),
-            checkpoints=checkpoints,
-        )
-        self.kill_cycle = kill_cycle
-
-    def tick(self, system):
-        super().tick(system)
-        if system.memory.now >= self.kill_cycle:
-            raise SimulationTimeoutError(
-                f"test kill at cycle {system.memory.now}"
-            )
-
-
-def test_event_log_identical_across_checkpoint_resume(tmp_path):
-    reference = run_synthetic(
-        "random", cores=2, store_fraction=0.3, scale="ci", guard=False
-    )
-    # Kill roughly half-way through, with checkpoints frequent enough
-    # that one exists before the kill point.
-    kill_cycle = reference.total_cycles // 2
-    manager = CheckpointManager(
-        str(tmp_path), interval_cycles=max(1, kill_cycle // 4)
-    )
-    with pytest.raises(SimulationTimeoutError):
-        run_synthetic(
-            "random", cores=2, store_fraction=0.3, scale="ci",
-            guard=KillAt(manager, kill_cycle),
-        )
-    assert manager.latest is not None
-    resumed = resume_run(manager.latest, guard=False)
-    assert_same_fingerprint(
-        reference, resumed,
-        "resumed run diverged from the uninterrupted run",
-    )

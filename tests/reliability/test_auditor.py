@@ -110,7 +110,9 @@ class TestBandwidthAccounting:
     def test_guard_end_audit_is_clean_on_healthy_log(self):
         mc = run_small()
         auditor = InvariantAuditor(mode="warn")
-        auditor.audit_bandwidth(mc.spec, mc.log, mc.now, bin_cycles=10_000)
+        BandwidthStackAccountant(mc.spec, auditor=auditor).account_cycles(
+            mc.log, mc.now, 10_000
+        )
         assert auditor.clean
 
 
@@ -156,8 +158,7 @@ class TestLatencyAccounting:
     def test_healthy_latency_audit_clean(self):
         mc = run_small()
         auditor = InvariantAuditor(mode="warn")
-        auditor.audit_latency(
-            mc.spec,
+        LatencyStackAccountant(mc.spec, auditor=auditor).account(
             mc.completed_requests,
             mc.log.refresh_windows,
             mc.log.drain_windows,

@@ -193,10 +193,12 @@ class TestValidation:
 
     def test_bad_synthetic_config_key_fails_eagerly(self):
         result = ExecutionService().run([
-            Job("synthetic", {"pattern": "sequential", "bogus": 1},
-                scale=TINY),
+            Job("synthetic", {"pattern": "sequential", key: 1}, scale=TINY)
+            for key in ("bogus", "label")
         ])
-        assert isinstance(result.failures[0].error, ConfigurationError)
+        assert len(result.failures) == 2
+        for failure in result.failures:
+            assert isinstance(failure.error, ConfigurationError)
 
     def test_empty_batch(self):
         result = ExecutionService().run([])

@@ -258,12 +258,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 2" in err
 
-    def test_checkpoint_error_in_process(self, tmp_path, capsys):
-        empty = tmp_path / "nothing"
-        empty.mkdir()
-        code = main(["resume", str(empty)])
-        assert code == 11
-        assert "CheckpointError" in capsys.readouterr().err
+    def test_documented_table_matches_exit_codes(self):
+        """The table in docs/reliability.md lists every mapped code, and
+        only those, besides 1 (other errors) and 2 (argparse)."""
+        import re
+        from pathlib import Path
+
+        from repro.errors import EXIT_CODES
+
+        doc = Path(__file__).resolve().parent.parent / "docs/reliability.md"
+        table = {
+            int(code): cell
+            for code, cell in re.findall(
+                r"^\| (\d+)\s+\| (.+?)\s*\|$", doc.read_text(), re.MULTILINE
+            )
+        }
+        assert table == {
+            1: "other `ReproError`",
+            2: "usage error (argparse)",
+            **{code: f"`{cls.__name__}`" for cls, code in EXIT_CODES.items()},
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["resume", "x"],
+        ["analyze", "random", "--checkpoint-dir", "d"],
+    ])
+    def test_checkpoint_surface_is_gone(self, argv, capsys):
+        """A killed run is rerun, so neither form is a command."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
     @pytest.mark.parametrize("timeout", ["0", "-2", "nan"])
     def test_nonpositive_timeout_rejected(self, timeout, capsys):
@@ -335,36 +359,7 @@ class TestSubprocess:
         assert "line 3" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_missing_checkpoint_exit_code(self, tmp_path):
-        proc = run_cli(["resume", str(tmp_path / "ghost.repro")])
-        assert proc.returncode == 11
-        assert "CheckpointError" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
     def test_usage_errors_keep_argparse_code(self):
         proc = run_cli(["analyze", "bananas"])
         assert proc.returncode == 2  # argparse's own exit code
 
-
-class TestResume:
-    def test_resume_checkpoint_end_to_end(self, tmp_path, capsys):
-        from repro.experiments.runner import run_synthetic
-        from repro.reliability.auditor import InvariantAuditor
-        from repro.reliability.checkpoint import CheckpointManager
-        from repro.reliability.guard import ReliabilityGuard
-        from repro.reliability.watchdog import ForwardProgressWatchdog
-
-        guard = ReliabilityGuard(
-            watchdog=ForwardProgressWatchdog(),
-            auditor=InvariantAuditor(mode="warn"),
-            checkpoints=CheckpointManager(
-                str(tmp_path), interval_cycles=20_000
-            ),
-        )
-        run_synthetic("random", cores=2, scale="ci", guard=guard)
-        assert guard.checkpoints.latest is not None
-        code = main(["resume", str(tmp_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "resumed from" in out
-        assert "Bandwidth stack" in out
