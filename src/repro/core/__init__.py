@@ -12,7 +12,8 @@ no simulation logic, only the seams:
   contract and its :class:`~repro.core.interfaces.CompositeMemory`
   aggregation base;
 * :mod:`repro.core.events` — the typed
-  :class:`~repro.core.events.EventBus` and its event types;
+  :class:`~repro.core.events.EventBus` the execution service publishes
+  its job events on;
 * :mod:`repro.core.registry` — the
   :class:`~repro.core.registry.ComponentRegistry` plugin mechanism.
 
@@ -22,14 +23,7 @@ paper's contribution live in :mod:`repro.stacks`. See
 ``docs/architecture.md`` for the full map.
 """
 
-from repro.core.events import (
-    CommandIssued,
-    EventBus,
-    RefreshStarted,
-    RequestAdmitted,
-    RequestCompleted,
-    SchedulerHeartbeat,
-)
+from repro.core.events import EventBus
 from repro.core.interfaces import (
     CompositeMemory,
     MemoryInterface,
@@ -41,17 +35,12 @@ from repro.core.interfaces import (
 from repro.core.registry import ComponentRegistry
 
 __all__ = [
-    "CommandIssued",
     "ComponentRegistry",
     "CompositeMemory",
     "EventBus",
     "MemoryInterface",
     "PagePolicy",
     "RefreshPolicy",
-    "RefreshStarted",
-    "RequestAdmitted",
-    "RequestCompleted",
-    "SchedulerHeartbeat",
     "SchedulerPolicy",
     "WriteDrainPolicy",
 ]

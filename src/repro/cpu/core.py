@@ -24,6 +24,7 @@ bit-identical results — the golden/differential tests hold them to it.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -84,7 +85,9 @@ class CoreConfig:
 
     All times are memory-controller cycles (1.2 GHz); ``freq_ratio`` is
     the core-to-memory clock ratio, so a 4-wide core at ratio 3 dispatches
-    up to 12 instructions per memory cycle.
+    up to 12 instructions per memory cycle. ``freq_ratio`` must be
+    positive and finite, ``cycle_stack_bin`` at least 1, and the NoC
+    cycles non-negative (0: no on-chip network delay).
     """
 
     dispatch_width: int = 4
@@ -101,8 +104,19 @@ class CoreConfig:
     def __post_init__(self) -> None:
         if self.dispatch_width < 1 or self.rob_size < 1 or self.mshrs < 1:
             raise ConfigurationError("core resources must be >= 1")
-        if self.freq_ratio <= 0:
-            raise ConfigurationError("freq_ratio must be positive")
+        if not math.isfinite(self.freq_ratio) or self.freq_ratio <= 0:
+            raise ConfigurationError(
+                f"freq_ratio must be positive and finite, "
+                f"got {self.freq_ratio!r}"
+            )
+        if self.cycle_stack_bin < 1:
+            raise ConfigurationError(
+                f"cycle_stack_bin must be >= 1, got {self.cycle_stack_bin!r}"
+            )
+        for name in ("noc_request_cycles", "noc_response_cycles"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
         if self.engine not in CORE_ENGINES:
             raise ConfigurationError(
                 f"unknown core engine {self.engine!r}; "

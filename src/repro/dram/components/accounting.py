@@ -5,9 +5,8 @@ stack accountants (:mod:`repro.stacks`), the reliability fingerprint
 (:mod:`repro.reliability.fingerprint`) and the offline trace tooling
 (:mod:`repro.trace.offline`) all read it. The controller and its banks
 append to the log's lists directly (the lists are shared by reference
-and never reassigned), so recording a window costs one ``list.append``;
-the typed *online* stream for live subscribers travels separately on
-the :class:`~repro.core.events.EventBus`.
+and never reassigned), so recording a window costs one ``list.append``.
+The controller publishes no online stream beside it.
 """
 
 from __future__ import annotations

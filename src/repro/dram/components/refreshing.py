@@ -69,9 +69,6 @@ class AllBankRefresh:
         self.next_due += spec.tREFI
         ctrl.stats.refreshes += 1
         ctrl._record_command(CommandType.REFRESH, t_ref, -1, ctrl._banks[0])
-        # The implicit precharge-all ahead of REF is part of the refresh
-        # sequence; its per-bank timing was applied above.
-        ctrl._publish_refresh(t_ref, refresh_end)
 
 
 class SameBankRefresh:
@@ -133,7 +130,6 @@ class SameBankRefresh:
         ctrl._record_command(
             CommandType.REFRESH, t_ref, bank.bank_group, bank
         )
-        ctrl._publish_refresh(t_ref, refresh_end)
 
 
 class NoRefresh:

@@ -11,12 +11,10 @@ the stack accountants in :mod:`repro.stacks` consume.
 The controller itself is a thin composition shell: scheduling, page
 policy, write draining and refresh are pluggable components resolved
 from the registries in :mod:`repro.dram.components` by the config
-strings of :class:`ControllerConfig`. Besides the offline event log
-(:class:`EventLog`), the controller publishes a typed *online* stream on an
-:class:`~repro.core.events.EventBus` (command issues, queue admissions,
-request completions, refresh windows, scheduler heartbeats) that live
-observers — the forward-progress watchdog, the live utilization meter —
-subscribe to instead of polling controller internals.
+strings of :class:`ControllerConfig`. The event log (:class:`EventLog`)
+is the run's only record; the one online observer, the forward-progress
+watchdog, is called directly every ``_WATCHDOG_STRIDE`` scheduling steps
+while one is attached.
 
 Features modeled: FR-FCFS and FCFS scheduling, open and closed page
 policies, a watermark-drained write buffer with read forwarding, all-bank
@@ -29,15 +27,6 @@ import heapq
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
-from repro.core.events import (
-    CommandIssued,
-    EventBus,
-    RefreshStarted,
-    RequestAdmitted,
-    RequestCompleted,
-    RequesterStalled,
-    SchedulerHeartbeat,
-)
 from repro.dram import components
 from repro.dram.address import SCHEMES, AddressMapping
 from repro.dram.bank import Bank
@@ -72,10 +61,10 @@ _CAS_WRITE = CommandType.WRITE
 _ACT = CommandType.ACTIVATE
 _PRE = CommandType.PRECHARGE
 
-#: Scheduling steps between forward-progress heartbeats. The watchdog's
-#: stall threshold is hundreds of thousands of cycles, so a ~32-step
-#: sampling delay is invisible while keeping the healthy path free of
-#: per-step attribute chatter.
+#: Scheduling steps between forward-progress watchdog calls. The
+#: watchdog's stall threshold is hundreds of thousands of cycles, so a
+#: ~32-step sampling delay is invisible while keeping the healthy path
+#: free of per-step attribute chatter.
 _WATCHDOG_STRIDE = 32
 
 
@@ -91,7 +80,8 @@ class ControllerConfig:
         spec: DRAM timing specification (default: the paper's DDR4-2400).
         address_scheme: a name in :data:`repro.dram.address.SCHEMES`:
             ``"default"`` or ``"interleaved"`` (Fig. 5), or a device
-            scheme such as ``"lpddr5"``.
+            scheme such as ``"lpddr5"``. It must map every address field
+            the spec has (``"lpddr5"`` has no bank-group field).
         page_policy: ``"open"`` keeps rows open until a conflict;
             ``"closed"`` precharges a bank as soon as no pending request
             targets its open row.
@@ -177,6 +167,13 @@ class ControllerConfig:
                 f"unknown address_scheme {self.address_scheme!r}; "
                 f"expected one of {sorted(SCHEMES)}"
             )
+        try:
+            self.make_mapping()
+        except ConfigurationError as err:
+            raise ConfigurationError(
+                f"address_scheme {self.address_scheme!r} does not fit "
+                f"{self.spec.name}: {err}"
+            ) from None
         for name in ("forward_latency", "starvation_cap"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -255,25 +252,14 @@ class MemoryController:
 
     Co-simulation drivers interleave :meth:`enqueue` and :meth:`run_until`;
     trace-driven runs enqueue everything and call :meth:`drain`.
-
-    `bus` lets an enclosing :class:`~repro.dram.system.MemorySystem`
-    share one :class:`~repro.core.events.EventBus` across channels;
-    standalone controllers get their own.
     """
 
-    def __init__(
-        self,
-        config: ControllerConfig | None = None,
-        bus: EventBus | None = None,
-    ) -> None:
+    def __init__(self, config: ControllerConfig | None = None) -> None:
         self.config = config or ControllerConfig()
         self.spec = self.config.spec
         org = self.spec.organization
         self.mapping = self.config.make_mapping()
         self.num_banks = org.total_banks
-
-        #: The typed online event stream (:mod:`repro.core.events`).
-        self.events = bus if bus is not None else EventBus()
 
         #: The offline record of the run (layout on :class:`EventLog`).
         self.log = EventLog()
@@ -306,9 +292,9 @@ class MemoryController:
         self.log.drain_windows = self._write_buffer.drain_windows
 
         #: Optional forward-progress watchdog (see
-        #: :mod:`repro.reliability.watchdog`); fed through
-        #: :class:`SchedulerHeartbeat` events every ``_WATCHDOG_STRIDE``
-        #: scheduling steps while attached.
+        #: :mod:`repro.reliability.watchdog`); both engines call its
+        #: ``observe`` every ``_WATCHDOG_STRIDE`` scheduling steps while
+        #: attached.
         self.watchdog = None
         self._watchdog_countdown = 0
 
@@ -349,15 +335,6 @@ class MemoryController:
         # last touched by a *different* requester counts as interference.
         self._last_req_by_bank = [-1] * self.num_banks
         self._last_req_channel = -1
-        # Cached live handler lists (identity-stable, see EventBus):
-        # publishing costs one truthiness check while nobody subscribes.
-        events = self.events
-        self._ev_command = events.handlers(CommandIssued)
-        self._ev_admit = events.handlers(RequestAdmitted)
-        self._ev_complete = events.handlers(RequestCompleted)
-        self._ev_refresh = events.handlers(RefreshStarted)
-        self._ev_heartbeat = events.handlers(SchedulerHeartbeat)
-        self._ev_stalled = events.handlers(RequesterStalled)
 
         # Packed struct-of-arrays engine (see repro.dram.packed); the
         # config has already refused policies it does not run. None
@@ -467,17 +444,11 @@ class MemoryController:
     def attach_watchdog(self, watchdog) -> None:
         """Install a forward-progress watchdog (None to detach).
 
-        The watchdog rides the event bus: it is subscribed to
-        :class:`SchedulerHeartbeat`, published every ``_WATCHDOG_STRIDE``
-        scheduling steps while anyone listens.
+        Both engines call ``watchdog.observe(self)`` every
+        ``_WATCHDOG_STRIDE`` scheduling steps while one is attached.
         """
-        if self.watchdog is not None:
-            self.events.unsubscribe(
-                SchedulerHeartbeat, self.watchdog.on_heartbeat
-            )
         self.watchdog = watchdog
         if watchdog is not None:
-            self.events.subscribe(SchedulerHeartbeat, watchdog.on_heartbeat)
             watchdog.reset()
 
     @property
@@ -595,17 +566,8 @@ class MemoryController:
         self.completed_requests.append(req)
         if req.req_type is RequestType.READ:
             self.stats.reads_completed += 1
-            is_read = True
         else:
             self.stats.writes_completed += 1
-            is_read = False
-        handlers = self._ev_complete
-        if handlers:
-            event = RequestCompleted(
-                self.now, req.req_id, is_read, req.finish, req.requester_id
-            )
-            for handler in handlers:
-                handler(event)
 
     def _admit_arrivals(self) -> None:
         """Move requests whose arrival time has come into the queues."""
@@ -615,7 +577,6 @@ class MemoryController:
         decode = mapping.decode
         flat_index = mapping.flat_bank_index
         heappop = heapq.heappop
-        ev_admit = self._ev_admit
         # Forwarding probe short-circuits on the buffered-address dict so
         # the empty-buffer case skips the line-align arithmetic.
         wb_addresses = self._write_buffer._addresses if (
@@ -638,27 +599,12 @@ class MemoryController:
                     heapq.heappush(
                         self._in_flight, (req.finish, req.req_id, req)
                     )
-                    if ev_admit:
-                        event = RequestAdmitted(
-                            now, req.req_id, False, flat, True,
-                            req.requester_id,
-                        )
-                        for handler in ev_admit:
-                            handler(event)
                     continue
                 bank = self._banks[flat]
                 req.row_open_on_arrival = bank.open_row == coords.row
                 self._read_queue.add(req, coords, flat)
-                is_write = False
             else:
                 self._write_buffer.add(req, coords, flat)
-                is_write = True
-            if ev_admit:
-                event = RequestAdmitted(
-                    now, req.req_id, is_write, flat, False, req.requester_id
-                )
-                for handler in ev_admit:
-                    handler(event)
 
     def _run(self, t_limit: int, stop_on_read: bool) -> None:
         packed = self._packed
@@ -700,22 +646,15 @@ class MemoryController:
         in_flight = self._in_flight
         if in_flight and in_flight[0][0] <= now:
             self._collect_finished(now)
-        heartbeat = self._ev_heartbeat
-        if heartbeat:
+        watchdog = self.watchdog
+        if watchdog is not None:
             # Sampling is lossless: the watermark derives from the
             # monotonic last-command cycle, and queues only drain by
             # issuing commands, so skipped steps cannot hide progress.
             self._watchdog_countdown -= 1
             if self._watchdog_countdown <= 0:
                 self._watchdog_countdown = _WATCHDOG_STRIDE
-                event = SchedulerHeartbeat(
-                    now,
-                    self._last_cmd_issue,
-                    len(self._read_queue) + len(self._write_buffer),
-                    self,
-                )
-                for handler in heartbeat:
-                    handler(event)
+                watchdog.observe(self)
 
         refresh = self._refresh
         # 1. Refresh in progress: nothing can issue.
@@ -839,12 +778,6 @@ class MemoryController:
                         now, end, block.scope, bg, block.reason, victim,
                         inter,
                     ))
-                    if inter and self._ev_stalled:
-                        event = RequesterStalled(
-                            now, end, victim, blocker, block.reason
-                        )
-                        for handler in self._ev_stalled:
-                            handler(event)
             return self._advance_to(wake, t_limit)
 
         self._issue(entry, cmd_type, coords, write_mode)
@@ -879,7 +812,6 @@ class MemoryController:
         t = self.now
         self._last_cmd_issue = t
         flat = coords.flat if entry is None else entry.flat_bank
-        ev_command = self._ev_command
         if entry is None:
             # Policy precharge: nothing is waiting for this bank. The
             # bank's last-requester slot reverts to shared — the next
@@ -893,13 +825,6 @@ class MemoryController:
                 self._record_command(
                     cmd_type, t, coords.bank_group, bank, rank=coords.rank
                 )
-            if ev_command:
-                event = CommandIssued(
-                    t, cmd_type.name, flat, coords.bank_group,
-                    coords.rank, -1, -1,
-                )
-                for handler in ev_command:
-                    handler(event)
             return
 
         bank = self._banks[entry.flat_bank]
@@ -957,13 +882,6 @@ class MemoryController:
                 cmd_type, t, coords.bank_group,
                 bank, row=coords.row, req_id=req.req_id, rank=coords.rank,
             )
-        if ev_command:
-            event = CommandIssued(
-                t, cmd_type.name, entry.flat_bank, coords.bank_group,
-                coords.rank, coords.row, req.req_id, rq,
-            )
-            for handler in ev_command:
-                handler(event)
 
     def _record_command(
         self, cmd_type: CommandType, t: int, bank_group: int, bank: Bank,
@@ -980,11 +898,3 @@ class MemoryController:
             row=row,
             req_id=req_id,
         ))
-
-    def _publish_refresh(self, start: int, end: int) -> None:
-        """Publish a :class:`RefreshStarted` window to bus subscribers."""
-        handlers = self._ev_refresh
-        if handlers:
-            event = RefreshStarted(start, end)
-            for handler in handlers:
-                handler(event)

@@ -66,14 +66,6 @@ from __future__ import annotations
 
 import heapq
 
-from repro.core.events import (
-    CommandIssued,
-    RefreshStarted,
-    RequestAdmitted,
-    RequestCompleted,
-    RequesterStalled,
-    SchedulerHeartbeat,
-)
 from repro.dram.commands import Command, CommandType, RequestType
 from repro.dram.components.paging import ClosedPagePolicy, OpenPagePolicy
 from repro.dram.components.refreshing import (
@@ -90,7 +82,7 @@ from repro.dram.scheduler import RequestQueue
 _FAR = 1 << 62
 #: RankTiming's "never happened" initial timestamp.
 _NEVER = -(10**9)
-#: Scheduling steps between heartbeats (controller._WATCHDOG_STRIDE).
+#: Scheduling steps between watchdog calls (controller._WATCHDOG_STRIDE).
 _WATCHDOG_STRIDE = 32
 #: Row-chain key packing: key = (flat << _ROW_SHIFT) | row.
 _ROW_SHIFT = 40
@@ -159,7 +151,7 @@ class PackedEngine:
         self.active = False
         self._ready = False
         # Sizes mirrored for the controller's properties while active
-        # (synced at every run exit and heartbeat).
+        # (synced at every run exit and watchdog call).
         self.rq_len = 0
         self.wq_len = 0
 
@@ -571,12 +563,6 @@ class PackedEngine:
         act_w = ctrl.log.act_windows
         refresh_w = ctrl.log.refresh_windows
         bank_refresh_w = ctrl.log.bank_refresh_windows
-        ev_command = ctrl._ev_command
-        ev_admit = ctrl._ev_admit
-        ev_complete = ctrl._ev_complete
-        ev_refresh = ctrl._ev_refresh
-        ev_heartbeat = ctrl._ev_heartbeat
-        ev_stalled = ctrl._ev_stalled
         heappush = heapq.heappush
         heappop = heapq.heappop
 
@@ -642,25 +628,16 @@ class PackedEngine:
         dirty_r = 0
         dirty_w = 0
 
-        def _finish(upto, evnow):
-            """_collect_finished + _finish_request, events at `evnow`."""
+        def _finish(upto):
+            """_collect_finished + _finish_request."""
             while in_flight and in_flight[0][0] <= upto:
                 __, __, req = heappop(in_flight)
                 ctrl._completions.append(req)
                 completed.append(req)
                 if req.req_type is _RT_READ:
                     stats.reads_completed += 1
-                    is_read = True
                 else:
                     stats.writes_completed += 1
-                    is_read = False
-                if ev_complete:
-                    event = RequestCompleted(
-                        evnow, req.req_id, is_read, req.finish,
-                        req.requester_id,
-                    )
-                    for handler in ev_complete:
-                        handler(event)
 
         def run(t_limit, stop_on_read, stop_when_idle):
             nonlocal gh_r, gt_r, gh_w, gt_w, mask_r, mask_w, rq_n, wq_n
@@ -686,6 +663,7 @@ class PackedEngine:
                 blk_set = False
             now = ctrl.now
             last_cmd = ctrl._last_cmd_issue
+            watchdog = ctrl.watchdog
             wd_count = ctrl._watchdog_countdown
             ref_until = refresh.until
             ref_due = refresh.next_due
@@ -724,13 +702,6 @@ class PackedEngine:
                                     heappush(
                                         in_flight, (fin, req.req_id, req)
                                     )
-                                    if ev_admit:
-                                        event = RequestAdmitted(
-                                            now, req.req_id, False, flat,
-                                            True, req.requester_id,
-                                        )
-                                        for handler in ev_admit:
-                                            handler(event)
                                     continue
                                 req.row_open_on_arrival = (
                                     b_row[flat] == row
@@ -770,7 +741,6 @@ class PackedEngine:
                                 rq_n += 1
                                 cr_e[flat] = -1
                                 dirty_r |= 1 << flat
-                                is_write = False
                             else:
                                 # WriteBuffer.add (raw-address keying).
                                 i = len(e_rid)
@@ -810,25 +780,17 @@ class PackedEngine:
                                 wbuf.stats_writes_buffered += 1
                                 cw_e[flat] = -1
                                 dirty_w |= 1 << flat
-                                is_write = True
-                            if ev_admit:
-                                event = RequestAdmitted(
-                                    now, req.req_id, is_write, flat,
-                                    False, req.requester_id,
-                                )
-                                for handler in ev_admit:
-                                    handler(event)
                         if admitted:
                             epoch += 1
                     if in_flight and in_flight[0][0] <= now:
-                        _finish(now, now)
-                    if ev_heartbeat:
+                        _finish(now)
+                    if watchdog is not None:
                         wd_count -= 1
                         if wd_count <= 0:
                             wd_count = _WATCHDOG_STRIDE
-                            # Publish with coherent controller scalars:
-                            # a subscriber may take a stall_snapshot
-                            # (which flushes this engine).
+                            # Call with coherent controller scalars: on a
+                            # stall the watchdog takes a stall_snapshot
+                            # (which flushes this engine) and raises.
                             ctrl.now = now
                             ctrl._last_cmd_issue = last_cmd
                             ctrl._watchdog_countdown = wd_count
@@ -838,30 +800,7 @@ class PackedEngine:
                             eng.rq_len, eng.wq_len = rq_n, wq_n
                             eng.bus_free, eng.bus_last = bus_free, bus_last
                             eng.last_chan = last_chan
-                            event = SchedulerHeartbeat(
-                                now, last_cmd, rq_n + wq_n, ctrl
-                            )
-                            for handler in ev_heartbeat:
-                                handler(event)
-                            if not eng.active:
-                                # A subscriber flushed us (snapshot
-                                # without raising): repack and drop the
-                                # plan/candidate caches. Bit-identical —
-                                # caches never change decisions.
-                                eng.pack()
-                                gh_r, gt_r = eng.gh_r, eng.gt_r
-                                gh_w, gt_w = eng.gh_w, eng.gt_w
-                                mask_r, mask_w = eng.mask_r, eng.mask_w
-                                rq_n, wq_n = eng.rq_len, eng.wq_len
-                                bus_free = eng.bus_free
-                                bus_last = eng.bus_last
-                                last_chan = eng.last_chan
-                                eng._reset_plan = False
-                                plan_epoch_v = -1
-                                plan_t_epoch = -1
-                                dirty_r = 0
-                                dirty_w = 0
-                                blk_set = False
+                            watchdog.observe(ctrl)
 
                     # 1. Refresh in progress: nothing can issue.
                     if now < ref_until:
@@ -869,7 +808,7 @@ class PackedEngine:
                         if target <= now:
                             break
                         if in_flight and in_flight[0][0] <= target:
-                            _finish(target, now)
+                            _finish(target)
                         now = target
                         if stop_on_read and stats.reads_completed > before:
                             break
@@ -935,10 +874,6 @@ class PackedEngine:
                                     bank_group=-1, bank=bank_of[0],
                                     row=-1, req_id=-1,
                                 ))
-                            if ev_refresh:
-                                event = RefreshStarted(t_ref, refresh_end)
-                                for handler in ev_refresh:
-                                    handler(event)
                         else:
                             # SameBankRefresh.perform (round robin).
                             f = refresh._next_bank
@@ -985,10 +920,6 @@ class PackedEngine:
                                     bank_group=bg_of[f], bank=bank_of[f],
                                     row=-1, req_id=-1,
                                 ))
-                            if ev_refresh:
-                                event = RefreshStarted(t_ref, refresh_end)
-                                for handler in ev_refresh:
-                                    handler(event)
                         if stop_on_read and stats.reads_completed > before:
                             break
                         continue
@@ -1444,7 +1375,7 @@ class PackedEngine:
                         if target <= now:
                             break
                         if in_flight and in_flight[0][0] <= target:
-                            _finish(target, now)
+                            _finish(target)
                         now = target
                         if stop_on_read and stats.reads_completed > before:
                             break
@@ -1574,7 +1505,6 @@ class PackedEngine:
                                 )
                             else:
                                 victim = -1
-                                blocker = -1
                                 inter = False
                             last = lb[-1] if lb else None
                             if (
@@ -1595,13 +1525,6 @@ class PackedEngine:
                                     now, end, blk_scope, bg, blk_reason,
                                     victim, inter,
                                 ))
-                                if inter and ev_stalled:
-                                    event = RequesterStalled(
-                                        now, end, victim, blocker,
-                                        blk_reason,
-                                    )
-                                    for handler in ev_stalled:
-                                        handler(event)
                         if (
                             next_arrival > issue_at
                             and ref_due > issue_at
@@ -1616,7 +1539,7 @@ class PackedEngine:
                         ):
                             # Fused wait-and-issue.
                             if in_flight and in_flight[0][0] <= issue_at:
-                                _finish(issue_at, now)
+                                _finish(issue_at)
                             now = issue_at
                             # The loop-top idle check this path skips: a
                             # drain with nothing left pending stops here,
@@ -1630,7 +1553,7 @@ class PackedEngine:
                             if target <= now:
                                 break
                             if in_flight and in_flight[0][0] <= target:
-                                _finish(target, now)
+                                _finish(target)
                             now = target
                             if stop_on_read and (
                                 stats.reads_completed > before
@@ -1661,13 +1584,6 @@ class PackedEngine:
                                 rank=rank_of[f], bank_group=bg_of[f],
                                 bank=bank_of[f], row=-1, req_id=-1,
                             ))
-                        if ev_command:
-                            event = CommandIssued(
-                                now, "PRECHARGE", f, bg_of[f],
-                                rank_of[f], -1, -1,
-                            )
-                            for handler in ev_command:
-                                handler(event)
                     else:
                         ent = plan_ent
                         req = e_req[ent]
@@ -1690,7 +1606,6 @@ class PackedEngine:
                             if req.own_pre_start < 0:
                                 req.own_pre_start = now
                                 req.own_pre_end = done
-                            cmd_name = "PRECHARGE"
                             ct = _CT_PRE
                         elif kcode == 1:
                             ready = now + tRCD
@@ -1718,7 +1633,6 @@ class PackedEngine:
                             if req.own_act_start < 0:
                                 req.own_act_start = now
                                 req.own_act_end = ready
-                            cmd_name = "ACTIVATE"
                             ct = _CT_ACT
                         else:
                             is_w = plan_wmode
@@ -1788,25 +1702,13 @@ class PackedEngine:
                                 if c == 0:
                                     mask_r &= ~(1 << f)
                             heappush(in_flight, (de, req.req_id, req))
-                            if is_w:
-                                cmd_name = "WRITE"
-                                ct = _CT_WRITE
-                            else:
-                                cmd_name = "READ"
-                                ct = _CT_READ
+                            ct = _CT_WRITE if is_w else _CT_READ
                         if trace_commands:
                             log_commands.append(Command(
                                 cmd_type=ct, issue=now, rank=rk,
                                 bank_group=bg, bank=bank_of[f], row=row,
                                 req_id=req.req_id,
                             ))
-                        if ev_command:
-                            event = CommandIssued(
-                                now, cmd_name, f, bg, rk, row,
-                                req.req_id, rq,
-                            )
-                            for handler in ev_command:
-                                handler(event)
                     if stop_on_read and stats.reads_completed > before:
                         break
                     # loop
@@ -1823,6 +1725,6 @@ class PackedEngine:
                 eng.rq_len, eng.wq_len = rq_n, wq_n
                 eng.bus_free, eng.bus_last = bus_free, bus_last
                 eng.last_chan = last_chan
-            _finish(now, now)
+            _finish(now)
 
         return run

@@ -9,10 +9,8 @@ The run/drain/pending forwarding lives in the shared
 :class:`~repro.core.interfaces.CompositeMemory` base (the same contract
 a single :class:`~repro.dram.controller.MemoryController` satisfies via
 :class:`~repro.core.interfaces.MemoryInterface`), so the single- and
-multi-channel paths cannot drift. All channels publish their online
-events on one shared :class:`~repro.core.events.EventBus`
-(:attr:`MemorySystem.events`); per-channel subscribers can instead use
-``system.channels[i].events`` — the same bus object.
+multi-channel paths cannot drift. Each channel keeps its own event log
+and calls its own forward-progress watchdog.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.events import EventBus
 from repro.core.interfaces import CompositeMemory
 from repro.dram.commands import Request
 from repro.dram.controller import ControllerConfig, MemoryController
@@ -52,10 +49,8 @@ class MemorySystem(CompositeMemory):
 
     def __init__(self, config: MemorySystemConfig | None = None) -> None:
         self.config = config or MemorySystemConfig()
-        #: Shared event bus: every channel publishes here.
-        self.events = EventBus()
         self.controllers = [
-            MemoryController(self.config.controller, bus=self.events)
+            MemoryController(self.config.controller)
             for _ in range(self.config.channels)
         ]
         self.spec = self.controllers[0].spec
@@ -138,15 +133,14 @@ class MemorySystem(CompositeMemory):
         return snapshot
 
     def attach_watchdog(self, watchdog) -> None:
-        """Install one watchdog across every channel (None to detach).
+        """Install one watchdog on every channel (None to detach).
 
-        Guard compatibility shim: all channels publish heartbeats on
-        the shared bus, so subscribing the watchdog through the first
-        channel (which owns that bus) observes them all. Per-channel
-        watchdogs with independent thresholds remain available via
-        :meth:`attach_watchdogs`.
+        Each channel calls it with itself, so a stall on any channel
+        raises. Per-channel watchdogs with independent thresholds and
+        counts come from :meth:`attach_watchdogs`.
         """
-        self.controllers[0].attach_watchdog(watchdog)
+        for mc in self.controllers:
+            mc.attach_watchdog(watchdog)
 
     @property
     def watchdog(self):

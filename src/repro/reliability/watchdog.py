@@ -8,10 +8,9 @@ served). The watchdog turns that into a
 :class:`StallDiagnostic`: queue contents, per-bank state and the timing
 constraint blocking each scheduling candidate.
 
-The watchdog rides the controller's event bus: attaching it
-(``controller.attach_watchdog``) subscribes :meth:`on_heartbeat` to
-:class:`~repro.core.events.SchedulerHeartbeat`, published every ~32
-scheduling steps while anyone listens. The check is two integer
+The controller calls the watchdog directly: once attached
+(``controller.attach_watchdog``), both engines call :meth:`observe`
+with the controller every 32 scheduling steps. The check is two integer
 comparisons in the healthy case, so it is safe to leave enabled for
 every run.
 """
@@ -111,13 +110,8 @@ class ForwardProgressWatchdog:
         """Forget accumulated silence (e.g. after an external repair)."""
         self._watermark = 0
 
-    def on_heartbeat(self, event) -> None:
-        """Event-bus handler for
-        :class:`~repro.core.events.SchedulerHeartbeat`."""
-        self.observe(event.controller)
-
     def observe(self, controller) -> None:
-        """One scheduling-step heartbeat; raises on a detected stall.
+        """One sampled scheduling step; raises on a detected stall.
 
         `controller` is a :class:`~repro.dram.controller.MemoryController`
         (duck-typed: needs ``now``, ``queued_requests``,

@@ -1,9 +1,8 @@
 """Batch-progress event topics for the execution service.
 
-The service publishes these on a :class:`repro.core.events.EventBus` —
-the same bus machinery the memory controller uses for its online
-stream — so progress consumers subscribe to typed topics instead of
-polling service internals. Built-in subscribers:
+The service publishes these on a :class:`repro.core.events.EventBus`,
+the only topics that bus carries, so progress consumers subscribe to
+typed topics instead of polling service internals. Built-in subscribers:
 :class:`repro.viz.live.BatchProgressMeter` (rolling counters + status
 line) and the CLI ``batch`` subcommand's per-job printer.
 

@@ -48,7 +48,10 @@ from repro.dram.components.accounting import EventLog
 from repro.dram.timing import TimingSpec
 from repro.errors import AccountingError
 from repro.stacks.components import Stack, ordered_stack
-from repro.stacks.latency import LatencyStackAccountant
+from repro.stacks.latency import (
+    LatencyStackAccountant,
+    refresh_windows_for_latency,
+)
 from repro.stacks.segments import (
     SHARED_REQUESTER,
     ChannelTimeline,
@@ -201,7 +204,7 @@ class RequesterLatencyAccountant:
             map(attrgetter("requester_id"), reads), np.int64,
             count=len(reads),
         )
-        refresh = Cover.of(log.refresh_windows)
+        refresh = Cover.of(refresh_windows_for_latency(log))
         drain = Cover.of(log.drain_windows)
         burst_start, burst_end = column(log.bursts, 0), column(log.bursts, 1)
         burst_owner = column(log.bursts, 4)

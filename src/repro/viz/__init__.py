@@ -13,18 +13,12 @@ from repro.viz.export import (
     stacks_to_csv,
     stacks_to_json,
 )
-from repro.viz.live import (
-    BatchProgressMeter,
-    LiveUtilizationMeter,
-    UtilizationSample,
-)
+from repro.viz.live import BatchProgressMeter
 from repro.viz.palette import color_for
 from repro.viz.svg import stacked_area_svg, stacked_bars_svg
 
 __all__ = [
     "BatchProgressMeter",
-    "LiveUtilizationMeter",
-    "UtilizationSample",
     "color_for",
     "render_stack_table",
     "render_stacks",

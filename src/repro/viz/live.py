@@ -1,151 +1,23 @@
-"""Live metering over event buses: DRAM utilization and batch progress.
+"""Live batch progress over the execution service's event bus.
 
-Where the stack accountants post-process the complete
-:class:`~repro.dram.components.accounting.EventLog` after a run, the
-:class:`LiveUtilizationMeter` subscribes to the *online* event stream
-(:mod:`repro.core.events`) and maintains coarse utilization counters
-while the simulation is still running — e.g. to drive a progress
-readout or an in-flight dashboard without waiting for the run to end.
-
-:class:`BatchProgressMeter` plays the same role for the parallel
-execution service (:mod:`repro.service`): it subscribes to the
-``JobStarted`` / ``JobFinished`` / ``JobFailed`` topics and keeps a
-rolling batch scoreboard plus a one-line status renderer, which the
-``dram-stacks batch`` CLI reprints as points complete.
+:class:`BatchProgressMeter` subscribes to the execution service's
+``JobStarted`` / ``JobFinished`` / ``JobFailed`` topics
+(:mod:`repro.service.events`) and keeps a rolling batch scoreboard plus
+a one-line status renderer, which the ``dram-stacks batch`` CLI
+reprints as points complete.
 
 Usage::
 
-    meter = LiveUtilizationMeter(interval=10_000)
-    meter.attach(controller.events)       # or system.events
-    ... run ...
-    meter.detach(controller.events)
-    for sample in meter.samples:
-        print(sample.cycle, sample.data_commands, sample.refreshes)
+    meter = BatchProgressMeter(total=len(jobs))
+    meter.attach(service.bus)
+    ... run the batch ...
+    meter.detach(service.bus)
+    print(meter.status_line())
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.events import CommandIssued, EventBus, RefreshStarted
-from repro.errors import ConfigurationError
-
-#: CommandIssued.command values that move data on the bus.
-_DATA_COMMANDS = frozenset(("READ", "WRITE"))
-
-
-@dataclass(frozen=True)
-class UtilizationSample:
-    """Counters accumulated over one sampling interval.
-
-    ``cycle`` is the interval's right edge (the cycle of the first
-    command at or past it); counts cover everything since the previous
-    sample.
-    """
-
-    cycle: int
-    commands: int
-    data_commands: int
-    activates: int
-    precharges: int
-    refreshes: int
-
-
-class LiveUtilizationMeter:
-    """Rolls the command stream up into per-interval utilization samples.
-
-    Args:
-        interval: sampling interval in memory-controller cycles; a
-            sample is emitted when a command arrives at or past the
-            current interval's end.
-
-    The meter is a plain event-bus subscriber: :meth:`attach` wires its
-    handlers, :meth:`detach` removes them (idempotent). One meter can
-    observe a multi-channel system by attaching to the system bus, in
-    which case samples aggregate all channels.
-    """
-
-    def __init__(self, interval: int = 10_000) -> None:
-        if interval < 1:
-            raise ConfigurationError(
-                f"meter interval must be >= 1 cycle, got {interval}"
-            )
-        self.interval = interval
-        #: Completed interval samples, oldest first.
-        self.samples: list[UtilizationSample] = []
-        self._window_end = interval
-        self._commands = 0
-        self._data = 0
-        self._acts = 0
-        self._pres = 0
-        self._refreshes = 0
-        self.total_commands = 0
-
-    # ------------------------------------------------------------------
-    def attach(self, bus: EventBus) -> "LiveUtilizationMeter":
-        """Subscribe this meter's handlers to `bus`; returns self."""
-        bus.subscribe(CommandIssued, self.on_command)
-        bus.subscribe(RefreshStarted, self.on_refresh)
-        return self
-
-    def detach(self, bus: EventBus) -> None:
-        """Remove this meter's handlers from `bus` (idempotent)."""
-        bus.unsubscribe(CommandIssued, self.on_command)
-        bus.unsubscribe(RefreshStarted, self.on_refresh)
-
-    # ------------------------------------------------------------------
-    # Bus handlers
-    # ------------------------------------------------------------------
-    def on_command(self, event: CommandIssued) -> None:
-        """Handle one :class:`CommandIssued`."""
-        if event.cycle >= self._window_end:
-            self._emit(event.cycle)
-        self.total_commands += 1
-        self._commands += 1
-        command = event.command
-        if command in _DATA_COMMANDS:
-            self._data += 1
-        elif command == "ACTIVATE":
-            self._acts += 1
-        elif command == "PRECHARGE":
-            self._pres += 1
-
-    def on_refresh(self, event: RefreshStarted) -> None:
-        """Handle one :class:`RefreshStarted`."""
-        if event.start >= self._window_end:
-            self._emit(event.start)
-        self._refreshes += 1
-
-    # ------------------------------------------------------------------
-    def finish(self, cycle: int) -> None:
-        """Flush the in-progress interval (call once at end of run)."""
-        if self._commands or self._refreshes:
-            self._emit(max(cycle, self._window_end))
-
-    def _emit(self, cycle: int) -> None:
-        self.samples.append(UtilizationSample(
-            cycle=self._window_end,
-            commands=self._commands,
-            data_commands=self._data,
-            activates=self._acts,
-            precharges=self._pres,
-            refreshes=self._refreshes,
-        ))
-        self._commands = self._data = 0
-        self._acts = self._pres = self._refreshes = 0
-        # Jump to the window containing `cycle` (idle stretches emit no
-        # empty samples).
-        interval = self.interval
-        windows = (cycle - self._window_end) // interval + 1
-        self._window_end += windows * interval
-
-    @property
-    def busy_fraction_last(self) -> float:
-        """Data-command share of all commands in the newest sample."""
-        if not self.samples:
-            return 0.0
-        sample = self.samples[-1]
-        return sample.data_commands / sample.commands if sample.commands else 0.0
+from repro.core.events import EventBus
 
 
 class BatchProgressMeter:
@@ -161,9 +33,8 @@ class BatchProgressMeter:
         total: expected number of jobs (used by :meth:`status_line`;
             0 renders counts without a denominator).
 
-    Like the utilization meter, it is a plain subscriber:
-    :meth:`attach` / :meth:`detach` wire it to any
-    :class:`~repro.core.events.EventBus` (normally
+    It is a plain subscriber: :meth:`attach` / :meth:`detach` wire it to
+    any :class:`~repro.core.events.EventBus` (normally
     ``ExecutionService(...).bus``).
     """
 

@@ -1,56 +1,52 @@
 """Tests for the typed event bus."""
 
-import pytest
+from dataclasses import dataclass
 
-from repro.core.events import (
-    CommandIssued,
-    EventBus,
-    RefreshStarted,
-    RequestAdmitted,
-    RequestCompleted,
-    SchedulerHeartbeat,
-)
+from repro.core.events import EventBus
 
 
-def command(cycle=0):
-    return CommandIssued(
-        cycle=cycle, command="READ", flat_bank=3, bank_group=1,
-        rank=0, row=17, req_id=5,
-    )
+@dataclass(frozen=True)
+class Ping:
+    cycle: int = 0
+
+
+@dataclass(frozen=True)
+class Pong:
+    cycle: int = 0
 
 
 class TestSubscribe:
     def test_publish_reaches_subscriber(self):
         bus = EventBus()
         seen = []
-        bus.subscribe(CommandIssued, seen.append)
-        bus.publish(command())
-        assert seen == [command()]
+        bus.subscribe(Ping, seen.append)
+        bus.publish(Ping(3))
+        assert seen == [Ping(3)]
 
     def test_publish_dispatches_on_exact_type(self):
         bus = EventBus()
-        commands, refreshes = [], []
-        bus.subscribe(CommandIssued, commands.append)
-        bus.subscribe(RefreshStarted, refreshes.append)
-        bus.publish(command())
-        bus.publish(RefreshStarted(start=100, end=150))
-        assert len(commands) == 1
-        assert refreshes == [RefreshStarted(start=100, end=150)]
+        pings, pongs = [], []
+        bus.subscribe(Ping, pings.append)
+        bus.subscribe(Pong, pongs.append)
+        bus.publish(Ping())
+        bus.publish(Pong(100))
+        assert len(pings) == 1
+        assert pongs == [Pong(100)]
 
     def test_publish_without_subscribers_is_noop(self):
-        EventBus().publish(command())  # must not raise
+        EventBus().publish(Ping())  # must not raise
 
     def test_multiple_subscribers_called_in_order(self):
         bus = EventBus()
         order = []
-        bus.subscribe(CommandIssued, lambda e: order.append("first"))
-        bus.subscribe(CommandIssued, lambda e: order.append("second"))
-        bus.publish(command())
+        bus.subscribe(Ping, lambda e: order.append("first"))
+        bus.subscribe(Ping, lambda e: order.append("second"))
+        bus.publish(Ping())
         assert order == ["first", "second"]
 
     def test_subscribe_returns_handler(self):
         bus = EventBus()
-        handler = bus.subscribe(CommandIssued, lambda e: None)
+        handler = bus.subscribe(Ping, lambda e: None)
         assert callable(handler)
 
 
@@ -58,70 +54,14 @@ class TestUnsubscribe:
     def test_unsubscribed_handler_not_called(self):
         bus = EventBus()
         seen = []
-        bus.subscribe(CommandIssued, seen.append)
-        bus.unsubscribe(CommandIssued, seen.append)
-        bus.publish(command())
+        bus.subscribe(Ping, seen.append)
+        bus.unsubscribe(Ping, seen.append)
+        bus.publish(Ping())
         assert seen == []
 
     def test_unsubscribe_unknown_handler_is_idempotent(self):
         bus = EventBus()
-        bus.unsubscribe(CommandIssued, lambda e: None)  # never registered
-        handler = bus.subscribe(CommandIssued, lambda e: None)
-        bus.unsubscribe(CommandIssued, handler)
-        bus.unsubscribe(CommandIssued, handler)  # second time: no error
-
-    def test_subscriber_count_tracks_churn(self):
-        bus = EventBus()
-        assert bus.subscriber_count(CommandIssued) == 0
-        assert not bus.has_subscribers(CommandIssued)
-        handler = bus.subscribe(CommandIssued, lambda e: None)
-        assert bus.subscriber_count(CommandIssued) == 1
-        assert bus.has_subscribers(CommandIssued)
-        bus.unsubscribe(CommandIssued, handler)
-        assert not bus.has_subscribers(CommandIssued)
-
-
-class TestHandlerListIdentity:
-    """The hot-path contract: publishers cache ``bus.handlers(T)`` once."""
-
-    def test_handlers_list_is_identity_stable(self):
-        bus = EventBus()
-        cached = bus.handlers(CommandIssued)
-        assert cached == []
-        bus.subscribe(CommandIssued, lambda e: None)
-        # Same list object — a publisher that hoisted the lookup still
-        # observes the new subscription.
-        assert bus.handlers(CommandIssued) is cached
-        assert len(cached) == 1
-
-    def test_cached_list_truthiness_gates_publishing(self):
-        bus = EventBus()
-        cached = bus.handlers(SchedulerHeartbeat)
-        assert not cached  # nobody listening: skip event construction
-        handler = bus.subscribe(SchedulerHeartbeat, lambda e: None)
-        assert cached
-        bus.unsubscribe(SchedulerHeartbeat, handler)
-        assert not cached
-
-
-class TestEventShapes:
-    def test_events_are_immutable(self):
-        event = command()
-        with pytest.raises(AttributeError):
-            event.cycle = 99
-
-    def test_heartbeat_carries_controller(self):
-        sentinel = object()
-        beat = SchedulerHeartbeat(
-            cycle=1, last_command_cycle=0, queued_requests=2,
-            controller=sentinel,
-        )
-        assert beat.controller is sentinel
-
-    def test_admission_and_completion_fields(self):
-        admitted = RequestAdmitted(
-            cycle=4, req_id=1, is_write=False, flat_bank=2, forwarded=False
-        )
-        done = RequestCompleted(cycle=40, req_id=1, is_read=True, finish=40)
-        assert not admitted.forwarded
-        assert done.is_read
+        bus.unsubscribe(Ping, lambda e: None)  # never registered
+        handler = bus.subscribe(Ping, lambda e: None)
+        bus.unsubscribe(Ping, handler)
+        bus.unsubscribe(Ping, handler)  # second time: no error

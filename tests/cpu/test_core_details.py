@@ -79,6 +79,18 @@ class TestRobAndMshr:
         with pytest.raises(ConfigurationError):
             CoreConfig(freq_ratio=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("freq_ratio", float("nan")),
+        ("freq_ratio", float("inf")),
+        ("cycle_stack_bin", 0),
+        ("cycle_stack_bin", -5),
+        ("noc_request_cycles", -30),
+        ("noc_response_cycles", -1),
+    ])
+    def test_rejects_value_at_construction(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            CoreConfig(**{field: value})
+
 
 class TestPendingHits:
     def test_duplicate_addresses_share_one_dram_read(self):

@@ -23,6 +23,7 @@ from repro.dram.components.refreshing import AllBankRefresh, NoRefresh
 from repro.dram.components.scheduling import FcfsScheduler, FrFcfsScheduler
 from repro.dram.wqueue import WriteQueueConfig
 from repro.errors import ConfigurationError
+from repro.experiments.config import paper_system
 from repro.reliability.fingerprint import event_log_digest
 
 from tests.conftest import make_reads, make_writes, run_stream
@@ -153,3 +154,20 @@ class TestBadValues:
     def test_negative_cycle_count_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             ControllerConfig(**{field: value})
+
+    @pytest.mark.parametrize("device,spec_name", [
+        (None, "DDR4-2400"),
+        ("ddr5-4800", "DDR5-4800-sc2"),
+        ("hbm2", "HBM2-pc8"),
+    ])
+    def test_scheme_that_misses_a_spec_field_rejected(
+        self, device, spec_name
+    ):
+        # The "lpddr5" scheme has no bank-group field; these specs do.
+        with pytest.raises(ConfigurationError) as excinfo:
+            ControllerConfig(address_scheme="lpddr5", device=device)
+        message = str(excinfo.value)
+        assert "address_scheme 'lpddr5'" in message
+        assert spec_name in message
+        with pytest.raises(ConfigurationError, match="address_scheme"):
+            paper_system(address_scheme="lpddr5", device=device)

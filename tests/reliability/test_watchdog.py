@@ -1,5 +1,7 @@
 """Tests for the forward-progress watchdog."""
 
+import random
+
 import pytest
 
 from repro.dram import (
@@ -8,6 +10,7 @@ from repro.dram import (
     Request,
     RequestType,
 )
+from repro.dram.controller import ENGINES
 from repro.errors import ConfigurationError, SimulationStalledError
 from repro.reliability.faults import force_stall
 from repro.reliability.watchdog import (
@@ -141,6 +144,40 @@ class TestIntegration:
             dog.threshold_cycles == DEFAULT_STALL_THRESHOLD for dog in dogs
         )
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_attach_watchdogs_counts_only_its_own_channel(self, engine):
+        from repro.dram.system import MemorySystem, MemorySystemConfig
+
+        system = MemorySystem(MemorySystemConfig(
+            ControllerConfig(engine=engine), channels=2,
+        ))
+        dogs = system.attach_watchdogs(threshold_cycles=2_000)
+        force_stall(system.controllers[1])
+        for i in range(16):  # lines alternate between the channels
+            system.enqueue(Request(RequestType.READ, i * 64, arrival=i))
+        with pytest.raises(SimulationStalledError):
+            system.drain()
+        assert [dog.stalls_detected for dog in dogs] == [0, 1]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_one_watchdog_guards_every_channel(self, engine):
+        from repro.dram.system import MemorySystem, MemorySystemConfig
+
+        system = MemorySystem(MemorySystemConfig(
+            ControllerConfig(engine=engine), channels=2,
+        ))
+        dog = ForwardProgressWatchdog(threshold_cycles=2_000)
+        system.attach_watchdog(dog)
+        assert system.watchdog is dog
+        assert all(mc.watchdog is dog for mc in system.controllers)
+        force_stall(system.controllers[1])
+        for i in range(16):
+            system.enqueue(Request(RequestType.READ, i * 64, arrival=i))
+        with pytest.raises(SimulationStalledError) as info:
+            system.drain()
+        assert dog.stalls_detected == 1
+        assert info.value.diagnostic.queued_reads == 8
+
     @pytest.mark.parametrize("threshold", [0, -5])
     def test_memory_system_rejects_nonpositive_threshold(self, threshold):
         # 0 is a threshold like -5, not a request for the default.
@@ -149,6 +186,40 @@ class TestIntegration:
         system = MemorySystem(MemorySystemConfig(channels=2))
         with pytest.raises(ConfigurationError, match="threshold_cycles"):
             system.attach_watchdogs(threshold_cycles=threshold)
+
+
+class TestControllerEngines:
+    """Both controller engines call the watchdog every 32 scheduling
+    steps. The packed engine folds a wait and the issue that ends it
+    into one step when no request arrives first; with a request arriving
+    every cycle no wait outlasts the next arrival, so both engines take
+    the same steps and a threshold-1 watchdog sees the same states."""
+
+    @pytest.mark.parametrize("attach", ["before-run", "after-run"])
+    def test_threshold_one_stalls_alike(self, attach):
+        outcomes = []
+        for engine in ENGINES:
+            mc = MemoryController(ControllerConfig(engine=engine))
+            rng = random.Random(7)
+            for i in range(400):
+                mc.enqueue(Request(
+                    RequestType.READ if i % 4 else RequestType.WRITE,
+                    rng.randrange(1 << 26) * 64, arrival=i,
+                ))
+            dog = ForwardProgressWatchdog(threshold_cycles=1)
+            if attach == "after-run":
+                mc.run_until(150)
+            mc.attach_watchdog(dog)
+            with pytest.raises(SimulationStalledError) as info:
+                mc.run_until(100_000)
+            diag = info.value.diagnostic
+            assert dog.stalls_detected == 1
+            outcomes.append((
+                diag.cycle, diag.last_command_cycle,
+                diag.queued_reads, diag.queued_writes,
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] + outcomes[0][3] > 0
 
 
 @pytest.mark.parametrize("core_engine,engine", [

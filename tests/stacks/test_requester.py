@@ -17,6 +17,7 @@ from repro.dram import (
     Request,
     RequestType,
 )
+from repro.devices import DEVICES
 from repro.experiments.config import ExperimentScale
 from repro.experiments.runner import run_qos, run_synthetic
 from repro.stacks.bandwidth import BandwidthStackAccountant
@@ -30,6 +31,13 @@ from tests.conftest import run_stream
 TINY = ExperimentScale(
     "qos-tiny", synthetic_accesses=150, graph_scale=8, graph_degree=4
 )
+
+#: Every registered preset that presents one channel, plus DDR5 with
+#: one sub-channel: same-bank refresh on a single channel.
+ONE_CHANNEL_DEVICES = [
+    name for name in DEVICES.names()
+    if ControllerConfig(device=name).device_channels == 1
+] + ["ddr5-4800:subchannels=1"]
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +132,17 @@ class TestSingleRequesterDegeneracy:
         assert all(row.get("interference", 0) == 0 for row in rows.values())
         latency = result.per_requester_latency_stacks()
         assert latency[0]["interference"] == 0.0
+
+    @pytest.mark.parametrize("device", ONE_CHANNEL_DEVICES)
+    def test_latency_row_equals_the_aggregate(self, device):
+        """With one requester the latency split is the aggregate's,
+        same-bank refresh included."""
+        result = run_synthetic(
+            "random", cores=2, store_fraction=0.2, scale=TINY,
+            guard=False, device=device,
+        )
+        rows = result.per_requester_latency_stacks()
+        assert set(rows) == {0}
+        row = dict(rows[0])
+        assert row.pop("interference") == 0.0
+        assert row == pytest.approx(dict(result.latency_stack()))

@@ -26,7 +26,10 @@ from repro.stacks.bandwidth import (
     BANDWIDTH_COMPONENTS,
     BandwidthStackAccountant,
 )
-from repro.stacks.latency import LatencyStackAccountant
+from repro.stacks.latency import (
+    LatencyStackAccountant,
+    refresh_windows_for_latency,
+)
 from repro.stacks.requester import (
     REQUESTER_LATENCY_COMPONENTS,
     SHARED_REQUESTER,
@@ -359,7 +362,8 @@ def test_requester_latency_matches_oracle(case, requests, base):
         sums = dict.fromkeys(REQUESTER_LATENCY_COMPONENTS, 0)
         for read in mine:
             parts = wait_parts(
-                read, log.refresh_windows, log.drain_windows, foreign
+                read, refresh_windows_for_latency(log), log.drain_windows,
+                foreign,
             )
             parts["base"] = base + read.finish - read.cas_issue
             for name, value in parts.items():

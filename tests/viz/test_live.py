@@ -1,122 +1,8 @@
-"""Tests for the live meters (event-bus subscribers)."""
+"""Tests for the live batch-progress meter (an event-bus subscriber)."""
 
-import pytest
-
-from repro.core.events import CommandIssued, EventBus, RefreshStarted
-from repro.dram import (
-    ControllerConfig,
-    MemoryController,
-    MemorySystem,
-    MemorySystemConfig,
-    Request,
-    RequestType,
-)
-from repro.errors import ConfigurationError
+from repro.core.events import EventBus
 from repro.service.events import JobFailed, JobFinished, JobStarted
-from repro.viz.live import (
-    BatchProgressMeter,
-    LiveUtilizationMeter,
-    UtilizationSample,
-)
-
-
-def command(cycle, command="READ"):
-    return CommandIssued(
-        cycle=cycle, command=command, flat_bank=0, bank_group=0,
-        rank=0, row=0, req_id=1,
-    )
-
-
-class TestSampling:
-    def test_counts_roll_up_per_interval(self):
-        bus = EventBus()
-        meter = LiveUtilizationMeter(interval=100).attach(bus)
-        bus.publish(command(10, "ACTIVATE"))
-        bus.publish(command(20, "READ"))
-        bus.publish(command(30, "WRITE"))
-        bus.publish(command(40, "PRECHARGE"))
-        bus.publish(command(150, "READ"))  # crosses into second window
-        assert len(meter.samples) == 1
-        first = meter.samples[0]
-        assert first == UtilizationSample(
-            cycle=100, commands=4, data_commands=2,
-            activates=1, precharges=1, refreshes=0,
-        )
-        meter.finish(200)
-        assert meter.samples[1].commands == 1
-
-    def test_idle_windows_emit_no_samples(self):
-        bus = EventBus()
-        meter = LiveUtilizationMeter(interval=10).attach(bus)
-        bus.publish(command(5))
-        bus.publish(command(9_995))  # ~1000 idle windows in between
-        assert len(meter.samples) == 1
-        meter.finish(10_000)
-        assert len(meter.samples) == 2
-        assert meter.samples[1].cycle == 10_000
-
-    def test_refreshes_counted(self):
-        bus = EventBus()
-        meter = LiveUtilizationMeter(interval=1000).attach(bus)
-        bus.publish(RefreshStarted(start=100, end=350))
-        meter.finish(1000)
-        assert meter.samples[0].refreshes == 1
-
-    def test_busy_fraction(self):
-        meter = LiveUtilizationMeter(interval=100)
-        assert meter.busy_fraction_last == 0.0
-        bus = EventBus()
-        meter.attach(bus)
-        bus.publish(command(1, "ACTIVATE"))
-        bus.publish(command(2, "READ"))
-        meter.finish(100)
-        assert meter.busy_fraction_last == pytest.approx(0.5)
-
-    def test_interval_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            LiveUtilizationMeter(interval=0)
-
-
-class TestAttachDetach:
-    def test_detach_stops_counting(self):
-        bus = EventBus()
-        meter = LiveUtilizationMeter(interval=100).attach(bus)
-        bus.publish(command(1))
-        meter.detach(bus)
-        bus.publish(command(2))
-        assert meter.total_commands == 1
-
-    def test_detach_is_idempotent(self):
-        bus = EventBus()
-        meter = LiveUtilizationMeter().attach(bus)
-        meter.detach(bus)
-        meter.detach(bus)  # no error
-
-
-class TestAgainstController:
-    def test_meter_matches_event_log(self):
-        mc = MemoryController(ControllerConfig())
-        meter = LiveUtilizationMeter(interval=500).attach(mc.events)
-        for i in range(80):
-            mc.enqueue(Request(RequestType.READ, i * 64, arrival=i * 4))
-        mc.drain()
-        mc.finalize()
-        meter.finish(mc.now)
-        data = sum(s.data_commands for s in meter.samples)
-        assert data == len(mc.log.bursts)
-        refreshes = sum(s.refreshes for s in meter.samples)
-        assert refreshes == len(mc.log.refresh_windows)
-
-    def test_meter_aggregates_multi_channel_bus(self):
-        mem = MemorySystem(MemorySystemConfig(channels=2))
-        meter = LiveUtilizationMeter(interval=500).attach(mem.events)
-        for i in range(80):
-            mem.enqueue(Request(RequestType.READ, i * 64, arrival=i * 4))
-        mem.drain()
-        mem.finalize()
-        meter.finish(mem.now)
-        data = sum(s.data_commands for s in meter.samples)
-        assert data == sum(len(mc.log.bursts) for mc in mem.channels)
+from repro.viz.live import BatchProgressMeter
 
 
 def started(label, attempt=1, worker=0):
