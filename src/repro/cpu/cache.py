@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 
 
 @dataclass(frozen=True)
@@ -19,9 +19,11 @@ class CacheConfig:
 
     Attributes:
         size_bytes: total capacity.
-        ways: associativity.
-        line_bytes: cache line size (must match the DRAM line size).
-        latency: access latency in memory-clock cycles.
+        ways: associativity, >= 1.
+        line_bytes: cache line size, a power of two. It must match the
+            DRAM line size, which :class:`~repro.cpu.system.SystemConfig`
+            checks, since it holds both.
+        latency: access latency in memory-clock cycles, >= 0.
     """
 
     size_bytes: int
@@ -30,6 +32,15 @@ class CacheConfig:
     latency: int = 1
 
     def __post_init__(self) -> None:
+        require_int("CacheConfig", "size_bytes", self.size_bytes, 1)
+        require_int("CacheConfig", "ways", self.ways, 1)
+        require_int("CacheConfig", "line_bytes", self.line_bytes, 1)
+        require_int("CacheConfig", "latency", self.latency, 0)
+        if self.line_bytes & (self.line_bytes - 1):
+            raise ConfigurationError(
+                f"CacheConfig(line_bytes=...) must be a power of two, "
+                f"got {self.line_bytes}"
+            )
         if self.size_bytes < self.ways * self.line_bytes:
             raise ConfigurationError(
                 f"cache of {self.size_bytes} B cannot hold {self.ways} ways"

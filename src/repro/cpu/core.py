@@ -17,9 +17,12 @@ core") but do consume MSHRs and trigger write-allocate fills.
 
 Two engines implement the dispatch loop, mirroring the controller's
 ``ControllerConfig.engine`` seam: ``"fast"`` (default) runs an inlined,
-event-skipping rewrite over materialized trace blocks; ``"reference"``
-steps item-by-item exactly as the original model did. Both produce
-bit-identical results — the golden/differential tests hold them to it.
+event-skipping rewrite over materialized trace blocks that walks the
+cache hierarchy itself (L1 and L2 probed inline on the set dicts, one
+call to :meth:`CacheHierarchy.l2_miss` past L2); ``"reference"`` steps
+item-by-item through :meth:`CacheHierarchy.access`, exactly as the
+original model did. Both produce bit-identical results — the
+golden/differential tests hold them to it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 
 from repro.cpu.hierarchy import CacheHierarchy
 from repro.dram.commands import Request
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_finite, require_int
 from repro.stacks.cycle import CycleStackBuilder
 
 
@@ -72,10 +75,9 @@ class TraceItem:
 
 
 #: Core dispatch engines. ``"fast"`` runs the inlined event-skipping
-#: loop over materialized trace blocks (falling back transparently for
-#: plain iterators); ``"reference"`` keeps the original per-item
-#: stepping. Results are bit-identical; the reference engine exists so
-#: the differential tests can prove it.
+#: loop over materialized trace blocks; ``"reference"`` keeps the
+#: original per-item stepping. Results are bit-identical; the reference
+#: engine exists so the differential tests can prove it.
 CORE_ENGINES = ("fast", "reference")
 
 
@@ -86,8 +88,11 @@ class CoreConfig:
     All times are memory-controller cycles (1.2 GHz); ``freq_ratio`` is
     the core-to-memory clock ratio, so a 4-wide core at ratio 3 dispatches
     up to 12 instructions per memory cycle. ``freq_ratio`` must be
-    positive and finite, ``cycle_stack_bin`` at least 1, and the NoC
-    cycles non-negative (0: no on-chip network delay).
+    positive and finite and ``branch_penalty`` finite and non-negative.
+    The other numeric fields are ints: ``dispatch_width``, ``rob_size``,
+    ``mshrs`` and ``cycle_stack_bin`` at least 1, the NoC cycles and
+    ``dram_inflight_cap`` non-negative (NoC 0: no on-chip network
+    delay; cap 0: every prefetch is dropped).
     """
 
     dispatch_width: int = 4
@@ -102,21 +107,18 @@ class CoreConfig:
     engine: str = "fast"
 
     def __post_init__(self) -> None:
-        if self.dispatch_width < 1 or self.rob_size < 1 or self.mshrs < 1:
-            raise ConfigurationError("core resources must be >= 1")
+        for name in ("dispatch_width", "rob_size", "mshrs", "cycle_stack_bin"):
+            require_int("CoreConfig", name, getattr(self, name), 1)
+        for name in (
+            "dram_inflight_cap", "noc_request_cycles", "noc_response_cycles",
+        ):
+            require_int("CoreConfig", name, getattr(self, name), 0)
         if not math.isfinite(self.freq_ratio) or self.freq_ratio <= 0:
             raise ConfigurationError(
                 f"freq_ratio must be positive and finite, "
                 f"got {self.freq_ratio!r}"
             )
-        if self.cycle_stack_bin < 1:
-            raise ConfigurationError(
-                f"cycle_stack_bin must be >= 1, got {self.cycle_stack_bin!r}"
-            )
-        for name in ("noc_request_cycles", "noc_response_cycles"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
+        require_finite("CoreConfig", "branch_penalty", self.branch_penalty, 0)
         if self.engine not in CORE_ENGINES:
             raise ConfigurationError(
                 f"unknown core engine {self.engine!r}; "
@@ -245,15 +247,12 @@ class IntervalCore:
     def complete_request(self, load: OutstandingLoad, request: Request) -> None:
         """The DRAM request backing `load` finished."""
         load.complete = request.finish + self._noc_response
-        if self.state == BLOCKED and self._can_unblock():
-            self._resume()
-
-    def _can_unblock(self) -> bool:
-        blocker = self._blocked_on
-        if blocker is not None:
-            return blocker.complete is not None
-        # Blocked on MSHR pressure: any known completion helps.
-        return any(o.complete is not None for o in self._outstanding)
+        if self.state == BLOCKED:
+            blocker = self._blocked_on
+            # Blocked on MSHR pressure (no blocker), any known completion
+            # lets the core go on, and `load` sits in the window.
+            if blocker is None or blocker.complete is not None:
+                self._resume()
 
     def _resume(self) -> None:
         """Leave the blocked state, charging the stall to the blocker."""
@@ -279,33 +278,58 @@ class IntervalCore:
     def _charge_stall(
         self, load: OutstandingLoad | None, start: float, end: float
     ) -> None:
-        """Attribute a stall interval to cycle-stack components."""
+        """Attribute a stall interval to cycle-stack components.
+
+        Each part goes through the single-bin fast path of
+        :meth:`CycleStackBuilder.add` inline, as the dispatch loop does,
+        and through ``add`` itself otherwise, so the sums are identical.
+        """
         duration = end - start
         if duration <= 0:
             return
+        cycle_stack = self.cycle_stack
+        bins = cycle_stack._bins
+        bin_cycles = cycle_stack.bin_cycles
         if load is None or load.level in ("l2", "llc"):
-            self.cycle_stack.add("dcache", start, duration)
-            return
-        request = load.request
-        if request is None or request.cas_issue < 0:
-            self.cycle_stack.add("dram_latency", start, duration)
-            return
-        total = max(request.finish - request.arrival, 1)
-        uncontended = (
-            request.finish - request.cas_issue  # tCL + burst
-            + (request.own_pre_end - request.own_pre_start
-               if request.own_pre_start >= 0 else 0)
-            + (request.own_act_end - request.own_act_start
-               if request.own_act_start >= 0 else 0)
-        )
-        queue_fraction = max(0.0, min(1.0, 1.0 - uncontended / total))
-        self.cycle_stack.add(
-            "dram_queue", start, duration * queue_fraction
-        )
-        self.cycle_stack.add(
-            "dram_latency", start + duration * queue_fraction,
-            duration * (1.0 - queue_fraction),
-        )
+            component = "dcache"
+        else:
+            component = "dram_latency"
+            request = load.request
+            if request is not None and request.cas_issue >= 0:
+                total = max(request.finish - request.arrival, 1)
+                uncontended = (
+                    request.finish - request.cas_issue  # tCL + burst
+                    + (request.own_pre_end - request.own_pre_start
+                       if request.own_pre_start >= 0 else 0)
+                    + (request.own_act_end - request.own_act_start
+                       if request.own_act_start >= 0 else 0)
+                )
+                queue_fraction = max(
+                    0.0, min(1.0, 1.0 - uncontended / total)
+                )
+                # Both parts are >= 0, and add() drops a part of at most
+                # 1e-12 cycles, so skipping those here changes nothing.
+                queue = duration * queue_fraction
+                if queue > 1e-12:
+                    index = int(start // bin_cycles)
+                    if (
+                        index < len(bins)
+                        and start + queue <= (index + 1) * bin_cycles
+                    ):
+                        bins[index]["dram_queue"] += queue
+                    else:
+                        cycle_stack.add("dram_queue", start, queue)
+                start += queue
+                duration *= 1.0 - queue_fraction
+        if duration > 1e-12:
+            index = int(start // bin_cycles)
+            if (
+                index < len(bins)
+                and start + duration <= (index + 1) * bin_cycles
+            ):
+                bins[index][component] += duration
+            else:
+                cycle_stack.add(component, start, duration)
 
     def _retire_completed(self) -> None:
         """Drop leading completed loads from the window."""
@@ -373,7 +397,9 @@ class IntervalCore:
         float the reference path adds to ``self.t`` or to the cycle
         stack is produced by an identical expression here, so results
         stay bit-identical (the differential matrix in ``tests/golden``
-        holds both engines to that).
+        holds both engines to that). The cache walk is inlined the same
+        way: each cache changes state, statistics and victims in the
+        order :meth:`CacheHierarchy.access` gives them.
         """
         items = self._items
         t = self.t
@@ -397,6 +423,20 @@ class IntervalCore:
         recent_cap = recent.maxlen
         pool = self._load_pool
         memory = self._memory
+        pending_lines = memory._pending_lines
+        line_shift = self._line_shift
+        hierarchy = self.hierarchy
+        l1_sets = hierarchy._l1_sets
+        l1_mask = hierarchy._l1_mask
+        l1_ways = hierarchy._l1_ways
+        l1_stats = hierarchy._l1_stats
+        l2_sets = hierarchy._l2_sets
+        l2_mask = hierarchy._l2_mask
+        l2_stats = hierarchy._l2_stats
+        l2_lookup = hierarchy._l2_lookup
+        llc_lookup = hierarchy._llc_lookup
+        l2_miss = hierarchy.l2_miss
+        fill_l2 = hierarchy._fill_l2
         item = self._pending
 
         while t < deadline:
@@ -581,23 +621,47 @@ class IntervalCore:
                     self.t = t
                     self._drain_one_mshr()
 
+            # The cache walk: L1 and L2 probed inline on the hierarchy's
+            # set dicts, one call past L2 (same order as access()).
             is_store = item.is_store
-            line = address >> self._line_shift
-            level, latency, writebacks, prefetches, pending = (
-                memory.cache_access_fast(self, line, is_store)
-            )
+            line = address >> line_shift
             stats.memory_ops += 1
             if is_store:
                 stats.stores += 1
             else:
                 stats.loads += 1
-
-            if level == "l1":
+            s1 = l1_sets[line & l1_mask]
+            if line in s1:
+                s1[line] = s1.pop(line) or is_store
+                l1_stats.hits += 1
                 stats.l1_hits += 1
-                if writebacks:
-                    memory.issue_writebacks(self, writebacks, t)
                 item = None
                 continue
+            l1_stats.misses += 1
+            writebacks = prefetches = pending = None
+            s2 = l2_sets[line & l2_mask]
+            if line in s2:
+                s2[line] = s2.pop(line)
+                l2_stats.hits += 1
+                level = "l2"
+                latency = l2_lookup
+            else:
+                l2_stats.misses += 1
+                level, writebacks, prefetches = l2_miss(line)
+                latency = llc_lookup
+                pending = pending_lines.get(line)
+            # Fill L1; a dirty victim cascades into L2 through insert()'s
+            # membership-checking path, since it may already sit there.
+            if len(s1) >= l1_ways:
+                victim = next(iter(s1))
+                was_dirty = s1.pop(victim)
+                l1_stats.evictions += 1
+                if was_dirty:
+                    l1_stats.dirty_evictions += 1
+                    if writebacks is None:
+                        writebacks = []
+                    fill_l2(victim, writebacks, dirty=True)
+            s1[line] = is_store
 
             if pool:
                 load = pool.pop()
@@ -620,7 +684,7 @@ class IntervalCore:
             elif level == "mem":
                 stats.dram_loads += 1
                 load.request = memory.issue_read(
-                    self, load, line, t + latency, is_prefetch=False
+                    self, load, line, t + latency
                 )
             else:
                 if level == "l2":
@@ -774,8 +838,7 @@ class IntervalCore:
         elif result.level == "mem":
             self.stats.dram_loads += 1
             load.request = self._memory.issue_read(
-                self, load, line, self.t + result.latency,
-                is_prefetch=False,
+                self, load, line, self.t + result.latency
             )
         else:
             if result.level == "l2":

@@ -91,9 +91,10 @@ class CacheHierarchy:
         self._l1_latency = config.l1.latency
         self._l2_lookup = config.l1.latency + config.l2.latency
         self._llc_lookup = self._l2_lookup + config.llc.latency
-        # Aliases into the cache arrays for the allocation-free fast
-        # path. These reference (never copy) the caches' own state, so
-        # `access` and `access_fast` stay interchangeable mid-run.
+        # Aliases into the cache arrays for the fast core engine, which
+        # probes L1 and L2 on them inline and calls `l2_miss` past L2.
+        # They reference (never copy) the caches' own state, so that
+        # walk and `access` stay interchangeable mid-run.
         self._l1_sets = self.l1._sets
         self._l1_mask = self.l1._set_mask
         self._l1_ways = self.l1._ways
@@ -136,83 +137,39 @@ class CacheHierarchy:
         self._fill_l1(line, is_write, writebacks)
         return AccessResult("mem", self._llc_lookup, writebacks, prefetches)
 
-    def access_fast(
-        self, line: int, is_write: bool
-    ) -> tuple[str, int, list[int] | tuple, list[int] | tuple]:
-        """Allocation-free twin of :meth:`access` for the hot path.
+    def l2_miss(self, line: int) -> tuple[str, list[int], list[int]]:
+        """The walk past L2 for the fast core engine's demand misses.
 
-        Returns ``(level, latency, writebacks, prefetch_lines)`` as a
-        plain tuple instead of an :class:`AccessResult`, probing the set
-        dicts directly. State updates, statistics and fill/eviction
-        order are identical to :meth:`access` — the cache-property tests
-        in ``tests/cpu`` compare the two on random traces.
+        The caller has probed L1 and L2 on the aliased set dicts and
+        counted both misses. This trains the prefetcher, probes the
+        LLC and fills the LLC (on a miss there) and L2, in the order
+        :meth:`access` does; the caller then fills L1. Returns
+        ``(level, writebacks, prefetch_lines)`` with `level` ``"llc"``
+        or ``"mem"``. The fast-versus-reference property tests in
+        ``tests/cpu`` compare the whole walk with :meth:`access`.
         """
-        s1 = self._l1_sets[line & self._l1_mask]
-        if line in s1:
-            s1[line] = s1.pop(line) or is_write
-            self._l1_stats.hits += 1
-            return "l1", self._l1_latency, (), ()
-        self._l1_stats.misses += 1
-
         writebacks: list[int] = []
-        s2 = self._l2_sets[line & self._l2_mask]
-        if line in s2:
-            dirty = s2.pop(line)
-            s2[line] = dirty
-            self._l2_stats.hits += 1
-            self._fill_l1_fast(s1, line, is_write, writebacks)
-            return "l2", self._l2_lookup, writebacks, ()
-        self._l2_stats.misses += 1
-
         prefetches = self._prefetch(line, writebacks)
         llc = self._llc_slices[line % self._llc_n]
         sl = llc._sets[line & llc._set_mask]
         if line in sl:
             sl[line] = sl.pop(line)
             llc.stats.hits += 1
-            self._fill_l2_fast(line, writebacks)
-            self._fill_l1_fast(s1, line, is_write, writebacks)
-            return "llc", self._llc_lookup, writebacks, prefetches
-        llc.stats.misses += 1
-
-        # DRAM access: fill every level now (timing handled by the core).
-        # `line` cannot be in this slice set (we just missed), so the
-        # demand fill skips insert()'s membership check; victim inserts
-        # keep it (see the _fill_*_fast helpers).
-        if len(sl) >= llc._ways:
-            victim = next(iter(sl))
-            was_dirty = sl.pop(victim)
-            llc.stats.evictions += 1
-            if was_dirty:
-                llc.stats.dirty_evictions += 1
-                writebacks.append(victim)
-        sl[line] = False
-        self._fill_l2_fast(line, writebacks)
-        self._fill_l1_fast(s1, line, is_write, writebacks)
-        return "mem", self._llc_lookup, writebacks, prefetches
-
-    def _fill_l1_fast(
-        self,
-        s1: dict[int, bool],
-        line: int,
-        is_write: bool,
-        writebacks: list[int],
-    ) -> None:
-        """Fill `line` (known absent) into the L1 set `s1`."""
-        if len(s1) >= self._l1_ways:
-            victim = next(iter(s1))
-            was_dirty = s1.pop(victim)
-            stats = self._l1_stats
-            stats.evictions += 1
-            if was_dirty:
-                stats.dirty_evictions += 1
-                # The victim may already sit in L2, so the cascade goes
-                # through insert()'s membership-checking path.
-                self._fill_l2(victim, writebacks, dirty=True)
-        s1[line] = is_write
-
-    def _fill_l2_fast(self, line: int, writebacks: list[int]) -> None:
-        """Fill `line` (known absent, clean) into its L2 set."""
+            level = "llc"
+        else:
+            llc.stats.misses += 1
+            # `line` cannot be in this slice set (we just missed), so
+            # the demand fill skips insert()'s membership check; victim
+            # inserts keep it.
+            if len(sl) >= llc._ways:
+                victim = next(iter(sl))
+                was_dirty = sl.pop(victim)
+                llc.stats.evictions += 1
+                if was_dirty:
+                    llc.stats.dirty_evictions += 1
+                    writebacks.append(victim)
+            sl[line] = False
+            level = "mem"
         s2 = self._l2_sets[line & self._l2_mask]
         if len(s2) >= self._l2_ways:
             victim = next(iter(s2))
@@ -223,6 +180,7 @@ class CacheHierarchy:
                 stats.dirty_evictions += 1
                 self._fill_llc(victim, dirty=True, writebacks=writebacks)
         s2[line] = False
+        return level, writebacks, prefetches
 
     # ------------------------------------------------------------------
     def _fill_l1(

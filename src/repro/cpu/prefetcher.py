@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 
 
 @dataclass(frozen=True)
@@ -19,10 +19,11 @@ class PrefetcherConfig:
     """Stream prefetcher parameters.
 
     Attributes:
-        streams: simultaneously tracked streams.
-        degree: prefetches issued per triggering access.
-        distance: how many lines ahead of the demand stream to run.
-        enabled: master switch.
+        streams: simultaneously tracked streams, >= 1.
+        degree: prefetches issued per triggering access, >= 1.
+        distance: how many lines ahead of the demand stream to run,
+            >= `degree`.
+        enabled: master switch, a bool.
     """
 
     streams: int = 16
@@ -31,8 +32,13 @@ class PrefetcherConfig:
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.streams < 1 or self.degree < 1 or self.distance < 1:
-            raise ConfigurationError("prefetcher parameters must be >= 1")
+        for name in ("streams", "degree", "distance"):
+            require_int("PrefetcherConfig", name, getattr(self, name), 1)
+        if not isinstance(self.enabled, bool):
+            raise ConfigurationError(
+                f"PrefetcherConfig(enabled=...) must be a bool, "
+                f"got {self.enabled!r}"
+            )
         if self.distance < self.degree:
             raise ConfigurationError("distance must be >= degree")
 
@@ -79,8 +85,14 @@ class StreamPrefetcher:
         """Record a demand access; return line numbers to prefetch."""
         if not self.config.enabled:
             return []
-        stream = self._match(line)
-        if stream is None:
+        # Find the tracked stream this access plausibly belongs to and
+        # make it the most recently used.
+        streams = self._streams
+        for key, stream in streams.items():
+            if stream.lo <= line <= stream.hi:
+                streams.move_to_end(key)
+                break
+        else:
             self._allocate(line)
             return []
         delta = line - stream.last_line
@@ -120,19 +132,6 @@ class StreamPrefetcher:
         return prefetches
 
     # ------------------------------------------------------------------
-    def _match(self, line: int) -> _Stream | None:
-        """Find the tracked stream this access plausibly belongs to."""
-        best_key = None
-        for key, stream in self._streams.items():
-            if stream.lo <= line <= stream.hi:
-                best_key = key
-                break
-        if best_key is None:
-            return None
-        stream = self._streams.pop(best_key)
-        self._streams[best_key] = stream  # move to MRU
-        return stream
-
     def _allocate(self, line: int) -> None:
         if len(self._streams) >= self.config.streams:
             self._streams.popitem(last=False)  # drop LRU stream

@@ -26,7 +26,12 @@ from repro.cpu.core import (
 from repro.cpu.hierarchy import AccessResult, CacheHierarchy, HierarchyConfig
 from repro.dram.commands import Request, RequestType
 from repro.dram.controller import ControllerConfig, MemoryController
-from repro.errors import ConfigurationError, SimulationStalledError
+from repro.errors import (
+    ConfigurationError,
+    SimulationStalledError,
+    require_finite,
+    require_int,
+)
 from repro.reliability.guard import ReliabilityGuard
 from repro.stacks.bandwidth import BandwidthStackAccountant
 from repro.stacks.components import Stack, StackSeries
@@ -40,10 +45,19 @@ from repro.stacks.requester import (
     RequesterLatencyAccountant,
 )
 
+_READ = RequestType.READ
+_WRITE = RequestType.WRITE
+
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Whole-system configuration (paper defaults)."""
+    """Whole-system configuration (paper defaults).
+
+    ``quantum`` is the most cycles a core runs before the driver picks
+    the next core, a finite number >= 1. Every cache level's line size
+    must equal the DRAM line size: the core and the caches count in
+    cache lines, and DRAM requests are one line each.
+    """
 
     cores: int = 1
     core: CoreConfig = field(default_factory=CoreConfig)
@@ -56,10 +70,16 @@ class SystemConfig:
     requesters: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.cores < 1:
-            raise ConfigurationError("need at least one core")
-        if self.quantum < 1:
-            raise ConfigurationError("quantum must be >= 1 cycle")
+        require_int("SystemConfig", "cores", self.cores, 1)
+        require_finite("SystemConfig", "quantum", self.quantum, 1)
+        dram_line = self.memory.spec.organization.line_bytes
+        for level in ("l1", "l2", "llc"):
+            line_bytes = getattr(self.hierarchy, level).line_bytes
+            if line_bytes != dram_line:
+                raise ConfigurationError(
+                    f"{level} line_bytes {line_bytes} differs from the "
+                    f"{dram_line}-byte lines of {self.memory.spec.name}"
+                )
         if self.requesters is not None:
             ids = tuple(self.requesters)
             if len(ids) != self.cores:
@@ -140,24 +160,6 @@ class CpuSystem:
                 return result, pending
         return result, None
 
-    def cache_access_fast(
-        self, core: IntervalCore, line: int, is_write: bool
-    ) -> tuple[str, int, list | tuple, list | tuple, Request | None]:
-        """Tuple-returning twin of :meth:`cache_access`.
-
-        Used by the fast core engine: same cache-state updates and
-        pending-line detection, but returns
-        ``(level, latency, writebacks, prefetch_lines, pending)``
-        without building an :class:`AccessResult`.
-        """
-        level, latency, writebacks, prefetches = (
-            core.hierarchy.access_fast(line, is_write)
-        )
-        pending = None
-        if level != "l1" and level != "l2":
-            pending = self._pending_lines.get(line)
-        return level, latency, writebacks, prefetches, pending
-
     def attach_waiter(
         self, request: Request, core: IntervalCore, load: OutstandingLoad
     ) -> None:
@@ -165,25 +167,18 @@ class CpuSystem:
         request.meta.append((core, load))
 
     def issue_read(
-        self,
-        core: IntervalCore,
-        load: OutstandingLoad,
-        line: int,
-        t: float,
-        is_prefetch: bool,
+        self, core: IntervalCore, load: OutstandingLoad, line: int, t: float
     ) -> Request:
         """Issue a demand DRAM read for a core's load."""
+        # Request's leading fields go by position (see its docstring):
+        # keywords cost this hot call about two thirds more.
+        core_id = core.core_id
         request = Request(
-            RequestType.READ,
-            line * self._line_bytes,
-            arrival=self._arrival(t),
-            core_id=core.core_id,
-            requester_id=self._requester_of[core.core_id],
-            is_prefetch=is_prefetch,
-            meta=[(core, load)],
+            _READ, line * self._line_bytes, self._arrival(t), core_id,
+            self._requester_of[core_id], False, [(core, load)],
         )
         self._pending_lines[line] = request
-        self._dram_inflight[core.core_id] += 1
+        self._dram_inflight[core_id] += 1
         self.memory.enqueue(request)
         return request
 
@@ -192,22 +187,18 @@ class CpuSystem:
     ) -> None:
         """Issue prefetch reads (dropped at the in-flight cap)."""
         cap = self.config.core.dram_inflight_cap
+        core_id = core.core_id
         for line in lines:
             if line in self._pending_lines:
                 continue
-            if self._dram_inflight[core.core_id] >= cap:
+            if self._dram_inflight[core_id] >= cap:
                 break  # L2 miss buffer full: drop the prefetch
             request = Request(
-                RequestType.READ,
-                line * self._line_bytes,
-                arrival=self._arrival(t),
-                core_id=core.core_id,
-                requester_id=self._requester_of[core.core_id],
-                is_prefetch=True,
-                meta=[],
+                _READ, line * self._line_bytes, self._arrival(t), core_id,
+                self._requester_of[core_id], True, [],
             )
             self._pending_lines[line] = request
-            self._dram_inflight[core.core_id] += 1
+            self._dram_inflight[core_id] += 1
             self.memory.enqueue(request)
             self.issue_writebacks(
                 core, core.hierarchy.fill_prefetched(line), t
@@ -217,13 +208,11 @@ class CpuSystem:
         self, core: IntervalCore, lines: list[int], t: float
     ) -> None:
         """Issue DRAM writes for dirty LLC victims."""
+        core_id = core.core_id
         for line in lines:
             self.memory.enqueue(Request(
-                RequestType.WRITE,
-                line * self._line_bytes,
-                arrival=self._arrival(t),
-                core_id=core.core_id,
-                requester_id=self._requester_of[core.core_id],
+                _WRITE, line * self._line_bytes, self._arrival(t), core_id,
+                self._requester_of[core_id],
             ))
 
     def _arrival(self, t: float) -> int:
@@ -389,7 +378,7 @@ class CpuSystem:
     def _deliver(self, completed: list[Request]) -> None:
         heap = self._wake_heap
         for request in completed:
-            if request.is_read:
+            if request.req_type is _READ:
                 line = request.address // self._line_bytes
                 if self._pending_lines.get(line) is request:
                     del self._pending_lines[line]

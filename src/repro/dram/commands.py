@@ -67,6 +67,9 @@ class Request:
             for bandwidth purposes but are excluded from latency stacks.
         meta: free-form tag for callers (e.g. the CPU model stores its
             bookkeeping handle here).
+
+    The order of the first seven fields, ``req_type`` through ``meta``,
+    is load-bearing: the CPU model's hot path passes them by position.
     """
 
     req_type: RequestType

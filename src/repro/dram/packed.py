@@ -1548,6 +1548,24 @@ class PackedEngine:
                                 arrivals or in_flight or rq_n or wq_n
                             ):
                                 break
+                            # The issue is the reference engine's second
+                            # step: count it, and call the watchdog as the
+                            # loop top would.
+                            if watchdog is not None:
+                                wd_count -= 1
+                                if wd_count <= 0:
+                                    wd_count = _WATCHDOG_STRIDE
+                                    ctrl.now = now
+                                    ctrl._last_cmd_issue = last_cmd
+                                    ctrl._watchdog_countdown = wd_count
+                                    eng.gh_r, eng.gt_r = gh_r, gt_r
+                                    eng.gh_w, eng.gt_w = gh_w, gt_w
+                                    eng.mask_r, eng.mask_w = mask_r, mask_w
+                                    eng.rq_len, eng.wq_len = rq_n, wq_n
+                                    eng.bus_free = bus_free
+                                    eng.bus_last = bus_last
+                                    eng.last_chan = last_chan
+                                    watchdog.observe(ctrl)
                         else:
                             target = wake if wake < t_limit else t_limit
                             if target <= now:

@@ -2,10 +2,13 @@
 
 All exceptions raised by this library derive from :class:`ReproError`, so
 callers can catch one base class. Subclasses indicate which subsystem
-detected the problem.
+detected the problem. :func:`require_int` and :func:`require_finite`
+are the shared checks for the numeric fields of the config dataclasses.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class ReproError(Exception):
@@ -155,3 +158,30 @@ def exit_code_for(error: ReproError) -> int:
         if cls in EXIT_CODES:
             return EXIT_CODES[cls]
     return 1
+
+
+def require_int(owner: str, name: str, value, minimum: int) -> None:
+    """Raise :class:`ConfigurationError` unless `value` is an int (not a
+    bool) of at least `minimum`; the message names `owner` and `name`."""
+    if not isinstance(value, int) or isinstance(value, bool) or (
+        value < minimum
+    ):
+        raise ConfigurationError(
+            f"{owner}({name}=...) must be an int >= {minimum}, "
+            f"got {value!r}"
+        )
+
+
+def require_finite(owner: str, name: str, value, minimum: float) -> None:
+    """Raise :class:`ConfigurationError` unless `value` is a finite int
+    or float (not a bool) of at least `minimum`."""
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+        or value < minimum
+    ):
+        raise ConfigurationError(
+            f"{owner}({name}=...) must be a finite number >= {minimum}, "
+            f"got {value!r}"
+        )

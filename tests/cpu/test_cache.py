@@ -25,6 +25,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             CacheConfig(64, ways=8)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(size_bytes=4096, ways=0),
+        dict(size_bytes=4096, ways=2, line_bytes=0),
+        dict(size_bytes=4096, ways=2.5),
+        dict(size_bytes=384, ways=2, line_bytes=48),  # 4 sets
+        dict(size_bytes=4096, latency=-20),
+    ], ids=["ways-0", "line-0", "ways-float", "line-48", "latency-neg"])
+    def test_breach_raises_at_construction(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            CacheConfig(**kwargs)
+
 
 class TestLookupInsert:
     def test_miss_then_hit(self):

@@ -91,6 +91,18 @@ class TestRobAndMshr:
         with pytest.raises(ConfigurationError, match=field):
             CoreConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("branch_penalty", -5.0),
+        ("branch_penalty", float("nan")),
+        ("rob_size", 1.5),
+        ("dispatch_width", 2.5),
+        ("dram_inflight_cap", -1),
+        ("noc_request_cycles", 1.5),
+    ])
+    def test_breach_raises_at_construction(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            CoreConfig(**{field: value})
+
 
 class TestPendingHits:
     def test_duplicate_addresses_share_one_dram_read(self):

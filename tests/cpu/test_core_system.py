@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cpu import CpuSystem, SystemConfig
+from repro.cpu.cache import CacheConfig
 from repro.cpu.core import CoreConfig, IntervalCore, TraceItem
+from repro.cpu.hierarchy import HierarchyConfig
 from repro.errors import ConfigurationError
 from repro.reliability.fingerprint import diff_fingerprints, result_fingerprint
 
@@ -96,6 +98,24 @@ class TestSingleCore:
         narrow = CpuSystem(config).run([seq_trace(400)])
         wide = CpuSystem(SystemConfig(cores=1)).run([seq_trace(400)])
         assert narrow.achieved_bandwidth_gbps < wide.achieved_bandwidth_gbps
+
+
+class TestSystemConfig:
+    @pytest.mark.parametrize("kwargs", [
+        dict(quantum=float("nan")),
+        dict(quantum=float("inf")),
+        dict(hierarchy=HierarchyConfig(
+            l1=CacheConfig(32 * 1024, ways=8, line_bytes=128)
+        )),
+        dict(hierarchy=HierarchyConfig(
+            llc=CacheConfig(2 * 1024 * 1024, ways=8, line_bytes=128)
+        )),
+    ], ids=["quantum-nan", "quantum-inf", "l1-line-128", "llc-line-128"])
+    def test_breach_raises_at_construction(self, kwargs):
+        """A NaN quantum never moves a core (the run never ends), and
+        a cache line other than the DRAM's 64 bytes miscounts lines."""
+        with pytest.raises(ConfigurationError):
+            SystemConfig(**kwargs)
 
 
 class TestMultiCore:

@@ -1,13 +1,18 @@
-"""Property-based tests for the hot-path twins (hypothesis).
+"""Property-based tests for the fast core engine and the cache walk
+(hypothesis).
 
-PR 5 added allocation-free fast paths next to the straightforward
-reference implementations: ``CacheHierarchy.access_fast`` next to
-``access``, and the event-skipping ``engine="fast"`` core stepper next
-to ``engine="reference"``. These tests drive both twins with random
-streams and require exact agreement — not just hit counts, but LRU
-recency order, dirty bits, writeback lists and (for the core engines)
-the full result fingerprint.
+The event-skipping ``engine="fast"`` core stepper walks the cache
+hierarchy itself: it probes L1 and L2 inline on the hierarchy's set
+dicts and calls ``CacheHierarchy.l2_miss`` past L2. The per-item
+``engine="reference"`` stepper goes through ``CacheHierarchy.access``.
+These tests drive both engines with random traces and require exact
+agreement: the full result fingerprint, and on a deliberately tiny
+geometry also each core's LRU recency order, dirty bits, cache
+statistics and prefetcher decisions. The invariant tests hold
+``access`` itself to inclusion and to never losing dirty data.
 """
+
+import dataclasses
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -23,15 +28,19 @@ from repro.reliability.fingerprint import (
 )
 
 
-def tiny_hierarchy(prefetch: bool = True) -> CacheHierarchy:
-    """A deliberately small hierarchy so random streams evict a lot."""
-    config = HierarchyConfig(
+def tiny_config(prefetch: bool = True) -> HierarchyConfig:
+    """A deliberately small geometry so random streams evict a lot."""
+    return HierarchyConfig(
         l1=CacheConfig(2 * 2 * 64, ways=2),        # 2 sets x 2 ways
         l2=CacheConfig(4 * 2 * 64, ways=2),        # 4 sets x 2 ways
         llc=CacheConfig(2 * 2 * 2 * 64, ways=2),   # 2 slices x 2 sets
         llc_slices=2,
         prefetcher=PrefetcherConfig(enabled=prefetch),
     )
+
+
+def tiny_hierarchy(prefetch: bool = True) -> CacheHierarchy:
+    config = tiny_config(prefetch)
     return CacheHierarchy(config, config.make_llc())
 
 
@@ -68,24 +77,6 @@ cache_streams = st.lists(
 )
 
 
-@settings(max_examples=80, deadline=None)
-@given(cache_streams, st.booleans())
-def test_access_fast_matches_access_exactly(accesses, prefetch):
-    """Same stream through both paths: identical return values, LRU
-    order, dirty bits, statistics and prefetcher decisions."""
-    fast = tiny_hierarchy(prefetch)
-    reference = tiny_hierarchy(prefetch)
-    for line, is_write in accesses:
-        got = fast.access_fast(line, is_write)
-        want = reference.access(line, is_write)
-        assert got[0] == want.level
-        assert got[1] == want.latency
-        assert list(got[2]) == list(want.writebacks)
-        assert list(got[3]) == list(want.prefetch_lines)
-    assert lru_state(fast) == lru_state(reference)
-    assert stats_state(fast) == stats_state(reference)
-
-
 @settings(max_examples=60, deadline=None)
 @given(cache_streams)
 @example(
@@ -105,7 +96,7 @@ def test_fast_path_fills_are_inclusive(accesses):
     access (see the pinned example), so no LLC claim is made."""
     hierarchy = tiny_hierarchy()
     for line, is_write in accesses:
-        level, __, __, __ = hierarchy.access_fast(line, is_write)
+        level = hierarchy.access(line, is_write).level
         assert hierarchy.l1.contains(line)
         if level in ("l2", "llc", "mem"):
             assert hierarchy.l2.contains(line)
@@ -123,8 +114,7 @@ def test_fast_path_never_loses_dirty_data(accesses):
     for line, is_write in accesses:
         if is_write:
             dirtied.add(line)
-        __, __, writebacks, __ = hierarchy.access_fast(line, is_write)
-        written_back.extend(writebacks)
+        written_back.extend(hierarchy.access(line, is_write).writebacks)
     llc_dirty_evictions = sum(
         s.stats.dirty_evictions for s in hierarchy.llc._slices
     )
@@ -146,39 +136,75 @@ def test_fast_path_never_loses_dirty_data(accesses):
 # ----------------------------------------------------------------------
 # Fast vs reference core engine on arbitrary traces.
 # ----------------------------------------------------------------------
-trace_items = st.builds(
-    TraceItem,
-    instructions=st.integers(min_value=0, max_value=24),
-    # -1 is "no memory op"; positive addresses land on a small footprint
-    # so the stream mixes cache hits, misses and row-buffer reuse.
-    address=st.one_of(
-        st.just(-1),
-        st.integers(min_value=0, max_value=2047).map(lambda l: l * 64),
-    ),
-    is_store=st.booleans(),
-    dependency_distance=st.integers(min_value=0, max_value=4),
-    branch_mispredicts=st.integers(min_value=0, max_value=2),
-    # No barriers: release order across cores is the driver's job and
-    # mismatched per-core barrier counts would deadlock by design.
-)
+def trace_items(lines: int):
+    """Trace items whose memory ops touch the first `lines` lines."""
+    return st.builds(
+        TraceItem,
+        instructions=st.integers(min_value=0, max_value=24),
+        # -1 is "no memory op"; positive addresses land on a small
+        # footprint so the stream mixes cache hits, misses and
+        # row-buffer reuse.
+        address=st.one_of(
+            st.just(-1),
+            st.integers(min_value=0, max_value=lines - 1).map(
+                lambda l: l * 64
+            ),
+        ),
+        is_store=st.booleans(),
+        dependency_distance=st.integers(min_value=0, max_value=4),
+        branch_mispredicts=st.integers(min_value=0, max_value=2),
+        # No barriers: release order across cores is the driver's job
+        # and mismatched per-core barrier counts would deadlock by
+        # design.
+    )
 
-core_traces = st.lists(
-    st.lists(trace_items, min_size=1, max_size=80),
-    min_size=1,
-    max_size=2,
-)
+
+def core_traces(lines: int):
+    return st.lists(
+        st.lists(trace_items(lines), min_size=1, max_size=80),
+        min_size=1,
+        max_size=2,
+    )
 
 
-def run_engine(traces, engine: str):
+@st.composite
+def walk_traces(draw, lines: int):
+    """1-2 per-core traces of 10-80 items over `lines` lines. About half
+    the memory ops step a constant stride from the previous one, so the
+    stream prefetcher confirms streams; the rest land at random, so
+    lines are reused and evicted at every level of a tiny geometry."""
+    traces = []
+    for __ in range(draw(st.integers(min_value=1, max_value=2))):
+        items = draw(st.lists(trace_items(lines), min_size=10, max_size=80))
+        line = draw(st.integers(min_value=0, max_value=lines - 1))
+        stride = draw(st.sampled_from((1, -1, 2, 3)))
+        walk = draw(st.lists(
+            st.booleans(), min_size=len(items), max_size=len(items)
+        ))
+        trace = []
+        for item, step in zip(items, walk):
+            if item.address >= 0:
+                if step:
+                    line = (line + stride) % lines
+                    item = dataclasses.replace(item, address=line * 64)
+                else:
+                    line = item.address // 64
+            trace.append(item)
+        traces.append(trace)
+    return traces
+
+
+def run_engine(traces, engine: str, hierarchy: HierarchyConfig | None = None):
     config = paper_system(
-        cores=len(traces), gap=True, core=CoreConfig(engine=engine)
+        cores=len(traces), gap=True, core=CoreConfig(engine=engine),
+        hierarchy=hierarchy,
     )
     system = CpuSystem(config)
     return system.run([list(t) for t in traces], guard=False)
 
 
 @settings(max_examples=25, deadline=None)
-@given(core_traces)
+@given(core_traces(2048))
 def test_core_engines_agree_on_random_traces(traces):
     """Bit-identical fingerprints (event log, stacks, counts) between
     the event-skipping and per-item core steppers on arbitrary traces —
@@ -188,3 +214,22 @@ def test_core_engines_agree_on_random_traces(traces):
     reference = result_fingerprint(run_engine(traces, "reference"))
     problems = diff_fingerprints(reference, fast)
     assert not problems, "\n".join(problems)
+
+
+@settings(max_examples=40, deadline=None)
+@given(walk_traces(24), st.booleans())
+def test_core_engines_agree_on_tiny_caches(traces, prefetch):
+    """The same agreement on the 2-set tiny geometry, where random
+    traces evict at every level: L1 victims cascade into L2, L2 victims
+    into the LLC, and dirty LLC victims become DRAM writes. Besides the
+    fingerprint, each core's final LRU order, dirty bits, cache
+    statistics and prefetcher ``issued`` must match."""
+    fast = run_engine(traces, "fast", tiny_config(prefetch))
+    reference = run_engine(traces, "reference", tiny_config(prefetch))
+    problems = diff_fingerprints(
+        result_fingerprint(reference), result_fingerprint(fast)
+    )
+    assert not problems, "\n".join(problems)
+    for got, want in zip(fast.system.cores, reference.system.cores):
+        assert lru_state(got.hierarchy) == lru_state(want.hierarchy)
+        assert stats_state(got.hierarchy) == stats_state(want.hierarchy)

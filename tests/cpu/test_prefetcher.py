@@ -78,3 +78,12 @@ class TestStreamTable:
             PrefetcherConfig(degree=0)
         with pytest.raises(ConfigurationError):
             PrefetcherConfig(degree=8, distance=4)
+
+    @pytest.mark.parametrize("field,value", [
+        ("streams", True),
+        ("degree", 1.5),
+        ("enabled", "no"),
+    ])
+    def test_breach_raises_at_construction(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            PrefetcherConfig(**{field: value})

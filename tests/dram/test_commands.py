@@ -1,5 +1,7 @@
 """Unit tests for request/command types."""
 
+from dataclasses import fields
+
 from repro.dram.commands import Command, CommandType, Request, RequestType
 
 
@@ -25,6 +27,13 @@ class TestRequest:
     def test_repr_mentions_address(self):
         request = Request(RequestType.READ, 0x1234, arrival=5)
         assert "0x1234" in repr(request)
+
+    def test_leading_field_order(self):
+        """The CPU model builds requests positionally from these."""
+        assert [f.name for f in fields(Request)][:7] == [
+            "req_type", "address", "arrival", "core_id", "requester_id",
+            "is_prefetch", "meta",
+        ]
 
 
 class TestCommand:

@@ -190,10 +190,11 @@ class TestIntegration:
 
 class TestControllerEngines:
     """Both controller engines call the watchdog every 32 scheduling
-    steps. The packed engine folds a wait and the issue that ends it
-    into one step when no request arrives first; with a request arriving
-    every cycle no wait outlasts the next arrival, so both engines take
-    the same steps and a threshold-1 watchdog sees the same states."""
+    steps, and count the same steps: the packed engine folds a wait and
+    the issue that ends it into one pass of its loop, but counts that
+    pass as the two steps the reference engine takes. So even a watchdog
+    whose threshold is shorter than one wait samples the same cycles,
+    whatever the gaps between arrivals."""
 
     @pytest.mark.parametrize("attach", ["before-run", "after-run"])
     def test_threshold_one_stalls_alike(self, attach):
@@ -220,6 +221,38 @@ class TestControllerEngines:
             ))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][2] + outcomes[0][3] > 0
+
+    @pytest.mark.parametrize("threshold", [1, 2, 5, 20])
+    @pytest.mark.parametrize(
+        "count,spacing", [(48, 3), (16, 2), (200, 5), (400, 1), (100, 10)]
+    )
+    def test_spaced_arrivals_stall_alike(self, count, spacing, threshold):
+        """Requests `spacing` cycles apart: both engines raise at the
+        same cycle with the same last command and queue counts, or
+        neither raises."""
+        outcomes = []
+        for engine in ENGINES:
+            mc = MemoryController(ControllerConfig(engine=engine))
+            rng = random.Random(7)
+            for i in range(count):
+                mc.enqueue(Request(
+                    RequestType.READ if i % 4 else RequestType.WRITE,
+                    rng.randrange(1 << 26) * 64, arrival=i * spacing,
+                ))
+            mc.attach_watchdog(
+                ForwardProgressWatchdog(threshold_cycles=threshold)
+            )
+            try:
+                mc.run_until(100_000)
+            except SimulationStalledError as err:
+                diag = err.diagnostic
+                outcomes.append((
+                    diag.cycle, diag.last_command_cycle,
+                    diag.queued_reads, diag.queued_writes,
+                ))
+            else:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("core_engine,engine", [
