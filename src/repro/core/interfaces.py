@@ -220,8 +220,9 @@ class WriteDrainPolicy(Protocol):
     draining: bool
     windows: list[tuple[int, int]]
 
-    def select_mode(self, now: int, queue: Any, reads_pending: bool) -> bool:
-        """Advance the state machine; True while writes have priority."""
+    def update(self, now: int, occupancy: int, reads_pending: bool) -> bool:
+        """Advance the state machine on the buffer's `occupancy`; True
+        while writes have priority."""
         ...
 
     def finalize(self, now: int) -> None:

@@ -27,7 +27,6 @@ golden/differential tests hold them to it.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -87,12 +86,12 @@ class CoreConfig:
 
     All times are memory-controller cycles (1.2 GHz); ``freq_ratio`` is
     the core-to-memory clock ratio, so a 4-wide core at ratio 3 dispatches
-    up to 12 instructions per memory cycle. ``freq_ratio`` must be
-    positive and finite and ``branch_penalty`` finite and non-negative.
-    The other numeric fields are ints: ``dispatch_width``, ``rob_size``,
-    ``mshrs`` and ``cycle_stack_bin`` at least 1, the NoC cycles and
-    ``dram_inflight_cap`` non-negative (NoC 0: no on-chip network
-    delay; cap 0: every prefetch is dropped).
+    up to 12 instructions per memory cycle. ``freq_ratio`` must be a
+    positive, finite number (not a bool) and ``branch_penalty`` finite
+    and non-negative. The other numeric fields are ints:
+    ``dispatch_width``, ``rob_size``, ``mshrs`` and ``cycle_stack_bin``
+    at least 1, the NoC cycles and ``dram_inflight_cap`` non-negative
+    (NoC 0: no on-chip network delay; cap 0: every prefetch is dropped).
     """
 
     dispatch_width: int = 4
@@ -113,10 +112,10 @@ class CoreConfig:
             "dram_inflight_cap", "noc_request_cycles", "noc_response_cycles",
         ):
             require_int("CoreConfig", name, getattr(self, name), 0)
-        if not math.isfinite(self.freq_ratio) or self.freq_ratio <= 0:
+        require_finite("CoreConfig", "freq_ratio", self.freq_ratio, 0)
+        if self.freq_ratio == 0:
             raise ConfigurationError(
-                f"freq_ratio must be positive and finite, "
-                f"got {self.freq_ratio!r}"
+                "CoreConfig(freq_ratio=...) must be positive, got 0"
             )
         require_finite("CoreConfig", "branch_penalty", self.branch_penalty, 0)
         if self.engine not in CORE_ENGINES:

@@ -8,10 +8,11 @@ dirty LLC victims become DRAM writes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cpu.cache import CacheConfig, SetAssociativeCache, SharedCache
 from repro.cpu.prefetcher import PrefetcherConfig, StreamPrefetcher
+from repro.errors import ConfigurationError, require_int
 
 
 @dataclass(frozen=True)
@@ -21,6 +22,8 @@ class HierarchyConfig:
     32 KB L1D, 1 MB private L2, 11 MB shared LLC in 8 NUCA slices
     (constant across core counts), stream prefetcher at the L2-miss level.
     Latencies are in memory-controller clock cycles (1.2 GHz).
+    ``llc_slices`` is an int >= 1 that splits the LLC into equal slices,
+    each a valid cache geometry.
     """
 
     l1: CacheConfig = field(
@@ -36,6 +39,22 @@ class HierarchyConfig:
     )
     llc_slices: int = 8
     prefetcher: PrefetcherConfig = field(default_factory=PrefetcherConfig)
+
+    def __post_init__(self) -> None:
+        require_int("HierarchyConfig", "llc_slices", self.llc_slices, 1)
+        size, slices = self.llc.size_bytes, self.llc_slices
+        if size % slices:
+            raise ConfigurationError(
+                f"HierarchyConfig(llc_slices={slices}): the LLC's {size} B "
+                f"do not divide into {slices} slices"
+            )
+        try:
+            replace(self.llc, size_bytes=size // slices)
+        except ConfigurationError as err:
+            raise ConfigurationError(
+                f"HierarchyConfig(llc_slices={slices}): one LLC slice is "
+                f"not a valid cache: {err}"
+            ) from None
 
     def make_llc(self) -> SharedCache:
         """Build the shared LLC (one per system, passed to every core)."""

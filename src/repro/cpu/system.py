@@ -342,9 +342,8 @@ class CpuSystem:
                     for e in stale:
                         heappush(heap, e)
                     continue
-                blocked = [c for c in cores if c.state == BLOCKED]
-                if blocked:
-                    self._advance_memory_for(blocked)
+                if any(c.state == BLOCKED for c in cores):
+                    self._advance_memory_for()
                     continue
                 waiting = [c for c in cores if c.state == AT_BARRIER]
                 if waiting:
@@ -361,12 +360,10 @@ class CpuSystem:
         active = [c.t for c in self.cores if c.state != FINISHED]
         return min(active) if active else max(c.t for c in self.cores)
 
-    def _advance_memory_for(self, blocked: list[IntervalCore]) -> None:
-        if self.memory.pending_requests == 0:
-            raise SimulationStalledError(
-                "deadlock: cores blocked on memory with nothing pending",
-                diagnostic=self.memory.stall_snapshot(),
-            )
+    def _advance_memory_for(self) -> None:
+        # With nothing pending, run_until_next_read returns [] at once
+        # without moving a clock, so the pending count is read only when
+        # a read-wait comes back empty.
         done = self.memory.run_until_next_read()
         if not done and self.memory.pending_requests == 0:
             raise SimulationStalledError(

@@ -2,7 +2,7 @@
 
 The drain policy owns the forced-drain state machine and its recorded
 windows (the ``writeburst`` latency attribution). It is consulted once
-per scheduling decision through :meth:`select_mode`.
+per scheduling decision through :meth:`~WatermarkDrainPolicy.update`.
 
 * ``watermark`` (default, the paper's behavior) — a forced drain runs
   from the high to the low watermark; writes are also issued
@@ -42,19 +42,8 @@ class WatermarkDrainPolicy:
         self.stats_forced_drains = 0
 
     # ------------------------------------------------------------------
-    def select_mode(self, now: int, queue, reads_pending: bool) -> bool:
-        """Advance the state machine; True while writes have priority.
-
-        Short-circuits the empty, idle buffer (occupancy 0 is below
-        every watermark, so the update would be a no-op returning
-        False) — this is the common hot-path case.
-        """
-        if not self.draining and not queue:
-            return False
-        return self.update(now, len(queue), reads_pending)
-
     def update(self, now: int, occupancy: int, reads_pending: bool) -> bool:
-        """One state-machine step on explicit occupancy.
+        """One state-machine step; True while writes have priority.
 
         A forced drain starts at the high watermark and ends at the low
         watermark. The forced-drain window is recorded for the

@@ -337,8 +337,10 @@ class MemoryController:
         self._last_req_channel = -1
 
         # Packed struct-of-arrays engine (see repro.dram.packed); the
-        # config has already refused policies it does not run. None
-        # under ``engine="reference"`` and after a fault drill
+        # config has already refused policies it does not run. While set,
+        # its columns hold the queues and the bank, rank and bus state,
+        # and the objects above are stale until its flush() copies them
+        # out. None under ``engine="reference"`` and after a fault drill
         # (:func:`repro.reliability.faults.force_stall`) dropped it.
         self._packed: PackedEngine | None = (
             PackedEngine(self) if self.config.engine == "packed" else None
@@ -379,18 +381,9 @@ class MemoryController:
     @property
     def pending_requests(self) -> int:
         """Requests not yet completed (queued, buffered or in flight)."""
-        n = (
-            len(self._arrivals)
-            + len(self._read_queue)
-            + len(self._write_buffer)
-            + len(self._in_flight)
+        return (
+            len(self._arrivals) + self.queued_requests + len(self._in_flight)
         )
-        packed = self._packed
-        if packed is not None and packed.active:
-            # The object queues are empty while the packed engine holds
-            # the entries; its mirrored sizes fill the gap.
-            n += packed.rq_len + packed.wq_len
-        return n
 
     def run_until(self, t_limit: int) -> list[Request]:
         """Advance to `t_limit`; return requests completed on the way."""
@@ -430,11 +423,12 @@ class MemoryController:
     def banks(self) -> list[Bank]:
         """The per-bank state machines (flat order).
 
-        While the packed engine is active the arrays are authoritative;
-        observing the objects writes the state back first.
+        Under the packed engine its columns are authoritative; observing
+        the objects copies the state out first, and writes to them do
+        not reach the engine.
         """
         packed = self._packed
-        if packed is not None and packed.active:
+        if packed is not None:
             packed.flush()
         return self._banks
 
@@ -454,11 +448,10 @@ class MemoryController:
     @property
     def queued_requests(self) -> int:
         """Requests admitted to the queues but not yet served."""
-        n = len(self._read_queue) + len(self._write_buffer)
         packed = self._packed
-        if packed is not None and packed.active:
-            n += packed.rq_len + packed.wq_len
-        return n
+        if packed is not None:
+            return packed.rq_len + packed.wq_len
+        return len(self._read_queue) + len(self._write_buffer)
 
     @property
     def last_command_cycle(self) -> int:
@@ -475,11 +468,11 @@ class MemoryController:
         binding timing constraint when it has to wait.
         """
         packed = self._packed
-        if packed is not None and packed.active:
+        if packed is not None:
             packed.flush()
         max_requests = 32
         queue_head = []
-        # Mirrors the drain policy's select_mode without mutating it.
+        # Mirrors the drain policy's update without mutating it.
         reads_pending = bool(self._read_queue)
         write_mode = self._drain.draining or (
             len(self._write_buffer) > 0 and not reads_pending
@@ -542,11 +535,10 @@ class MemoryController:
     @property
     def write_buffer_occupancy(self) -> int:
         """Writes currently buffered."""
-        n = len(self._write_buffer)
         packed = self._packed
-        if packed is not None and packed.active:
-            n += packed.wq_len
-        return n
+        if packed is not None:
+            return packed.wq_len
+        return len(self._write_buffer)
 
     # ------------------------------------------------------------------
     # Engine
@@ -594,7 +586,6 @@ class MemoryController:
                     req.finish = req.arrival + self._forward_latency
                     req.cas_issue = req.arrival
                     req.data_start = req.finish
-                    self._write_buffer.note_forwarded_read()
                     self.stats.reads_forwarded += 1
                     heapq.heappush(
                         self._in_flight, (req.finish, req.req_id, req)
@@ -856,7 +847,7 @@ class MemoryController:
             data_start, data_end = self._ranks[coords.rank].record_cas(
                 t, coords.bank_group, is_write
             )
-            bank.do_cas(t, is_write, effective_hit)
+            bank.do_cas(t, is_write)
             if effective_hit:
                 stats.row_hits += 1
             else:

@@ -18,9 +18,8 @@ Layout (struct of arrays; see docs/performance.md for the diagram):
   ``next_global`` and a ``served`` flag; the read queue and the write
   queue are chains through one shared table. Row chains are keyed
   ``(flat << 40) | row`` in plain dicts.
-* **Bank state** — ``open_row`` (-1 = closed), ``next_act/pre/cas``,
-  ``pre/act_until``, ``cas_data_until`` and the six per-bank stat
-  counters, one column each.
+* **Bank state** — ``open_row`` (-1 = closed), ``next_act/pre/cas`` and
+  ``cas_data_until``, one column each.
 * **Rank state** — per-(rank, group) last-CAS/ACT/write-data-end
   columns, per-rank scalars, and the tFAW window as a 4-slot ring per
   rank (oldest sits at the next write position when full, matching
@@ -30,13 +29,16 @@ Layout (struct of arrays; see docs/performance.md for the diagram):
   candidate, valid until an admission or command on the bank, a
   refresh, or the starvation flip.
 
-The columns are *authoritative while the engine is active*; the
-``Bank``/``RankTiming``/``RequestQueue`` objects go stale and are
-rebuilt by :meth:`flush` (which deactivates the engine) whenever object
-state must be observed — ``stall_snapshot``, the ``banks`` property, or
-a fault drill switching the controller to the object path. :meth:`pack`
-converts the other way on (re)activation; the ``pack ⇄ flush`` round
-trip is property-tested in ``tests/dram/test_packed_properties.py``.
+The columns are the one copy of the channel's queue, bank, rank and bus
+state from construction on: a fresh controller's objects hold exactly
+the columns' initial values, so nothing is ever copied in. The
+``Bank``/``RankTiming``/``RequestQueue`` objects go stale while the
+loop runs; :meth:`flush` copies the columns out into them whenever
+object state must be observed — ``stall_snapshot``, the ``banks``
+property, or a fault drill switching the controller to the object path
+— and the loop carries on from its columns. That the written-back
+state equals the reference engine's at random mid-run stops is
+property-tested in ``tests/dram/test_packed_properties.py``.
 
 The columns are lists rather than ``array('q')``: CPython 3.11
 specializes list subscripts but not array ones, and an array read boxes
@@ -138,30 +140,21 @@ def packed_fallback_reason(controller) -> str | None:
 class PackedEngine:
     """SoA state + mega-loop for one :class:`MemoryController`.
 
-    Life cycle: constructed eagerly (cheap — columns are allocated
-    lazily on first :meth:`run`), :meth:`pack` pulls the object state
-    into the columns and *empties* the object queues, :meth:`run` steps
-    the packed loop, :meth:`flush` writes everything back and
-    deactivates. ``active`` tells the controller's size properties
-    whether the packed columns or the object queues are authoritative.
+    Life cycle: the constructor allocates the columns, which already
+    hold a fresh controller's state; the first :meth:`run` builds the
+    loop closure, and every :meth:`run` steps it. :meth:`flush` copies
+    the columns out into the controller's objects and leaves the engine
+    running. The closure keeps the loop's scalars in its cells between
+    runs and copies out the ones :meth:`flush` and the controller's size
+    properties read (``gh_r``/``gh_w``, ``rq_len``/``wq_len``,
+    ``bus_free``/``bus_last``) at every run exit and watchdog call.
     """
 
     def __init__(self, controller) -> None:
         self._ctrl = controller
-        self.active = False
-        self._ready = False
-        # Sizes mirrored for the controller's properties while active
-        # (synced at every run exit and watchdog call).
-        self.rq_len = 0
-        self.wq_len = 0
-
-    # ------------------------------------------------------------------
-    def _setup(self) -> None:
-        """Allocate the columns and build the runner closure (once)."""
-        ctrl = self._ctrl
-        spec = ctrl.spec
+        spec = controller.spec
         org = spec.organization
-        B = self.B = ctrl.num_banks
+        B = self.B = controller.num_banks
         G = self.G = org.bank_groups
         R = self.R = org.ranks
 
@@ -172,22 +165,14 @@ class PackedEngine:
         self.rank_of = [f // org.banks for f in range(B)]
 
         # Every column below is a list of its own: two fields sharing one
-        # list object would alias.
+        # list object would alias. Initial values are those of a fresh
+        # Bank, RankTiming and SharedBus.
         # Bank state columns.
         self.b_row = [-1] * B
         self.b_nact = [0] * B
         self.b_npre = [0] * B
         self.b_ncas = [0] * B
-        self.b_pre_u = [0] * B
-        self.b_act_u = [0] * B
         self.b_cdu = [0] * B
-        # Bank stat columns.
-        self.bs_act = [0] * B
-        self.bs_pre = [0] * B
-        self.bs_rd = [0] * B
-        self.bs_wr = [0] * B
-        self.bs_hit = [0] * B
-        self.bs_miss = [0] * B
         # Rank state: per-(rank, group) columns, rank-major.
         self.rg_cas = [_NEVER] * (R * G)
         self.rg_act = [_NEVER] * (R * G)
@@ -201,11 +186,6 @@ class PackedEngine:
         self.faw = [0] * (R * 4)
         self.faw_n = [0] * R
         self.faw_p = [0] * R
-        # Shared-bus / channel scalars (engine attrs; the runner loads
-        # them into cells at entry and stores back at exit).
-        self.bus_free = 0
-        self.bus_last = -1
-        self.last_chan = -1
 
         # Entry table (shared by both queues; chains disambiguate).
         self.e_row: list[int] = []
@@ -228,10 +208,6 @@ class PackedEngine:
         self.rt_r: dict[int, int] = {}
         self.rh_w: dict[int, int] = {}
         self.rt_w: dict[int, int] = {}
-        self.gh_r = self.gt_r = -1
-        self.gh_w = self.gt_w = -1
-        self.mask_r = 0
-        self.mask_w = 0
 
         # Candidate caches (entry -1 = invalid slot).
         self.cr_e = [-1] * B
@@ -243,165 +219,27 @@ class PackedEngine:
         self.cw_f = [0] * B
         self.cw_b = [0] * B
 
-        self._reset_plan = True
-        self._runner = self._make_runner()
-        self._ready = True
-
-    # ------------------------------------------------------------------
-    # Object state -> columns
-    # ------------------------------------------------------------------
-    def pack(self) -> None:
-        """Pull controller object state into the columns and activate.
-
-        Empties the object queues (fresh ``RequestQueue`` instances
-        replace them) — the entry table is authoritative until
-        :meth:`flush` rebuilds them.
-        """
-        if not self._ready:
-            self._setup()
-        ctrl = self._ctrl
-        B, G = self.B, self.G
-        b_row, b_nact, b_npre = self.b_row, self.b_nact, self.b_npre
-        b_ncas, b_pre_u, b_act_u, b_cdu = (
-            self.b_ncas, self.b_pre_u, self.b_act_u, self.b_cdu
-        )
-        for f, bank in enumerate(ctrl._banks):
-            row = bank.open_row
-            b_row[f] = -1 if row is None else row
-            b_nact[f] = bank.next_act
-            b_npre[f] = bank.next_pre
-            b_ncas[f] = bank.next_cas
-            b_pre_u[f] = bank.pre_until
-            b_act_u[f] = bank.act_until
-            b_cdu[f] = bank.cas_data_until
-            st = bank.stats
-            self.bs_act[f] = st.activates
-            self.bs_pre[f] = st.precharges
-            self.bs_rd[f] = st.reads
-            self.bs_wr[f] = st.writes
-            self.bs_hit[f] = st.row_hits
-            self.bs_miss[f] = st.row_misses
-        for rk, rank in enumerate(ctrl._ranks):
-            base = rk * G
-            for g in range(G):
-                self.rg_cas[base + g] = rank._last_cas_group[g]
-                self.rg_act[base + g] = rank._last_act_group[g]
-                self.rg_wend[base + g] = rank._last_write_data_end_group[g]
-            self.rk_cas[rk] = rank._last_cas_rank
-            self.rk_act[rk] = rank._last_act_rank
-            self.rk_ri[rk] = rank._last_read_issue
-            self.rk_wend[rk] = rank._last_write_data_end_rank
-            window = rank._act_window
-            n = len(window)
-            self.faw_n[rk] = n
-            self.faw_p[rk] = n & 3
-            for j, v in enumerate(window):
-                self.faw[(rk << 2) + j] = v
-        self.bus_free = ctrl._bus.free_at
-        self.bus_last = ctrl._bus.last_rank
-        self.last_chan = ctrl._last_req_channel
-
-        # Reset the entry table and chains, then repack both queues in
-        # their global arrival order.
-        for column in (self.e_row, self.e_flat, self.e_rid, self.e_arr,
-                       self.e_nb, self.e_nr, self.e_ng, self.e_srv,
-                       self.e_req):
-            column.clear()
-        for f in range(B):
-            self.bh_r[f] = -1
-            self.bt_r[f] = -1
-            self.bh_w[f] = -1
-            self.bt_w[f] = -1
-            self.cnt_r[f] = 0
-            self.cnt_w[f] = 0
-            self.cr_e[f] = -1
-            self.cw_e[f] = -1
-        self.rh_r.clear()
-        self.rt_r.clear()
-        self.rh_w.clear()
-        self.rt_w.clear()
-        self.gh_r = self.gt_r = -1
-        self.gh_w = self.gt_w = -1
-        self.mask_r = self.mask_w = 0
+        # The loop's scalars as of its last exit or watchdog call.
+        self.gh_r = self.gh_w = -1
         self.rq_len = self.wq_len = 0
-        for entry in ctrl._read_queue._global_fifo:
-            if not entry.served:
-                self._append_entry(
-                    False, entry.request, entry.coords.row, entry.flat_bank
-                )
-        for entry in ctrl._write_buffer.queue._global_fifo:
-            if not entry.served:
-                self._append_entry(
-                    True, entry.request, entry.coords.row, entry.flat_bank
-                )
-        ctrl._read_queue = RequestQueue(B)
-        ctrl._write_buffer.queue = RequestQueue(B)
-        self._reset_plan = True
-        self.active = True
+        self.bus_free = 0
+        self.bus_last = -1
 
-    def _append_entry(self, is_write: bool, req, row: int, flat: int) -> int:
-        """Append one request to a queue's chains (pack / admit path)."""
-        i = len(self.e_rid)
-        self.e_row.append(row)
-        self.e_flat.append(flat)
-        self.e_rid.append(req.req_id)
-        self.e_arr.append(req.arrival)
-        self.e_nb.append(-1)
-        self.e_nr.append(-1)
-        self.e_ng.append(-1)
-        self.e_srv.append(0)
-        self.e_req.append(req)
-        if is_write:
-            bt, bh = self.bt_w, self.bh_w
-            rowt, rowh = self.rt_w, self.rh_w
-        else:
-            bt, bh = self.bt_r, self.bh_r
-            rowt, rowh = self.rt_r, self.rh_r
-        t = bt[flat]
-        if t >= 0:
-            self.e_nb[t] = i
-        else:
-            bh[flat] = i
-        bt[flat] = i
-        key = (flat << _ROW_SHIFT) | row
-        t = rowt.get(key, -1)
-        if t >= 0 and key in rowh:
-            self.e_nr[t] = i
-        else:
-            rowh[key] = i
-        rowt[key] = i
-        if is_write:
-            if self.gt_w >= 0:
-                self.e_ng[self.gt_w] = i
-            else:
-                self.gh_w = i
-            self.gt_w = i
-            c = self.cnt_w[flat]
-            if c == 0:
-                self.mask_w |= 1 << flat
-            self.cnt_w[flat] = c + 1
-            self.wq_len += 1
-        else:
-            if self.gt_r >= 0:
-                self.e_ng[self.gt_r] = i
-            else:
-                self.gh_r = i
-            self.gt_r = i
-            c = self.cnt_r[flat]
-            if c == 0:
-                self.mask_r |= 1 << flat
-            self.cnt_r[flat] = c + 1
-            self.rq_len += 1
-        return i
+        # Built on the first run, not here: docs/performance.md has the
+        # peak-memory measurement.
+        self._runner = None
 
-    # ------------------------------------------------------------------
-    # Columns -> object state
     # ------------------------------------------------------------------
     def flush(self) -> None:
-        """Write the columns back into the objects and deactivate."""
-        if not self.active:
-            return
-        self.active = False
+        """Copy the columns out into the controller's objects.
+
+        Writes the bank, rank and bus state into the ``Bank``,
+        ``RankTiming`` and ``SharedBus`` objects and rebuilds both object
+        queues as fresh ``RequestQueue``s in global arrival order, so
+        repeated calls do not stack. The columns stay authoritative:
+        the loop carries on from them, and writes to the objects do not
+        reach it.
+        """
         ctrl = self._ctrl
         G = self.G
         for f, bank in enumerate(ctrl._banks):
@@ -410,16 +248,7 @@ class PackedEngine:
             bank.next_act = self.b_nact[f]
             bank.next_pre = self.b_npre[f]
             bank.next_cas = self.b_ncas[f]
-            bank.pre_until = self.b_pre_u[f]
-            bank.act_until = self.b_act_u[f]
             bank.cas_data_until = self.b_cdu[f]
-            st = bank.stats
-            st.activates = self.bs_act[f]
-            st.precharges = self.bs_pre[f]
-            st.reads = self.bs_rd[f]
-            st.writes = self.bs_wr[f]
-            st.row_hits = self.bs_hit[f]
-            st.row_misses = self.bs_miss[f]
         for rk, rank in enumerate(ctrl._ranks):
             base = rk * G
             for g in range(G):
@@ -439,35 +268,31 @@ class PackedEngine:
                 )
         ctrl._bus.free_at = self.bus_free
         ctrl._bus.last_rank = self.bus_last
-        ctrl._last_req_channel = self.last_chan
-        # Rebuild the object queues in global arrival order; coordinates
-        # re-derive from the deterministic address mapping.
+        # Coordinates re-derive from the deterministic address mapping.
         decode = ctrl.mapping.decode
         e_srv, e_ng, e_req, e_flat = (
             self.e_srv, self.e_ng, self.e_req, self.e_flat
         )
-        queue = ctrl._read_queue
-        i = self.gh_r
-        while i >= 0:
-            if not e_srv[i]:
-                req = e_req[i]
-                queue.add(req, decode(req.address), e_flat[i])
-            i = e_ng[i]
-        queue = ctrl._write_buffer.queue
-        i = self.gh_w
-        while i >= 0:
-            if not e_srv[i]:
-                req = e_req[i]
-                queue.add(req, decode(req.address), e_flat[i])
-            i = e_ng[i]
+        queues = []
+        for head in (self.gh_r, self.gh_w):
+            queue = RequestQueue(self.B)
+            i = head
+            while i >= 0:
+                if not e_srv[i]:
+                    req = e_req[i]
+                    queue.add(req, decode(req.address), e_flat[i])
+                i = e_ng[i]
+            queues.append(queue)
+        ctrl._read_queue, ctrl._write_buffer.queue = queues
 
     # ------------------------------------------------------------------
     def run(self, t_limit: int, stop_on_read: bool,
             stop_when_idle: bool = False) -> None:
-        """Advance the packed loop (packs object state first if needed)."""
-        if not self.active:
-            self.pack()
-        self._runner(t_limit, stop_on_read, stop_when_idle)
+        """Advance the packed loop (builds it on the first call)."""
+        runner = self._runner
+        if runner is None:
+            runner = self._runner = self._make_runner()
+        runner(t_limit, stop_on_read, stop_when_idle)
 
     # ------------------------------------------------------------------
     def _make_runner(self):
@@ -529,10 +354,8 @@ class PackedEngine:
         tRFCsb = getattr(refresh, "_tRFCsb", 0)
         drain = ctrl._drain
         drain_update = drain.update
-        wbuf = ctrl._write_buffer
-        wbA = wbuf._addresses
+        wbA = ctrl._write_buffer._addresses
         forwarding = ctrl.config.read_forwarding
-        wb_note_fwd = wbuf.note_forwarded_read
         mapping = ctrl.mapping
         locate = mapping.locate
         line_address = mapping.line_address
@@ -571,11 +394,7 @@ class PackedEngine:
         b_row, b_nact, b_npre, b_ncas = (
             self.b_row, self.b_nact, self.b_npre, self.b_ncas
         )
-        b_pre_u, b_act_u, b_cdu = self.b_pre_u, self.b_act_u, self.b_cdu
-        bs_act, bs_pre, bs_rd, bs_wr, bs_hit, bs_miss = (
-            self.bs_act, self.bs_pre, self.bs_rd,
-            self.bs_wr, self.bs_hit, self.bs_miss,
-        )
+        b_cdu = self.b_cdu
         rg_cas, rg_act, rg_wend = self.rg_cas, self.rg_act, self.rg_wend
         rk_cas, rk_act, rk_ri, rk_wend = (
             self.rk_cas, self.rk_act, self.rk_ri, self.rk_wend
@@ -596,7 +415,7 @@ class PackedEngine:
         cas_rgate = [0] * self.R
         act_rgate = [0] * self.R
 
-        # --- persistent loop state (cells, synced with the engine) ----
+        # --- persistent loop state (cells, kept between runs) ---------
         gh_r = gt_r = gh_w = gt_w = -1
         mask_r = mask_w = 0
         rq_n = wq_n = 0
@@ -646,21 +465,6 @@ class PackedEngine:
             nonlocal plan_epoch_v, plan_valid, plan_wmode, plan_gated
             nonlocal blk_set, blk_scope, blk_reason
             nonlocal t_epoch, plan_t_epoch, dirty_r, dirty_w
-
-            # Entry sync: scalars live on the engine between runs so
-            # pack()/flush() can see and reset them.
-            gh_r, gt_r, gh_w, gt_w = eng.gh_r, eng.gt_r, eng.gh_w, eng.gt_w
-            mask_r, mask_w = eng.mask_r, eng.mask_w
-            rq_n, wq_n = eng.rq_len, eng.wq_len
-            bus_free, bus_last = eng.bus_free, eng.bus_last
-            last_chan = eng.last_chan
-            if eng._reset_plan:
-                eng._reset_plan = False
-                plan_epoch_v = -1
-                plan_t_epoch = -1
-                dirty_r = 0
-                dirty_w = 0
-                blk_set = False
             now = ctrl.now
             last_cmd = ctrl._last_cmd_issue
             watchdog = ctrl.watchdog
@@ -697,7 +501,6 @@ class PackedEngine:
                                     req.finish = fin
                                     req.cas_issue = req.arrival
                                     req.data_start = fin
-                                    wb_note_fwd()
                                     stats.reads_forwarded += 1
                                     heappush(
                                         in_flight, (fin, req.req_id, req)
@@ -777,7 +580,6 @@ class PackedEngine:
                                 cnt_w[flat] = c + 1
                                 wq_n += 1
                                 wbA[addr] = wbA.get(addr, 0) + 1
-                                wbuf.stats_writes_buffered += 1
                                 cw_e[flat] = -1
                                 dirty_w |= 1 << flat
                         if admitted:
@@ -793,13 +595,11 @@ class PackedEngine:
                             # (which flushes this engine) and raises.
                             ctrl.now = now
                             ctrl._last_cmd_issue = last_cmd
+                            ctrl._last_req_channel = last_chan
                             ctrl._watchdog_countdown = wd_count
-                            eng.gh_r, eng.gt_r = gh_r, gt_r
-                            eng.gh_w, eng.gt_w = gh_w, gt_w
-                            eng.mask_r, eng.mask_w = mask_r, mask_w
+                            eng.gh_r, eng.gh_w = gh_r, gh_w
                             eng.rq_len, eng.wq_len = rq_n, wq_n
                             eng.bus_free, eng.bus_last = bus_free, bus_last
-                            eng.last_chan = last_chan
                             watchdog.observe(ctrl)
 
                     # 1. Refresh in progress: nothing can issue.
@@ -842,10 +642,8 @@ class PackedEngine:
                                 for f in range(B):
                                     if b_row[f] >= 0:
                                         b_row[f] = -1
-                                        b_pre_u[f] = done
                                         if done > b_nact[f]:
                                             b_nact[f] = done
-                                        bs_pre[f] += 1
                                         stats.precharges += 1
                                         pre_w.append((t_pre, done, f, -1))
                                 if trace_commands:
@@ -887,10 +685,8 @@ class PackedEngine:
                                     t_pre = c
                                 done = t_pre + tRP
                                 b_row[f] = -1
-                                b_pre_u[f] = done
                                 if done > b_nact[f]:
                                     b_nact[f] = done
-                                bs_pre[f] += 1
                                 pre_w.append((t_pre, done, f, -1))
                                 stats.precharges += 1
                                 if trace_commands:
@@ -1557,14 +1353,12 @@ class PackedEngine:
                                     wd_count = _WATCHDOG_STRIDE
                                     ctrl.now = now
                                     ctrl._last_cmd_issue = last_cmd
+                                    ctrl._last_req_channel = last_chan
                                     ctrl._watchdog_countdown = wd_count
-                                    eng.gh_r, eng.gt_r = gh_r, gt_r
-                                    eng.gh_w, eng.gt_w = gh_w, gt_w
-                                    eng.mask_r, eng.mask_w = mask_r, mask_w
+                                    eng.gh_r, eng.gh_w = gh_r, gh_w
                                     eng.rq_len, eng.wq_len = rq_n, wq_n
                                     eng.bus_free = bus_free
                                     eng.bus_last = bus_last
-                                    eng.last_chan = last_chan
                                     watchdog.observe(ctrl)
                         else:
                             target = wake if wake < t_limit else t_limit
@@ -1590,10 +1384,8 @@ class PackedEngine:
                         # Policy precharge (entry None).
                         done = now + tRP
                         b_row[f] = -1
-                        b_pre_u[f] = done
                         if done > b_nact[f]:
                             b_nact[f] = done
-                        bs_pre[f] += 1
                         stats.precharges += 1
                         last_req_by_bank[f] = -1
                         if trace_commands:
@@ -1615,10 +1407,8 @@ class PackedEngine:
                         if kcode == 2:
                             done = now + tRP
                             b_row[f] = -1
-                            b_pre_u[f] = done
                             if done > b_nact[f]:
                                 b_nact[f] = done
-                            bs_pre[f] += 1
                             pre_w.append((now, done, f, rq))
                             stats.precharges += 1
                             if req.own_pre_start < 0:
@@ -1628,7 +1418,6 @@ class PackedEngine:
                         elif kcode == 1:
                             ready = now + tRCD
                             b_row[f] = row
-                            b_act_u[f] = ready
                             if ready > b_ncas[f]:
                                 b_ncas[f] = ready
                             t2 = now + tRAS
@@ -1637,7 +1426,6 @@ class PackedEngine:
                             t2 = now + tRC
                             if t2 > b_nact[f]:
                                 b_nact[f] = t2
-                            bs_act[f] += 1
                             act_w.append((now, ready, f, rq))
                             i2 = rk * G + bg
                             rg_act[i2] = now
@@ -1677,19 +1465,15 @@ class PackedEngine:
                                 t2 = de + tWR
                                 if t2 > b_npre[f]:
                                     b_npre[f] = t2
-                                bs_wr[f] += 1
                             else:
                                 t2 = now + tRTP
                                 if t2 > b_npre[f]:
                                     b_npre[f] = t2
-                                bs_rd[f] += 1
                             if de > b_cdu[f]:
                                 b_cdu[f] = de
                             if hit:
-                                bs_hit[f] += 1
                                 stats.row_hits += 1
                             else:
-                                bs_miss[f] += 1
                                 stats.row_misses += 1
                             req.cas_issue = now
                             req.data_start = ds
@@ -1737,12 +1521,9 @@ class PackedEngine:
                 ctrl._last_cmd_issue = last_cmd
                 ctrl._last_req_channel = last_chan
                 ctrl._watchdog_countdown = wd_count
-                eng.gh_r, eng.gt_r = gh_r, gt_r
-                eng.gh_w, eng.gt_w = gh_w, gt_w
-                eng.mask_r, eng.mask_w = mask_r, mask_w
+                eng.gh_r, eng.gh_w = gh_r, gh_w
                 eng.rq_len, eng.wq_len = rq_n, wq_n
                 eng.bus_free, eng.bus_last = bus_free, bus_last
-                eng.last_chan = last_chan
             _finish(now)
 
         return run

@@ -105,11 +105,6 @@ class RankTiming:
         self._last_write_data_end_group = [_NEVER] * groups
         self._last_write_data_end_rank = _NEVER
 
-    @property
-    def bus_free_at(self) -> int:
-        """End of the latest scheduled burst on the shared bus."""
-        return self._bus.free_at
-
     # ------------------------------------------------------------------
     # Earliest-issue queries
     # ------------------------------------------------------------------

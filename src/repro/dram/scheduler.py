@@ -113,10 +113,6 @@ class RequestQueue:
         """Oldest pending request across all banks."""
         return self._head(self._global_fifo)
 
-    def oldest_for_bank(self, flat_bank: int) -> QueuedRequest | None:
-        """Oldest pending request targeting `flat_bank`."""
-        return self._head(self._bank_fifo[flat_bank])
-
     def oldest_row_hit(self, flat_bank: int, row: int) -> QueuedRequest | None:
         """Oldest pending request to (`flat_bank`, `row`), if any."""
         rows = self._by_row[flat_bank]
@@ -131,10 +127,6 @@ class RequestQueue:
     def has_request_for_row(self, flat_bank: int, row: int) -> bool:
         """Whether any pending request targets (`flat_bank`, `row`)."""
         return self.oldest_row_hit(flat_bank, row) is not None
-
-    def banks_with_requests(self):
-        """Flat bank indices that currently have pending requests."""
-        return self._active_banks
 
     def pending_entries(self, limit: int | None = None):
         """Unserved entries in arrival order (up to `limit`)."""

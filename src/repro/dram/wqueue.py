@@ -81,8 +81,6 @@ class WriteBuffer:
         #: Completed forced-drain windows [(start, end)], for accounting.
         #: Shared by reference with the drain policy's window list.
         self.drain_windows = self.drain_policy.windows
-        self.stats_writes_buffered = 0
-        self.stats_forwarded_reads = 0
 
     def __len__(self) -> int:
         return len(self.queue)
@@ -107,7 +105,6 @@ class WriteBuffer:
         entry = self.queue.add(request, coords, flat_bank)
         line = request.address
         self._addresses[line] = self._addresses.get(line, 0) + 1
-        self.stats_writes_buffered += 1
         return entry
 
     def complete(self, entry: QueuedRequest) -> None:
@@ -123,10 +120,6 @@ class WriteBuffer:
     def holds_address(self, line_address: int) -> bool:
         """Whether a buffered write matches `line_address` (read forwarding)."""
         return line_address in self._addresses
-
-    def note_forwarded_read(self) -> None:
-        """Count a read served from the buffer."""
-        self.stats_forwarded_reads += 1
 
     # ------------------------------------------------------------------
     # Drain-mode state machine, consulted once per scheduling decision.

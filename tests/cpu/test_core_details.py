@@ -98,6 +98,9 @@ class TestRobAndMshr:
         ("dispatch_width", 2.5),
         ("dram_inflight_cap", -1),
         ("noc_request_cycles", 1.5),
+        ("freq_ratio", "x"),
+        ("freq_ratio", None),
+        ("freq_ratio", True),
     ])
     def test_breach_raises_at_construction(self, field, value):
         with pytest.raises(ConfigurationError, match=field):

@@ -1,8 +1,11 @@
 """Tests for the cache hierarchy: fill paths, dirty cascades, write-allocate."""
 
+import pytest
+
 from repro.cpu.cache import CacheConfig
 from repro.cpu.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.cpu.prefetcher import PrefetcherConfig
+from repro.errors import ConfigurationError
 
 
 def tiny_hierarchy(prefetch=False):
@@ -14,6 +17,15 @@ def tiny_hierarchy(prefetch=False):
         prefetcher=PrefetcherConfig(enabled=prefetch),
     )
     return CacheHierarchy(config, config.make_llc()), config
+
+
+class TestConfig:
+    # The paper's 11 MB LLC: 3 slices do not divide it, and an eleventh
+    # of it has 1,489 sets, not a power of two.
+    @pytest.mark.parametrize("slices", [0, -1, True, 2.0, "8", 3, 11])
+    def test_breach_raises_at_construction(self, slices):
+        with pytest.raises(ConfigurationError, match="llc_slices"):
+            HierarchyConfig(llc_slices=slices)
 
 
 class TestLevels:

@@ -67,31 +67,20 @@ class TestCas:
     def test_read_sets_rtp_gate(self):
         bank, __, __ = make_bank()
         bank.do_activate(0, row=1)
-        bank.do_cas(50, is_write=False, row_hit=True)
+        bank.do_cas(50, is_write=False)
         assert bank.next_pre >= 50 + DDR4_2400.tRTP
-        assert bank.stats.reads == 1
-        assert bank.stats.row_hits == 1
 
     def test_write_sets_wr_gate(self):
         bank, __, __ = make_bank()
         bank.do_activate(0, row=1)
-        bank.do_cas(50, is_write=True, row_hit=False)
+        bank.do_cas(50, is_write=True)
         data_end = 50 + DDR4_2400.tCWL + DDR4_2400.burst_cycles
         assert bank.next_pre >= data_end + DDR4_2400.tWR
-        assert bank.stats.writes == 1
-        assert bank.stats.row_misses == 1
 
     def test_cas_to_closed_bank_is_protocol_error(self):
         bank, __, __ = make_bank()
         with pytest.raises(ProtocolError):
-            bank.do_cas(10, is_write=False, row_hit=False)
-
-    def test_busy_with_pre_act(self):
-        bank, __, __ = make_bank()
-        bank.do_activate(100, row=1)
-        assert bank.busy_with_pre_act(100)
-        assert bank.busy_with_pre_act(100 + DDR4_2400.tRCD - 1)
-        assert not bank.busy_with_pre_act(100 + DDR4_2400.tRCD)
+            bank.do_cas(10, is_write=False)
 
 
 class TestRefresh:

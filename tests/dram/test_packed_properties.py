@@ -2,12 +2,12 @@
 
 Locks down :mod:`repro.dram.packed` from three angles:
 
-* **Round-trip** — ``pack()`` immediately followed by ``flush()`` on a
-  mid-run controller restores the object state exactly: global queue
-  order (reads and writes), per-bank open-row and timing-fence state,
-  rank/bus fences and the refresh fences — and a round-tripped
-  controller finishes the stream bit-identically to one that never
-  packed.
+* **Write-back** — ``flush()`` on a controller stopped mid-run writes
+  back the object state the reference engine holds at the same stop:
+  global queue order (reads and writes), per-bank open-row and
+  timing-fence state, rank/bus fences, the last requesters and the
+  refresh fences. Taking a stall snapshot, which flushes, changes
+  nothing a finished run reports, also before the loop first runs.
 * **Engine agreement** — random multi-requester streams produce the
   same event log (every list, each window's requester included), the
   same counters and the same final open rows under ``packed`` and
@@ -36,7 +36,6 @@ from repro.dram import (
 )
 from repro.dram import components
 from repro.dram.components.scheduling import FrFcfsScheduler
-from repro.dram.packed import PackedEngine
 from repro.dram.timing import DDR4_2400
 from repro.errors import ConfigurationError
 from tests.conftest import run_stream
@@ -111,29 +110,29 @@ def make_controller(
     ))
 
 
-def object_state(ctrl: MemoryController):
-    """The observable object-engine state the pack/flush cycle carries.
+def object_state(ctrl: MemoryController, position: dict[int, int]):
+    """The object state a packed engine's flush writes back.
 
-    Queue order by request id, per-bank row + timing fences + counters,
-    per-rank/group fences and the FAW window, the data bus, and the
+    Queue order as each request's position in its stream (`position`
+    maps request id to index: ids come from one global counter, so two
+    runs of one stream number their requests differently), per-bank row
+    and timing fences, per-rank/group fences and the FAW window, the
+    data bus, the last requester per bank and channel-wide, and the
     refresh fences.
     """
     reads = [
-        entry.request.req_id
+        position[entry.request.req_id]
         for entry in ctrl._read_queue._global_fifo if not entry.served
     ]
     writes = [
-        entry.request.req_id
+        position[entry.request.req_id]
         for entry in ctrl._write_buffer.queue._global_fifo
         if not entry.served
     ]
     banks = [
         (
             bank.open_row, bank.next_act, bank.next_pre, bank.next_cas,
-            bank.pre_until, bank.act_until, bank.cas_data_until,
-            bank.stats.activates, bank.stats.precharges,
-            bank.stats.reads, bank.stats.writes,
-            bank.stats.row_hits, bank.stats.row_misses,
+            bank.cas_data_until,
         )
         for bank in ctrl._banks
     ]
@@ -148,51 +147,97 @@ def object_state(ctrl: MemoryController):
         for rank in ctrl._ranks
     ]
     bus = (ctrl._bus.free_at, ctrl._bus.last_rank)
+    requesters = (list(ctrl._last_req_by_bank), ctrl._last_req_channel)
     refresh = (ctrl._refresh.until, ctrl._refresh.next_due)
-    return reads, writes, banks, ranks, bus, refresh
+    return reads, writes, banks, ranks, bus, requesters, refresh
 
 
-class TestPackFlushRoundTrip:
-    """pack() -> flush() is the identity on object state."""
+def started(engine, stream_spec, stop, scheduling="fr-fcfs",
+            page_policy="open", timing=DDR4_2400):
+    """A controller run to `stop` on a rebuilt stream, and the stream's
+    request-id -> position map."""
+    ctrl = make_controller(engine, scheduling, page_policy, timing)
+    requests = rebuild(stream_spec)
+    for request in requests:
+        ctrl.enqueue(request)
+    ctrl.run_until(stop)
+    return ctrl, {rq.req_id: i for i, rq in enumerate(requests)}
+
+
+class TestWriteBack:
+    """flush() writes the columns back as the reference engine holds
+    them, and observing a packed controller changes nothing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        requests=streams(requesters=3, shapes=(SPARSE, BURSTY, DENSE)),
+        scheduling=st.sampled_from(SCHEDULERS),
+        page_policy=st.sampled_from(["open", "closed"]),
+        timing=st.sampled_from(SPECS),
+        stop=st.integers(min_value=0, max_value=3000),
+    )
+    def test_engines_agree_mid_run(
+        self, requests, scheduling, page_policy, timing, stop
+    ):
+        spec = spec_of(requests)
+        packed, packed_pos = started(
+            "packed", spec, stop, scheduling, page_policy, timing
+        )
+        reference, reference_pos = started(
+            "reference", spec, stop, scheduling, page_policy, timing
+        )
+        packed._packed.flush()
+        assert packed.now == reference.now
+        assert object_state(packed, packed_pos) == object_state(
+            reference, reference_pos
+        ), (
+            f"written-back state differs at cycle {stop} for "
+            f"{scheduling}/{page_policy}, "
+            f"{timing.organization.ranks} rank(s)"
+        )
 
     @settings(max_examples=25, deadline=None)
-    @given(requests=streams(), stop=st.integers(min_value=0, max_value=4000))
-    def test_round_trip_restores_state(self, requests, stop):
-        ctrl = make_controller()
-        for request in rebuild(spec_of(requests)):
-            ctrl.enqueue(request)
-        ctrl.run_until(stop)
-        before = object_state(ctrl)
-        engine = PackedEngine(ctrl)
-        engine.pack()
-        # The arrays are authoritative now: the object queues are empty.
-        assert not ctrl._read_queue._global_fifo or before[0] == []
-        engine.flush()
-        assert object_state(ctrl) == before
-
-    @settings(max_examples=15, deadline=None)
-    @given(requests=streams(), stop=st.integers(min_value=0, max_value=4000))
-    def test_round_trip_finishes_identically(self, requests, stop):
+    @given(
+        requests=streams(requesters=3, shapes=(SPARSE, BURSTY, DENSE)),
+        scheduling=st.sampled_from(SCHEDULERS),
+        page_policy=st.sampled_from(["open", "closed"]),
+        stop=st.integers(min_value=0, max_value=3000),
+    )
+    def test_snapshot_changes_nothing(
+        self, requests, scheduling, page_policy, stop
+    ):
         spec = spec_of(requests)
+        control, __ = started("packed", spec, stop, scheduling, page_policy)
+        candidate, __ = started(
+            "packed", spec, stop, scheduling, page_policy
+        )
+        first = candidate.stall_snapshot()
+        assert candidate.stall_snapshot() == first
+        for ctrl in (control, candidate):
+            ctrl.drain()
+            ctrl.finalize()
+        assert observed(candidate) == observed(control)
 
-        control = make_controller()
-        for request in rebuild(spec):
-            control.enqueue(request)
-        control.run_until(stop)
-        control.drain()
-        control.finalize()
-
-        candidate = make_controller()
-        for request in rebuild(spec):
-            candidate.enqueue(request)
-        candidate.run_until(stop)
-        engine = PackedEngine(candidate)
-        engine.pack()
-        engine.flush()
-        candidate.drain()
-        candidate.finalize()
-
-        assert candidate.log == control.log
+    def test_snapshot_before_first_run(self):
+        requests = [
+            Request(RequestType.READ, i * 4096, arrival=10 + i)
+            for i in range(4)
+        ]
+        ctrl = make_controller("packed")
+        for request in requests:
+            ctrl.enqueue(request)
+        assert ctrl._packed._runner is None  # flush() before the loop
+        snapshot = ctrl.stall_snapshot()
+        assert snapshot["queued_reads"] == snapshot["queued_writes"] == 0
+        assert snapshot["queue_head"] == snapshot["candidates"] == []
+        assert all(bank["open_row"] is None for bank in snapshot["banks"])
+        assert snapshot == make_controller("reference").stall_snapshot()
+        # The loop then starts from its untouched columns.
+        ran = observed(run_stream(ctrl, []))
+        expected = observed(run_stream(
+            make_controller("reference"), rebuild(spec_of(requests)),
+        ))
+        assert ran == expected
 
 
 def observed(ctrl: MemoryController) -> dict:

@@ -51,14 +51,6 @@ class TestRequestQueue:
         queue.mark_served(first)
         assert queue.oldest() is second
 
-    def test_oldest_for_bank(self):
-        queue = RequestQueue(16)
-        a0 = queued(queue, address_for(0, 0, row=1))
-        a1 = queued(queue, address_for(1, 0, row=1))
-        flat0 = a0.flat_bank
-        assert queue.oldest_for_bank(flat0) is a0
-        assert queue.oldest_for_bank(a1.flat_bank) is a1
-
     def test_row_hit_lookup(self):
         queue = RequestQueue(16)
         miss = queued(queue, address_for(0, 0, row=1))
@@ -66,14 +58,6 @@ class TestRequestQueue:
         flat = miss.flat_bank
         assert queue.oldest_row_hit(flat, 2) is hit
         assert queue.oldest_row_hit(flat, 3) is None
-
-    def test_banks_with_requests(self):
-        queue = RequestQueue(16)
-        a = queued(queue, address_for(0, 0, row=1))
-        b = queued(queue, address_for(2, 1, row=1))
-        assert sorted(queue.banks_with_requests()) == sorted(
-            {a.flat_bank, b.flat_bank}
-        )
 
 
 class TestFrFcfs:
