@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests plus the service, QoS and device smokes
-# and the benchmark's pins, each under a hard wall-clock timeout so a
-# livelocked simulator fails the build instead of hanging it.
+# CI gate: tier-1 tests, the ablation benchmarks, the service, QoS and
+# device smokes and the benchmark's pins, each under a hard wall-clock
+# timeout so a livelocked simulator fails the build instead of hanging
+# it.
 #
 # Usage: scripts/ci_check.sh [fast]
 #   fast  — additionally deselect tests marked 'slow'
@@ -17,6 +18,7 @@ BENCH_TIMEOUT="${BENCH_TIMEOUT:-420}"
 SERVICE_TIMEOUT="${SERVICE_TIMEOUT:-180}"
 QOS_TIMEOUT="${QOS_TIMEOUT:-120}"
 DEVICES_TIMEOUT="${DEVICES_TIMEOUT:-120}"
+ABLATION_TIMEOUT="${ABLATION_TIMEOUT:-180}"
 
 MARKER_ARGS=()
 if [[ "${1:-}" == "fast" ]]; then
@@ -40,6 +42,14 @@ fi
 echo "== tier-1 test suite (timeout ${TIER1_TIMEOUT}s) =="
 timeout --signal=KILL "$TIER1_TIMEOUT" \
     python -m pytest -x -q "${MARKER_ARGS[@]}"
+
+echo "== ablation benchmarks (timeout ${ABLATION_TIMEOUT}s) =="
+# The ablation benchmarks build ControllerConfig directly (refresh=,
+# scheduling=, write_queue=, address_scheme=), so a renamed or removed
+# config field breaks them; run them once as plain tests. The hot-loop
+# timing benchmark and the figure benchmarks stay out.
+timeout --signal=KILL "$ABLATION_TIMEOUT" \
+    python -m pytest benchmarks/test_ablation_*.py -q --benchmark-disable
 
 echo "== parallel service smoke (timeout ${SERVICE_TIMEOUT}s) =="
 # 2-worker batch run twice: asserts parallel fingerprints match the

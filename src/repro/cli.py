@@ -66,12 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--stores", type=float, default=0.0,
                          help="store fraction (synthetic only)")
     analyze.add_argument("--page-policy",
-                         choices=components.PAGE_POLICIES.names(),
+                         choices=tuple(components.PAGE_POLICIES),
                          default=None)
     analyze.add_argument("--scheduling",
                          default="fr-fcfs", metavar="POLICY",
-                         help="memory scheduling policy (any registered "
-                         f"scheduler: {', '.join(components.SCHEDULERS.names())}; "
+                         help="memory scheduling policy "
+                         f"({', '.join(components.SCHEDULERS)}; "
                          "wrr and bank-reg take params, e.g. 'wrr:2,1' or "
                          "'bank-reg:period=1000,budget=4')")
     analyze.add_argument("--requesters", type=int, default=None,
@@ -91,8 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--engine", choices=sorted(ENGINES), default=None,
         help="controller stepping engine (default 'packed'; "
-        "'reference' re-plans every step, is bit-identical and also "
-        "runs custom policies — see docs/performance.md)",
+        "'reference' re-plans every step and is bit-identical — see "
+        "docs/performance.md)",
     )
     analyze.add_argument("--scale", choices=("ci", "paper"), default="ci")
     analyze.add_argument(

@@ -1,46 +1,25 @@
-"""Core architecture: component interfaces, event bus, plugin registry.
+"""Core architecture: the memory interface and the event bus.
 
-This package holds the framework the DRAM simulator is composed from —
-no simulation logic, only the seams:
+This package holds the seams the simulator is composed along — no
+simulation logic:
 
-* :mod:`repro.core.interfaces` — the component protocols
-  (:class:`~repro.core.interfaces.SchedulerPolicy`,
-  :class:`~repro.core.interfaces.PagePolicy`,
-  :class:`~repro.core.interfaces.WriteDrainPolicy`,
-  :class:`~repro.core.interfaces.RefreshPolicy`) plus the shared
-  single-/multi-channel :class:`~repro.core.interfaces.MemoryInterface`
-  contract and its :class:`~repro.core.interfaces.CompositeMemory`
-  aggregation base;
+* :mod:`repro.core.interfaces` — the single-/multi-channel
+  :class:`~repro.core.interfaces.MemoryInterface` contract and its
+  :class:`~repro.core.interfaces.CompositeMemory` aggregation base;
 * :mod:`repro.core.events` — the typed
   :class:`~repro.core.events.EventBus` the execution service publishes
-  its job events on;
-* :mod:`repro.core.registry` — the
-  :class:`~repro.core.registry.ComponentRegistry` plugin mechanism.
+  its job events on.
 
-Concrete component implementations live in
-:mod:`repro.dram.components`; the accounting mechanisms that are the
-paper's contribution live in :mod:`repro.stacks`. See
-``docs/architecture.md`` for the full map.
+The controller's policies live in :mod:`repro.dram.components`; the
+accounting mechanisms that are the paper's contribution live in
+:mod:`repro.stacks`. See ``docs/architecture.md`` for the full map.
 """
 
 from repro.core.events import EventBus
-from repro.core.interfaces import (
-    CompositeMemory,
-    MemoryInterface,
-    PagePolicy,
-    RefreshPolicy,
-    SchedulerPolicy,
-    WriteDrainPolicy,
-)
-from repro.core.registry import ComponentRegistry
+from repro.core.interfaces import CompositeMemory, MemoryInterface
 
 __all__ = [
-    "ComponentRegistry",
     "CompositeMemory",
     "EventBus",
     "MemoryInterface",
-    "PagePolicy",
-    "RefreshPolicy",
-    "SchedulerPolicy",
-    "WriteDrainPolicy",
 ]

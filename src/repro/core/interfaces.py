@@ -1,27 +1,10 @@
-"""Component interfaces of the memory-controller architecture.
+"""The request-level memory contract.
 
-The controller monolith is decomposed into four concerns, each behind a
-narrow protocol and registered in a :mod:`repro.core.registry`
-registry keyed by the config strings of
-:class:`~repro.dram.controller.ControllerConfig`:
-
-* :class:`SchedulerPolicy` — which command issues next (``fr-fcfs``,
-  ``fcfs``, the ``wrr`` and ``bank-reg`` QoS arbiters);
-* :class:`PagePolicy` — what happens to open rows with no pending work
-  (``open``, ``closed``);
-* :class:`WriteDrainPolicy` — when the write buffer preempts reads
-  (``watermark``, ``burst``);
-* :class:`RefreshPolicy` — when and how refresh happens
-  (``all-bank``, ``same-bank``, ``none``).
-
-The concrete implementations live in :mod:`repro.dram.components`.
-
-:class:`MemoryInterface` is the request-level contract shared by the
-single-channel :class:`~repro.dram.controller.MemoryController` and the
-multi-channel :class:`~repro.dram.system.MemorySystem`;
-:class:`CompositeMemory` implements the multi-channel half of it
-generically over a channel list so the forwarding logic exists exactly
-once.
+:class:`MemoryInterface` is the contract shared by the single-channel
+:class:`~repro.dram.controller.MemoryController` and the multi-channel
+:class:`~repro.dram.system.MemorySystem`; :class:`CompositeMemory`
+implements the multi-channel half of it generically over a channel
+list so the forwarding logic exists exactly once.
 """
 
 from __future__ import annotations
@@ -40,10 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "CompositeMemory",
     "MemoryInterface",
-    "PagePolicy",
-    "RefreshPolicy",
-    "SchedulerPolicy",
-    "WriteDrainPolicy",
 ]
 
 
@@ -154,96 +133,3 @@ class CompositeMemory:
             done.extend(completions)
         done.sort(key=lambda r: r.finish)
         return done
-
-
-# ----------------------------------------------------------------------
-# Controller component protocols
-# ----------------------------------------------------------------------
-class SchedulerPolicy(Protocol):
-    """Decides which command the controller issues next.
-
-    This is the object-path (reference engine) contract: the controller
-    re-plans every step through :meth:`reference_plan`. The packed
-    engine runs the stock policies over its own arrays, so a custom
-    policy runs under ``engine="reference"``.
-    """
-
-    name: str
-
-    def bind(self, controller: Any) -> None:
-        """Capture the controller's banks/ranks/page policy."""
-        ...
-
-    def reference_plan(
-        self, queue: Any, write_mode: bool
-    ) -> "tuple | None":
-        """The winning ``(key, entry, cmd_type, coords)``, or None.
-
-        `queue` is the active request queue (write buffer's when
-        `write_mode`, else the read queue)."""
-        ...
-
-    def plan_entry(self, entry: Any, write_mode: bool) -> tuple:
-        """``(sort_key, entry, command, coords)`` for one candidate
-        (also reached through the fault-injection patch point)."""
-        ...
-
-    def block_info(
-        self, entry: Any, cmd_type: Any, coords: Any, issue_at: int
-    ) -> Any:
-        """The binding constraint of a planned command that must wait."""
-        ...
-
-
-class PagePolicy(Protocol):
-    """What happens to open rows nothing is waiting for."""
-
-    name: str
-    #: Whether the scheduler must scan for policy precharges at all.
-    generates_commands: bool
-
-    def bind(self, controller: Any) -> None: ...
-
-    def plan_candidates(self, open_rows: list) -> list[tuple]:
-        """Policy-generated candidates shaped like ``plan_entry``'s."""
-        ...
-
-
-class WriteDrainPolicy(Protocol):
-    """When buffered writes preempt reads.
-
-    Owns the drain state machine and the forced-drain windows consumed
-    by the ``writeburst`` latency attribution.
-    """
-
-    name: str
-    draining: bool
-    windows: list[tuple[int, int]]
-
-    def update(self, now: int, occupancy: int, reads_pending: bool) -> bool:
-        """Advance the state machine on the buffer's `occupancy`; True
-        while writes have priority."""
-        ...
-
-    def finalize(self, now: int) -> None:
-        """Close an in-progress drain window at end of simulation."""
-        ...
-
-
-class RefreshPolicy(Protocol):
-    """When and how the DRAM is refreshed.
-
-    ``next_due`` and ``until`` are plain int attributes (not
-    properties): the controller's scheduling loop reads them every
-    step.
-    """
-
-    name: str
-    next_due: int
-    until: int
-
-    def bind(self, controller: Any) -> None: ...
-
-    def perform(self, now: int) -> None:
-        """Run one refresh sequence starting at `now`."""
-        ...

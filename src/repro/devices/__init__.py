@@ -13,9 +13,9 @@ library of selectable memory technologies:
   declarative and reverse-engineerable from conflict samples.
 
 ``ControllerConfig(device="ddr5-4800")`` (or CLI ``--device``)
-resolves through this package; importing it also registers the
-device-specific address schemes with
-:data:`repro.dram.address.SCHEMES`.
+resolves through this package. A preset names its address scheme in
+:data:`repro.dram.address.SCHEMES` (``"lpddr5"`` for LPDDR5's
+bank-group-off mode).
 """
 
 from __future__ import annotations
@@ -30,12 +30,6 @@ from repro.devices.mapping import (
 )
 from repro.devices.presets import DEVICES, DevicePreset
 from repro.devices.registry import DeviceRegistry
-from repro.dram.address import SCHEMES, register_scheme
-
-# Device-specific address schemes. LPDDR5's BG-off mode has no bank
-# group field; banks interleave directly under the row bits.
-if "lpddr5" not in SCHEMES:
-    register_scheme("lpddr5", ("row", "bank", "column"))
 
 __all__ = [
     "ComponentMapping",
@@ -47,5 +41,4 @@ __all__ = [
     "infer_component",
     "is_bijective",
     "mapping_is_bijective",
-    "register_scheme",
 ]

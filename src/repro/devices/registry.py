@@ -1,8 +1,6 @@
 """String-keyed device registry with parameterized selectors.
 
-Mirrors the :class:`~repro.core.registry.ComponentRegistry` selection
-pattern the controller components use, extended with a parameter
-suffix: a selector is ``name`` or ``name:key=value,key=value`` —
+A selector is ``name`` or ``name:key=value,key=value`` —
 ``"ddr5-4800:subchannels=2"`` resolves the ``ddr5-4800`` factory and
 hands it ``subchannels=2``. Values parse as int, then float, then
 stay strings. Unknown names and bad parameters raise

@@ -206,10 +206,22 @@ class AddressMapping:
             ("row", "column", "bank", "bank_group"), organization, channels))
 
     @classmethod
+    def lpddr5_scheme(
+        cls, organization: Organization, channels: int = 1
+    ) -> "AddressMapping":
+        """LPDDR5 in bank-group-off mode: row : bank : column : offset.
+
+        The mode has no bank-group field; banks interleave directly
+        under the row bits.
+        """
+        return cls(organization, channels, _with_system_fields(
+            ("row", "bank", "column"), organization, channels))
+
+    @classmethod
     def from_name(
         cls, name: str, organization: Organization, channels: int = 1
     ) -> "AddressMapping":
-        """Look up a scheme by name in the :data:`SCHEMES` registry."""
+        """Look up a scheme by name in :data:`SCHEMES`."""
         if name not in SCHEMES:
             raise ConfigurationError(
                 f"unknown address scheme {name!r}; expected one of "
@@ -219,43 +231,13 @@ class AddressMapping:
 
 
 #: Named address schemes, keyed by ``ControllerConfig.address_scheme``.
-#: Each entry is ``(organization, channels) -> AddressMapping``. The
-#: paper's two schemes are built in; device presets (``repro.devices``)
-#: register theirs through :func:`register_scheme`.
+#: Each entry is ``(organization, channels) -> AddressMapping``: the
+#: paper's two schemes (Fig. 5) and the LPDDR5 device preset's.
 SCHEMES: dict = {
     "default": AddressMapping.default_scheme,
     "interleaved": AddressMapping.interleaved_scheme,
+    "lpddr5": AddressMapping.lpddr5_scheme,
 }
-
-
-def register_scheme(name: str, factory=None):
-    """Register a named address scheme.
-
-    `factory` is ``(organization, channels) -> AddressMapping``; a
-    tuple of field names (most-significant first, system fields added
-    automatically) is also accepted as a shorthand. Usable as a plain
-    call or a decorator. Re-registering an existing name raises.
-    """
-    def _apply(fn):
-        if name in SCHEMES:
-            raise ConfigurationError(
-                f"address scheme {name!r} is already registered"
-            )
-        SCHEMES[name] = fn
-        return fn
-
-    if factory is None:
-        return _apply
-    if isinstance(factory, (tuple, list)):
-        order = tuple(factory)
-
-        def factory(organization, channels=1, _order=order):
-            return AddressMapping(
-                organization, channels,
-                _with_system_fields(_order, organization, channels),
-            )
-
-    return _apply(factory)
 
 
 def _with_system_fields(

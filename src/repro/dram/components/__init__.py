@@ -1,52 +1,38 @@
-"""Pluggable memory-controller components and their registries.
+"""The memory controller's policies, by config name.
 
-The controller is assembled from four component kinds, each resolved
-from a :class:`~repro.core.registry.ComponentRegistry` keyed by the
-config string that selects it:
+The controller's policies are a closed set: three fixed tables map the
+config string that selects a policy to its class:
 
 ==================  =======================  ==========================
-registry            config field             built-ins
+table               config field             names
 ==================  =======================  ==========================
 SCHEDULERS          ``scheduling``           ``fr-fcfs`` (default),
                                              ``fcfs``, ``wrr``,
                                              ``bank-reg``
 PAGE_POLICIES       ``page_policy``          ``open`` (default),
                                              ``closed``
-WRITE_DRAIN         ``write_drain``          ``watermark`` (default),
-                                             ``burst``
 REFRESH             ``refresh``              ``all-bank`` (default),
                                              ``none``, ``same-bank``
 ==================  =======================  ==========================
 
+Both engines run every class here: the packed loop of
+:mod:`repro.dram.packed` in production, the reference engine as its
+oracle. Writes drain under one rule, the paper's watermarks
+(:class:`WatermarkDrainPolicy`, which the write buffer builds itself).
 Every controller records the one :class:`EventLog` the stack
-accountants read; recording is not a component.
+accountants read; recording is not a policy.
 
-Scheduler strings may carry parameters after a colon when the policy
-declares ``accepts_params`` — ``"wrr:2,1"`` (per-requester weights) and
+``wrr`` and ``bank-reg`` take parameters after a colon —
+``"wrr:2,1"`` (per-requester weights) and
 ``"bank-reg:period=1000,budget=4"`` (per-bank regulation) are resolved
 by :func:`make_scheduler`; see :mod:`repro.dram.components.qos` and
 docs/qos.md.
-
-Registering a custom policy is one decorator::
-
-    from repro.dram.components import SCHEDULERS
-
-    @SCHEDULERS.register("my-policy")
-    class MyScheduler(FrFcfsScheduler):
-        ...
-
-after which ``ControllerConfig(scheduling="my-policy")`` selects it.
-See ``docs/architecture.md`` for the component interfaces.
 """
 
 from __future__ import annotations
 
-from repro.core.registry import ComponentRegistry
 from repro.dram.components.accounting import EventLog
-from repro.dram.components.draining import (
-    BurstDrainPolicy,
-    WatermarkDrainPolicy,
-)
+from repro.dram.components.draining import WatermarkDrainPolicy
 from repro.dram.components.paging import ClosedPagePolicy, OpenPagePolicy
 from repro.dram.components.qos import BankRegScheduler, WrrScheduler
 from repro.dram.components.refreshing import (
@@ -55,52 +41,41 @@ from repro.dram.components.refreshing import (
     SameBankRefresh,
 )
 from repro.dram.components.scheduling import FcfsScheduler, FrFcfsScheduler
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_choice
 
 #: Scheduler policies, keyed by ``ControllerConfig.scheduling``.
-SCHEDULERS: ComponentRegistry = ComponentRegistry("scheduling policy")
-SCHEDULERS.register("fr-fcfs")(FrFcfsScheduler)
-SCHEDULERS.register("fcfs")(FcfsScheduler)
-SCHEDULERS.register("wrr")(WrrScheduler)
-SCHEDULERS.register("bank-reg")(BankRegScheduler)
+SCHEDULERS = {
+    "fr-fcfs": FrFcfsScheduler,
+    "fcfs": FcfsScheduler,
+    "wrr": WrrScheduler,
+    "bank-reg": BankRegScheduler,
+}
 
 #: Page policies, keyed by ``ControllerConfig.page_policy``.
-PAGE_POLICIES: ComponentRegistry = ComponentRegistry("page policy")
-PAGE_POLICIES.register("open")(OpenPagePolicy)
-PAGE_POLICIES.register("closed")(ClosedPagePolicy)
-
-#: Write-drain policies, keyed by ``ControllerConfig.write_drain``.
-WRITE_DRAIN: ComponentRegistry = ComponentRegistry("write-drain policy")
-WRITE_DRAIN.register("watermark")(WatermarkDrainPolicy)
-WRITE_DRAIN.register("burst")(BurstDrainPolicy)
+PAGE_POLICIES = {"open": OpenPagePolicy, "closed": ClosedPagePolicy}
 
 #: Refresh policies, keyed by ``ControllerConfig.refresh``.
-REFRESH: ComponentRegistry = ComponentRegistry("refresh policy")
-REFRESH.register("all-bank")(AllBankRefresh)
-REFRESH.register("none")(NoRefresh)
-REFRESH.register("same-bank")(SameBankRefresh)
-
-
-def scheduling_base_name(spec: str) -> str:
-    """The registry name of a scheduling spec (``"wrr:2,1"`` -> ``"wrr"``)."""
-    base, __, __ = str(spec).partition(":")
-    return base
+REFRESH = {
+    "all-bank": AllBankRefresh,
+    "none": NoRefresh,
+    "same-bank": SameBankRefresh,
+}
 
 
 def make_scheduler(spec: str):
     """Instantiate the scheduler a ``scheduling`` config string selects.
 
-    The string is ``name`` or ``name:params``; the name is resolved in
+    The string is ``name`` or ``name:params``; the name is looked up in
     :data:`SCHEDULERS` and the parameter suffix (weights for ``wrr``,
     period/budget for ``bank-reg``) is handed to the policy's
-    constructor. Policies that do not declare ``accepts_params`` reject
-    a suffix. Raises :class:`~repro.errors.ConfigurationError` for
-    unknown names or malformed parameters.
+    constructor. The other policies reject a suffix. Raises
+    :class:`~repro.errors.ConfigurationError` for unknown names or
+    malformed parameters.
     """
     base, sep, params = str(spec).partition(":")
-    cls = SCHEDULERS.get(base)
+    cls = require_choice("scheduling policy", base, SCHEDULERS)
     if sep:
-        if not getattr(cls, "accepts_params", False):
+        if cls not in (WrrScheduler, BankRegScheduler):
             raise ConfigurationError(
                 f"scheduling policy {base!r} takes no parameters "
                 f"(got {params!r} in {spec!r})"
@@ -109,21 +84,9 @@ def make_scheduler(spec: str):
     return cls()
 
 
-def validate_scheduling(spec: str) -> str:
-    """Validate a ``scheduling`` config string eagerly; returns it.
-
-    Instantiates the scheduler (constructors are cheap — all heavy
-    state is built in ``bind``) so malformed parameter suffixes fail at
-    config time, not mid-run.
-    """
-    make_scheduler(spec)
-    return spec
-
-
 __all__ = [
     "AllBankRefresh",
     "BankRegScheduler",
-    "BurstDrainPolicy",
     "ClosedPagePolicy",
     "EventLog",
     "FcfsScheduler",
@@ -134,10 +97,7 @@ __all__ = [
     "SameBankRefresh",
     "REFRESH",
     "SCHEDULERS",
-    "WRITE_DRAIN",
     "WatermarkDrainPolicy",
     "WrrScheduler",
     "make_scheduler",
-    "scheduling_base_name",
-    "validate_scheduling",
 ]

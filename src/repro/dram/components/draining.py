@@ -1,17 +1,11 @@
-"""Write-drain policies: when buffered writes preempt reads.
+"""The write-drain rule: when buffered writes preempt reads.
 
-The drain policy owns the forced-drain state machine and its recorded
-windows (the ``writeburst`` latency attribution). It is consulted once
+The paper's watermark rule, the only one: a *forced* drain runs from
+the high to the low watermark, and writes are also issued
+*opportunistically* whenever no reads are pending. The policy owns the
+forced-drain state machine and its recorded windows (the
+``writeburst`` latency attribution), and both engines consult it once
 per scheduling decision through :meth:`~WatermarkDrainPolicy.update`.
-
-* ``watermark`` (default, the paper's behavior) — a forced drain runs
-  from the high to the low watermark; writes are also issued
-  *opportunistically* whenever no reads are pending.
-* ``burst`` — once the high watermark triggers, the drain runs all the
-  way to an empty buffer (classic full write-burst turnaround,
-  maximizing the writes amortized per bus turnaround at the cost of
-  longer read-blocking windows). Opportunistic writes behave as under
-  ``watermark``.
 """
 
 from __future__ import annotations
@@ -19,14 +13,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import
-    # cycle: wqueue imports this module for its default policy)
+    # cycle: wqueue imports this module for its drain policy)
     from repro.dram.wqueue import WriteQueueConfig
 
 
 class WatermarkDrainPolicy:
     """High/low-watermark forced drains plus opportunistic writes."""
-
-    name = "watermark"
 
     def __init__(self, config: WriteQueueConfig) -> None:
         self.config = config
@@ -69,12 +61,3 @@ class WatermarkDrainPolicy:
             self._drain_start = -1
             self.draining = False
 
-
-class BurstDrainPolicy(WatermarkDrainPolicy):
-    """Forced drains run to an empty buffer, not the low watermark."""
-
-    name = "burst"
-
-    def __init__(self, config: WriteQueueConfig) -> None:
-        super().__init__(config)
-        self._low_entries = 0

@@ -1,9 +1,9 @@
 """QoS scheduler policies: multi-requester arbitration.
 
-Two registry-selectable schedulers layer requester-aware arbitration on
-top of the FR-FCFS candidate selection (the per-bank oldest/row-hit
-choice of :meth:`~repro.dram.scheduler.RequestQueue.candidates`), as an
-arbiter stage (:meth:`arbitrate`) between candidate planning and the
+Two schedulers layer requester-aware arbitration on top of the FR-FCFS
+candidate selection (the per-bank oldest/row-hit choice of
+:meth:`~repro.dram.scheduler.RequestQueue.candidates`), as an arbiter
+stage (:meth:`arbitrate`) between candidate planning and the
 (time, priority, age) tournament:
 
 * ``wrr`` — a weighted-round-robin arbiter. Each requester holds a
@@ -104,7 +104,6 @@ class WrrScheduler(_SchedulerBase):
 
     name = "wrr"
     candidate_policy = "fr-fcfs"
-    accepts_params = True
 
     def __init__(self, params: str = "") -> None:
         self.weights = _parse_weights(params)
@@ -166,7 +165,6 @@ class BankRegScheduler(_SchedulerBase):
 
     name = "bank-reg"
     candidate_policy = "fr-fcfs"
-    accepts_params = True
 
     def __init__(self, params: str = "") -> None:
         self.period, self.budget = _parse_regulation(params)

@@ -1,6 +1,7 @@
 """Scheduler policies: which command issues next.
 
-Two policies are registered:
+Two policies live here (the QoS arbiters in
+:mod:`repro.dram.components.qos` build on them):
 
 * ``fr-fcfs`` (default, the paper's) — first-ready FCFS with a
   starvation cap;
@@ -32,11 +33,8 @@ class _SchedulerBase:
     #: Candidate-selection family understood by
     #: :meth:`repro.dram.scheduler.RequestQueue.candidates`. Arbiters
     #: layered on FR-FCFS selection (``wrr``, ``bank-reg``) keep
-    #: ``"fr-fcfs"`` here while registering under their own name.
+    #: ``"fr-fcfs"`` here under their own config name.
     candidate_policy = "fr-fcfs"
-    #: Whether the registry accepts a ``name:params`` suffix for this
-    #: scheduler (see :func:`repro.dram.components.make_scheduler`).
-    accepts_params = False
 
     def bind(self, controller) -> None:
         """Wire up to a controller."""
@@ -106,7 +104,7 @@ class _SchedulerBase:
     def arbitrate(self, cands: list[tuple]) -> list[tuple]:
         """Arbiter stage over the planned request candidates.
 
-        The stock policies pass them through; the QoS arbiters in
+        FR-FCFS and FCFS pass them through; the QoS arbiters in
         :mod:`repro.dram.components.qos` filter or re-time them.
         """
         return cands
@@ -124,8 +122,7 @@ class _SchedulerBase:
         cands = self.arbitrate([
             ctrl._plan_entry(entry, write_mode)
             for entry in queue.candidates(
-                open_rows, self.candidate_policy, ctrl.now,
-                ctrl.config.starvation_cap,
+                open_rows, self.candidate_policy, ctrl.now
             )
         ])
         if self._page.generates_commands:

@@ -8,13 +8,14 @@ multiple cycles in one step" approach — the complete channel timeline
 intervals with their binding constraint) is recorded in an event log that
 the stack accountants in :mod:`repro.stacks` consume.
 
-The controller itself is a thin composition shell: scheduling, page
-policy, write draining and refresh are pluggable components resolved
-from the registries in :mod:`repro.dram.components` by the config
-strings of :class:`ControllerConfig`. The event log (:class:`EventLog`)
-is the run's only record; the one online observer, the forward-progress
-watchdog, is called directly every ``_WATCHDOG_STRIDE`` scheduling steps
-while one is attached.
+The controller itself is a thin composition shell: the scheduler, page
+policy and refresh policy are the classes that the config strings of
+:class:`ControllerConfig` select in the fixed tables of
+:mod:`repro.dram.components`, and writes drain under the write buffer's
+watermark rule. The event log (:class:`EventLog`) is the run's only
+record; the one online observer, the forward-progress watchdog, is
+called directly every ``_WATCHDOG_STRIDE`` scheduling steps while one
+is attached.
 
 Features modeled: FR-FCFS and FCFS scheduling, open and closed page
 policies, a watermark-drained write buffer with read forwarding, all-bank
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 from repro.dram import components
 from repro.dram.address import SCHEMES, AddressMapping
@@ -33,23 +33,18 @@ from repro.dram.bank import Bank
 from repro.dram.commands import Command, CommandType, Request, RequestType
 from repro.dram.components.accounting import EventLog
 from repro.dram.components.paging import _BankCoords  # noqa: F401 - re-export
-from repro.dram.packed import PackedEngine, packed_fallback_reason
+from repro.dram.packed import PackedEngine
 from repro.dram.rank import BlockScope, RankTiming, SharedBus
 from repro.dram.scheduler import QueuedRequest, RequestQueue
 from repro.dram.timing import DDR4_2400, TimingSpec
-from repro.dram.wqueue import WriteBuffer, WriteQueueConfig
-from repro.errors import ConfigurationError
-
-#: Back-compat name: the registered page-policy names at import time.
-#: Validation goes through the registry, so policies registered later
-#: are accepted even though they are not in this snapshot.
-PAGE_POLICIES = components.PAGE_POLICIES.names()
+from repro.dram.wqueue import FORWARD_LATENCY, WriteBuffer, WriteQueueConfig
+from repro.errors import ConfigurationError, require_choice
 
 #: Scheduling engines. ``"packed"`` runs the struct-of-arrays batch
-#: engine (:mod:`repro.dram.packed`) for every stock policy;
+#: engine (:mod:`repro.dram.packed`), which runs every policy;
 #: ``"reference"`` re-derives the decision from the object state every
-#: step and runs any registered policy. The golden/differential tests
-#: in ``tests/golden`` hold the two bit-identical.
+#: step. The golden/differential tests in ``tests/golden`` hold the two
+#: bit-identical.
 ENGINES = ("packed", "reference")
 
 #: Sentinel "infinitely far in the future" time.
@@ -72,9 +67,14 @@ _WATCHDOG_STRIDE = 32
 class ControllerConfig:
     """Configuration of one memory controller / channel.
 
-    The string-valued policy fields are looked up in the component
-    registries of :mod:`repro.dram.components`; registering a custom
-    component makes its name valid here.
+    The string-valued policy fields are looked up in the fixed tables
+    of :mod:`repro.dram.components`; an unknown name raises
+    :class:`~repro.errors.ConfigurationError` listing the choices.
+    Writes drain under the paper's watermark rule, reads that hit a
+    buffered write are forwarded in
+    :data:`~repro.dram.wqueue.FORWARD_LATENCY` cycles, and FR-FCFS
+    reordering is bounded by
+    :data:`~repro.dram.scheduler.STARVATION_CAP`.
 
     Attributes:
         spec: DRAM timing specification (default: the paper's DDR4-2400).
@@ -91,30 +91,17 @@ class ControllerConfig:
             ``"bank-reg:period=1000,budget=4"`` (per-bank bandwidth
             regulation); see :mod:`repro.dram.components.qos`.
         write_queue: write-buffer sizing and watermarks.
-        write_drain: ``"watermark"`` (paper: forced drains run from the
-            high to the low watermark) or ``"burst"`` (forced drains run
-            to an empty buffer).
-        read_forwarding: serve reads that hit a buffered write directly
-            from the write buffer.
-        forward_latency: cycles for a forwarded read, >= 0; ``0``
-            completes a forwarded read in the cycle it arrives.
         keep_command_trace: record every DRAM command (off by default;
             the stack accounting does not need it, but the offline trace
             tooling in :mod:`repro.trace` does).
         refresh: refresh policy name (``"all-bank"``, ``"same-bank"``
             or ``"none"``, the refresh ablation); None selects the
             device's default (``"all-bank"`` without a device).
-        starvation_cap: FR-FCFS reordering bound, >= 0 — a request
-            older than this many cycles beats younger row hits to its
-            bank. ``0`` serves each bank in arrival order: a row hit
-            overtakes only requests that arrived in the same cycle.
-            ``None`` removes the bound.
         engine: ``"packed"`` (default) runs the struct-of-arrays batch
-            loop of :mod:`repro.dram.packed`; it runs the stock
-            policies only and refuses any other at config time.
-            ``"reference"`` recomputes the decision every step on the
-            object state and runs any registered policy; it is the
-            oracle of the golden/differential test layer.
+            loop of :mod:`repro.dram.packed`. ``"reference"``
+            recomputes the decision every step on the object state; it
+            is the oracle of the golden/differential test layer and the
+            path the fault drills switch to.
         device: optional device-preset selector resolved in the
             :data:`repro.devices.DEVICES` registry (``"ddr4-2400"``,
             ``"ddr5-4800:subchannels=2"``, ``"lpddr5-6400"``,
@@ -129,24 +116,18 @@ class ControllerConfig:
     address_scheme: str = "default"
     page_policy: str = "open"
     scheduling: str = "fr-fcfs"
-    starvation_cap: int = 1500
     write_queue: WriteQueueConfig = field(default_factory=WriteQueueConfig)
-    read_forwarding: bool = True
-    forward_latency: int = 4
     keep_command_trace: bool = False
     engine: str = "packed"
-    write_drain: str = "watermark"
     refresh: str | None = None
     device: str | None = None
 
     def __post_init__(self) -> None:
-        # Importing the device library also registers its address
-        # schemes ("lpddr5"), which the scheme check below accepts.
-        from repro.devices import DEVICES
-
         if self.device is not None:
+            from repro.devices import DEVICES
+
             # Resolve the preset first: it supplies the spec and the
-            # defaults the registry checks below then validate.
+            # defaults the checks below then validate.
             preset = DEVICES.create(self.device)
             object.__setattr__(self, "spec", preset.spec)
             if self.refresh is None and preset.refresh != "all-bank":
@@ -174,33 +155,15 @@ class ControllerConfig:
                 f"address_scheme {self.address_scheme!r} does not fit "
                 f"{self.spec.name}: {err}"
             ) from None
-        for name in ("forward_latency", "starvation_cap"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ConfigurationError(
-                    f"ControllerConfig({name}=...) must be >= 0, "
-                    f"got {value!r}"
-                )
-        # Registry lookups raise ConfigurationError with the expected
-        # names when a policy string is unknown.
-        components.PAGE_POLICIES.get(self.page_policy)
-        components.validate_scheduling(self.scheduling)
-        components.WRITE_DRAIN.get(self.write_drain)
-        components.REFRESH.get(self.resolved_refresh)
-        if self.engine == "packed":
-            # The packed loop runs the stock policies only; refuse any
-            # other here, naming it, instead of running something else.
-            reason = packed_fallback_reason(SimpleNamespace(
-                _sched=components.make_scheduler(self.scheduling),
-                _page=components.PAGE_POLICIES.create(self.page_policy),
-                _refresh=components.REFRESH.create(self.resolved_refresh),
-            ))
-            if reason is not None:
-                raise ConfigurationError(
-                    f"engine 'packed' cannot run this configuration: "
-                    f"{reason}; use engine='reference' for custom "
-                    f"policies"
-                )
+        # Each lookup raises ConfigurationError listing the choices;
+        # building the scheduler also checks its parameters.
+        require_choice(
+            "page policy", self.page_policy, components.PAGE_POLICIES
+        )
+        components.make_scheduler(self.scheduling)
+        require_choice(
+            "refresh policy", self.resolved_refresh, components.REFRESH
+        )
 
     @property
     def device_channels(self) -> int:
@@ -282,13 +245,11 @@ class MemoryController:
         ]
         self._bus = shared_bus
         self._read_queue = RequestQueue(self.num_banks)
-        #: Write-drain policy component (shared with the write buffer).
-        self._drain = components.WRITE_DRAIN.create(
-            self.config.write_drain, self.config.write_queue
-        )
         self._write_buffer = WriteBuffer(
-            self.config.write_queue, self.num_banks, drain_policy=self._drain
+            self.config.write_queue, self.num_banks
         )
+        #: The write buffer's watermark drain state machine.
+        self._drain = self._write_buffer.drain_policy
         self.log.drain_windows = self._write_buffer.drain_windows
 
         #: Optional forward-progress watchdog (see
@@ -305,26 +266,23 @@ class MemoryController:
         self._completions: list[Request] = []
         self.completed_requests: list[Request] = []
 
-        #: Page-policy component.
-        self._page = components.PAGE_POLICIES.create(self.config.page_policy)
+        #: Page policy.
+        self._page = components.PAGE_POLICIES[self.config.page_policy]()
         self._page.bind(self)
-        #: Scheduler component: plans each step on the object path.
+        #: Scheduler: plans each step on the object path.
         self._sched = components.make_scheduler(self.config.scheduling)
         self._sched.bind(self)
         #: CAS-service hook for requester-aware arbiters (wrr charges
         #: credits, bank-reg counts budget); None for schedulers that
         #: do not define it, so the default hot path pays one check.
         self._note_service = getattr(self._sched, "note_service", None)
-        #: Refresh component; `next_due`/`until` are read every step.
-        self._refresh = components.REFRESH.create(
-            self.config.resolved_refresh
-        )
+        #: Refresh policy; `next_due`/`until` are read every step.
+        self._refresh = components.REFRESH[self.config.resolved_refresh]()
         self._refresh.bind(self)
 
         self._tRP = self.spec.tRP
         self._tRCD = self.spec.tRCD
         self._trace_commands = self.config.keep_command_trace
-        self._forward_latency = self.config.forward_latency
         # The log's lists, shared by reference (EventLog never reassigns
         # them), so the issue path skips the attribute chains.
         self._log_bursts = self.log.bursts
@@ -336,8 +294,7 @@ class MemoryController:
         self._last_req_by_bank = [-1] * self.num_banks
         self._last_req_channel = -1
 
-        # Packed struct-of-arrays engine (see repro.dram.packed); the
-        # config has already refused policies it does not run. While set,
+        # Packed struct-of-arrays engine (see repro.dram.packed). While set,
         # its columns hold the queues and the bank, rank and bus state,
         # and the objects above are stale until its flush() copies them
         # out. None under ``engine="reference"`` and after a fault drill
@@ -500,8 +457,7 @@ class MemoryController:
         queue = self._write_buffer.queue if write_mode else self._read_queue
         open_rows = [b.open_row for b in self._banks]
         for entry in queue.candidates(
-            open_rows, self._sched.candidate_policy, self.now,
-            self.config.starvation_cap,
+            open_rows, self._sched.candidate_policy, self.now
         ):
             key, __, cmd_type, coords = self._plan_entry(entry, write_mode)
             issue_at = key[0]
@@ -571,9 +527,7 @@ class MemoryController:
         heappop = heapq.heappop
         # Forwarding probe short-circuits on the buffered-address dict so
         # the empty-buffer case skips the line-align arithmetic.
-        wb_addresses = self._write_buffer._addresses if (
-            self.config.read_forwarding
-        ) else None
+        wb_addresses = self._write_buffer._addresses
         while arrivals and arrivals[0][0] <= now:
             __, __, req = heappop(arrivals)
             coords = decode(req.address)
@@ -583,7 +537,7 @@ class MemoryController:
                     mapping.line_address(req.address) in wb_addresses
                 ):
                     req.forwarded = True
-                    req.finish = req.arrival + self._forward_latency
+                    req.finish = req.arrival + FORWARD_LATENCY
                     req.cas_issue = req.arrival
                     req.data_start = req.finish
                     self.stats.reads_forwarded += 1

@@ -8,7 +8,7 @@ per field, indexed by flat bank / entry id — and runs the
 whole admit → refresh → decide → issue loop inside a single closure
 whose hot names are cell variables, so the ~100k ``run_until`` calls of
 a simulation pay no per-call re-hoisting. It is the production engine
-for every stock policy: FR-FCFS and FCFS, the ``wrr`` and ``bank-reg``
+for every policy: FR-FCFS and FCFS, the ``wrr`` and ``bank-reg``
 QoS arbiters, both page policies and all three refresh policies.
 
 Layout (struct of arrays; see docs/performance.md for the diagram):
@@ -78,7 +78,8 @@ from repro.dram.components.refreshing import (
 from repro.dram.components.qos import BankRegScheduler, WrrScheduler
 from repro.dram.components.scheduling import FcfsScheduler, FrFcfsScheduler
 from repro.dram.rank import BlockScope
-from repro.dram.scheduler import RequestQueue
+from repro.dram.scheduler import STARVATION_CAP, RequestQueue
+from repro.dram.wqueue import FORWARD_LATENCY
 
 #: Sentinel "infinitely far in the future" (the controller's FAR_FUTURE).
 _FAR = 1 << 62
@@ -104,8 +105,8 @@ _SCOPE_RANK = BlockScope.RANK
 _SCOPE_CHANNEL = BlockScope.CHANNEL
 
 
-#: The component classes the packed loop runs (exact types: a subclass
-#: may override anything, so it runs on the reference engine).
+#: The policy classes the packed loop runs (exact types: a subclass may
+#: override anything the loop transcribes).
 _PACKED_SCHEDULERS = (
     FrFcfsScheduler, FcfsScheduler, WrrScheduler, BankRegScheduler,
 )
@@ -117,10 +118,10 @@ def packed_fallback_reason(controller) -> str | None:
     """Why `controller` cannot run packed, or None when it can.
 
     `controller` is anything carrying the controller's ``_sched``,
-    ``_page`` and ``_refresh`` components. The packed loop runs the
-    four stock schedulers, both page policies and all three refresh
-    policies; :class:`~repro.dram.controller.ControllerConfig` refuses
-    ``engine="packed"`` for anything else, naming this reason.
+    ``_page`` and ``_refresh`` policies. The packed loop runs the four
+    schedulers, both page policies and all three refresh policies, and
+    those are every class the tables of :mod:`repro.dram.components`
+    hold, so no config string names a policy this refuses.
     """
     for kind, component, supported in (
         ("scheduling policy", controller._sched, _PACKED_SCHEDULERS),
@@ -333,10 +334,9 @@ class PackedEngine:
         rtw = spec.read_to_write
         tREFI = spec.tREFI
         tRFC = spec.tRFC
-        cap = ctrl.config.starvation_cap
-        cap = cap if cap is not None else _FAR
+        cap = STARVATION_CAP
         cap1 = cap + 1
-        fwd_lat = ctrl._forward_latency
+        fwd_lat = FORWARD_LATENCY
         trace_commands = ctrl._trace_commands
 
         # --- components / shared structures ---------------------------
@@ -355,7 +355,6 @@ class PackedEngine:
         drain = ctrl._drain
         drain_update = drain.update
         wbA = ctrl._write_buffer._addresses
-        forwarding = ctrl.config.read_forwarding
         mapping = ctrl.mapping
         locate = mapping.locate
         line_address = mapping.line_address
@@ -493,9 +492,7 @@ class PackedEngine:
                             addr = req.address
                             flat, row = locate(addr)
                             if req.req_type is _RT_READ:
-                                if forwarding and wbA and (
-                                    line_address(addr) in wbA
-                                ):
+                                if wbA and line_address(addr) in wbA:
                                     req.forwarded = True
                                     fin = req.arrival + fwd_lat
                                     req.finish = fin

@@ -24,8 +24,9 @@ from repro.errors import ConfigurationError
 
 SCHEDULING_POLICIES = ("fr-fcfs", "fcfs")
 
-#: "No starvation cap": larger than any realistic request age.
-_NO_CAP = 1 << 62
+#: FR-FCFS reordering bound, in cycles: a bank's oldest request that has
+#: waited longer than this beats younger row hits to its bank.
+STARVATION_CAP = 1500
 
 
 @dataclass(slots=True)
@@ -144,15 +145,15 @@ class RequestQueue:
         open_rows: list[int | None],
         policy: str,
         now: int = 0,
-        starvation_cap: int | None = None,
     ) -> list[QueuedRequest]:
         """Per-bank scheduling candidates under `policy`.
 
         For FR-FCFS this returns, for each bank with pending work, the
         oldest row-hit request when the bank's open row has one, otherwise
         the bank's oldest request — unless the bank's oldest request has
-        waited longer than `starvation_cap` cycles, in which case age wins
-        (real FR-FCFS implementations bound reordering the same way).
+        waited longer than :data:`STARVATION_CAP` cycles, in which case
+        age wins (real FR-FCFS implementations bound reordering the same
+        way).
         For FCFS it returns only the globally oldest request.
         """
         if policy == "fcfs":
@@ -163,8 +164,6 @@ class RequestQueue:
                 f"unknown scheduling policy {policy!r}; "
                 f"expected one of {sorted(SCHEDULING_POLICIES)}"
             )
-        if starvation_cap is None:
-            starvation_cap = _NO_CAP
         result = []
         for flat_bank in self._active_banks:
             oldest = self._head(self._bank_fifo[flat_bank])
@@ -172,7 +171,7 @@ class RequestQueue:
                 continue
             entry = None
             row = open_rows[flat_bank]
-            if row is not None and now - oldest.request.arrival <= starvation_cap:
+            if row is not None and now - oldest.request.arrival <= STARVATION_CAP:
                 entry = self.oldest_row_hit(flat_bank, row)
             result.append(entry if entry is not None else oldest)
         return result

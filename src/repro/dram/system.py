@@ -21,7 +21,7 @@ from typing import Sequence
 from repro.core.interfaces import CompositeMemory
 from repro.dram.commands import Request
 from repro.dram.controller import ControllerConfig, MemoryController
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.stacks.bandwidth import BandwidthStackAccountant
 from repro.stacks.components import Stack
 from repro.stacks.latency import (
@@ -38,7 +38,8 @@ class MemorySystemConfig:
     channels: int = 1
 
     def __post_init__(self) -> None:
-        if self.channels < 1 or self.channels & (self.channels - 1):
+        require_int("MemorySystemConfig", "channels", self.channels, 1)
+        if self.channels & (self.channels - 1):
             raise ConfigurationError(
                 f"channels must be a positive power of two, got {self.channels}"
             )

@@ -1,12 +1,14 @@
-"""Write buffer with pluggable burst draining.
+"""Write buffer with watermark draining and read forwarding.
 
 Writes are buffered in the memory controller so reads, which stall cores,
-can be prioritized. The buffer drains in bursts under a
-:class:`~repro.core.interfaces.WriteDrainPolicy` (default: the paper's
-watermark policy — a *forced* drain begins when occupancy reaches the
-high watermark and runs until the low watermark, during which reads are
-not scheduled; the paper's ``writeburst`` latency component). Writes are
-also issued *opportunistically* whenever no reads are pending.
+can be prioritized. The buffer drains in bursts under the paper's
+watermark rule (:class:`~repro.dram.components.draining.WatermarkDrainPolicy`):
+a *forced* drain begins when occupancy reaches the high watermark and
+runs until the low watermark, during which reads are not scheduled (the
+paper's ``writeburst`` latency component). Writes are also issued
+*opportunistically* whenever no reads are pending. A read that hits a
+buffered write is served from the buffer in :data:`FORWARD_LATENCY`
+cycles.
 """
 
 from __future__ import annotations
@@ -17,7 +19,11 @@ from repro.dram.address import Coordinates
 from repro.dram.commands import Request
 from repro.dram.components.draining import WatermarkDrainPolicy
 from repro.dram.scheduler import QueuedRequest, RequestQueue
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_finite, require_int
+
+#: Cycles from arrival to completion of a read served from the write
+#: buffer (read forwarding).
+FORWARD_LATENCY = 4
 
 
 @dataclass(frozen=True)
@@ -36,9 +42,10 @@ class WriteQueueConfig:
     low_watermark: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ConfigurationError("write queue capacity must be >= 1")
-        if not 0.0 <= self.low_watermark < self.high_watermark <= 1.0:
+        require_int("WriteQueueConfig", "capacity", self.capacity, 1)
+        for name in ("high_watermark", "low_watermark"):
+            require_finite("WriteQueueConfig", name, getattr(self, name), 0.0)
+        if not self.low_watermark < self.high_watermark <= 1.0:
             raise ConfigurationError(
                 "watermarks must satisfy 0 <= low < high <= 1, got "
                 f"low={self.low_watermark} high={self.high_watermark}"
@@ -56,26 +63,16 @@ class WriteQueueConfig:
 
 
 class WriteBuffer:
-    """Buffered writes plus a delegated drain-mode state machine.
+    """Buffered writes plus their watermark drain state machine.
 
-    The drain state machine lives in the injected `drain_policy`
-    (default: :class:`~repro.dram.components.draining.WatermarkDrainPolicy`);
-    the buffer keeps thin delegating wrappers (:attr:`draining`,
-    :meth:`update_drain_mode`, :meth:`finalize`, :attr:`drain_windows`)
-    so existing callers and tests keep working unchanged.
+    Both engines advance :attr:`drain_policy` once per scheduling
+    decision and probe :attr:`_addresses` (buffered line address ->
+    count) for read forwarding.
     """
 
-    def __init__(
-        self,
-        config: WriteQueueConfig,
-        num_banks: int,
-        drain_policy=None,
-    ) -> None:
+    def __init__(self, config: WriteQueueConfig, num_banks: int) -> None:
         self.config = config
-        self.drain_policy = (
-            drain_policy if drain_policy is not None
-            else WatermarkDrainPolicy(config)
-        )
+        self.drain_policy = WatermarkDrainPolicy(config)
         self.queue = RequestQueue(num_banks)
         self._addresses: dict[int, int] = {}
         #: Completed forced-drain windows [(start, end)], for accounting.
@@ -84,11 +81,6 @@ class WriteBuffer:
 
     def __len__(self) -> int:
         return len(self.queue)
-
-    @property
-    def is_full(self) -> bool:
-        """Whether the buffer is at capacity."""
-        return len(self.queue) >= self.config.capacity
 
     @property
     def draining(self) -> bool:
@@ -116,17 +108,6 @@ class WriteBuffer:
             self._addresses.pop(line, None)
         else:
             self._addresses[line] = count
-
-    def holds_address(self, line_address: int) -> bool:
-        """Whether a buffered write matches `line_address` (read forwarding)."""
-        return line_address in self._addresses
-
-    # ------------------------------------------------------------------
-    # Drain-mode state machine, consulted once per scheduling decision.
-    # ------------------------------------------------------------------
-    def update_drain_mode(self, now: int, reads_pending: bool) -> bool:
-        """Advance the drain state machine; returns True while draining."""
-        return self.drain_policy.update(now, len(self.queue), reads_pending)
 
     def finalize(self, now: int) -> None:
         """Close an in-progress drain window at end of simulation."""

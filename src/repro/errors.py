@@ -3,7 +3,8 @@
 All exceptions raised by this library derive from :class:`ReproError`, so
 callers can catch one base class. Subclasses indicate which subsystem
 detected the problem. :func:`require_int` and :func:`require_finite`
-are the shared checks for the numeric fields of the config dataclasses.
+are the shared checks for the numeric fields of the config dataclasses,
+and :func:`require_choice` for the names that select from a fixed table.
 """
 
 from __future__ import annotations
@@ -170,6 +171,18 @@ def require_int(owner: str, name: str, value, minimum: int) -> None:
             f"{owner}({name}=...) must be an int >= {minimum}, "
             f"got {value!r}"
         )
+
+
+def require_choice(kind: str, name, table: dict):
+    """Return ``table[name]``; raise :class:`ConfigurationError` naming
+    the `kind`, the value and the sorted choices when `name` is not a
+    key of `table`."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown {kind} {name!r}; expected one of {sorted(table)}"
+        ) from None
 
 
 def require_finite(owner: str, name: str, value, minimum: float) -> None:

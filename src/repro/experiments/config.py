@@ -9,7 +9,7 @@ from repro.cpu.hierarchy import HierarchyConfig
 from repro.cpu.system import SystemConfig
 from repro.dram.controller import ControllerConfig
 from repro.dram.wqueue import WriteQueueConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.workloads.gap.suite import gap_hierarchy
 
 
@@ -102,11 +102,11 @@ def paper_system(
     `gap=True` selects the proportionally scaled cache hierarchy used
     with the scaled-down graphs (see :func:`gap_hierarchy`).
 
-    `page_policy` and `scheduling` accept any name registered in
+    `page_policy` and `scheduling` accept the names in
     :data:`repro.dram.components.PAGE_POLICIES` /
-    :data:`repro.dram.components.SCHEDULERS`, including custom
-    components registered by the caller; scheduling strings may carry
-    parameters (``"wrr:2,1"``, ``"bank-reg:period=1000,budget=4"``).
+    :data:`repro.dram.components.SCHEDULERS`; scheduling strings may
+    carry parameters (``"wrr:2,1"``,
+    ``"bank-reg:period=1000,budget=4"``).
 
     `requesters` selects the multi-requester QoS model (docs/qos.md):
     a tuple gives each core its requester domain explicitly; an int N
@@ -121,8 +121,8 @@ def paper_system(
     `engine` selects the controller stepping engine from
     :data:`repro.dram.controller.ENGINES`: ``"packed"`` (the
     :class:`~repro.dram.controller.ControllerConfig` default, kept by
-    ``None``) runs every stock policy; ``"reference"`` re-plans every
-    step and is needed for custom policies.
+    ``None``) or ``"reference"``, which re-plans every step and is
+    bit-identical.
 
     Every knob is validated eagerly here (naming the bad field) so a
     sweep over many points fails at construction, not mid-run.
@@ -131,11 +131,9 @@ def paper_system(
         raise ConfigurationError(
             f"paper_system(cores=...) must be a positive int, got {cores!r}"
         )
-    if write_queue_capacity < 1:
-        raise ConfigurationError(
-            f"paper_system(write_queue_capacity=...) must be >= 1, "
-            f"got {write_queue_capacity!r}"
-        )
+    require_int(
+        "paper_system", "write_queue_capacity", write_queue_capacity, 1
+    )
     if isinstance(requesters, bool):
         raise ConfigurationError(
             f"paper_system(requesters=...) must be an int, a tuple of "

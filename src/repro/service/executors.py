@@ -2,11 +2,9 @@
 
 An executor maps a :class:`~repro.service.job.Job` to a
 JSON-serializable *payload* — the thing the result cache stores and a
-cache hit returns verbatim. Executors are registered in
-:data:`EXECUTORS` (the same :class:`~repro.core.registry.ComponentRegistry`
-pattern the controller policies use), so a new job kind is a class plus
-one decorator line and is immediately runnable by the pool, the cache,
-the sweep harness and the ``batch`` CLI.
+cache hit returns verbatim. :data:`EXECUTORS` maps each job kind to its
+executor class; the pool, the cache, the sweep harness and the
+``batch`` CLI all run a job through :func:`execute_job`.
 
 Payload schema for simulation kinds (``synthetic`` / ``gap``)::
 
@@ -34,18 +32,15 @@ import time
 from contextlib import redirect_stdout
 from typing import Any
 
-from repro.core.registry import ComponentRegistry
 from repro.errors import (
     ConfigurationError,
     ReproError,
     SimulationTimeoutError,
     WorkerCrashError,
+    require_choice,
 )
 from repro.service.job import Job
 from repro.stacks.components import Stack
-
-#: Registry of job-kind executors; register custom kinds here.
-EXECUTORS = ComponentRegistry("job executor")
 
 
 def stack_to_payload(stack: Stack) -> dict:
@@ -107,7 +102,6 @@ def _simulation_payload(result, label: str) -> dict:
     }
 
 
-@EXECUTORS.register("synthetic")
 class SyntheticExecutor:
     """Run one synthetic pattern through the full pipeline.
 
@@ -144,7 +138,6 @@ class SyntheticExecutor:
         return _simulation_payload(result, job.label)
 
 
-@EXECUTORS.register("qos")
 class QosExecutor:
     """Run one multi-requester QoS scenario (CPU cores vs streaming
     agent).
@@ -201,7 +194,6 @@ class QosExecutor:
         return payload
 
 
-@EXECUTORS.register("gap")
 class GapExecutor:
     """Run one GAP kernel configuration.
 
@@ -235,7 +227,6 @@ class GapExecutor:
         return payload
 
 
-@EXECUTORS.register("figure")
 class FigureExecutor:
     """Regenerate one paper figure (``repro.experiments.figN.main``).
 
@@ -282,7 +273,6 @@ class FigureExecutor:
         }
 
 
-@EXECUTORS.register("probe")
 class ProbeExecutor:
     """Test/diagnostic instrument: a job with scripted (mis)behaviour.
 
@@ -354,15 +344,25 @@ class ProbeExecutor:
         raise WorkerCrashError("probe scripted crash (inline mode)")
 
 
+#: Job kind -> executor class.
+EXECUTORS = {
+    "synthetic": SyntheticExecutor,
+    "qos": QosExecutor,
+    "gap": GapExecutor,
+    "figure": FigureExecutor,
+    "probe": ProbeExecutor,
+}
+
+
 def execute_job(job: Job) -> tuple[dict, bool]:
-    """Run `job` with its registered executor.
+    """Run `job` with the executor of its kind.
 
     Returns ``(payload, cacheable)``. Raises :class:`ReproError`
     subclasses for anything that goes wrong; non-Repro exceptions from
     executors are wrapped in :class:`WorkerCrashError` so callers only
     ever see the library's error hierarchy.
     """
-    executor = EXECUTORS.create(job.kind)
+    executor = require_choice("job executor", job.kind, EXECUTORS)()
     try:
         payload = executor.execute(job)
     except ReproError:

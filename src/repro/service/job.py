@@ -75,9 +75,9 @@ class Job:
     """One deterministic, independently executable unit of work.
 
     Attributes:
-        kind: executor name, resolved through
-            :data:`repro.service.executors.EXECUTORS`, so registered
-            custom kinds work everywhere built-ins do.
+        kind: job kind, a key of
+            :data:`repro.service.executors.EXECUTORS` (``synthetic``,
+            ``qos``, ``gap``, ``figure`` or ``probe``).
         config: executor-specific knobs; must be plain JSON data. For
             ``synthetic`` these are the :func:`run_synthetic` keyword
             arguments (``pattern``, ``cores``, ...).

@@ -14,11 +14,10 @@ to last data beat) is decomposed into:
 
 Components are measured per read and averaged over reads only — writes do
 not stall cores (Sec. V). Prefetch-generated reads are DRAM reads like
-any other and are included by default (pass ``include_prefetch=False``
-to restrict to demand loads); in a prefetcher-covered stream they *are*
-the read stream whose latency bounds throughput. The decomposition is exact: the components of
-each read sum to its measured latency, so no latency is double counted
-or lost.
+any other and are counted; in a prefetcher-covered stream they *are*
+the read stream whose latency bounds throughput. The decomposition is
+exact: the components of each read sum to its measured latency, so no
+latency is double counted or lost.
 """
 
 from __future__ import annotations
@@ -57,13 +56,11 @@ class LatencyStackAccountant:
         spec: TimingSpec,
         base_controller_cycles: int = 0,
         split_base: bool = False,
-        include_prefetch: bool = True,
         auditor=None,
     ) -> None:
         self.spec = spec
         self.base_controller_cycles = base_controller_cycles
         self.split_base = split_base
-        self.include_prefetch = include_prefetch
         #: Optional InvariantAuditor; None keeps the historical strict
         #: behavior (raise AccountingError on any decomposition drift).
         self.auditor = auditor
@@ -207,7 +204,6 @@ class LatencyStackAccountant:
             r for r in requests
             if r.req_type is RequestType.READ and not r.forwarded
             and r.cas_issue >= 0
-            and (self.include_prefetch or not r.is_prefetch)
         ]
 
     def _reported(self, request, refresh_windows, drain_windows):

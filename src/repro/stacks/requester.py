@@ -184,15 +184,10 @@ class RequesterLatencyAccountant:
         self,
         spec: TimingSpec,
         base_controller_cycles: int = 0,
-        include_prefetch: bool = True,
     ) -> None:
         self.spec = spec
         self.base_controller_cycles = base_controller_cycles
-        self.include_prefetch = include_prefetch
-        self._base = LatencyStackAccountant(
-            spec, base_controller_cycles,
-            include_prefetch=include_prefetch,
-        )
+        self._base = LatencyStackAccountant(spec, base_controller_cycles)
 
     def account(
         self, requests: list[Request], log: EventLog, label: str = ""

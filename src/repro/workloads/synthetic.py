@@ -59,10 +59,11 @@ class SyntheticConfig:
         accesses_per_core: memory operations each core performs.
         store_fraction: fraction of operations that are stores
             (write-allocate: a store miss still reads the line first).
-        line_bytes: access granularity.
+        line_bytes: access granularity, a power of two.
         instructions_per_access: non-memory instructions between ops.
         footprint_bytes: address range per core (random) or region size
-            per core (sequential). Must exceed the LLC to exercise DRAM.
+            per core (sequential), at least one line. Must exceed the
+            LLC to exercise DRAM.
         dependency: independent dependence chains in the random pattern
             (bounds MLP); ignored for sequential.
         seed: RNG seed for the random pattern.
@@ -77,14 +78,41 @@ class SyntheticConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.store_fraction <= 1.0:
+        fraction = self.store_fraction
+        if (
+            not isinstance(fraction, (int, float))
+            or isinstance(fraction, bool)
+            or not 0.0 <= fraction <= 1.0
+        ):
             raise WorkloadError(
-                f"store_fraction must be in [0, 1], got {self.store_fraction}"
+                f"store_fraction must be in [0, 1], got {fraction!r}"
             )
-        if self.accesses_per_core < 1:
-            raise WorkloadError("accesses_per_core must be >= 1")
-        if self.dependency < 0:
-            raise WorkloadError("dependency must be >= 0")
+        _require_count("accesses_per_core", self.accesses_per_core, 1)
+        _require_count(
+            "instructions_per_access", self.instructions_per_access, 0
+        )
+        _require_count("dependency", self.dependency, 0)
+        _require_count("line_bytes", self.line_bytes, 1)
+        if self.line_bytes & (self.line_bytes - 1):
+            raise WorkloadError(
+                f"SyntheticConfig(line_bytes=...) must be a power of two, "
+                f"got {self.line_bytes!r}"
+            )
+        _require_count(
+            "footprint_bytes", self.footprint_bytes, self.line_bytes
+        )
+
+
+def _require_count(name: str, value, minimum: int) -> None:
+    """Raise :class:`WorkloadError` unless `value` is an int (not a bool)
+    of at least `minimum`; the message names the field."""
+    if not isinstance(value, int) or isinstance(value, bool) or (
+        value < minimum
+    ):
+        raise WorkloadError(
+            f"SyntheticConfig({name}=...) must be an int >= {minimum}, "
+            f"got {value!r}"
+        )
 
 
 class _StorePattern:

@@ -11,7 +11,7 @@ from repro.dram import (
 )
 from repro.dram.controller import ENGINES
 from repro.dram.timing import DDR4_2400
-from repro.dram.wqueue import WriteQueueConfig
+from repro.dram.wqueue import FORWARD_LATENCY, WriteQueueConfig
 from repro.errors import ConfigurationError
 
 from tests.conftest import make_reads, make_writes, run_stream
@@ -137,16 +137,7 @@ class TestWrites:
         done = run_stream(mc, []).completed_requests
         forwarded = [r for r in done if r.forwarded]
         assert len(forwarded) == 1
-        assert forwarded[0].finish == 1 + mc.config.forward_latency
-
-    def test_forwarding_can_be_disabled(self):
-        mc = MemoryController(ControllerConfig(read_forwarding=False))
-        mc.enqueue(Request(RequestType.WRITE, 4096, arrival=0))
-        for i in range(4):
-            mc.enqueue(Request(RequestType.READ, i * 64, arrival=0))
-        mc.enqueue(Request(RequestType.READ, 4096, arrival=1))
-        done = run_stream(mc, []).completed_requests
-        assert not any(r.forwarded for r in done)
+        assert forwarded[0].finish == 1 + FORWARD_LATENCY
 
 
 class TestRefresh:

@@ -14,10 +14,10 @@ Locks down :mod:`repro.dram.packed` from three angles:
   ``reference``, across the stock and QoS schedulers, both page
   policies and one or two ranks, and over three enqueue→drain phases
   under closed page.
-* **Eager rejection** — a custom scheduler registration is refused at
-  config time by ``engine="packed"`` with an error naming the policy
-  (it runs under ``engine="reference"``), instead of running something
-  else.
+* **Closed policy set** — every name in the policy tables of
+  :mod:`repro.dram.components` runs on the packed loop, so no config
+  string reaches a policy it does not run; an unknown engine name is
+  refused at config time.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.dram import (
     RequestType,
 )
 from repro.dram import components
-from repro.dram.components.scheduling import FrFcfsScheduler
+from repro.dram.packed import packed_fallback_reason
 from repro.dram.timing import DDR4_2400
 from repro.errors import ConfigurationError
 from tests.conftest import run_stream
@@ -330,32 +330,21 @@ class TestEngineAgreement:
             )
 
 
+class TestPolicyTables:
+    def test_every_policy_name_runs_packed(self):
+        for scheduling in components.SCHEDULERS:
+            for page_policy in components.PAGE_POLICIES:
+                for refresh in components.REFRESH:
+                    ctrl = MemoryController(ControllerConfig(
+                        scheduling=scheduling, page_policy=page_policy,
+                        refresh=refresh,
+                    ))
+                    assert ctrl._packed is not None
+                    assert packed_fallback_reason(ctrl) is None
+
+
 class TestEagerRejection:
-    """Unsupported-policy combos fail at config time, naming the policy."""
-
-    def test_packed_rejects_custom_scheduler(self):
-        class CustomScheduler(FrFcfsScheduler):
-            """A custom policy: the packed loop cannot know what it
-            overrides."""
-
-            name = "test-custom"
-
-        name = "test-custom"
-        components.SCHEDULERS.register(name)(CustomScheduler)
-        try:
-            with pytest.raises(ConfigurationError, match=name) as excinfo:
-                ControllerConfig(spec=DDR4_2400, engine="packed",
-                                 scheduling=name)
-            assert "engine='reference'" in str(excinfo.value)
-            # The same registration runs on the reference engine.
-            ctrl = run_stream(
-                make_controller("reference", name),
-                [Request(RequestType.READ, i * 64, arrival=i)
-                 for i in range(8)],
-            )
-            assert ctrl.stats.reads_completed == 8
-        finally:
-            del components.SCHEDULERS._factories[name]
+    """Bad engine names fail at config time, listing the choices."""
 
     def test_engine_error_lists_sorted_choices(self):
         for engine in ("warp", "fast"):

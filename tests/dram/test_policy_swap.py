@@ -1,8 +1,7 @@
-"""Component-swap tests: every policy is selected by a config string.
+"""Policy-swap tests: every policy is selected by a config string.
 
-Each pluggable concern of the controller (scheduling, page policy,
-write draining, refresh) must be swappable purely through
-:class:`ControllerConfig` strings, with at least two registered
+Each policy kind of the controller (scheduling, page policy, refresh)
+is swapped purely through :class:`ControllerConfig` strings, between
 implementations whose behavior observably differs.
 """
 
@@ -15,13 +14,8 @@ from repro.dram import (
     Request,
     RequestType,
 )
-from repro.dram.components.draining import (
-    BurstDrainPolicy,
-    WatermarkDrainPolicy,
-)
 from repro.dram.components.refreshing import AllBankRefresh, NoRefresh
 from repro.dram.components.scheduling import FcfsScheduler, FrFcfsScheduler
-from repro.dram.wqueue import WriteQueueConfig
 from repro.errors import ConfigurationError
 from repro.experiments.config import paper_system
 from repro.reliability.fingerprint import event_log_digest
@@ -73,37 +67,6 @@ class TestSchedulingSwap:
         assert digests[0] == digests[1]
 
 
-class TestWriteDrainSwap:
-    WQ = WriteQueueConfig(capacity=8, high_watermark=0.75, low_watermark=0.25)
-
-    def test_config_string_selects_component(self):
-        mc = controller()
-        assert isinstance(mc._drain, WatermarkDrainPolicy)
-        assert not isinstance(mc._drain, BurstDrainPolicy)
-        assert isinstance(
-            controller(write_drain="burst")._drain, BurstDrainPolicy
-        )
-
-    def test_burst_drains_deeper_than_watermark(self):
-        def drained_writes(write_drain):
-            mc = controller(write_drain=write_drain, write_queue=self.WQ,
-                            refresh="none")
-            # Writes plus a trickle of reads keeps read-pressure on, so
-            # draining stops as early as the policy allows.
-            requests = make_writes(40, stride=64, gap=1)
-            requests += make_reads(40, stride=64, start_address=1 << 22,
-                                   gap=40)
-            run_stream(mc, sorted(requests, key=lambda r: r.arrival))
-            return [end - start for start, end in mc.log.drain_windows]
-
-        watermark = drained_writes("watermark")
-        burst = drained_writes("burst")
-        assert watermark and burst
-        # Burst mode runs each forced drain until the buffer is empty,
-        # so its drain windows are longer on average.
-        assert max(burst) > max(watermark)
-
-
 class TestRefreshSwap:
     def test_config_string_selects_component(self):
         assert isinstance(controller()._refresh, AllBankRefresh)
@@ -134,7 +97,6 @@ class TestUnknownNames:
     @pytest.mark.parametrize("field,value", [
         ("scheduling", "elevator"),
         ("page_policy", "ajar"),
-        ("write_drain", "sieve"),
         ("refresh", "per-bank"),
         ("address_scheme", "nope"),
     ])
@@ -147,14 +109,6 @@ class TestUnknownNames:
 
 
 class TestBadValues:
-    @pytest.mark.parametrize("field,value", [
-        ("forward_latency", -30),
-        ("starvation_cap", -1),
-    ])
-    def test_negative_cycle_count_rejected(self, field, value):
-        with pytest.raises(ConfigurationError, match=field):
-            ControllerConfig(**{field: value})
-
     @pytest.mark.parametrize("device,spec_name", [
         (None, "DDR4-2400"),
         ("ddr5-4800", "DDR5-4800-sc2"),

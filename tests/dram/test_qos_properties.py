@@ -31,7 +31,7 @@ from repro.dram import (
     RequestType,
 )
 from repro.dram.address import Coordinates
-from repro.dram.components import make_scheduler, validate_scheduling
+from repro.dram.components import make_scheduler
 from repro.dram.components.accounting import DIGEST_WIDTHS
 from repro.dram.timing import DDR4_2400
 from repro.errors import ConfigurationError
@@ -363,11 +363,10 @@ class TestSchedulingParams:
     ])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ConfigurationError):
-            validate_scheduling(spec)
+            make_scheduler(spec)
 
     @pytest.mark.parametrize("spec", QOS_SCHEDULINGS + ("fcfs", "wrr:2,1"))
     def test_good_specs_accepted(self, spec):
-        assert validate_scheduling(spec) == spec
         assert make_scheduler(spec) is not None
 
     def test_wrr_weights_parsed(self):

@@ -46,6 +46,11 @@ class TestRouting:
         with pytest.raises(ConfigurationError):
             MemorySystemConfig(channels=3)
 
+    @pytest.mark.parametrize("channels", [True, 2.0, "2"])
+    def test_channel_count_must_be_an_int(self, channels):
+        with pytest.raises(ConfigurationError, match="channels"):
+            MemorySystemConfig(channels=channels)
+
 
 class TestAggregation:
     def test_peak_scales_with_channels(self):

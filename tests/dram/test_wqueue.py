@@ -40,36 +40,46 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             WriteQueueConfig(capacity=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("capacity", True),
+        ("capacity", 2.5),
+        ("capacity", "8"),
+        ("high_watermark", True),
+    ])
+    def test_rejects_non_numbers(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            WriteQueueConfig(**{field: value})
+
 
 class TestDrainStateMachine:
     def test_no_drain_below_high_watermark_with_reads(self):
         buf = buffer(capacity=10, high=0.8, low=0.2)
         for i in range(7):
             add_write(buf, i * 64)
-        assert buf.update_drain_mode(100, reads_pending=True) is False
+        assert buf.drain_policy.update(100, len(buf), True) is False
         assert not buf.draining
 
     def test_forced_drain_at_high_watermark(self):
         buf = buffer(capacity=10, high=0.8, low=0.2)
         for i in range(8):
             add_write(buf, i * 64)
-        assert buf.update_drain_mode(100, reads_pending=True) is True
+        assert buf.drain_policy.update(100, len(buf), True) is True
         assert buf.draining
         assert buf.stats_forced_drains == 1
 
     def test_drain_stops_at_low_watermark_and_records_window(self):
         buf = buffer(capacity=10, high=0.8, low=0.2)
         entries = [add_write(buf, i * 64) for i in range(8)]
-        buf.update_drain_mode(100, reads_pending=True)
+        buf.drain_policy.update(100, len(buf), True)
         for entry in entries[:6]:
             buf.complete(entry)
-        assert buf.update_drain_mode(500, reads_pending=True) is False
+        assert buf.drain_policy.update(500, len(buf), True) is False
         assert buf.drain_windows == [(100, 500)]
 
     def test_opportunistic_drain_without_reads(self):
         buf = buffer(capacity=10, high=0.8, low=0.2)
         add_write(buf, 0)
-        assert buf.update_drain_mode(100, reads_pending=False) is True
+        assert buf.drain_policy.update(100, len(buf), False) is True
         assert not buf.draining  # opportunistic, not forced
         assert buf.drain_windows == []
 
@@ -77,7 +87,7 @@ class TestDrainStateMachine:
         buf = buffer(capacity=10, high=0.8, low=0.2)
         for i in range(8):
             add_write(buf, i * 64)
-        buf.update_drain_mode(100, reads_pending=True)
+        buf.drain_policy.update(100, len(buf), True)
         buf.finalize(900)
         assert buf.drain_windows == [(100, 900)]
         assert not buf.draining
@@ -87,21 +97,14 @@ class TestForwarding:
     def test_holds_address(self):
         buf = buffer()
         entry = add_write(buf, 128)
-        assert buf.holds_address(128)
-        assert not buf.holds_address(192)
+        assert 128 in buf._addresses
+        assert 192 not in buf._addresses
         buf.complete(entry)
-        assert not buf.holds_address(128)
+        assert 128 not in buf._addresses
 
     def test_duplicate_addresses_counted(self):
         buf = buffer()
         first = add_write(buf, 128)
         add_write(buf, 128)
         buf.complete(first)
-        assert buf.holds_address(128)
-
-    def test_is_full(self):
-        buf = buffer(capacity=2)
-        add_write(buf, 0)
-        assert not buf.is_full
-        add_write(buf, 64)
-        assert buf.is_full
+        assert buf._addresses == {128: 1}

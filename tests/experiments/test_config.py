@@ -74,6 +74,13 @@ class TestPaperSystem:
         ):
             paper_system(write_queue_capacity=0)
 
+    @pytest.mark.parametrize("capacity", [True, 2.5])
+    def test_non_int_write_queue_named(self, capacity):
+        with pytest.raises(
+            ConfigurationError, match="write_queue_capacity"
+        ):
+            paper_system(write_queue_capacity=capacity)
+
     def test_bad_page_policy_rejected_eagerly(self):
         with pytest.raises(ConfigurationError, match="page policy"):
             paper_system(page_policy="ajar")

@@ -137,14 +137,6 @@ class TestAccount:
         stack = acct.account([normal, prefetch], [], [])
         assert stack["queue"] == pytest.approx(25 * SPEC.cycle_ns)
 
-    def test_prefetches_can_be_excluded(self):
-        acct = LatencyStackAccountant(SPEC, include_prefetch=False)
-        normal = completed_read(0, 0, 21)
-        prefetch = completed_read(0, 50, 71)
-        prefetch.is_prefetch = True
-        stack = acct.account([normal, prefetch], [], [])
-        assert stack["queue"] == 0.0  # only the demand read counted
-
 
 class TestSimulated:
     def test_uncontended_stream_is_mostly_base(self):

@@ -245,11 +245,11 @@ def request_lists(draw):
     return requests + [write, forwarded, unserved]
 
 
-def counted(requests, include_prefetch: bool = True):
+def counted(requests):
+    """The reads a latency stack averages over, prefetch reads included."""
     return [
         r for r in requests
         if r.is_read and not r.forwarded and r.cas_issue >= 0
-        and (include_prefetch or not r.is_prefetch)
     ]
 
 
@@ -308,14 +308,12 @@ def test_repair_gives_overlapped_cycles_to_the_first_burst(case, bin_cycles):
 @given(
     request_lists(), st.lists(spans(), max_size=3),
     st.lists(spans(), max_size=3), st.integers(0, 50), st.booleans(),
-    st.booleans(), st.integers(1, 30),
+    st.integers(1, 30),
 )
 def test_latency_matches_oracle(
-    requests, refresh, drain, base, split_base, prefetch, bin_cycles
+    requests, refresh, drain, base, split_base, bin_cycles
 ):
-    accountant = LatencyStackAccountant(
-        SPEC, base, split_base=split_base, include_prefetch=prefetch
-    )
+    accountant = LatencyStackAccountant(SPEC, base, split_base=split_base)
 
     def expected(reads):
         sums = dict.fromkeys(accountant.components, 0)
@@ -332,7 +330,7 @@ def test_latency_matches_oracle(
         scale = SPEC.cycle_ns / len(reads) if reads else 0.0
         return {name: value * scale for name, value in sums.items()}
 
-    reads = counted(requests, prefetch)
+    reads = counted(requests)
     stack = accountant.account(requests, refresh, drain)
     assert stack.components == expected(reads)
     total = 60

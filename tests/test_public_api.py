@@ -20,21 +20,19 @@ class TestCoreArchitecture:
             assert hasattr(repro.core, name), name
 
     def test_registries_are_populated(self):
-        from repro.core.registry import ComponentRegistry
         from repro.dram import components
 
-        assert components.SCHEDULERS.names() == (
+        assert tuple(components.SCHEDULERS) == (
             "fr-fcfs", "fcfs", "wrr", "bank-reg"
         )
-        assert components.PAGE_POLICIES.names() == ("open", "closed")
-        assert components.WRITE_DRAIN.names() == ("watermark", "burst")
-        assert components.REFRESH.names() == (
+        assert tuple(components.PAGE_POLICIES) == ("open", "closed")
+        assert tuple(components.REFRESH) == (
             "all-bank", "none", "same-bank"
         )
         assert {
             name for name, value in vars(components).items()
-            if isinstance(value, ComponentRegistry)
-        } == {"SCHEDULERS", "PAGE_POLICIES", "WRITE_DRAIN", "REFRESH"}
+            if isinstance(value, dict) and name.isupper()
+        } == {"SCHEDULERS", "PAGE_POLICIES", "REFRESH"}
 
     def test_memory_interface_satisfied(self):
         from repro.core import MemoryInterface
@@ -74,6 +72,34 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_lpddr5_scheme_needs_no_device_import(self):
+        """The address-scheme table lists the LPDDR5 scheme itself: a
+        fresh interpreter maps with it before anything imports the
+        device library."""
+        import os
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys\n"
+            "from repro.dram.address import SCHEMES, AddressMapping\n"
+            "from repro.dram.timing import Organization\n"
+            "assert 'lpddr5' in SCHEMES, sorted(SCHEMES)\n"
+            "org = Organization(bank_groups=1, banks_per_group=16)\n"
+            "mapping = AddressMapping.from_name('lpddr5', org)\n"
+            "print(mapping.order, 'repro.devices' in sys.modules)\n"
+        )
+        package_root = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=package_root),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "('row', 'bank', 'column') False"
 
     def test_cli_main_importable(self):
         from repro.cli import main

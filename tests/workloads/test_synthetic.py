@@ -20,6 +20,21 @@ class TestConfig:
         with pytest.raises(WorkloadError):
             SyntheticConfig(accesses_per_core=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("store_fraction", True),
+        ("store_fraction", "0.5"),
+        ("accesses_per_core", True),
+        ("accesses_per_core", 2.5),
+        ("instructions_per_access", -1),
+        ("instructions_per_access", float("nan")),
+        ("footprint_bytes", 0),
+        ("line_bytes", 0),
+        ("line_bytes", 48),
+    ])
+    def test_rejects_bad_value_at_construction(self, field, value):
+        with pytest.raises(WorkloadError, match=field):
+            SyntheticConfig(**{field: value})
+
 
 class TestSequential:
     def test_addresses_are_consecutive_lines(self):
