@@ -232,11 +232,6 @@ def _add_reliability_args(parser: argparse.ArgumentParser) -> None:
         help="stall threshold in memory cycles (default 200000)",
     )
     group.add_argument(
-        "--audit-mode", choices=("strict", "warn", "repair", "off"),
-        default="warn",
-        help="invariant auditor mode (default warn)",
-    )
-    group.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget for the run (seconds > 0)",
     )
@@ -252,7 +247,6 @@ def _guard_from_args(args: argparse.Namespace):
     Returns False (run bare) for --no-guard, matching the sentinel
     :meth:`CpuSystem.run` accepts.
     """
-    from repro.reliability.auditor import InvariantAuditor
     from repro.reliability.guard import ReliabilityGuard
     from repro.reliability.watchdog import (
         DEFAULT_STALL_THRESHOLD,
@@ -265,13 +259,7 @@ def _guard_from_args(args: argparse.Namespace):
         DEFAULT_STALL_THRESHOLD if args.watchdog_cycles is None
         else args.watchdog_cycles
     )
-    auditor = (
-        None if args.audit_mode == "off"
-        else InvariantAuditor(mode=args.audit_mode)
-    )
-    return ReliabilityGuard(
-        watchdog=watchdog, auditor=auditor, wall_timeout_s=args.timeout
-    )
+    return ReliabilityGuard(watchdog=watchdog, wall_timeout_s=args.timeout)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

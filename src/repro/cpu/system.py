@@ -242,10 +242,11 @@ class CpuSystem:
             max_cycles: stop once every active core passes this cycle.
             guard: reliability guard for this run. ``None`` (the
                 default) uses :meth:`ReliabilityGuard.default` —
-                forward-progress watchdog plus warn-mode invariant
-                auditor. Pass ``False`` to run bare, or a configured
+                forward-progress watchdog plus the event-log audit.
+                Pass ``False`` to run bare, or a configured
                 :class:`~repro.reliability.guard.ReliabilityGuard` to
-                add a wall-clock budget or change the audit mode.
+                add a wall-clock budget or change the stall threshold.
+                Stacks check their own exactness either way.
 
         A killed run is not resumed: rerun it. Batches restart point by
         point from their journal (``dram-stacks batch --journal PATH
@@ -409,27 +410,21 @@ class CpuSystem:
         for core in self.cores:
             if core.t < end:
                 core.account_idle_until(end)
-        if guard is None:
-            return SimulationResult(self, end)
-        guard.finish(self)
-        return SimulationResult(self, end, auditor=guard.auditor)
+        if guard is not None:
+            guard.finish(self)
+        return SimulationResult(self, end)
 
 
 class SimulationResult:
     """Everything measured in one simulation, with stack constructors."""
 
-    def __init__(
-        self, system: CpuSystem, total_cycles: int, auditor=None
-    ) -> None:
+    def __init__(self, system: CpuSystem, total_cycles: int) -> None:
         self.system = system
         self.memory = system.memory
         self.total_cycles = max(total_cycles, 1)
         self.spec = system.memory.spec
         #: Whether the run used a multi-channel composite memory.
         self.composite = hasattr(system.memory, "channels")
-        #: InvariantAuditor the run finished with (None for bare runs).
-        #: Stacks built from this result route violations through it.
-        self.auditor = auditor
 
     # ------------------------------------------------------------------
     @property
@@ -472,13 +467,13 @@ class SimulationResult:
         (total = channels x per-channel peak)."""
         if self.composite:
             return self.memory.bandwidth_stack(self.total_cycles, label)
-        acct = BandwidthStackAccountant(self.spec, auditor=self.auditor)
+        acct = BandwidthStackAccountant(self.spec)
         return acct.account(self.memory.log, self.total_cycles, label)
 
     def bandwidth_series(self, bin_cycles: int, label: str = "") -> StackSeries:
         """Through-time bandwidth stacks."""
         self._require_single_channel("bandwidth_series")
-        acct = BandwidthStackAccountant(self.spec, auditor=self.auditor)
+        acct = BandwidthStackAccountant(self.spec)
         return acct.account_series(
             self.memory.log, self.total_cycles, bin_cycles, label
         )
@@ -495,8 +490,7 @@ class SimulationResult:
                 self.base_controller_cycles, label
             )
         acct = LatencyStackAccountant(
-            self.spec, self.base_controller_cycles, split_base,
-            auditor=self.auditor,
+            self.spec, self.base_controller_cycles, split_base
         )
         return acct.account(
             self.memory.completed_requests,
@@ -511,8 +505,7 @@ class SimulationResult:
         """Through-time latency stacks."""
         self._require_single_channel("latency_series")
         acct = LatencyStackAccountant(
-            self.spec, self.base_controller_cycles, split_base,
-            auditor=self.auditor,
+            self.spec, self.base_controller_cycles, split_base
         )
         return acct.account_series(
             self.memory.completed_requests,
@@ -529,8 +522,7 @@ class SimulationResult:
         """One latency stack per core, over that core's DRAM reads."""
         self._require_single_channel("per_core_latency_stacks")
         acct = LatencyStackAccountant(
-            self.spec, self.base_controller_cycles, split_base,
-            auditor=self.auditor,
+            self.spec, self.base_controller_cycles, split_base
         )
         refresh = refresh_windows_for_latency(self.memory.log)
         by_core: dict[int, list] = {}
@@ -551,7 +543,7 @@ class SimulationResult:
         """Achieved read/write GB/s per core (prefetch and writebacks
         count toward the core that caused them)."""
         self._require_single_channel("per_core_bandwidth")
-        acct = BandwidthStackAccountant(self.spec, auditor=self.auditor)
+        acct = BandwidthStackAccountant(self.spec)
         return acct.per_core_achieved(self.memory.log, self.total_cycles)
 
     def per_requester_bandwidth_stacks(

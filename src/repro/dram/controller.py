@@ -143,11 +143,7 @@ class ControllerConfig:
                 f"unknown engine {self.engine!r}; expected one of "
                 f"{sorted(ENGINES)}"
             )
-        if self.address_scheme not in SCHEMES:
-            raise ConfigurationError(
-                f"unknown address_scheme {self.address_scheme!r}; "
-                f"expected one of {sorted(SCHEMES)}"
-            )
+        require_choice("address_scheme", self.address_scheme, SCHEMES)
         try:
             self.make_mapping()
         except ConfigurationError as err:
@@ -246,7 +242,8 @@ class MemoryController:
         self._bus = shared_bus
         self._read_queue = RequestQueue(self.num_banks)
         self._write_buffer = WriteBuffer(
-            self.config.write_queue, self.num_banks
+            self.config.write_queue, self.num_banks,
+            self.mapping.line_address,
         )
         #: The write buffer's watermark drain state machine.
         self._drain = self._write_buffer.drain_policy

@@ -576,7 +576,8 @@ class PackedEngine:
                                     mask_w |= 1 << flat
                                 cnt_w[flat] = c + 1
                                 wq_n += 1
-                                wbA[addr] = wbA.get(addr, 0) + 1
+                                line = line_address(addr)
+                                wbA[line] = wbA.get(line, 0) + 1
                                 cw_e[flat] = -1
                                 dirty_w |= 1 << flat
                         if admitted:
@@ -1488,12 +1489,12 @@ class PackedEngine:
                                 if c == 0:
                                     mask_w &= ~(1 << f)
                                 # WriteBuffer.complete bookkeeping.
-                                addr = req.address
-                                c = wbA.get(addr, 0) - 1
+                                line = line_address(req.address)
+                                c = wbA.get(line, 0) - 1
                                 if c <= 0:
-                                    wbA.pop(addr, None)
+                                    wbA.pop(line, None)
                                 else:
-                                    wbA[addr] = c
+                                    wbA[line] = c
                             else:
                                 rq_n -= 1
                                 c = cnt_r[f] - 1

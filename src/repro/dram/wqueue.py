@@ -14,6 +14,7 @@ cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.dram.address import Coordinates
 from repro.dram.commands import Request
@@ -67,13 +68,20 @@ class WriteBuffer:
 
     Both engines advance :attr:`drain_policy` once per scheduling
     decision and probe :attr:`_addresses` (buffered line address ->
-    count) for read forwarding.
+    count) for read forwarding, so a read forwards from any buffered
+    write to the same cache line.
     """
 
-    def __init__(self, config: WriteQueueConfig, num_banks: int) -> None:
+    def __init__(
+        self,
+        config: WriteQueueConfig,
+        num_banks: int,
+        line_address: Callable[[int], int],
+    ) -> None:
         self.config = config
         self.drain_policy = WatermarkDrainPolicy(config)
         self.queue = RequestQueue(num_banks)
+        self._line_address = line_address
         self._addresses: dict[int, int] = {}
         #: Completed forced-drain windows [(start, end)], for accounting.
         #: Shared by reference with the drain policy's window list.
@@ -95,14 +103,14 @@ class WriteBuffer:
     def add(self, request: Request, coords: Coordinates, flat_bank: int) -> QueuedRequest:
         """Buffer a write."""
         entry = self.queue.add(request, coords, flat_bank)
-        line = request.address
+        line = self._line_address(request.address)
         self._addresses[line] = self._addresses.get(line, 0) + 1
         return entry
 
     def complete(self, entry: QueuedRequest) -> None:
         """A buffered write's CAS was issued; remove it."""
         self.queue.mark_served(entry)
-        line = entry.request.address
+        line = self._line_address(entry.request.address)
         count = self._addresses.get(line, 0) - 1
         if count <= 0:
             self._addresses.pop(line, None)

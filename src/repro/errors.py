@@ -176,10 +176,10 @@ def require_int(owner: str, name: str, value, minimum: int) -> None:
 def require_choice(kind: str, name, table: dict):
     """Return ``table[name]``; raise :class:`ConfigurationError` naming
     the `kind`, the value and the sorted choices when `name` is not a
-    key of `table`."""
+    key of `table` (an unhashable `name` is not one either)."""
     try:
         return table[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ConfigurationError(
             f"unknown {kind} {name!r}; expected one of {sorted(table)}"
         ) from None

@@ -71,7 +71,7 @@ def run_synthetic(
     """Run one synthetic configuration through the full pipeline.
 
     `guard` is forwarded to :meth:`CpuSystem.run`: None for the default
-    watchdog + warn-mode auditor, False for a bare run, or a configured
+    watchdog + event-log audit, False for a bare run, or a configured
     :class:`~repro.reliability.guard.ReliabilityGuard` (e.g. with a
     wall-clock budget).
 

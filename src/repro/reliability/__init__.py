@@ -7,9 +7,10 @@ from its journal (:mod:`repro.service.journal`).
 * :mod:`~repro.reliability.watchdog` — forward-progress watchdog that
   turns scheduler livelocks into a diagnosable
   :class:`~repro.errors.SimulationStalledError` instead of a hang;
-* :mod:`~repro.reliability.auditor` — in-loop verification that stack
-  components sum to their totals, with ``strict`` / ``warn`` / ``repair``
-  handling;
+* :mod:`~repro.reliability.auditor` — in-loop verification that the
+  event log the stacks are built from is well formed; a violation
+  raises :class:`~repro.errors.AccountingError`, as the accountants'
+  own exactness checks do;
 * :mod:`~repro.reliability.guard` — one object bundling the three,
   ticked by the CPU-system main loop;
 * :mod:`~repro.reliability.faults` — deliberate fault injection used to
@@ -18,7 +19,7 @@ from its journal (:mod:`repro.service.journal`).
   results, backing the golden-regression and determinism test layers.
 """
 
-from repro.reliability.auditor import AuditViolation, AuditWarning, InvariantAuditor
+from repro.reliability.auditor import InvariantAuditor
 from repro.reliability.fingerprint import (
     diff_fingerprints,
     event_log_digest,
@@ -30,8 +31,6 @@ from repro.reliability.guard import ReliabilityGuard
 from repro.reliability.watchdog import ForwardProgressWatchdog, StallDiagnostic
 
 __all__ = [
-    "AuditViolation",
-    "AuditWarning",
     "ForwardProgressWatchdog",
     "InvariantAuditor",
     "ReliabilityGuard",

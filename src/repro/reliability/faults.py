@@ -16,8 +16,8 @@ suite can prove each detector works end to end:
   caught by the forward-progress watchdog as a
   :class:`~repro.errors.SimulationStalledError`.
 * :func:`corrupt_request` / :func:`overlap_bursts` — falsify accounting
-  inputs; caught by the invariant auditor / the accountants as an
-  :class:`~repro.errors.AccountingError` (or recorded violation).
+  inputs; caught by the stack accountants (and, for bursts, by the
+  invariant auditor) as an :class:`~repro.errors.AccountingError`.
 
 Nothing here is imported by production code paths; the harness is a test
 fixture shipped as a module so CLI users can run the same drills.
@@ -151,8 +151,8 @@ def corrupt_request(request, skew_cycles: int = 50):
     """Falsify a completed read's timeline (CAS before arrival).
 
     Produces a negative ``queue`` component in the latency decomposition,
-    which the auditor flags as a ``latency-negative`` violation (or the
-    accountant raises on in strict mode). Returns the request.
+    on which every latency accountant raises
+    :class:`~repro.errors.AccountingError`. Returns the request.
 
     The skew is clamped so ``cas_issue`` stays >= 0: a negative CAS cycle
     would make the accountant *filter* the read as incomplete instead of
@@ -170,9 +170,9 @@ def corrupt_request(request, skew_cycles: int = 50):
 def overlap_bursts(log, overlap_cycles: int = 2) -> None:
     """Append a data burst overlapping the last recorded one.
 
-    The bandwidth accountant rejects overlapping bursts (they would
-    double-count channel cycles); in ``warn``/``repair`` modes the
-    auditor records the violation and accounting clamps the burst.
+    Overlapping bursts would double-count channel cycles, so the
+    invariant auditor and both bandwidth accountants raise
+    :class:`~repro.errors.AccountingError` on them.
     """
     if not log.bursts:
         raise ConfigurationError("event log has no bursts to overlap")

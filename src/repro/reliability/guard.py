@@ -12,9 +12,9 @@ compare:
   raising :class:`~repro.errors.SimulationTimeoutError` cooperatively;
 * invariant auditor: incremental event-log audit every
   ``_AUDIT_INTERVAL_CYCLES`` simulated cycles and once more when the
-  run finishes. The auditor then travels on the
-  :class:`~repro.cpu.system.SimulationResult` into every accountant, so
-  exactness is audited whenever a stack is built.
+  run finishes; a malformed event raises
+  :class:`~repro.errors.AccountingError`. Exactness itself is checked by
+  the accountants whenever a stack is built, guard or no guard.
 """
 
 from __future__ import annotations
@@ -59,20 +59,21 @@ def check_timeout(value, owner: str):
 class ReliabilityGuard:
     """Watchdog + auditor + wall-clock budget for one run.
 
+    The event-log audit always runs; only the watchdog and the budget
+    are optional.
+
     Args:
         watchdog: forward-progress watchdog, or None to disable.
-        auditor: invariant auditor, or None to disable auditing.
         wall_timeout_s: wall-clock budget for the run, or None.
     """
 
     def __init__(
         self,
         watchdog: ForwardProgressWatchdog | None = None,
-        auditor: InvariantAuditor | None = None,
         wall_timeout_s: float | None = None,
     ) -> None:
         self.watchdog = watchdog
-        self.auditor = auditor
+        self.auditor = InvariantAuditor()
         self.wall_timeout_s = check_timeout(
             wall_timeout_s, "ReliabilityGuard(wall_timeout_s=...)"
         )
@@ -85,11 +86,8 @@ class ReliabilityGuard:
     @classmethod
     def default(cls) -> "ReliabilityGuard":
         """The guard every full-system run gets unless told otherwise:
-        watchdog on, auditor in ``warn`` mode, no deadline."""
-        return cls(
-            watchdog=ForwardProgressWatchdog(),
-            auditor=InvariantAuditor(mode="warn"),
-        )
+        watchdog on, no deadline."""
+        return cls(watchdog=ForwardProgressWatchdog())
 
     # ------------------------------------------------------------------
     def attach(self, system) -> None:
@@ -116,10 +114,7 @@ class ReliabilityGuard:
                 f"{self.wall_timeout_s:.3f}s at cycle {system.memory.now}"
             )
         cycle = system.memory.now
-        if (
-            self.auditor is not None
-            and cycle - self._last_audit_cycle >= _AUDIT_INTERVAL_CYCLES
-        ):
+        if cycle - self._last_audit_cycle >= _AUDIT_INTERVAL_CYCLES:
             self._last_audit_cycle = cycle
             self._audit_logs(system.memory)
 
@@ -132,8 +127,7 @@ class ReliabilityGuard:
 
     def finish(self, system) -> None:
         """End-of-run audit: drain the incremental log audit."""
-        if self.auditor is not None:
-            self._audit_logs(system.memory)
+        self._audit_logs(system.memory)
 
 
 def _channel_logs(memory) -> list:

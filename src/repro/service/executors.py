@@ -64,11 +64,11 @@ def stack_from_payload(body: dict) -> Stack:
 def _job_guard(job: Job):
     """The reliability guard a simulation job runs under.
 
-    Jobs get the default watchdog/auditor guard, plus a cooperative
-    wall-clock budget when the job carries one — the same
-    ``SimulationTimeoutError`` path PR 1's sweep timeouts use. The
-    worker pool's hard kill (see :mod:`repro.service.pool`) is the
-    backstop for code that never reaches a guard tick.
+    Jobs get the default guard (watchdog and event-log audit), plus a
+    cooperative wall-clock budget, raising ``SimulationTimeoutError``,
+    when the job carries one. The worker pool's hard kill (see
+    :mod:`repro.service.pool`) is the backstop for code that never
+    reaches a guard tick.
     """
     if job.timeout_s is None:
         return None  # run_synthetic/run_gap apply the default guard

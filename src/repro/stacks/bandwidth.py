@@ -57,21 +57,17 @@ BANDWIDTH_COMPONENTS = (
 class BandwidthStackAccountant:
     """Builds bandwidth stacks from a controller event log.
 
+    Any exactness violation raises :class:`~repro.errors.AccountingError`:
+    overlapping data bursts, or a bin whose components do not sum to its
+    cycles.
+
     Args:
         spec: timing spec (bank count, peak bandwidth).
-        auditor: optional
-            :class:`~repro.reliability.auditor.InvariantAuditor`. Without
-            one, any exactness violation raises
-            :class:`~repro.errors.AccountingError` immediately (strict);
-            with one, the auditor's ``strict``/``warn``/``repair`` policy
-            applies — ``repair`` folds residual cycles into ``idle`` and
-            clamps overlapping bursts so accounting can continue.
     """
 
-    def __init__(self, spec: TimingSpec, auditor=None) -> None:
+    def __init__(self, spec: TimingSpec) -> None:
         self.spec = spec
         self.num_banks = spec.organization.total_banks
-        self.auditor = auditor
 
     # ------------------------------------------------------------------
     def account_cycles(
@@ -92,9 +88,7 @@ class BandwidthStackAccountant:
         if bin_cycles is None:
             bin_cycles = total_cycles
         num_bins = -(-total_cycles // bin_cycles)
-        timeline = ChannelTimeline(
-            log, total_cycles, n, self._burst_overlap, bin_cycles
-        )
+        timeline = ChannelTimeline(log, total_cycles, n, bin_cycles)
         bins: list[dict[str, int]] = [
             dict.fromkeys(BANDWIDTH_COMPONENTS, 0) for _ in range(num_bins)
         ]
@@ -105,26 +99,12 @@ class BandwidthStackAccountant:
         # Exact by construction; the check guards the kernel itself.
         for b, counters in enumerate(bins):
             length = min(total_cycles - b * bin_cycles, bin_cycles)
-            residual = n * length - sum(counters.values())
-            if residual != 0:
-                message = (
+            if sum(counters.values()) != n * length:
+                raise AccountingError(
                     f"bin {b}: components sum to {sum(counters.values())}, "
                     f"expected {n * length}"
                 )
-                if self.auditor is None:
-                    raise AccountingError(message)
-                self.auditor.report(
-                    "bandwidth-sum", message, residual=residual,
-                    repair=lambda c=counters, r=residual: _repair_bin(c, r),
-                )
         return bins
-
-    def _burst_overlap(self, start: int, residual: int) -> None:
-        """A burst starting before the previous one ended."""
-        message = f"overlapping data bursts at cycle {start}"
-        if self.auditor is None:
-            raise AccountingError(message)
-        self.auditor.report("burst-overlap", message, residual=residual)
 
     # ------------------------------------------------------------------
     def account(
@@ -162,17 +142,8 @@ class BandwidthStackAccountant:
             unit="GB/s",
             label=label,
         )
-        if self.auditor is None:
-            stack.check_total(peak)
-        else:
-            try:
-                stack.check_total(peak)
-            except AccountingError as error:
-                # Already counted at the bin level in repair mode; in
-                # warn mode this records that the stack shipped skewed.
-                self.auditor.report("bandwidth-total", str(error))
+        stack.check_total(peak)
         return stack
-
 
     def per_core_achieved(
         self, log: EventLog, total_cycles: int
@@ -197,24 +168,6 @@ class BandwidthStackAccountant:
             core: {kind: count * scale for kind, count in bucket.items()}
             for core, bucket in sorted(cycles.items())
         }
-
-
-def _repair_bin(counters: dict[str, int], residual: int) -> None:
-    """Fold a cycle residual into ``idle`` so the bin sums exactly.
-
-    A positive residual (lost cycles) lands in ``idle`` directly; a
-    negative one (double-counted cycles) drains ``idle`` first and then
-    the largest remaining component.
-    """
-    counters["idle"] += residual
-    if counters["idle"] < 0:
-        deficit = -counters["idle"]
-        counters["idle"] = 0
-        victim = max(
-            (name for name in counters if name != "idle"),
-            key=lambda name: counters[name],
-        )
-        counters[victim] -= deficit
 
 
 def bandwidth_stack_from_log(

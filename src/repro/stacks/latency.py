@@ -56,14 +56,10 @@ class LatencyStackAccountant:
         spec: TimingSpec,
         base_controller_cycles: int = 0,
         split_base: bool = False,
-        auditor=None,
     ) -> None:
         self.spec = spec
         self.base_controller_cycles = base_controller_cycles
         self.split_base = split_base
-        #: Optional InvariantAuditor; None keeps the historical strict
-        #: behavior (raise AccountingError on any decomposition drift).
-        self.auditor = auditor
 
     @property
     def components(self) -> tuple[str, ...]:
@@ -77,7 +73,8 @@ class LatencyStackAccountant:
         refresh_windows: list[tuple[int, int]],
         drain_windows: list[tuple[int, int]],
     ) -> dict[str, float]:
-        """Per-read latency components, in cycles."""
+        """Per-read latency components, in cycles: the one-read
+        definition the whole-array kernel of :meth:`account` matches."""
         if not request.is_read or request.cas_issue < 0:
             raise AccountingError(
                 "latency stacks are built from completed reads only"
@@ -140,10 +137,10 @@ class LatencyStackAccountant:
     ) -> Stack:
         """Average latency stack over all DRAM reads, in nanoseconds.
 
-        Every read is split by the whole-array kernel. A read with a
-        negative component is re-split by :meth:`decompose` and reported
-        (the auditor's ``repair`` clamps it); ``queue`` is the residual,
-        so each read's parts sum exactly to its measured latency.
+        Every read is split by the whole-array kernel; ``queue`` is the
+        residual, so each read's parts sum exactly to its measured
+        latency. A read with a negative component raises
+        :class:`~repro.errors.AccountingError` (:func:`check_parts`).
         """
         reads = self.reads(requests)
         rows = read_table(reads)
@@ -158,19 +155,13 @@ class LatencyStackAccountant:
             parts["base_dram"] = base_dram
         else:
             parts["base"] = self.base_controller_cycles + base_dram
-        negative = np.logical_or.reduce([v < 0 for v in parts.values()])
-        sums: dict[str, float] = {
-            name: int(values[~negative].sum())
-            for name, values in parts.items()
-        }
-        for i in np.flatnonzero(negative).tolist():
-            for name, value in self._reported(
-                reads[i], refresh_windows, drain_windows
-            ).items():
-                sums[name] += value
+        check_parts(parts, reads)
         scale = self.spec.cycle_ns / len(reads) if reads else 0.0
         return ordered_stack(
-            {name: value * scale for name, value in sums.items()},
+            {
+                name: int(values.sum()) * scale
+                for name, values in parts.items()
+            },
             self.components,
             unit="ns",
             label=label,
@@ -206,39 +197,29 @@ class LatencyStackAccountant:
             and r.cas_issue >= 0
         ]
 
-    def _reported(self, request, refresh_windows, drain_windows):
-        """A read with a negative component, reported (and repaired)."""
-        parts = self.decompose(request, refresh_windows, drain_windows)
-        negatives = [name for name, value in parts.items() if value < 0]
-        if negatives:
-            message = (
-                f"negative latency component(s) {negatives} for "
-                f"request {request.req_id} "
-                f"(arrival {request.arrival}, cas {request.cas_issue})"
-            )
-            if self.auditor is None:
-                raise AccountingError(message)
-            self.auditor.report(
-                "latency-negative", message,
-                repair=lambda: _repair_parts(parts),
-            )
-        return parts
 
+def check_parts(
+    parts: dict[str, np.ndarray],
+    reads: list[Request],
+    which: np.ndarray | None = None,
+) -> None:
+    """Raise :class:`~repro.errors.AccountingError` for the first read
+    with a negative latency component.
 
-def _repair_parts(parts: dict[str, float]) -> None:
-    """Clamp negative components to zero, preserving the total.
-
-    The clamped amount is taken from the largest positive component, so
-    the per-read sum (and thus the exactness invariant) is unchanged.
+    Row i of every array in `parts` belongs to ``reads[which[i]]``, or
+    to ``reads[i]`` without `which`. The check is one numpy pass per
+    component; a read is looked up only to name it in the error.
     """
-    clamped = 0.0
-    for name, value in parts.items():
-        if value < 0:
-            clamped -= value
-            parts[name] = 0.0
-    if clamped:
-        victim = max(parts, key=parts.get)
-        parts[victim] -= clamped
+    negative = np.logical_or.reduce([values < 0 for values in parts.values()])
+    if not negative.any():
+        return
+    i = int(negative.argmax())
+    read = reads[i if which is None else int(which[i])]
+    names = [name for name, values in parts.items() if values[i] < 0]
+    raise AccountingError(
+        f"negative latency component(s) {names} for request {read.req_id} "
+        f"(arrival {read.arrival}, cas {read.cas_issue})"
+    )
 
 
 def refresh_windows_for_latency(log) -> list[tuple[int, int]]:

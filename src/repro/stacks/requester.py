@@ -50,6 +50,7 @@ from repro.errors import AccountingError
 from repro.stacks.components import Stack, ordered_stack
 from repro.stacks.latency import (
     LatencyStackAccountant,
+    check_parts,
     refresh_windows_for_latency,
 )
 from repro.stacks.segments import (
@@ -102,9 +103,8 @@ def fold_interference(rows: dict[int, dict[str, int]]) -> dict[str, int]:
 class RequesterBandwidthAccountant:
     """Per-requester bandwidth decomposition of a controller event log.
 
-    Strict by design: any exactness violation raises
-    :class:`~repro.errors.AccountingError` (there is no auditor/repair
-    mode here — QoS stacks are an analysis product, not a hot path).
+    Like the aggregate accountant, any exactness violation raises
+    :class:`~repro.errors.AccountingError`.
     """
 
     def __init__(self, spec: TimingSpec) -> None:
@@ -124,9 +124,7 @@ class RequesterBandwidthAccountant:
         if total_cycles <= 0:
             raise AccountingError("total_cycles must be positive")
         n = self.num_banks
-        timeline = ChannelTimeline(
-            log, total_cycles, n, _burst_overlap, owners=True
-        )
+        timeline = ChannelTimeline(log, total_cycles, n, owners=True)
         rows: dict[int, dict[str, int]] = {}
         for requester, component, units in timeline.owned(
             self.spec.organization.banks_per_group
@@ -177,7 +175,9 @@ class RequesterLatencyAccountant:
     covered by *other* requesters' data bursts move from ``queue`` to
     ``interference``. Per read the components still sum exactly to the
     measured latency; with one requester ``interference`` is zero and
-    the split degenerates to the aggregate's.
+    the split degenerates to the aggregate's. A read with a negative
+    component raises :class:`~repro.errors.AccountingError`, as in the
+    aggregate stack.
     """
 
     def __init__(
@@ -205,7 +205,8 @@ class RequesterLatencyAccountant:
         burst_owner = column(log.bursts, 4)
         stacks: dict[int, Stack] = {}
         for requester in np.unique(requester_of).tolist():
-            mine = rows[requester_of == requester]
+            which = np.flatnonzero(requester_of == requester)
+            mine = rows[which]
             others = (burst_owner != requester) & (
                 burst_owner != SHARED_REQUESTER
             )
@@ -216,6 +217,7 @@ class RequesterLatencyAccountant:
             parts["base"] = (
                 self.base_controller_cycles + mine[:, 2] - mine[:, 1]
             )
+            check_parts(parts, reads, which)
             scale = self.spec.cycle_ns / len(mine)
             stacks[requester] = ordered_stack(
                 {name: int(values.sum()) * scale
@@ -225,8 +227,3 @@ class RequesterLatencyAccountant:
                 label=f"{label}R{requester}",
             )
         return stacks
-
-
-def _burst_overlap(start: int, residual: int) -> None:
-    """Per-requester stacks are strict: overlapping bursts raise."""
-    raise AccountingError(f"overlapping data bursts at cycle {start}")

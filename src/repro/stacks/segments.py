@@ -30,6 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.dram.rank import BlockScope
+from repro.errors import AccountingError
 
 #: Row key for cycles no single requester owns (refresh, idle banks,
 #: channel idle, refresh-driven precharges).
@@ -215,21 +216,22 @@ class ChannelTimeline:
         log: the channel's event log.
         total_cycles: accounted cycles; windows are clipped to them.
         num_banks: flat banks; bank indices wrap ``% num_banks``.
-        overlap: called as ``overlap(start, residual)`` for each burst,
-            in ``(start, end, is_write)`` order, that starts before an
-            earlier one ended or before cycle 0. Overlapped cycles stay
-            with the earlier burst.
         bin_cycles: also cut at its multiples, for :meth:`per_bin`.
         owners: also read each window's requester, for :meth:`owned`.
+
+    Raises:
+        AccountingError: at the first burst, in ``(start, end,
+            is_write)`` order, that starts before cycle 0 or before an
+            earlier burst ended.
     """
 
     def __init__(
-        self, log, total_cycles: int, num_banks: int, overlap,
+        self, log, total_cycles: int, num_banks: int,
         bin_cycles: int | None = None, owners: bool = False,
     ) -> None:
         self.num_banks = num_banks
         self.owners = owners
-        self._bursts(log, total_cycles, overlap)
+        self._bursts(log, total_cycles)
         refresh = Cover.of(log.refresh_windows)
         block_start, block_end = column(log.blocked, 0), column(log.blocked, 1)
         bank_lists = [table(getattr(log, name), 4) for name in _BANK_LISTS]
@@ -249,17 +251,18 @@ class ChannelTimeline:
         self._bank_states(bank_lists)
         self._blocked(log, block_start, block_end, first)
 
-    def _bursts(self, log, total_cycles: int, overlap) -> None:
-        """Disjoint, sorted burst windows: each cycle on its first burst."""
+    def _bursts(self, log, total_cycles: int) -> None:
+        """Disjoint, sorted burst windows, clipped to the run."""
         bursts = log.bursts
         start, end, write = (column(bursts, i) for i in range(3))
         order = np.lexsort((write, end, start))
         start, end, write = start[order], end[order], write[order]
         reach = np.maximum.accumulate(np.concatenate(([0], end)))[:-1]
         late = start < reach
-        for i in np.flatnonzero(late).tolist():
-            overlap(int(start[i]), int(reach[i] - start[i]))
-        start = np.maximum(np.where(late, np.minimum(reach, end), start), 0)
+        if late.any():
+            raise AccountingError(
+                f"overlapping data bursts at cycle {start[late.argmax()]}"
+            )
         end = np.minimum(end, total_cycles)
         keep = start < end
         self.burst_start, self.burst_end = start[keep], end[keep]

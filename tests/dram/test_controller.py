@@ -139,6 +139,23 @@ class TestWrites:
         assert len(forwarded) == 1
         assert forwarded[0].finish == 1 + FORWARD_LATENCY
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("write,read", [
+        (4100, 4100), (4100, 4096), (4096, 4100),
+    ])
+    def test_forwarding_matches_by_cache_line(self, engine, write, read):
+        """A buffered write forwards to a read of the same cache line,
+        wherever in the line either address falls."""
+        mc = MemoryController(ControllerConfig(engine=engine))
+        mc.enqueue(Request(RequestType.WRITE, write, arrival=0))
+        for i in range(4):
+            mc.enqueue(Request(RequestType.READ, i * 64, arrival=0))
+        mc.enqueue(Request(RequestType.READ, read, arrival=1))
+        done = run_stream(mc, []).completed_requests
+        assert sum(r.forwarded for r in done) == 1
+        # The write left the buffer under the line it entered with.
+        assert mc._write_buffer._addresses == {}
+
 
 class TestRefresh:
     def test_refresh_fires_at_trefi(self):

@@ -99,6 +99,10 @@ class TestUnknownNames:
         ("page_policy", "ajar"),
         ("refresh", "per-bank"),
         ("address_scheme", "nope"),
+        # Unhashable values are unknown names too, not a TypeError.
+        ("page_policy", ["open"]),
+        ("refresh", {}),
+        ("address_scheme", ["default"]),
     ])
     def test_unknown_component_name_rejected(self, field, value):
         with pytest.raises(ConfigurationError) as excinfo:

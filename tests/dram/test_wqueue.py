@@ -16,6 +16,7 @@ def buffer(capacity=32, high=0.8, low=0.25):
         WriteQueueConfig(capacity=capacity, high_watermark=high,
                          low_watermark=low),
         num_banks=16,
+        line_address=MAPPING.line_address,
     )
 
 

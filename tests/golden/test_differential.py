@@ -226,8 +226,8 @@ def test_scheduling_policies_complete_the_same_work(
     assert frfcfs.dram_writes == fcfs.dram_writes
     # Both runs must still satisfy the exactness invariants: the
     # bandwidth stack sums to peak (checked internally — account raises
-    # AccountingError on drift when no auditor is attached) and every
-    # read's latency components sum to its measured latency.
+    # AccountingError on drift) and every read's latency components sum
+    # to its measured latency.
     for result in (frfcfs, fcfs):
         bandwidth = result.bandwidth_stack()
         latency = result.latency_stack()

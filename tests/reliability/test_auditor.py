@@ -1,10 +1,15 @@
-"""Tests for the invariant auditor and its three modes."""
+"""Tests for the invariant auditor and the accountants' exactness checks.
+
+Every violation raises AccountingError; none is recorded, repaired or
+downgraded to a warning.
+"""
 
 import pytest
 
 from repro.dram import ControllerConfig, MemoryController, Request, RequestType
 from repro.errors import AccountingError
-from repro.reliability.auditor import AuditWarning, InvariantAuditor
+from repro.experiments.runner import run_qos, run_synthetic
+from repro.reliability.auditor import InvariantAuditor
 from repro.reliability.faults import corrupt_request, overlap_bursts
 from repro.stacks.bandwidth import BandwidthStackAccountant
 from repro.stacks.latency import LatencyStackAccountant
@@ -20,62 +25,51 @@ def run_small(requests=200):
     return mc
 
 
-class TestModes:
-    def test_strict_raises(self):
-        auditor = InvariantAuditor(mode="strict")
-        with pytest.raises(AccountingError, match="boom"):
-            auditor.report("test-kind", "boom")
-        assert auditor.clean  # nothing recorded: the raise is the report
+def corrupt_first_read(requests):
+    """Apply corrupt_request to the first completed read with arrival > 0."""
+    read = next(
+        r for r in requests
+        if r.is_read and not r.forwarded and r.cas_issue >= 0
+        and r.arrival > 0
+    )
+    return corrupt_request(read)
 
-    def test_warn_records_and_warns(self):
-        auditor = InvariantAuditor(mode="warn")
-        with pytest.warns(AuditWarning, match="drifted"):
-            auditor.report("test-kind", "drifted", residual=2.0)
-        assert not auditor.clean
-        assert auditor.total_violations == 1
-        violation = auditor.violations[0]
-        assert violation.kind == "test-kind"
-        assert violation.residual == 2.0
-        assert not violation.repaired
 
-    def test_repair_applies_callable(self):
-        auditor = InvariantAuditor(mode="repair")
-        state = {"fixed": False}
-        with pytest.warns(AuditWarning):
-            auditor.report(
-                "test-kind", "fixable",
-                repair=lambda: state.__setitem__("fixed", True),
-            )
-        assert state["fixed"]
-        assert auditor.violations[0].repaired
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(AccountingError, match="unknown audit mode"):
-            InvariantAuditor(mode="lenient")
+def negative_queue_message(read):
+    return (
+        f"negative latency component(s) ['queue'] for request "
+        f"{read.req_id} (arrival {read.arrival}, cas {read.cas_issue})"
+    )
 
 
 class TestIncrementalLogAudit:
     def test_clean_log_stays_clean(self):
         mc = run_small()
-        auditor = InvariantAuditor(mode="warn")
         cursors = {}
-        auditor.audit_log_increment(mc.log, cursors)
-        assert auditor.clean
+        InvariantAuditor().audit_log_increment(mc.log, cursors)
         assert cursors["bursts"] == len(mc.log.bursts)
 
     def test_overlap_caught_only_once(self):
+        """An overlap appended after one audit raises on the next."""
         mc = run_small()
-        auditor = InvariantAuditor(mode="warn")
+        auditor = InvariantAuditor()
         cursors = {}
         auditor.audit_log_increment(mc.log, cursors)
+        audited = cursors["bursts"]
         overlap_bursts(mc.log)
-        with pytest.warns(AuditWarning, match="overlap"):
+        with pytest.raises(AccountingError, match="overlap"):
             auditor.audit_log_increment(mc.log, cursors)
-        count = auditor.total_violations
-        assert count >= 1
-        # Re-auditing must not re-report the same events.
-        auditor.audit_log_increment(mc.log, cursors)
-        assert auditor.total_violations == count
+        assert cursors["bursts"] == audited
+
+    @pytest.mark.parametrize("name", [
+        "bursts", "pre_windows", "act_windows", "cas_windows", "blocked",
+    ])
+    def test_backwards_event_raises(self, name):
+        """Only an event's (start, end) pair is audited."""
+        mc = run_small()
+        getattr(mc.log, name).append((mc.now + 10, mc.now + 5))
+        with pytest.raises(AccountingError, match="runs backwards"):
+            InvariantAuditor().audit_log_increment(mc.log, {})
 
 
 class TestBandwidthAccounting:
@@ -85,82 +79,66 @@ class TestBandwidthAccounting:
         with pytest.raises(AccountingError):
             BandwidthStackAccountant(mc.spec).account(mc.log, mc.now)
 
-    def test_overlap_warn_completes_and_records(self):
-        mc = run_small()
-        overlap_bursts(mc.log)
-        auditor = InvariantAuditor(mode="warn")
-        acct = BandwidthStackAccountant(mc.spec, auditor=auditor)
-        with pytest.warns(AuditWarning):
-            acct.account_cycles(mc.log, mc.now)
-        assert any(
-            v.kind == "burst-overlap" for v in auditor.violations
-        )
-
-    def test_repair_restores_exactness(self):
-        mc = run_small()
-        overlap_bursts(mc.log)
-        auditor = InvariantAuditor(mode="repair")
-        acct = BandwidthStackAccountant(mc.spec, auditor=auditor)
-        with pytest.warns(AuditWarning):
-            counters = acct.account_cycles(mc.log, mc.now)[0]
-        # After repair, the components again sum to n_banks * cycles.
-        assert sum(counters.values()) == acct.num_banks * mc.now
-        assert not auditor.clean
-
     def test_guard_end_audit_is_clean_on_healthy_log(self):
         mc = run_small()
-        auditor = InvariantAuditor(mode="warn")
-        BandwidthStackAccountant(mc.spec, auditor=auditor).account_cycles(
+        bins = BandwidthStackAccountant(mc.spec).account_cycles(
             mc.log, mc.now, 10_000
         )
-        assert auditor.clean
+        assert sum(map(sum, (b.values() for b in bins))) == (
+            mc.spec.organization.total_banks * mc.now
+        )
 
 
 class TestLatencyAccounting:
     def test_corrupt_read_strict_raises(self):
         mc = run_small()
         reads = [r for r in mc.completed_requests if r.is_read]
-        corrupt_request(reads[3])
+        read = corrupt_request(reads[3])
         acct = LatencyStackAccountant(mc.spec)
-        with pytest.raises(AccountingError):
+        with pytest.raises(AccountingError) as excinfo:
             acct.account(
                 reads, mc.log.refresh_windows, mc.log.drain_windows
             )
-
-    def test_corrupt_read_warn_records(self):
-        mc = run_small()
-        reads = [r for r in mc.completed_requests if r.is_read]
-        corrupt_request(reads[3])
-        auditor = InvariantAuditor(mode="warn")
-        acct = LatencyStackAccountant(mc.spec, auditor=auditor)
-        with pytest.warns(AuditWarning):
-            acct.account(
-                reads, mc.log.refresh_windows, mc.log.drain_windows
-            )
-        kinds = {v.kind for v in auditor.violations}
-        assert "latency-negative" in kinds
-
-    def test_corrupt_read_repair_preserves_per_read_sum(self):
-        mc = run_small()
-        reads = [r for r in mc.completed_requests if r.is_read]
-        corrupt_request(reads[3])
-        auditor = InvariantAuditor(mode="repair")
-        acct = LatencyStackAccountant(mc.spec, auditor=auditor)
-        with pytest.warns(AuditWarning):
-            stack = acct.account(
-                reads, mc.log.refresh_windows, mc.log.drain_windows
-            )
-        # Repaired components are all non-negative in the aggregate.
-        for name in stack.components:
-            assert stack[name] >= 0
-        assert any(v.repaired for v in auditor.violations)
+        assert str(excinfo.value) == negative_queue_message(read)
 
     def test_healthy_latency_audit_clean(self):
         mc = run_small()
-        auditor = InvariantAuditor(mode="warn")
-        LatencyStackAccountant(mc.spec, auditor=auditor).account(
+        stack = LatencyStackAccountant(mc.spec).account(
             mc.completed_requests,
             mc.log.refresh_windows,
             mc.log.drain_windows,
         )
-        assert auditor.clean
+        assert all(value >= 0 for value in stack.components.values())
+
+    def test_corrupt_read_raises_from_per_requester_stacks(self):
+        result = run_qos(scheduling="wrr", guard=False)
+        read = corrupt_first_read(result.memory.completed_requests)
+        with pytest.raises(AccountingError) as excinfo:
+            result.per_requester_latency_stacks()
+        assert str(excinfo.value) == negative_queue_message(read)
+
+
+class TestDefaultGuardResult:
+    """Under the default guard, every stack a single-channel result
+    builds raises on a violation instead of shipping a wrong figure."""
+
+    @pytest.mark.parametrize("build", [
+        lambda r: r.bandwidth_stack(),
+        lambda r: r.bandwidth_series(1_000),
+    ], ids=["bandwidth_stack", "bandwidth_series"])
+    def test_overlapping_bursts_raise(self, build):
+        result = run_synthetic("random", cores=1)
+        overlap_bursts(result.memory.log)
+        with pytest.raises(AccountingError, match="overlapping data bursts"):
+            build(result)
+
+    @pytest.mark.parametrize("build", [
+        lambda r: r.latency_stack(),
+        lambda r: r.latency_series(1_000),
+        lambda r: r.per_core_latency_stacks(),
+    ], ids=["latency_stack", "latency_series", "per_core_latency_stacks"])
+    def test_corrupt_read_raises(self, build):
+        result = run_synthetic("random", cores=1)
+        corrupt_first_read(result.memory.completed_requests)
+        with pytest.raises(AccountingError, match="negative latency"):
+            build(result)

@@ -24,7 +24,7 @@ from repro.errors import (
     TimingViolationError,
     TraceFormatError,
 )
-from repro.reliability.auditor import AuditWarning, InvariantAuditor
+from repro.reliability.auditor import InvariantAuditor
 from repro.reliability.faults import (
     TRACE_FAULTS,
     corrupt_request,
@@ -150,11 +150,8 @@ class TestAccountingFaults:
             )
 
     def test_overlap_burst_warn_mode_records(self):
+        """The in-run audit raises on the overlap; nothing records it."""
         mc = recorded_controller()
         overlap_bursts(mc.log)
-        auditor = InvariantAuditor(mode="warn")
-        with pytest.warns(AuditWarning):
-            auditor.audit_log_increment(mc.log, {})
-        assert any(
-            v.kind == "burst-overlap" for v in auditor.violations
-        )
+        with pytest.raises(AccountingError, match="data bursts overlap"):
+            InvariantAuditor().audit_log_increment(mc.log, {})

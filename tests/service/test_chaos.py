@@ -313,9 +313,11 @@ ExecutionService().run(jobs, journal={str(journal_path)!r},
             capture_output=True,
         )
         assert proc.returncode == 9, proc.stderr.decode()
-        journal = BatchJournal(journal_path, resume=True)
-        assert len(journal) == 2  # both finished jobs survived the kill
-        resumed = ExecutionService().run(synthetic_jobs(), journal=journal)
+        with BatchJournal(journal_path, resume=True) as journal:
+            assert len(journal) == 2  # both finished jobs survived the kill
+            resumed = ExecutionService().run(
+                synthetic_jobs(), journal=journal
+            )
         assert resumed.complete
         assert resumed.journal_hits == 2 and resumed.executed == 1
         reference = ExecutionService().run(synthetic_jobs())

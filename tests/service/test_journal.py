@@ -158,9 +158,8 @@ class TestServiceIntegration:
         with BatchJournal(path) as journal:
             service = ExecutionService()
             service.run(jobs[:2], journal=journal)
-        result = ExecutionService().run(
-            jobs, journal=BatchJournal(path, resume=True)
-        )
+        with BatchJournal(path, resume=True) as journal:
+            result = ExecutionService().run(jobs, journal=journal)
         assert result.complete
         assert result.journal_hits == 2 and result.executed == 2
         assert [p["value"] for p in result.payloads] == [0, 1, 2, 3]

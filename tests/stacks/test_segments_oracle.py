@@ -12,8 +12,7 @@ requesters, and multi-bin series.
 
 from __future__ import annotations
 
-import warnings
-
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +20,7 @@ from repro.dram.commands import Request, RequestType
 from repro.dram.components.accounting import EventLog
 from repro.dram.rank import BlockScope
 from repro.dram.timing import DDR4_2400
-from repro.reliability.auditor import InvariantAuditor
+from repro.errors import AccountingError
 from repro.stacks.bandwidth import (
     BANDWIDTH_COMPONENTS,
     BandwidthStackAccountant,
@@ -286,22 +285,26 @@ def test_requester_bandwidth_matches_oracle(case):
 
 @settings(max_examples=80, deadline=None)
 @given(event_logs(overlapping_bursts=True), st.integers(1, 25))
-def test_repair_gives_overlapped_cycles_to_the_first_burst(case, bin_cycles):
+def test_overlapping_bursts_raise_and_disjoint_ones_match_oracle(
+    case, bin_cycles
+):
     log, total = case
-    auditor = InvariantAuditor(mode="repair")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        bins = BandwidthStackAccountant(SPEC, auditor=auditor).account_cycles(
+    ordered = sorted(b[:3] for b in log.bursts)
+    late = [
+        start for i, (start, __, __) in enumerate(ordered)
+        if start < max([0] + [end for __, end, __ in ordered[:i]])
+    ]
+    if not late:
+        bins = BandwidthStackAccountant(SPEC).account_cycles(
             log, total, bin_cycles
         )
-    assert bins == oracle_bins(log, total, bin_cycles)
-    ordered = sorted(b[:3] for b in log.bursts)
-    overlaps = sum(
-        start < max([0] + [end for __, end, __ in ordered[:i]])
-        for i, (start, __, __) in enumerate(ordered)
-    )
-    assert auditor.total_violations == overlaps
-    assert {v.kind for v in auditor.violations} <= {"burst-overlap"}
+        assert bins == oracle_bins(log, total, bin_cycles)
+        return
+    message = f"overlapping data bursts at cycle {late[0]}$"
+    with pytest.raises(AccountingError, match=message):
+        BandwidthStackAccountant(SPEC).account_cycles(log, total, bin_cycles)
+    with pytest.raises(AccountingError, match=message):
+        RequesterBandwidthAccountant(SPEC).account_cycles(log, total)
 
 
 @settings(max_examples=120, deadline=None)

@@ -316,6 +316,29 @@ class TestExitCodes:
         assert code == 3
         assert "--journal" in capsys.readouterr().err
 
+    def test_inconsistent_stack_exits_7(self, monkeypatch, capsys):
+        """A read whose latency split goes negative stops the run: no
+        report ships with a wrong figure in it."""
+        from repro.cpu.system import CpuSystem
+        from repro.reliability.faults import corrupt_request
+
+        finalize = CpuSystem._finalize
+
+        def finalize_and_corrupt(self, guard, max_cycles):
+            result = finalize(self, guard, max_cycles)
+            corrupt_request(next(
+                r for r in result.memory.completed_requests
+                if r.is_read and not r.forwarded and r.arrival > 0
+            ))
+            return result
+
+        monkeypatch.setattr(CpuSystem, "_finalize", finalize_and_corrupt)
+        assert main(["analyze", "random"]) == 7
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("dram-stacks: AccountingError:")
+
 
 def run_cli(args, cwd=None):
     import os
