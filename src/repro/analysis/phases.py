@@ -143,7 +143,9 @@ def _merge_similar(
     return merged
 
 
-def describe_phases(phases: list[Phase], key_components: tuple[str, ...] = ()) -> str:
+def describe_phases(
+    phases: list[Phase], key_components: tuple[str, ...] = ()
+) -> str:
     """Human-readable phase table."""
     lines = [f"{len(phases)} phase(s):"]
     for number, phase in enumerate(phases, start=1):

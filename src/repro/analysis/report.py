@@ -24,9 +24,12 @@ def render_report(
         f"({achieved / bandwidth.total:.0%})"
     )
     if latency is not None and latency.total > 0:
+        base = (
+            latency["base"] + latency["base_cntlr"] + latency["base_dram"]
+        )
         sections.append(
             f"average read latency: {latency.total:.1f} {latency.unit} "
-            f"(base {latency['base'] + latency['base_cntlr'] + latency['base_dram']:.1f})"
+            f"(base {base:.1f})"
         )
     sections.append("")
 

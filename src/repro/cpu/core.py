@@ -174,7 +174,10 @@ class IntervalCore:
     until it blocks on memory, reaches a barrier, exhausts a time quantum
     or finishes its trace. Memory requests are issued through the
     `memory` callback supplied by the driver; completions are delivered
-    via :meth:`complete_request`.
+    via :meth:`complete_request`. :class:`~repro.cpu.system.CpuSystem`
+    passes a weak proxy of itself as `memory`: the system owns its
+    cores, so a strong reference back would be a reference cycle. A
+    core kept after its system is dropped can be read, not advanced.
     """
 
     def __init__(
@@ -243,7 +246,9 @@ class IntervalCore:
     # ------------------------------------------------------------------
     # Completion path
     # ------------------------------------------------------------------
-    def complete_request(self, load: OutstandingLoad, request: Request) -> None:
+    def complete_request(
+        self, load: OutstandingLoad, request: Request
+    ) -> None:
         """The DRAM request backing `load` finished."""
         load.complete = request.finish + self._noc_response
         if self.state == BLOCKED:

@@ -11,6 +11,7 @@ the paper's Sniper setup uses).
 from __future__ import annotations
 
 import gc
+import weakref
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
@@ -114,12 +115,15 @@ class CpuSystem:
         self._composite = device_channels > 1
         self.llc = self.config.hierarchy.make_llc()
         cycle_ns = self.memory.spec.cycle_ns
+        # The cores reach the system through a weak proxy: it owns them,
+        # and a strong reference back would be a reference cycle.
+        system = weakref.proxy(self)
         self.cores = [
             IntervalCore(
                 core_id=i,
                 config=self.config.core,
                 hierarchy=CacheHierarchy(self.config.hierarchy, self.llc),
-                memory=self,
+                memory=system,
                 cycle_ns=cycle_ns,
             )
             for i in range(self.config.cores)
@@ -290,9 +294,10 @@ class CpuSystem:
         self._wake_heap = heap
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
-            # The loop allocates almost nothing cyclic; generational GC
-            # passes cost noticeable time here. Refcounting still frees
-            # short-lived objects, and collection resumes afterwards.
+            # The simulator's object graph is acyclic (docs/performance.md,
+            # "Memory"), so reference counting frees what the loop drops
+            # and generational passes would only cost time here.
+            # Collection resumes afterwards.
             gc.disable()
         try:
             while True:
@@ -381,9 +386,13 @@ class CpuSystem:
                 if self._pending_lines.get(line) is request:
                     del self._pending_lines[line]
                     self._dram_inflight[request.core_id] -= 1
-            if not request.meta:
+            waiters = request.meta
+            if not waiters:
                 continue
-            for core, load in request.meta:
+            # Each waiting load points back at the request; dropping
+            # the pairs here keeps the two from forming a cycle.
+            request.meta = None
+            for core, load in waiters:
                 was_blocked = core.state == BLOCKED
                 core.complete_request(load, request)
                 if was_blocked and core.state == RUNNING:
@@ -399,7 +408,10 @@ class CpuSystem:
     def _finalize(
         self, guard: ReliabilityGuard | None, max_cycles: int | None
     ) -> "SimulationResult":
-        self.memory.drain()
+        # Nothing waits on these any more: drop their (core, load)
+        # pairs as _deliver does.
+        for request in self.memory.drain():
+            request.meta = None
         self.memory.finalize()
         end = max(
             self.memory.now,
@@ -470,7 +482,9 @@ class SimulationResult:
         acct = BandwidthStackAccountant(self.spec)
         return acct.account(self.memory.log, self.total_cycles, label)
 
-    def bandwidth_series(self, bin_cycles: int, label: str = "") -> StackSeries:
+    def bandwidth_series(
+        self, bin_cycles: int, label: str = ""
+    ) -> StackSeries:
         """Through-time bandwidth stacks."""
         self._require_single_channel("bandwidth_series")
         acct = BandwidthStackAccountant(self.spec)
@@ -478,7 +492,9 @@ class SimulationResult:
             self.memory.log, self.total_cycles, bin_cycles, label
         )
 
-    def latency_stack(self, label: str = "", split_base: bool = False) -> Stack:
+    def latency_stack(
+        self, label: str = "", split_base: bool = False
+    ) -> Stack:
         """Average read-latency stack in nanoseconds.
 
         Multi-channel memories return the read-weighted mean of the

@@ -66,7 +66,9 @@ class ComponentMapping:
         """Human-readable per-bit masks, e.g. ``bank[0] = ^addr{6,13}``."""
         parts = []
         for j, mask in enumerate(self.masks):
-            bits = [str(b) for b in range(mask.bit_length()) if (mask >> b) & 1]
+            bits = [
+                str(b) for b in range(mask.bit_length()) if (mask >> b) & 1
+            ]
             parts.append(f"{self.field}[{j}] = ^addr{{{','.join(bits)}}}")
         return "; ".join(parts) if parts else f"{self.field} = 0"
 

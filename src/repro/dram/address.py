@@ -149,7 +149,8 @@ class AddressMapping:
         )
 
     def encode(self, coords: Coordinates, offset: int = 0) -> int:
-        """Re-assemble a physical address from coordinates (inverse of decode)."""
+        """Re-assemble a physical address from coordinates (inverse of
+        :meth:`decode`)."""
         address = offset & ((1 << self.offset_bits) - 1)
         for name, shift, mask in self._slices:
             address |= (getattr(coords, name) & mask) << shift

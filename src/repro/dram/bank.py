@@ -93,7 +93,8 @@ class Bank:
         """
         if self.open_row is None:
             raise ProtocolError(
-                f"PRECHARGE to already-precharged bank {self.bank_group}/{self.bank}"
+                f"PRECHARGE to already-precharged bank "
+                f"{self.bank_group}/{self.bank}"
             )
         self.open_row = None
         done = t + self._tRP

@@ -65,8 +65,11 @@ class Request:
             single-requester behaviour bit for bit.
         is_prefetch: prefetch-generated reads; they count as demand traffic
             for bandwidth purposes but are excluded from latency stacks.
-        meta: free-form tag for callers (e.g. the CPU model stores its
-            bookkeeping handle here).
+        meta: free-form tag for callers. The CPU model keeps the
+            request's waiters here, a list of ``(core, load)`` pairs whose
+            loads point back at the request; it sets ``meta`` to None once
+            the request is delivered or drained, so the pair forms no
+            reference cycle. Nothing reads ``meta`` after delivery.
 
     The order of the first seven fields, ``req_type`` through ``meta``,
     is load-bearing: the CPU model's hot path passes them by position.

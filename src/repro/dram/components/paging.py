@@ -11,6 +11,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 from repro.dram.bank import Bank
 from repro.dram.commands import CommandType
 
@@ -32,7 +34,7 @@ class OpenPagePolicy:
     generates_commands = False
 
     def bind(self, controller) -> None:
-        pass
+        """Nothing to bind: the policy keeps no controller state."""
 
     def plan_candidates(self, open_rows: list[int | None]) -> list[tuple]:
         return []
@@ -45,7 +47,9 @@ class ClosedPagePolicy:
     generates_commands = True
 
     def bind(self, controller) -> None:
-        self._ctrl = controller
+        """Hold a weak proxy of the controller that owns this policy (a
+        strong one would make the pair a reference cycle)."""
+        self._ctrl = weakref.proxy(controller)
 
     def plan_candidates(self, open_rows: list[int | None]) -> list[tuple]:
         """Precharge candidates shaped like the scheduler's

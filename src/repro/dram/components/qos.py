@@ -110,6 +110,7 @@ class WrrScheduler(_SchedulerBase):
         self._credits: dict[int, int] = {}
 
     def bind(self, controller) -> None:
+        """Bind as the base does (a weak proxy); start with no credits."""
         super().bind(controller)
         self._credits = {}
 
@@ -179,6 +180,7 @@ class BankRegScheduler(_SchedulerBase):
         self._gated: set[int] = set()
 
     def bind(self, controller) -> None:
+        """Bind as the base does (a weak proxy); start with no usage."""
         super().bind(controller)
         self._usage = {}
         self._gated = set()

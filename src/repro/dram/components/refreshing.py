@@ -15,6 +15,8 @@ refresh sequence and reschedules.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.dram.commands import CommandType
 
 #: Sentinel "infinitely far in the future" time (mirrors the
@@ -32,7 +34,10 @@ class AllBankRefresh:
         self.until = 0
 
     def bind(self, controller) -> None:
-        self._ctrl = controller
+        """Schedule the first refresh; hold a weak proxy of the
+        controller that owns this policy (a strong one would make the
+        pair a reference cycle)."""
+        self._ctrl = weakref.proxy(controller)
         self.next_due = controller.spec.tREFI
         self.until = 0
 
@@ -91,7 +96,10 @@ class SameBankRefresh:
         self.until = 0
 
     def bind(self, controller) -> None:
-        self._ctrl = controller
+        """Schedule the first bank's refresh; hold a weak proxy of the
+        controller that owns this policy (a strong one would make the
+        pair a reference cycle)."""
+        self._ctrl = weakref.proxy(controller)
         spec = controller.spec
         self._interval = max(1, spec.tREFI // spec.organization.total_banks)
         self._tRFCsb = (
@@ -142,7 +150,7 @@ class NoRefresh:
         self.until = 0
 
     def bind(self, controller) -> None:
-        pass
+        """Nothing to bind: refresh never runs."""
 
     def perform(self, now: int) -> None:  # pragma: no cover - unreachable
         raise AssertionError("NoRefresh.perform should never be called")

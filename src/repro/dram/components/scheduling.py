@@ -17,6 +17,7 @@ over its struct-of-arrays state. The golden/differential tests in
 
 from __future__ import annotations
 
+import weakref
 from operator import itemgetter
 
 from repro.dram.commands import CommandType
@@ -37,8 +38,13 @@ class _SchedulerBase:
     candidate_policy = "fr-fcfs"
 
     def bind(self, controller) -> None:
-        """Wire up to a controller."""
-        self._ctrl = controller
+        """Wire up to a controller.
+
+        Holds a weak proxy of it: the controller owns this scheduler,
+        and a strong reference back would make the pair a reference
+        cycle that outlives the run until a full collection.
+        """
+        self._ctrl = weakref.proxy(controller)
         self._banks = controller._banks
         self._ranks = controller._ranks
         self._page = controller._page

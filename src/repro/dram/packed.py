@@ -67,6 +67,7 @@ docs/performance.md has the validity arguments.
 from __future__ import annotations
 
 import heapq
+import weakref
 
 from repro.dram.commands import Command, CommandType, RequestType
 from repro.dram.components.paging import ClosedPagePolicy, OpenPagePolicy
@@ -142,17 +143,26 @@ class PackedEngine:
     """SoA state + mega-loop for one :class:`MemoryController`.
 
     Life cycle: the constructor allocates the columns, which already
-    hold a fresh controller's state; the first :meth:`run` builds the
-    loop closure, and every :meth:`run` steps it. :meth:`flush` copies
-    the columns out into the controller's objects and leaves the engine
-    running. The closure keeps the loop's scalars in its cells between
-    runs and copies out the ones :meth:`flush` and the controller's size
-    properties read (``gh_r``/``gh_w``, ``rq_len``/``wq_len``,
-    ``bus_free``/``bus_last``) at every run exit and watchdog call.
+    hold a fresh controller's state, and builds the loop closure; every
+    :meth:`run` steps it. :meth:`flush` copies the columns out into the
+    controller's objects and leaves the engine running. The closure
+    keeps the loop's scalars in its cells between runs and copies out
+    the ones :meth:`flush` and the controller's size properties read
+    (``gh_r``/``gh_w``, ``rq_len``/``wq_len``, ``bus_free``/``bus_last``)
+    at every run exit and watchdog call.
+
+    No reference cycle runs through the engine: the controller owns it,
+    it holds only a weak reference back, and the closure's cells hold
+    neither of them. :meth:`run` hands the closure both, per call.
     """
 
     def __init__(self, controller) -> None:
-        self._ctrl = controller
+        """Allocate the columns and build the loop closure.
+
+        `controller` is held weakly (it owns this engine), so dropping
+        the controller frees the pair by reference counting.
+        """
+        self._ctrl = weakref.ref(controller)
         spec = controller.spec
         org = spec.organization
         B = self.B = controller.num_banks
@@ -226,9 +236,7 @@ class PackedEngine:
         self.bus_free = 0
         self.bus_last = -1
 
-        # Built on the first run, not here: docs/performance.md has the
-        # peak-memory measurement.
-        self._runner = None
+        self._runner = self._make_runner(controller)
 
     # ------------------------------------------------------------------
     def flush(self) -> None:
@@ -241,7 +249,7 @@ class PackedEngine:
         the loop carries on from them, and writes to the objects do not
         reach it.
         """
-        ctrl = self._ctrl
+        ctrl = self._ctrl()
         G = self.G
         for f, bank in enumerate(ctrl._banks):
             row = self.b_row[f]
@@ -289,15 +297,19 @@ class PackedEngine:
     # ------------------------------------------------------------------
     def run(self, t_limit: int, stop_on_read: bool,
             stop_when_idle: bool = False) -> None:
-        """Advance the packed loop (builds it on the first call)."""
-        runner = self._runner
-        if runner is None:
-            runner = self._runner = self._make_runner()
-        runner(t_limit, stop_on_read, stop_when_idle)
+        """Advance the packed loop."""
+        self._runner(
+            self, self._ctrl(), t_limit, stop_on_read, stop_when_idle
+        )
 
     # ------------------------------------------------------------------
-    def _make_runner(self):
+    def _make_runner(self, ctrl):
         """Build the mega-loop closure over the engine's columns.
+
+        The closure's cells hold `ctrl`'s state objects but neither
+        `ctrl` nor the engine: the engine keeps the closure, so either
+        in a cell would close a reference cycle. Each call gets both as
+        its first two arguments.
 
         Every name the loop touches per step is a closure cell (or a
         flat column), so the ~100k calls per simulation skip the object
@@ -308,8 +320,6 @@ class PackedEngine:
         the refresh ``perform`` sequences; comments here mark the
         *mapping*, the originals document the *why*.
         """
-        eng = self
-        ctrl = self._ctrl
         spec = ctrl.spec
         B, G = self.B, self.G
 
@@ -446,18 +456,18 @@ class PackedEngine:
         dirty_r = 0
         dirty_w = 0
 
-        def _finish(upto):
+        def _finish(upto, completions):
             """_collect_finished + _finish_request."""
             while in_flight and in_flight[0][0] <= upto:
                 __, __, req = heappop(in_flight)
-                ctrl._completions.append(req)
+                completions.append(req)
                 completed.append(req)
                 if req.req_type is _RT_READ:
                     stats.reads_completed += 1
                 else:
                     stats.writes_completed += 1
 
-        def run(t_limit, stop_on_read, stop_when_idle):
+        def run(eng, ctrl, t_limit, stop_on_read, stop_when_idle):
             nonlocal gh_r, gt_r, gh_w, gt_w, mask_r, mask_w, rq_n, wq_n
             nonlocal bus_free, bus_last, last_chan, epoch
             nonlocal plan_has, plan_time, plan_ent, plan_kind, plan_flat
@@ -468,6 +478,7 @@ class PackedEngine:
             last_cmd = ctrl._last_cmd_issue
             watchdog = ctrl.watchdog
             wd_count = ctrl._watchdog_countdown
+            completions = ctrl._completions
             ref_until = refresh.until
             ref_due = refresh.next_due
             try:
@@ -583,7 +594,7 @@ class PackedEngine:
                         if admitted:
                             epoch += 1
                     if in_flight and in_flight[0][0] <= now:
-                        _finish(now)
+                        _finish(now, completions)
                     if watchdog is not None:
                         wd_count -= 1
                         if wd_count <= 0:
@@ -606,7 +617,7 @@ class PackedEngine:
                         if target <= now:
                             break
                         if in_flight and in_flight[0][0] <= target:
-                            _finish(target)
+                            _finish(target, completions)
                         now = target
                         if stop_on_read and stats.reads_completed > before:
                             break
@@ -1169,7 +1180,7 @@ class PackedEngine:
                         if target <= now:
                             break
                         if in_flight and in_flight[0][0] <= target:
-                            _finish(target)
+                            _finish(target, completions)
                         now = target
                         if stop_on_read and stats.reads_completed > before:
                             break
@@ -1333,7 +1344,7 @@ class PackedEngine:
                         ):
                             # Fused wait-and-issue.
                             if in_flight and in_flight[0][0] <= issue_at:
-                                _finish(issue_at)
+                                _finish(issue_at, completions)
                             now = issue_at
                             # The loop-top idle check this path skips: a
                             # drain with nothing left pending stops here,
@@ -1363,7 +1374,7 @@ class PackedEngine:
                             if target <= now:
                                 break
                             if in_flight and in_flight[0][0] <= target:
-                                _finish(target)
+                                _finish(target, completions)
                             now = target
                             if stop_on_read and (
                                 stats.reads_completed > before
@@ -1522,6 +1533,6 @@ class PackedEngine:
                 eng.gh_r, eng.gh_w = gh_r, gh_w
                 eng.rq_len, eng.wq_len = rq_n, wq_n
                 eng.bus_free, eng.bus_last = bus_free, bus_last
-            _finish(now)
+            _finish(now, completions)
 
         return run

@@ -108,7 +108,9 @@ class RankTiming:
     # ------------------------------------------------------------------
     # Earliest-issue queries
     # ------------------------------------------------------------------
-    def earliest_cas_time(self, now: int, bank_group: int, is_write: bool) -> int:
+    def earliest_cas_time(
+        self, now: int, bank_group: int, is_write: bool
+    ) -> int:
         """Earliest cycle a CAS to `bank_group` may issue (fast path)."""
         t = self._last_cas_group[bank_group] + self._tCCD_L
         t2 = self._last_cas_rank + self._tCCD_S
@@ -186,7 +188,9 @@ class RankTiming:
     # ------------------------------------------------------------------
     # Command recording
     # ------------------------------------------------------------------
-    def record_cas(self, t: int, bank_group: int, is_write: bool) -> tuple[int, int]:
+    def record_cas(
+        self, t: int, bank_group: int, is_write: bool
+    ) -> tuple[int, int]:
         """Record a CAS issued at t; returns its (data_start, data_end)."""
         self._last_cas_group[bank_group] = t
         self._last_cas_rank = t

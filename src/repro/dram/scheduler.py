@@ -72,7 +72,9 @@ class RequestQueue:
     def __bool__(self) -> bool:
         return self._size > 0
 
-    def add(self, request: Request, coords: Coordinates, flat_bank: int) -> QueuedRequest:
+    def add(
+        self, request: Request, coords: Coordinates, flat_bank: int
+    ) -> QueuedRequest:
         """Enqueue a request; returns the queue entry."""
         entry = QueuedRequest(request, coords, flat_bank)
         self._bank_fifo[flat_bank].append(entry)
@@ -171,7 +173,10 @@ class RequestQueue:
                 continue
             entry = None
             row = open_rows[flat_bank]
-            if row is not None and now - oldest.request.arrival <= STARVATION_CAP:
+            if (
+                row is not None
+                and now - oldest.request.arrival <= STARVATION_CAP
+            ):
                 entry = self.oldest_row_hit(flat_bank, row)
             result.append(entry if entry is not None else oldest)
         return result

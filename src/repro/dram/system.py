@@ -41,7 +41,8 @@ class MemorySystemConfig:
         require_int("MemorySystemConfig", "channels", self.channels, 1)
         if self.channels & (self.channels - 1):
             raise ConfigurationError(
-                f"channels must be a positive power of two, got {self.channels}"
+                f"channels must be a positive power of two, "
+                f"got {self.channels}"
             )
 
 

@@ -41,12 +41,16 @@ class Organization:
     data_rate: int = 2
 
     def __post_init__(self) -> None:
-        for name in ("ranks", "bank_groups", "banks_per_group", "rows", "columns"):
+        for name in (
+            "ranks", "bank_groups", "banks_per_group", "rows", "columns"
+        ):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
             if value & (value - 1):
-                raise ConfigurationError(f"{name} must be a power of two, got {value}")
+                raise ConfigurationError(
+                    f"{name} must be a power of two, got {value}"
+                )
         if self.line_bytes % self.bus_bytes:
             raise ConfigurationError(
                 "line_bytes must be a multiple of bus_bytes "
@@ -233,7 +237,9 @@ class TimingSpec:
 
         Example: ``DDR4_2400.with_organization(ranks=2)``.
         """
-        return replace(self, organization=replace(self.organization, **changes))
+        return replace(
+            self, organization=replace(self.organization, **changes)
+        )
 
 
 def _ddr4(name: str, freq_mhz: float, cl: int, **overrides: int) -> TimingSpec:

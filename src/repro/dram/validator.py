@@ -295,7 +295,9 @@ class TimingValidator:
             if t < bank.last_pre + self.spec.tRP:
                 self._fail(command, f"tRP before REF: PRE at {bank.last_pre}")
         if t < self._bus_free:
-            self._fail(command, f"REF while data in flight until {self._bus_free}")
+            self._fail(
+                command, f"REF while data in flight until {self._bus_free}"
+            )
         rank.refresh_until = t + self.spec.tRFC
 
     def _check_refresh_sb(self, command: Command, rank: _RankState) -> None:

@@ -100,7 +100,9 @@ class WriteBuffer:
         """Forced drains triggered so far."""
         return self.drain_policy.stats_forced_drains
 
-    def add(self, request: Request, coords: Coordinates, flat_bank: int) -> QueuedRequest:
+    def add(
+        self, request: Request, coords: Coordinates, flat_bank: int
+    ) -> QueuedRequest:
         """Buffer a write."""
         entry = self.queue.add(request, coords, flat_bank)
         line = self._line_address(request.address)

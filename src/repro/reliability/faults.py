@@ -129,6 +129,12 @@ def force_stall(controller, after_cycle: int = 0) -> None:
     calls ``_plan_entry``, so the drill first writes the packed engine's
     state back and drops it: the controller continues on the object
     path, which plans through the patched seam.
+
+    The patch is the one reference cycle the simulator keeps on
+    purpose: the closure in the controller's instance dict holds the
+    controller, so a drilled controller waits for the cyclic collector
+    instead of being freed by reference counting. A fault drill is not
+    a production run.
     """
     from repro.dram.controller import FAR_FUTURE
 

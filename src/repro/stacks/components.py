@@ -65,7 +65,8 @@ class Stack:
     def __add__(self, other: "Stack") -> "Stack":
         if self.unit != other.unit:
             raise AccountingError(
-                f"cannot add stacks with units {self.unit!r} and {other.unit!r}"
+                f"cannot add stacks with units {self.unit!r} and "
+                f"{other.unit!r}"
             )
         names = list(self.components)
         names.extend(n for n in other.components if n not in self.components)

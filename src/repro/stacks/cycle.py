@@ -121,7 +121,9 @@ class CycleStackBuilder:
             total = sum(b.values())
             if total == 0:
                 stacks.append(
-                    ordered_stack({}, CYCLE_COMPONENTS, "fraction", f"{label}[{index}]")
+                    ordered_stack(
+                        {}, CYCLE_COMPONENTS, "fraction", f"{label}[{index}]"
+                    )
                 )
                 continue
             stacks.append(ordered_stack(

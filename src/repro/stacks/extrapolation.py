@@ -35,13 +35,17 @@ def achieved_bandwidth(stack: Stack) -> float:
 def extrapolate_naive(stack: Stack, factor: float) -> float:
     """Naive prediction: achieved x factor, saturated at peak - refresh."""
     if factor <= 0:
-        raise AccountingError(f"core-count factor must be positive, got {factor}")
+        raise AccountingError(
+            f"core-count factor must be positive, got {factor}"
+        )
     peak = stack.total
     ceiling = peak - stack["refresh"]
     return min(achieved_bandwidth(stack) * factor, ceiling)
 
 
-def extrapolate_stack_based(stack: Stack, factor: float) -> tuple[float, Stack]:
+def extrapolate_stack_based(
+    stack: Stack, factor: float
+) -> tuple[float, Stack]:
     """The paper's stack-based prediction.
 
     Returns (predicted achieved bandwidth, extrapolated stack). The
@@ -49,7 +53,9 @@ def extrapolate_stack_based(stack: Stack, factor: float) -> tuple[float, Stack]:
     ``idle``.
     """
     if factor <= 0:
-        raise AccountingError(f"core-count factor must be positive, got {factor}")
+        raise AccountingError(
+            f"core-count factor must be positive, got {factor}"
+        )
     peak = stack.total
     refresh = stack["refresh"]
     scaled = {name: stack[name] * factor for name in _SCALING}

@@ -64,7 +64,9 @@ class LatencyStackAccountant:
     @property
     def components(self) -> tuple[str, ...]:
         """Component order for this configuration."""
-        return LATENCY_COMPONENTS_SPLIT if self.split_base else LATENCY_COMPONENTS
+        if self.split_base:
+            return LATENCY_COMPONENTS_SPLIT
+        return LATENCY_COMPONENTS
 
     # ------------------------------------------------------------------
     def decompose(
@@ -79,7 +81,9 @@ class LatencyStackAccountant:
             raise AccountingError(
                 "latency stacks are built from completed reads only"
             )
-        arrival, cas, finish = request.arrival, request.cas_issue, request.finish
+        arrival = request.arrival
+        cas = request.cas_issue
+        finish = request.finish
         base_dram = finish - cas
 
         # Each hierarchy level only allocates interval lists when its

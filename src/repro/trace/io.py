@@ -12,7 +12,12 @@ from __future__ import annotations
 from typing import IO, Iterable
 
 from repro.errors import TraceFormatError
-from repro.trace.events import COMMAND_NAMES, CommandRecord, RequestRecord, TraceFile
+from repro.trace.events import (
+    COMMAND_NAMES,
+    CommandRecord,
+    RequestRecord,
+    TraceFile,
+)
 
 _MAGIC = "DRAMTRACE"
 _VERSION = "v1"
@@ -20,7 +25,9 @@ _VERSION = "v1"
 
 def write_trace(trace: TraceFile, handle: IO[str]) -> None:
     """Serialize a trace to a text stream."""
-    handle.write(f"{_MAGIC} {_VERSION} {trace.spec_name} {trace.total_cycles}\n")
+    handle.write(
+        f"{_MAGIC} {_VERSION} {trace.spec_name} {trace.total_cycles}\n"
+    )
     for req in trace.requests:
         kind = "W" if req.is_write else "R"
         handle.write(

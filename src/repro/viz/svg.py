@@ -128,7 +128,8 @@ def stacked_bars_svg(
             )
         parts.append(
             f"<text x='{x + bar_w / 2:.1f}' y='{margin_top + plot_h + 14}' "
-            f"font-size='10' text-anchor='middle' {_FONT}>{_esc(stack.label)}</text>"
+            f"font-size='10' text-anchor='middle' {_FONT}>"
+            f"{_esc(stack.label)}</text>"
         )
 
     if groups:

@@ -160,7 +160,9 @@ def kronecker_graph(
         r = rng.random(m)
         # Quadrant probabilities: a (0,0), b (0,1), c (1,0), d (1,1).
         src_bit = (r >= a + b).astype(np.int64)
-        dst_bit = (((r >= a) & (r < a + b)) | (r >= a + b + c)).astype(np.int64)
+        dst_bit = (
+            ((r >= a) & (r < a + b)) | (r >= a + b + c)
+        ).astype(np.int64)
         src |= src_bit << bit
         dst |= dst_bit << bit
     # GAP permutes vertex ids to avoid locality artifacts from the

@@ -11,7 +11,10 @@ PEAK = 19.2
 
 def bw(read=2.0, write=0.0, precharge=0.0, activate=0.0, refresh=0.8,
        constraints=0.0, bank_idle=0.0):
-    used = read + write + precharge + activate + refresh + constraints + bank_idle
+    used = (
+        read + write + precharge + activate + refresh + constraints
+        + bank_idle
+    )
     return ordered_stack(
         dict(read=read, write=write, precharge=precharge, activate=activate,
              refresh=refresh, constraints=constraints, bank_idle=bank_idle,

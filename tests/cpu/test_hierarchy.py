@@ -1,4 +1,5 @@
-"""Tests for the cache hierarchy: fill paths, dirty cascades, write-allocate."""
+"""Tests for the cache hierarchy: fill paths, dirty cascades and
+write-allocate."""
 
 import pytest
 

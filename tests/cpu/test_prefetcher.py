@@ -67,7 +67,9 @@ class TestStreamTable:
         assert near_a and near_b
 
     def test_lru_stream_replacement(self):
-        pf = StreamPrefetcher(PrefetcherConfig(streams=2, degree=1, distance=4))
+        pf = StreamPrefetcher(
+            PrefetcherConfig(streams=2, degree=1, distance=4)
+        )
         pf.observe(100)
         pf.observe(10_000)
         pf.observe(20_000_000)  # evicts stream at 100

@@ -33,7 +33,9 @@ class TestSingleRead:
     def test_row_hit_read_latency(self, controller):
         controller.enqueue(Request(RequestType.READ, 0, arrival=0))
         controller.drain()
-        controller.enqueue(Request(RequestType.READ, 64, arrival=controller.now))
+        controller.enqueue(
+            Request(RequestType.READ, 64, arrival=controller.now)
+        )
         done = controller.drain()
         req = done[0]
         assert req.row_hit

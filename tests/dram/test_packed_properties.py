@@ -226,8 +226,7 @@ class TestWriteBack:
         ctrl = make_controller("packed")
         for request in requests:
             ctrl.enqueue(request)
-        assert ctrl._packed._runner is None  # flush() before the loop
-        snapshot = ctrl.stall_snapshot()
+        snapshot = ctrl.stall_snapshot()  # flush() before the first run
         assert snapshot["queued_reads"] == snapshot["queued_writes"] == 0
         assert snapshot["queue_head"] == snapshot["candidates"] == []
         assert all(bank["open_row"] is None for bank in snapshot["banks"])

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.dram.timing import DDR4_2400, DDR4_3200, DDR5_4800, Organization, TimingSpec
+from repro.dram.timing import (
+    DDR4_2400,
+    DDR4_3200,
+    DDR5_4800,
+    Organization,
+    TimingSpec,
+)
 from repro.errors import ConfigurationError
 
 

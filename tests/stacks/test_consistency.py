@@ -4,7 +4,10 @@ import pytest
 
 from repro.dram import ControllerConfig, MemoryController
 from repro.dram.timing import DDR4_2400
-from repro.stacks.bandwidth import BANDWIDTH_COMPONENTS, BandwidthStackAccountant
+from repro.stacks.bandwidth import (
+    BANDWIDTH_COMPONENTS,
+    BandwidthStackAccountant,
+)
 from repro.stacks.latency import LatencyStackAccountant
 
 from tests.conftest import make_reads, make_writes, run_stream

@@ -43,7 +43,9 @@ class TestCoreArchitecture:
             MemorySystemConfig,
         )
 
-        assert isinstance(MemoryController(ControllerConfig()), MemoryInterface)
+        assert isinstance(
+            MemoryController(ControllerConfig()), MemoryInterface
+        )
         assert isinstance(MemorySystem(MemorySystemConfig()), MemoryInterface)
 
 

@@ -115,7 +115,9 @@ class TestRandom:
         assert [i.address for i in t0] != [i.address for i in t1]
 
     def test_dependency_distance_set(self):
-        wl = RandomWorkload(SyntheticConfig(accesses_per_core=10, dependency=5))
+        wl = RandomWorkload(
+            SyntheticConfig(accesses_per_core=10, dependency=5)
+        )
         items = list(wl.traces(1)[0])
         assert all(item.dependency_distance == 5 for item in items)
 
