@@ -53,7 +53,11 @@ timeout --signal=KILL "$ABLATION_TIMEOUT" \
 
 echo "== parallel service smoke (timeout ${SERVICE_TIMEOUT}s) =="
 # 2-worker batch run twice: asserts parallel fingerprints match the
-# serial reference and the second invocation is >=90% cache hits.
+# serial reference and the second invocation is >=90% cache hits. Then
+# a 2-worker batch killed after its second point is rerun on its cache:
+# >=2 hits, serial fingerprints, and no worker of the killed batch
+# left alive. In fast mode this is the one check with real pooled
+# workers.
 timeout --signal=KILL "$SERVICE_TIMEOUT" \
     python scripts/service_smoke.py --jobs 2
 

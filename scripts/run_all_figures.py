@@ -8,20 +8,16 @@ Figures are independent jobs run on the execution service: inline at
 ``--jobs 1`` (the default), on N worker processes at ``--jobs N``, and
 cached with ``--cache-dir DIR``: a re-run with an unchanged
 configuration replays each figure's text from the cache instead of
-resimulating. A figure that fails does not kill the batch silently —
-its error is printed (with the traceback when it ran inline), the
-remaining figures still run, and the script exits nonzero at the end.
-
-With ``--journal PATH`` every finished figure is appended to a
-crash-safe batch journal; add ``--resume`` after an interrupted run and
-only the unfinished figures recompute (journaled ones replay their text
-instantly). See docs/chaos.md.
+resimulating, so an interrupted or failed run is resumed by rerunning
+it with the same ``--cache-dir`` (see docs/chaos.md). A figure that
+fails does not kill the batch silently — its error is printed (with the
+traceback when it ran inline), the remaining figures still run, and the
+script exits nonzero at the end.
 
 Usage::
 
     PYTHONPATH=src python scripts/run_all_figures.py [scale] [output_dir]
         [--jobs N] [--cache-dir DIR] [--figures fig2,fig7]
-        [--journal PATH [--resume]]
 """
 
 from __future__ import annotations
@@ -45,16 +41,14 @@ def _write_text(output_dir: str, name: str, text: str) -> str:
 def run_service(
     figures, scale: str, output_dir: str, jobs: int,
     cache_dir: str | None,
-    journal_path: str | None = None,
-    resume: bool = False,
 ) -> list[str]:
     """Run figures through the execution service; returns failed names.
 
     The SVG files are written by the worker that (cold-)runs a figure;
-    a cache or journal hit replays the tables but relies on the SVGs
-    from the original run already being in ``output_dir``.
+    a cache hit replays the tables but relies on the SVGs from the
+    original run already being in ``output_dir``.
     """
-    from repro.service import BatchJournal, ExecutionService, Job
+    from repro.service import ExecutionService, Job
 
     job_list = [
         Job(
@@ -75,16 +69,7 @@ def run_service(
             flush=True,
         )
 
-    journal = None
-    if journal_path is not None:
-        journal = BatchJournal(journal_path, resume=resume)
-    try:
-        batch = service.run(
-            job_list, on_result=on_result, journal=journal
-        )
-    finally:
-        if journal is not None:
-            journal.close()
+    batch = service.run(job_list, on_result=on_result)
     for failure in batch.failures:
         print(f"{failure}", flush=True)
         traceback.print_exception(failure.error)
@@ -105,26 +90,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="result cache directory (figures re-run only when their "
-        "configuration changed)",
+        "configuration changed, or when an earlier run did not finish "
+        "them)",
     )
     parser.add_argument(
         "--figures", default=None, metavar="LIST",
         help=f"comma-separated subset of {','.join(FIGURES)}",
     )
-    parser.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="crash-safe batch journal; with --resume, finished "
-        "figures recorded there replay instead of recomputing",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted run from the --journal file",
-    )
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
-    if args.resume and not args.journal:
-        parser.error("--resume requires --journal PATH")
 
     figures = FIGURES
     if args.figures:
@@ -135,8 +110,7 @@ def main(argv: list[str] | None = None) -> int:
 
     os.makedirs(args.output_dir, exist_ok=True)
     failed = run_service(
-        figures, args.scale, args.output_dir, args.jobs,
-        args.cache_dir, args.journal, args.resume,
+        figures, args.scale, args.output_dir, args.jobs, args.cache_dir
     )
     if failed:
         print(

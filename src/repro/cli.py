@@ -17,9 +17,9 @@ Failures surface as one-line messages on stderr with distinct exit
 codes per error family (see :data:`repro.errors.EXIT_CODES`), never as
 tracebacks. The robustness-relevant codes (``docs/chaos.md``):
 ``10`` simulation timeout, ``12`` worker crash or a worker that could
-not be spawned, ``14`` corrupt batch journal (``batch --journal ...
---resume``). A killed ``analyze`` run is rerun; a killed ``batch``
-resumes from its journal.
+not be spawned. A killed ``analyze`` run is rerun; a killed or failed
+``batch`` is rerun with the same ``--cache-dir``, which recomputes only
+the points it does not hold.
 """
 
 from __future__ import annotations
@@ -169,22 +169,12 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="result cache directory; unchanged points are served "
-        "from cache",
+        "from cache, so rerunning a killed or failed batch with the "
+        "same DIR recomputes only the unfinished points",
     )
     batch.add_argument(
         "--jsonl", default=None, metavar="PATH",
         help="stream one JSON line per completed point to this file",
-    )
-    batch.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="write a crash-safe batch journal (append-only JSONL) to "
-        "PATH; with --resume, finished points recorded there are "
-        "replayed instead of recomputed",
-    )
-    batch.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted batch from the --journal file "
-        "(recomputes only the unfinished points)",
     )
     batch.add_argument(
         "--csv", default=None, metavar="PATH",
@@ -193,10 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="per-point wall-clock budget (seconds > 0)",
-    )
-    batch.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="extra attempts per failing point (default 0)",
     )
     batch.add_argument(
         "--quiet", action="store_true",
@@ -392,11 +378,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not points:
         raise ConfigurationError("the requested grid is empty")
 
-    if args.resume and not args.journal:
-        raise ConfigurationError(
-            "--resume requires --journal PATH (the journal to resume "
-            "from)"
-        )
     bus = EventBus()
     meter = BatchProgressMeter(total=len(points)).attach(bus)
     if not args.quiet:
@@ -408,9 +389,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                   flush=True)
 
         def _print_failed(event) -> None:
-            stage = "FAILED" if event.final else "retrying"
             print(
-                f"  [{meter.status_line()}] {event.label} {stage}: "
+                f"  [{meter.status_line()}] {event.label} FAILED: "
                 f"{event.error_type}: {event.message}",
                 flush=True,
             )
@@ -422,23 +402,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         f"batch: {len(points)} point(s) at scale {args.scale!r} on "
         f"{args.jobs} worker(s)"
         + (f", cache {args.cache_dir}" if args.cache_dir else "")
-        + (
-            f", journal {args.journal}"
-            + (" (resume)" if args.resume else "")
-            if args.journal else ""
-        )
     )
     result = run_sweep(
         points,
         scale=args.scale,
         timeout_s=args.timeout,
-        retries=args.retries,
         jobs=args.jobs,
         cache=args.cache_dir,
         bus=bus,
         jsonl_path=args.jsonl,
-        journal_path=args.journal,
-        resume=args.resume,
     )
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:

@@ -252,9 +252,9 @@ class CpuSystem:
                 add a wall-clock budget or change the stall threshold.
                 Stacks check their own exactness either way.
 
-        A killed run is not resumed: rerun it. Batches restart point by
-        point from their journal (``dram-stacks batch --journal PATH
-        --resume``).
+        A killed run is not resumed: rerun it. A killed batch is rerun
+        with the same result cache (``dram-stacks batch --cache-dir
+        DIR``), which recomputes only the unfinished points.
         """
         traces = list(traces)
         if len(traces) != len(self.cores):

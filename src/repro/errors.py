@@ -107,8 +107,8 @@ class WorkerCrashError(ReproError):
     Raised on the submitting side when a worker process exits abnormally
     (segfault, ``os._exit``, OOM kill) mid-job, and used to wrap
     non-Repro exceptions escaping a job executor. The pool isolates the
-    crash: the job is retried or failed, the rest of the batch proceeds
-    on a respawned worker.
+    crash: the job fails, the rest of the batch proceeds on a
+    respawned worker, and rerunning the batch reruns the failed job.
     """
 
 
@@ -117,21 +117,11 @@ class WorkerSpawnError(WorkerCrashError):
 
     Distinct from a mid-job crash: no job was lost, the pool simply
     failed to bring a worker up (spawn resource exhaustion, a broken
-    interpreter). The execution service does not retry or fall back:
-    the error ends the batch, whose journal (if any) already holds
-    every job that finished before it. Shares the
-    :class:`WorkerCrashError` exit code (12).
-    """
-
-
-class JournalCorruptError(ReproError):
-    """A batch journal could not be replayed.
-
-    Raised when a journal file's header is missing/foreign or a
-    non-final record does not parse — resuming from it could silently
-    skip or duplicate work. A *truncated final line* (the normal result
-    of a crash mid-append) is not corruption; it is dropped and the
-    journal remains resumable.
+    interpreter). The execution service does not fall back: the error
+    ends the batch, whose result cache (if any) already holds every
+    job that finished before it, so a rerun with the same cache
+    recomputes only the rest. Shares the :class:`WorkerCrashError`
+    exit code (12).
     """
 
 
@@ -147,9 +137,8 @@ EXIT_CODES: dict[type, int] = {
     SimulationStalledError: 9,
     SimulationTimeoutError: 10,
     WorkerCrashError: 12,
-    # 11 and 13 are retired and stay unassigned, so a script that
-    # branched on either never misreads a newer error.
-    JournalCorruptError: 14,
+    # 11, 13 and 14 are retired and stay unassigned, so a script that
+    # branched on any of them never misreads a newer error.
 }
 
 

@@ -10,7 +10,8 @@ Every grid point is an independent, deterministic job, and
 (:mod:`repro.service`): ``jobs=1`` runs the points inline, in-process;
 ``jobs=N`` fans them out over N spawn workers; ``cache=...`` adds
 fingerprint-keyed result reuse. Per-point ``fingerprint`` digests are
-identical either way.
+identical either way. A killed or failed sweep is resumed by rerunning
+it with the same cache: only the points not already cached recompute.
 """
 
 from __future__ import annotations
@@ -100,16 +101,15 @@ class SweepRecord:
 
 @dataclass
 class SweepFailure:
-    """A sweep point that kept failing after all retries."""
+    """A sweep point that failed, with the typed error it failed with."""
 
     point: SweepPoint
     error: ReproError
-    attempts: int
 
     def __str__(self) -> str:
         return (
-            f"{self.point.label}: {type(self.error).__name__} after "
-            f"{self.attempts} attempt(s): {self.error}"
+            f"{self.point.label}: {type(self.error).__name__}: "
+            f"{self.error}"
         )
 
     def to_json_dict(self) -> dict:
@@ -119,7 +119,6 @@ class SweepFailure:
             "point": dataclasses.asdict(self.point),
             "error_type": type(self.error).__name__,
             "message": str(self.error),
-            "attempts": self.attempts,
         }
 
 
@@ -227,13 +226,10 @@ def run_sweep(
     scale: str | ExperimentScale = "ci",
     progress=None,
     timeout_s: float | None = None,
-    retries: int = 0,
     jobs: int = 1,
     cache=None,
     bus=None,
     jsonl_path: str | None = None,
-    journal_path: str | None = None,
-    resume: bool = False,
 ) -> SweepResult:
     """Run every point on the execution service.
 
@@ -242,11 +238,7 @@ def run_sweep(
     Args:
         timeout_s: wall-clock budget per point (None, or seconds > 0).
             A point that exceeds it fails with
-            :class:`~repro.errors.SimulationTimeoutError` and is
-            retried like any other failure.
-        retries: extra attempts per failing point (so ``retries=2``
-            means up to three runs of that point), each re-queued at
-            once.
+            :class:`~repro.errors.SimulationTimeoutError`.
         jobs: worker processes, passed to
             :class:`~repro.service.service.ExecutionService` unchanged.
             1 (default) runs inline, in-process; N>1 fans the grid out
@@ -255,77 +247,52 @@ def run_sweep(
         cache: a :class:`~repro.service.cache.ResultCache`, a cache
             directory path, or None. With a cache, unchanged points are
             served from disk (``record.cached`` is True) and only
-            changed configurations recompute.
+            changed configurations recompute. Every finished point is
+            stored as it completes, so rerunning a killed or failed
+            sweep with the same cache recomputes only the rest, with
+            identical fingerprints.
         bus: an :class:`~repro.core.events.EventBus` receiving
             ``JobStarted`` / ``JobFinished`` / ``JobFailed`` topics for
             live progress (see :mod:`repro.service.events`).
         jsonl_path: stream one JSON line per completed point (and per
-            terminal failure) to this file as the sweep runs — an
-            interrupt loses at most the in-flight points, never the
-            finished ones.
-        journal_path: write a crash-safe batch journal
-            (:class:`~repro.service.journal.BatchJournal`) to this
-            path. With ``resume=True`` an existing journal's finished
-            points are replayed instead of recomputed, so a killed
-            sweep picks up where it died — with identical fingerprints
-            for the replayed points.
-        resume: replay an existing journal at `journal_path` (ignored
-            without one).
+            failure) to this file as the sweep runs — an interrupt
+            loses at most the in-flight points, never the finished
+            ones.
 
-    Failing points never abort the sweep: after their retries they are
-    recorded in ``result.failures`` and the sweep moves on, so a
-    mostly-healthy grid still reports its healthy part. A worker that
-    cannot be spawned raises :class:`~repro.errors.WorkerSpawnError`.
+    Failing points never abort the sweep: they are recorded in
+    ``result.failures`` and the sweep moves on, so a mostly-healthy
+    grid still reports its healthy part. A worker that cannot be
+    spawned raises :class:`~repro.errors.WorkerSpawnError`.
 
     To profile a whole sweep, run it under ``python -m cProfile``;
     ``dram-stacks analyze --profile`` profiles a single point.
     """
     # Imported here so that importing the experiments package never
     # loads the service (or multiprocessing).
-    from repro.service.journal import BatchJournal
     from repro.service.service import ExecutionService
 
     job_list = [point_job(point, scale, timeout_s) for point in points]
-    service = ExecutionService(
-        workers=jobs, cache=cache, bus=bus, retries=retries
-    )
-    journal = None
-    if journal_path is not None:
-        journal = BatchJournal(journal_path, resume=resume)
+    service = ExecutionService(workers=jobs, cache=cache, bus=bus)
     by_index: dict[int, SweepRecord] = {}
-    try:
-        with _jsonl_writer(jsonl_path) as emit_line:
+    with _jsonl_writer(jsonl_path) as emit_line:
 
-            def on_result(index, job, payload, cached):
-                record = _record_from_payload(
-                    points[index], payload, cached
-                )
-                by_index[index] = record
-                emit_line(record.to_json_dict())
-                if progress is not None:
-                    progress(record)
+        def on_result(index, job, payload, cached):
+            record = _record_from_payload(points[index], payload, cached)
+            by_index[index] = record
+            emit_line(record.to_json_dict())
+            if progress is not None:
+                progress(record)
 
-            batch = service.run(
-                job_list, on_result=on_result, journal=journal
+        batch = service.run(job_list, on_result=on_result)
+        result = SweepResult(
+            records=[by_index[i] for i in range(len(points)) if i in by_index],
+        )
+        for failure in batch.failures:
+            sweep_failure = SweepFailure(
+                point=points[failure.index], error=failure.error
             )
-            result = SweepResult(
-                records=[
-                    by_index[i]
-                    for i in range(len(points))
-                    if i in by_index
-                ],
-            )
-            for failure in batch.failures:
-                sweep_failure = SweepFailure(
-                    point=points[failure.index],
-                    error=failure.error,
-                    attempts=failure.attempts,
-                )
-                result.failures.append(sweep_failure)
-                emit_line(sweep_failure.to_json_dict())
-    finally:
-        if journal is not None:
-            journal.close()
+            result.failures.append(sweep_failure)
+            emit_line(sweep_failure.to_json_dict())
     return result
 
 

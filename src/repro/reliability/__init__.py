@@ -1,8 +1,9 @@
 """Simulation guardrails: watchdog, invariant auditing, wall-clock budget.
 
 This package keeps long simulations trustworthy. A killed run is not
-resumed mid-way: it is rerun, and a killed batch restarts point by point
-from its journal (:mod:`repro.service.journal`).
+resumed mid-way: it is rerun, and a killed batch is rerun against its
+result cache (:mod:`repro.service.cache`), which recomputes only the
+points that had not finished.
 
 * :mod:`~repro.reliability.watchdog` — forward-progress watchdog that
   turns scheduler livelocks into a diagnosable

@@ -3,7 +3,8 @@
 The batch backbone of the repo: deterministic, content-addressed jobs
 (:mod:`~repro.service.job`), a crash-isolating multiprocess worker pool
 (:mod:`~repro.service.pool`), a fingerprint-keyed on-disk result cache
-(:mod:`~repro.service.cache`), and the orchestrating
+(:mod:`~repro.service.cache`) that is also the record a rerun resumes
+from, and the orchestrating
 :class:`~repro.service.service.ExecutionService` that the sweep
 harness, ``scripts/run_all_figures.py`` and the ``dram-stacks batch``
 CLI all run on, at every worker count. Progress is published as typed
@@ -39,19 +40,16 @@ from repro.service.executors import (
     stack_to_payload,
 )
 from repro.service.job import JOB_FORMAT, Job
-from repro.service.journal import JOURNAL_FORMAT, BatchJournal
-from repro.service.pool import PoolEvent, WorkerPool, default_worker_count
+from repro.service.pool import PoolEvent, WorkerPool
 from repro.service.service import BatchResult, ExecutionService, JobFailure
 
 __all__ = [
-    "BatchJournal",
     "BatchResult",
     "CacheStats",
     "DEFAULT_CACHE_DIR",
     "EXECUTORS",
     "ExecutionService",
     "JOB_FORMAT",
-    "JOURNAL_FORMAT",
     "Job",
     "JobFailed",
     "JobFailure",
@@ -60,7 +58,6 @@ __all__ = [
     "PoolEvent",
     "ResultCache",
     "WorkerPool",
-    "default_worker_count",
     "execute_job",
     "stack_from_payload",
     "stack_to_payload",

@@ -19,16 +19,21 @@ Entry format (one JSON file per result)::
       "payload": {... executor payload ...}
     }
 
+The cache is the one record of finished work: every job is stored as
+it completes, so a killed or failed batch is resumed by rerunning it
+against the same cache. Entries are never evicted; a cache is deleted
+by hand.
+
 Robustness — the explicit error policy: **``get`` and ``put`` never
-raise**. Writes are atomic (temp file + ``os.replace``); unreadable or
-mismatched entries count as misses and are deleted (an
+raise**. Writes are atomic and durable (temp file, ``fsync``, then
+``os.replace``); unreadable or mismatched entries, and entries whose
+payload is not a dict, count as misses and are deleted (an
 ``invalid-entry`` self-heal); an IO error on either side is counted in
 :class:`CacheStats` and absorbed one call at a time — that lookup is a
 miss, that write is skipped — so a full or failing disk costs reuse,
-never results: every miss simply recomputes. :meth:`ResultCache.evict`
-prunes by entry count and/or age (oldest write time first). Nothing
-here locks — concurrent writers of the same digest race benignly
-because they write identical content.
+never results: every miss simply recomputes. Nothing here locks —
+concurrent writers of the same digest race benignly because they write
+identical content.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import ConfigurationError
 from repro.service.job import JOB_FORMAT, Job
 
 #: Conventional cache root, relative to the working directory.
@@ -73,23 +77,13 @@ class ResultCache:
 
     Args:
         root: cache directory (created lazily on first write).
-        max_entries: soft cap enforced by :meth:`evict`; ``None`` means
-            unbounded. :meth:`put` auto-evicts past ``2 * max_entries``
-            so long-running batches cannot grow the directory without
-            bound between explicit evictions.
     """
 
     root: str | Path = DEFAULT_CACHE_DIR
-    max_entries: int | None = None
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
-        if self.max_entries is not None and self.max_entries < 1:
-            raise ConfigurationError(
-                f"ResultCache.max_entries must be >= 1 or None, "
-                f"got {self.max_entries!r}"
-            )
 
     # ------------------------------------------------------------------
     def path_for(self, digest: str) -> Path:
@@ -99,8 +93,9 @@ class ResultCache:
     def get(self, digest: str) -> dict | None:
         """The cached payload for `digest`, or None on a miss.
 
-        Never raises. Corrupt files, foreign formats, and digest
-        mismatches are treated as misses and removed so they cannot
+        Never raises. Corrupt files (bad JSON or bytes that are not
+        UTF-8), foreign formats, digest mismatches and payloads that
+        are not a dict are treated as misses and removed so they cannot
         mask themselves as hits forever; an IO error is counted
         (``stats.read_errors``) and the lookup is a miss.
         """
@@ -110,7 +105,7 @@ class ResultCache:
         except FileNotFoundError:
             self.stats.misses += 1
             return None
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError and UnicodeDecodeError
             self._heal(path)
             return None
         except OSError:
@@ -121,7 +116,7 @@ class ResultCache:
             not isinstance(entry, dict)
             or entry.get("format") != JOB_FORMAT
             or entry.get("digest") != digest
-            or "payload" not in entry
+            or not isinstance(entry.get("payload"), dict)
         ):
             self._heal(path)
             return None
@@ -150,92 +145,38 @@ class ResultCache:
             self.stats.write_errors += 1
             return None
         self.stats.writes += 1
-        if self.max_entries is not None:
-            # Opportunistic pruning: only scan the directory once the
-            # cap could plausibly be doubled, to keep put() O(1)-ish.
-            if self.stats.writes % self.max_entries == 0:
-                self.evict()
         return path
 
     # ------------------------------------------------------------------
     # IO seams (overridden by the tests' fault-injecting cache)
     # ------------------------------------------------------------------
     def _read_entry(self, path: Path, digest: str) -> dict:
-        """Read and parse one entry file (raises OSError/JSON errors)."""
+        """Read and parse one entry file (raises OSError/ValueError)."""
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
 
     def _write_entry(self, path: Path, digest: str, body: str) -> None:
-        """Atomically write one entry file (raises OSError)."""
+        """Atomically and durably write one entry file (raises OSError).
+
+        The temporary file is flushed and fsync'd before it replaces
+        the entry, so an entry that exists after a crash is complete.
+        """
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
-            tmp.write_text(body, encoding="utf-8")
+            with open(tmp, "w", encoding="utf-8") as handle:
+                handle.write(body)
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
 
     def _heal(self, path: Path) -> None:
         """Drop a corrupt entry: count it and treat it as a miss."""
-        self._drop(path)
-        self.stats.invalid += 1
-        self.stats.misses += 1
-
-    # ------------------------------------------------------------------
-    def entries(self) -> list[Path]:
-        """All entry files, oldest modification time first."""
-        if not self.root.is_dir():
-            return []
-        found = sorted(
-            self.root.glob("??/*.json"),
-            key=lambda p: (p.stat().st_mtime, p.name),
-        )
-        return found
-
-    def __len__(self) -> int:
-        return len(self.entries())
-
-    def evict(
-        self,
-        max_entries: int | None = None,
-        max_age_s: float | None = None,
-    ) -> int:
-        """Prune old entries; returns how many were removed.
-
-        ``max_entries`` defaults to the cache's configured cap; entries
-        beyond it are removed oldest-first. ``max_age_s`` additionally
-        removes anything last written more than that many seconds ago.
-        """
-        if max_entries is None:
-            max_entries = self.max_entries
-        removed = 0
-        entries = self.entries()
-        if max_age_s is not None:
-            cutoff = time.time() - max_age_s
-            fresh = []
-            for path in entries:
-                if path.stat().st_mtime < cutoff:
-                    self._drop(path)
-                    removed += 1
-                else:
-                    fresh.append(path)
-            entries = fresh
-        if max_entries is not None and len(entries) > max_entries:
-            for path in entries[: len(entries) - max_entries]:
-                self._drop(path)
-                removed += 1
-        return removed
-
-    def clear(self) -> int:
-        """Remove every entry; returns how many were removed."""
-        removed = 0
-        for path in self.entries():
-            self._drop(path)
-            removed += 1
-        return removed
-
-    def _drop(self, path: Path) -> None:
         try:
             path.unlink(missing_ok=True)
         except OSError:
-            return
+            pass
+        self.stats.invalid += 1
+        self.stats.misses += 1

@@ -6,12 +6,11 @@ typed topics instead of polling service internals. Built-in subscribers:
 :class:`repro.viz.live.BatchProgressMeter` (rolling counters + status
 line) and the CLI ``batch`` subcommand's per-job printer.
 
-Lifecycle per job: one :class:`JobStarted` per *attempt*, then exactly
-one of :class:`JobFinished` (success — possibly served from cache, see
-``cached``) or :class:`JobFailed`. A retried job therefore emits
-``JobStarted``/``JobFailed(final=False)`` pairs before its terminal
-event; ``JobFailed(final=True)`` means the job's retries are spent
-and it will appear in the batch's failure list.
+Lifecycle per job: one :class:`JobStarted` when it begins executing
+(none for a cache hit), then exactly one of :class:`JobFinished`
+(success — possibly served from cache, see ``cached``) or
+:class:`JobFailed`, which means the job appears in the batch's failure
+list.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class JobStarted:
-    """One attempt at a job began executing (never fired for cache hits).
+    """A job began executing (never fired for cache hits).
 
     ``worker`` is the pool worker id, or -1 for inline execution.
     """
@@ -35,7 +34,6 @@ class JobStarted:
     index: int
     digest: str
     label: str
-    attempt: int
     worker: int
 
 
@@ -52,18 +50,15 @@ class JobFinished:
     digest: str
     label: str
     elapsed_s: float
-    attempts: int
     cached: bool
 
 
 @dataclass(frozen=True, slots=True)
 class JobFailed:
-    """One attempt at a job failed.
+    """A job failed.
 
-    ``final`` distinguishes an attempt that will be retried
-    (``False``) from the terminal failure after the job's last retry
-    (``True``). ``error_type`` is the :class:`~repro.errors.ReproError`
-    subclass name (``"WorkerCrashError"`` for hard worker deaths).
+    ``error_type`` is the :class:`~repro.errors.ReproError` subclass
+    name (``"WorkerCrashError"`` for hard worker deaths).
     """
 
     index: int
@@ -71,5 +66,3 @@ class JobFailed:
     label: str
     error_type: str
     message: str
-    attempt: int
-    final: bool

@@ -30,7 +30,6 @@ import os
 import sys
 import time
 from contextlib import redirect_stdout
-from typing import Any
 
 from repro.errors import (
     ConfigurationError,
@@ -115,8 +114,6 @@ class SyntheticExecutor:
     ``"reference"``; omit for the default so cache keys stay warm).
     """
 
-    cacheable = True
-
     def execute(self, job: Job) -> dict:
         from repro.experiments.runner import run_synthetic
 
@@ -151,8 +148,6 @@ class QosExecutor:
     fairness ratio — so a scheduler-weight sweep through the result
     cache replays full QoS data on a hit.
     """
-
-    cacheable = True
 
     def execute(self, job: Job) -> dict:
         from repro.experiments.runner import run_qos
@@ -203,8 +198,6 @@ class GapExecutor:
     synthetic graph.
     """
 
-    cacheable = True
-
     def execute(self, job: Job) -> dict:
         from repro.experiments.runner import run_gap
 
@@ -236,8 +229,6 @@ class FigureExecutor:
     cache hit replays the text but assumes the SVGs from the original
     run are still on disk (see ``docs/service.md``).
     """
-
-    cacheable = True
 
     def execute(self, job: Job) -> dict:
         import importlib
@@ -278,62 +269,33 @@ class ProbeExecutor:
 
     Exercises every failure path of the pool and service without
     touching the simulator — it is the service's one fault injector.
+    Its payload depends only on its config, like every other kind's.
     ``job.config`` keys:
 
     * ``sleep_s`` — busy-wait this long before returning or failing
-      (drives the hard-kill timeout path; deliberately ignores guards).
-    * ``marker_dir`` — directory used to count attempts across retries
-      and processes (one token file is created per attempt, before any
-      scripted fault, so a killed attempt still counts).
-    * ``hang_times`` — on the first N attempts, busy-wait ``sleep_s``
-      and then raise :class:`SimulationTimeoutError`, as a cooperative
-      guard would; later attempts skip the wait. In a pool, a
-      ``sleep_s`` past the job's hard-kill deadline gets the worker
-      killed mid-wait instead.
-    * ``fail_times`` — raise :class:`SimulationTimeoutError` on the
-      first N attempts (requires ``marker_dir`` to ever succeed).
-    * ``crash_times`` — die via ``os._exit`` on the first N attempts
-      when running inside a worker process (crash isolation path); in
-      inline mode it raises :class:`WorkerCrashError` instead.
+      (drives the hard-kill timeout path; deliberately ignores guards,
+      so in a pool a ``sleep_s`` past the job's hard-kill deadline gets
+      the worker killed mid-wait).
+    * ``crash`` — when true, die via ``os._exit`` inside a worker
+      process (crash isolation path); in inline mode raise
+      :class:`WorkerCrashError` instead.
+    * ``fail`` — when true, raise :class:`SimulationTimeoutError`, as a
+      cooperative guard catching a stall would.
     * ``value`` — payload content to return on success.
-
-    Probe results are never cached (``cacheable = False``).
     """
-
-    cacheable = False
 
     def execute(self, job: Job) -> dict:
         config = dict(job.config)
-        attempt = 1
-        marker_dir = config.get("marker_dir")
-        if marker_dir:
-            os.makedirs(marker_dir, exist_ok=True)
-            stem = f"probe-{job.digest()[:16]}"
-            attempt = len(
-                [n for n in os.listdir(marker_dir) if n.startswith(stem)]
-            ) + 1
-            with open(
-                os.path.join(marker_dir, f"{stem}-{attempt:03d}.token"),
-                "w",
-            ):
-                pass
-        hang_times = int(config.get("hang_times", 0))
         sleep_s = float(config.get("sleep_s", 0.0))
-        if sleep_s and (not hang_times or attempt <= hang_times):
+        if sleep_s:
             deadline = time.monotonic() + sleep_s
             while time.monotonic() < deadline:
                 time.sleep(min(0.05, sleep_s))
-        if attempt <= hang_times:
-            raise SimulationTimeoutError(
-                f"probe scripted hang of {sleep_s}s (attempt {attempt})"
-            )
-        if attempt <= int(config.get("crash_times", 0)):
+        if config.get("crash"):
             self._crash()
-        if attempt <= int(config.get("fail_times", 0)):
-            raise SimulationTimeoutError(
-                f"probe scripted failure (attempt {attempt})"
-            )
-        return {"value": config.get("value"), "attempt": attempt}
+        if config.get("fail"):
+            raise SimulationTimeoutError("probe scripted failure")
+        return {"value": config.get("value")}
 
     @staticmethod
     def _crash() -> None:
@@ -354,13 +316,13 @@ EXECUTORS = {
 }
 
 
-def execute_job(job: Job) -> tuple[dict, bool]:
-    """Run `job` with the executor of its kind.
+def execute_job(job: Job) -> dict:
+    """Run `job` with the executor of its kind and return its payload.
 
-    Returns ``(payload, cacheable)``. Raises :class:`ReproError`
-    subclasses for anything that goes wrong; non-Repro exceptions from
-    executors are wrapped in :class:`WorkerCrashError` so callers only
-    ever see the library's error hierarchy.
+    Raises :class:`ReproError` subclasses for anything that goes wrong;
+    non-Repro exceptions from executors are wrapped in
+    :class:`WorkerCrashError` so callers only ever see the library's
+    error hierarchy.
     """
     executor = require_choice("job executor", job.kind, EXECUTORS)()
     try:
@@ -372,4 +334,4 @@ def execute_job(job: Job) -> tuple[dict, bool]:
             f"{job.kind} executor raised "
             f"{type(error).__name__}: {error}"
         ) from error
-    return payload, bool(getattr(executor, "cacheable", True))
+    return payload

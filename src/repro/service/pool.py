@@ -22,9 +22,9 @@ Failure semantics (the crash-isolation contract):
   :class:`~repro.errors.SimulationTimeoutError` first and the kill only
   catches code that stopped reaching guard ticks at all.
 
-Retry policy deliberately lives one layer up, in
-:class:`repro.service.service.ExecutionService` — the pool executes
-each dispatched attempt exactly once.
+The pool executes each dispatched job exactly once; a failed job is
+rerun only by rerunning its batch
+(:class:`repro.service.service.ExecutionService`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.errors import ConfigurationError, WorkerSpawnError
 from repro.service.job import Job
@@ -49,7 +48,7 @@ HARD_KILL_GRACE_S = 0.25
 class PoolEvent:
     """One thing that happened in the pool, observed by :meth:`poll`.
 
-    ``kind`` is ``"ok"`` (``body`` has ``payload``/``cacheable``),
+    ``kind`` is ``"ok"`` (``body`` has ``payload``),
     ``"error"`` (``body`` has ``type``/``message``/``traceback``),
     ``"crashed"`` (``body`` has ``exitcode``) or ``"timeout"``.
     """
@@ -292,28 +291,10 @@ class WorkerPool:
             self._idle.remove(worker_id)
         self._spawn_worker()
 
-    # ------------------------------------------------------------------
-    def next_deadline_in(self) -> float | None:
-        """Seconds until the nearest in-flight hard deadline (or None)."""
-        deadlines = [
-            deadline
-            for _, deadline in self._in_flight.values()
-            if deadline is not None
-        ]
-        if not deadlines:
-            return None
-        return max(0.0, min(deadlines) - time.monotonic())
-
-
-def default_worker_count() -> int:
-    """A sensible ``--jobs`` default: all cores, capped at 8."""
-    return max(1, min(os.cpu_count() or 1, 8))
-
 
 __all__ = [
     "WorkerPool",
     "PoolEvent",
-    "default_worker_count",
     "HARD_KILL_FACTOR",
     "HARD_KILL_GRACE_S",
 ]

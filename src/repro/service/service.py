@@ -1,12 +1,11 @@
-"""The execution service: cache-aware, retrying batch orchestration.
+"""The execution service: cache-aware batch orchestration.
 
 :class:`ExecutionService` ties the subsystem together: it takes a list
 of :class:`~repro.service.job.Job` descriptions and produces one
-payload (or terminal failure) per job, consulting the result cache
-before doing any work, fanning execution out over a
+payload (or failure) per job, consulting the result cache before doing
+any work, fanning execution out over a
 :class:`~repro.service.pool.WorkerPool` (or running inline for
-``workers=1``), re-queueing failed attempts at once while retries
-remain, and publishing :mod:`repro.service.events` topics on an
+``workers=1``), and publishing :mod:`repro.service.events` topics on an
 :class:`~repro.core.events.EventBus` for progress consumers.
 
 Determinism: jobs are independent and each runs in a fresh, seeded
@@ -18,16 +17,16 @@ equality).
 
 Robustness (see ``docs/chaos.md`` for the full story):
 
-* **Crash-safe resume** — pass ``journal=`` to :meth:`run` and every
-  terminal outcome is WAL'd (:mod:`repro.service.journal`); a batch
-  killed mid-run resumes recomputing only the unfinished jobs.
-* **Fail fast** — a job that keeps failing ends as a
-  :class:`JobFailure` with its typed error while the rest of the batch
-  completes; a worker that cannot be spawned at all raises
+* **Resume by rerun** — every finished job is written to the result
+  cache as it completes, so a batch that was killed, hit a refused
+  worker spawn, or ended with failures is rerun with the same
+  ``cache=``: only the jobs not already cached recompute.
+* **Fail fast** — a job that fails ends as a :class:`JobFailure` with
+  its typed error while the rest of the batch completes; a worker that
+  cannot be spawned at all raises
   :class:`~repro.errors.WorkerSpawnError` (exit code 12) out of
-  :meth:`ExecutionService.run`, with every job finished before it
-  already journaled. Cache IO errors never fail a job: each one is
-  counted and that lookup or write is skipped.
+  :meth:`ExecutionService.run`. Cache IO errors never fail a job: each
+  one is counted and that lookup or write is skipped.
 
 Inline mode (``workers=1``) executes in-process: no spawn cost, full
 monkeypatch-ability, cooperative timeouts only — crash isolation
@@ -37,7 +36,6 @@ requires a real pool.
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -55,7 +53,6 @@ from repro.service.cache import ResultCache
 from repro.service.events import JobFailed, JobFinished, JobStarted
 from repro.service.executors import execute_job
 from repro.service.job import Job
-from repro.service.journal import BatchJournal
 from repro.service.pool import WorkerPool
 
 #: ``on_result`` callback: (index, job, payload, cached) — called in
@@ -65,17 +62,16 @@ ResultCallback = Callable[[int, Job, dict, bool], None]
 
 @dataclass
 class JobFailure:
-    """A job that kept failing after all of its retries."""
+    """A job that failed, with the typed error it failed with."""
 
     job: Job
     index: int
     error: ReproError
-    attempts: int
 
     def __str__(self) -> str:
         return (
-            f"{self.job.display_label}: {type(self.error).__name__} "
-            f"after {self.attempts} attempt(s): {self.error}"
+            f"{self.job.display_label}: {type(self.error).__name__}: "
+            f"{self.error}"
         )
 
 
@@ -84,12 +80,10 @@ class BatchResult:
     """Everything a batch produced, aligned with the submitted jobs."""
 
     jobs: list[Job]
-    #: One payload per job (None where the job terminally failed).
+    #: One payload per job (None where the job failed).
     payloads: list[dict | None] = field(default_factory=list)
     failures: list[JobFailure] = field(default_factory=list)
     cache_hits: int = 0
-    #: Jobs replayed from a resumed batch journal (not recomputed).
-    journal_hits: int = 0
     executed: int = 0
     elapsed_s: float = 0.0
 
@@ -117,20 +111,19 @@ def _rebuild_error(error_type: str, message: str) -> ReproError:
 
 
 class ExecutionService:
-    """Runs job batches with caching, parallelism, and retries.
+    """Runs job batches with caching and parallelism.
 
     Args:
         workers: worker processes (a positive int); 1 executes inline
             (no subprocess).
         cache: a :class:`ResultCache`, a directory path for one, or
-            None to disable caching.
+            None to disable caching. Rerunning a batch with the same
+            cache recomputes only the jobs it does not hold.
         bus: event bus for :mod:`repro.service.events` topics; a
             private bus is created when omitted (so ``service.bus`` is
             always subscribable).
         timeout_s: default per-job wall-clock budget; a job's own
             ``timeout_s`` takes precedence.
-        retries: extra attempts per failing job, each re-queued at
-            once.
     """
 
     def __init__(
@@ -139,17 +132,11 @@ class ExecutionService:
         cache: ResultCache | str | None = None,
         bus: EventBus | None = None,
         timeout_s: float | None = None,
-        retries: int = 0,
     ) -> None:
         if not isinstance(workers, int) or workers < 1:
             raise ConfigurationError(
                 f"ExecutionService(workers=...) must be a positive int, "
                 f"got {workers!r}"
-            )
-        if retries < 0:
-            raise ConfigurationError(
-                f"ExecutionService(retries=...) must be >= 0, "
-                f"got {retries!r}"
             )
         self.workers = workers
         if isinstance(cache, (str, bytes)) or hasattr(cache, "__fspath__"):
@@ -157,94 +144,40 @@ class ExecutionService:
         self.cache = cache
         self.bus = bus if bus is not None else EventBus()
         self.timeout_s = timeout_s
-        self.retries = retries
-        self._journal: BatchJournal | None = None
 
     # ------------------------------------------------------------------
     def run(
         self,
         jobs: Sequence[Job],
         on_result: ResultCallback | None = None,
-        journal: BatchJournal | str | os.PathLike | None = None,
     ) -> BatchResult:
         """Execute `jobs`; returns payloads aligned with the input order.
 
-        Failing jobs never abort the batch: after their retries they
-        are recorded in ``result.failures`` and everything else still
-        completes. A worker that cannot be spawned raises
-        :class:`~repro.errors.WorkerSpawnError`; with a journal, every
-        job finished before it is already recorded there.
-
-        Args:
-            journal: a :class:`~repro.service.journal.BatchJournal`, or
-                a path for one (opened with ``resume=True``, so an
-                existing journal's finished jobs are replayed instead
-                of recomputed). Every terminal outcome is appended as
-                it happens, making the batch crash-resumable.
+        Failing jobs never abort the batch: they are recorded in
+        ``result.failures`` and everything else still completes. A
+        worker that cannot be spawned raises
+        :class:`~repro.errors.WorkerSpawnError`; with a cache, every
+        job finished before it is already stored there.
         """
         jobs = list(jobs)
-        own_journal = False
-        if journal is not None and not isinstance(journal, BatchJournal):
-            journal = BatchJournal(journal, resume=True)
-            own_journal = True
         started = time.perf_counter()
         result = BatchResult(jobs=jobs, payloads=[None] * len(jobs))
-        self._journal = journal
-        try:
-            pending = self._replay_journal(jobs, result, on_result)
-            if pending:
-                if self.workers == 1:
-                    self._run_inline(pending, result, on_result)
-                else:
-                    self._run_pooled(pending, result, on_result)
-        finally:
-            self._journal = None
-            if own_journal:
-                journal.close()
+        # Each item is (index, effective job, digest): the job with the
+        # service default timeout applied, its digest computed once.
+        items = [
+            (index, job, job.digest())
+            for index, job in enumerate(map(self._effective, jobs))
+        ]
+        if self.workers == 1:
+            self._run_inline(items, result, on_result)
+        else:
+            self._run_pooled(items, result, on_result)
         result.elapsed_s = time.perf_counter() - started
         return result
 
     # ------------------------------------------------------------------
     # Shared pieces
     # ------------------------------------------------------------------
-    def _replay_journal(
-        self,
-        jobs: list[Job],
-        result: BatchResult,
-        on_result: ResultCallback | None,
-    ) -> list[tuple[int, Job, str]]:
-        """Serve journaled jobs; returns the still-pending work items.
-
-        Each item is ``(index, effective_job, digest)`` — the job with
-        the service default timeout applied and its content digest,
-        computed exactly once per batch.
-        """
-        pending: list[tuple[int, Job, str]] = []
-        completed = (
-            self._journal.completed if self._journal is not None else {}
-        )
-        for index, job in enumerate(jobs):
-            job = self._effective(job)
-            digest = job.digest()
-            replay = completed.get(digest)
-            if replay is None:
-                pending.append((index, job, digest))
-                continue
-            payload, _cacheable = replay
-            result.payloads[index] = payload
-            result.journal_hits += 1
-            self.bus.publish(JobFinished(
-                index=index,
-                digest=digest,
-                label=job.display_label,
-                elapsed_s=0.0,
-                attempts=0,
-                cached=True,
-            ))
-            if on_result is not None:
-                on_result(index, job, payload, True)
-        return pending
-
     def _effective(self, job: Job) -> Job:
         """Apply the service-level default timeout to a job."""
         if job.timeout_s is None and self.timeout_s is not None:
@@ -268,16 +201,11 @@ class ExecutionService:
             return False
         result.payloads[index] = payload
         result.cache_hits += 1
-        if self._journal is not None:
-            self._journal.record_done(
-                digest, job.display_label, payload, True
-            )
         self.bus.publish(JobFinished(
             index=index,
             digest=digest,
             label=job.display_label,
             elapsed_s=time.perf_counter() - lookup_start,
-            attempts=0,
             cached=True,
         ))
         if on_result is not None:
@@ -290,65 +218,41 @@ class ExecutionService:
         job: Job,
         digest: str,
         payload: dict,
-        cacheable: bool,
-        attempts: int,
         elapsed_s: float,
         result: BatchResult,
         on_result: ResultCallback | None,
     ) -> None:
-        if self.cache is not None and cacheable:
+        if self.cache is not None:
             self.cache.put(job, payload)
         result.payloads[index] = payload
         result.executed += 1
-        if self._journal is not None:
-            self._journal.record_done(
-                digest, job.display_label, payload, cacheable
-            )
         self.bus.publish(JobFinished(
             index=index,
             digest=digest,
             label=job.display_label,
             elapsed_s=elapsed_s,
-            attempts=attempts,
             cached=False,
         ))
         if on_result is not None:
             on_result(index, job, payload, False)
 
-    def _fail_attempt(
+    def _fail(
         self,
         index: int,
         job: Job,
         digest: str,
         error: ReproError,
-        attempt: int,
         result: BatchResult,
-    ) -> bool:
-        """Publish a failed attempt; returns True when the job retries.
-
-        A job past its last retry is recorded as a terminal failure
-        (and journaled).
-        """
-        retry = attempt <= self.retries
+    ) -> None:
+        """Publish and record one failed job."""
         self.bus.publish(JobFailed(
             index=index,
             digest=digest,
             label=job.display_label,
             error_type=type(error).__name__,
             message=str(error),
-            attempt=attempt,
-            final=not retry,
         ))
-        if not retry:
-            result.failures.append(JobFailure(
-                job=job, index=index, error=error, attempts=attempt
-            ))
-            if self._journal is not None:
-                self._journal.record_failed(
-                    digest, job.display_label,
-                    type(error).__name__, str(error), attempt,
-                )
-        return retry
+        result.failures.append(JobFailure(job=job, index=index, error=error))
 
     # ------------------------------------------------------------------
     # Inline execution (workers=1)
@@ -362,30 +266,22 @@ class ExecutionService:
         for index, job, digest in items:
             if self._try_cache(index, job, digest, result, on_result):
                 continue
-            attempt = 0
-            while True:
-                attempt += 1
-                self.bus.publish(JobStarted(
-                    index=index,
-                    digest=digest,
-                    label=job.display_label,
-                    attempt=attempt,
-                    worker=-1,
-                ))
-                attempt_start = time.perf_counter()
-                try:
-                    payload, cacheable = execute_job(job)
-                except ReproError as error:
-                    if self._fail_attempt(
-                        index, job, digest, error, attempt, result
-                    ):
-                        continue
-                    break
-                self._finish(
-                    index, job, digest, payload, cacheable, attempt,
-                    time.perf_counter() - attempt_start, result, on_result,
-                )
-                break
+            self.bus.publish(JobStarted(
+                index=index,
+                digest=digest,
+                label=job.display_label,
+                worker=-1,
+            ))
+            start = time.perf_counter()
+            try:
+                payload = execute_job(job)
+            except ReproError as error:
+                self._fail(index, job, digest, error, result)
+                continue
+            self._finish(
+                index, job, digest, payload,
+                time.perf_counter() - start, result, on_result,
+            )
 
     # ------------------------------------------------------------------
     # Pooled execution
@@ -397,39 +293,33 @@ class ExecutionService:
         on_result: ResultCallback | None,
     ) -> None:
         """Pooled execution; a spawn failure propagates out of the pool."""
-        jobs_by_index = {index: job for index, job, _ in items}
-        digests = {index: digest for index, _, digest in items}
         # Cache hits are resolved before the pool exists, so a fully
         # warm batch never pays worker-spawn cost at all. Each job is
         # looked up exactly once.
-        pending: deque[tuple[int, int]] = deque(
-            (index, 1)
-            for index, job, digest in items
-            if not self._try_cache(index, job, digest, result, on_result)
+        pending = deque(
+            item for item in items
+            if not self._try_cache(*item, result, on_result)
         )
         if not pending:
             return
-        #: task_id -> (index, attempt, start_perf)
-        in_flight: dict[int, tuple[int, int, float]] = {}
+        #: task_id -> (index, job, digest, start_perf)
+        in_flight: dict[int, tuple[int, Job, str, float]] = {}
         next_task_id = 0
         with WorkerPool(self.workers) as pool:
             while pending or in_flight:
-                # Dispatch while workers are idle: first attempts in
-                # index order, then retries in the order they failed.
+                # Dispatch in index order while workers are idle.
                 while pending and pool.idle_workers:
-                    index, attempt = pending.popleft()
-                    job = jobs_by_index[index]
+                    index, job, digest = pending.popleft()
                     worker_id = pool.dispatch(
                         next_task_id, job, job.timeout_s
                     )
                     in_flight[next_task_id] = (
-                        index, attempt, time.perf_counter()
+                        index, job, digest, time.perf_counter()
                     )
                     self.bus.publish(JobStarted(
                         index=index,
-                        digest=digests[index],
+                        digest=digest,
                         label=job.display_label,
-                        attempt=attempt,
                         worker=worker_id,
                     ))
                     next_task_id += 1
@@ -437,14 +327,10 @@ class ExecutionService:
                     info = in_flight.pop(event.job_id, None)
                     if info is None:
                         continue  # stale event for a resolved task
-                    index, attempt, start_perf = info
-                    job, digest = jobs_by_index[index], digests[index]
+                    index, job, digest, start_perf = info
                     if event.kind == "ok":
                         self._finish(
-                            index, job, digest,
-                            event.body["payload"],
-                            event.body.get("cacheable", True),
-                            attempt,
+                            index, job, digest, event.body["payload"],
                             time.perf_counter() - start_perf,
                             result, on_result,
                         )
@@ -464,7 +350,4 @@ class ExecutionService:
                             f"worker died mid-job (exit code "
                             f"{event.body.get('exitcode')!r})"
                         )
-                    if self._fail_attempt(
-                        index, job, digest, error, attempt, result
-                    ):
-                        pending.append((index, attempt + 1))
+                    self._fail(index, job, digest, error, result)

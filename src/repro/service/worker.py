@@ -6,18 +6,24 @@ its task queue, executing them via
 :func:`repro.service.executors.execute_job`, and pushing
 ``(worker_id, job_id, status, body)`` tuples onto the shared result
 queue. It deliberately contains no pool logic — the parent process owns
-dispatch, deadlines, retries and respawns (:mod:`repro.service.pool`).
+dispatch, deadlines and respawns (:mod:`repro.service.pool`).
 
 Error contract: executor failures are caught and shipped back as
-``("error", {"type": ..., "message": ..., "cacheable": False})`` so the
+``("error", {"type": ..., "message": ..., "traceback": ...})`` so the
 parent can map them onto the :class:`~repro.errors.ReproError`
 hierarchy; only a hard death (``os._exit``, segfault, kill) leaves the
 parent without a result, which it detects as a crash via the process's
 exit code.
+
+A worker whose parent died (killed mid-batch, so no shutdown sentinel
+ever comes) notices within :data:`PARENT_POLL_S` of going idle and
+exits, so a killed batch leaves no worker behind.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import queue
 import traceback
 
 #: True inside a pool worker process; lets test instruments (the probe
@@ -27,9 +33,14 @@ IN_WORKER = False
 #: Sentinel task telling a worker to exit its loop cleanly.
 SHUTDOWN = None
 
+#: Seconds an idle worker waits for a task before checking that its
+#: parent process is still alive.
+PARENT_POLL_S = 1.0
+
 
 def worker_main(worker_id: int, task_queue, result_queue) -> None:
-    """Run the worker loop until a shutdown sentinel arrives.
+    """Run the worker loop until a shutdown sentinel arrives or the
+    parent process dies.
 
     Imports of the simulator happen lazily inside
     :func:`~repro.service.executors.execute_job`, so the loop itself
@@ -38,8 +49,17 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
     """
     global IN_WORKER
     IN_WORKER = True
+    parent = multiprocessing.parent_process()
     while True:
-        task = task_queue.get()
+        try:
+            task = task_queue.get(timeout=PARENT_POLL_S)
+        except queue.Empty:
+            if parent is not None and not parent.is_alive():
+                # Nobody reads results any more: do not wait at exit
+                # for the queue's feeder thread to flush them.
+                result_queue.cancel_join_thread()
+                return
+            continue
         if task is SHUTDOWN:
             return
         job_id, job_dict = task
@@ -47,11 +67,8 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
             from repro.service.executors import execute_job
             from repro.service.job import Job
 
-            payload, cacheable = execute_job(Job.from_dict(job_dict))
-            result_queue.put(
-                (worker_id, job_id, "ok",
-                 {"payload": payload, "cacheable": cacheable})
-            )
+            payload = execute_job(Job.from_dict(job_dict))
+            result_queue.put((worker_id, job_id, "ok", {"payload": payload}))
         except BaseException as error:  # noqa: BLE001 — ship, don't die
             result_queue.put((worker_id, job_id, "error", {
                 "type": type(error).__name__,

@@ -26,8 +26,8 @@ class BatchProgressMeter:
     Subscribes to :class:`~repro.service.events.JobStarted` /
     :class:`~repro.service.events.JobFinished` /
     :class:`~repro.service.events.JobFailed` and tracks how a batch is
-    going: completed/failed/cached counts, retries observed, and which
-    labels are in flight right now.
+    going: completed/failed/cached counts and which labels are in
+    flight right now.
 
     Args:
         total: expected number of jobs (used by :meth:`status_line`;
@@ -43,8 +43,8 @@ class BatchProgressMeter:
         self.finished = 0
         self.failed = 0
         self.cached = 0
-        self.retries = 0
-        #: Labels currently executing (insertion-ordered).
+        #: Labels currently executing, each with its worker id
+        #: (insertion-ordered).
         self.in_flight: dict[str, int] = {}
 
     def attach(self, bus: EventBus) -> "BatchProgressMeter":
@@ -68,10 +68,8 @@ class BatchProgressMeter:
     # Bus handlers
     # ------------------------------------------------------------------
     def on_started(self, event) -> None:
-        """Handle one JobStarted (attempts > 1 count as retries)."""
-        self.in_flight[event.label] = event.attempt
-        if event.attempt > 1:
-            self.retries += 1
+        """Handle one JobStarted."""
+        self.in_flight[event.label] = event.worker
 
     def on_finished(self, event) -> None:
         """Handle one JobFinished."""
@@ -81,10 +79,9 @@ class BatchProgressMeter:
             self.cached += 1
 
     def on_failed(self, event) -> None:
-        """Handle one JobFailed (only terminal failures count)."""
-        if event.final:
-            self.in_flight.pop(event.label, None)
-            self.failed += 1
+        """Handle one JobFailed."""
+        self.in_flight.pop(event.label, None)
+        self.failed += 1
 
     # ------------------------------------------------------------------
     @property
@@ -101,8 +98,6 @@ class BatchProgressMeter:
         parts = []
         if self.cached:
             parts.append(f"{self.cached} cached")
-        if self.retries:
-            parts.append(f"{self.retries} retried")
         if self.failed:
             parts.append(f"{self.failed} failed")
         line = f"{self.done}{total} done"

@@ -85,7 +85,7 @@ class TestRunSweep:
 
 
 class TestRobustness:
-    """Per-point timeout, immediate retries and partial results.
+    """Per-point timeout and partial results.
 
     Points run through the execution service's inline mode, whose
     synthetic executor calls ``repro.experiments.runner.run_synthetic``;
@@ -113,38 +113,7 @@ class TestRobustness:
         failure = result.failures[0]
         assert failure.point.pattern == "random"
         assert isinstance(failure.error, SimulationStalledError)
-        assert failure.attempts == 1
         assert "SimulationStalledError" in str(failure)
-
-    def test_retry_then_success(self, monkeypatch):
-        from repro.errors import SimulationTimeoutError
-        from repro.experiments import runner
-
-        real = runner.run_synthetic
-        calls = {"n": 0}
-
-        def flaky(pattern, **kwargs):
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise SimulationTimeoutError("injected timeout")
-            return real(pattern, **kwargs)
-
-        monkeypatch.setattr(runner, "run_synthetic", flaky)
-        result = run_sweep([SweepPoint()], scale=TINY, retries=2)
-        assert result.complete
-        assert calls["n"] == 3
-
-    def test_retries_exhausted(self, monkeypatch):
-        from repro.errors import SimulationTimeoutError
-        from repro.experiments import runner
-
-        def always_fails(pattern, **kwargs):
-            raise SimulationTimeoutError("injected timeout")
-
-        monkeypatch.setattr(runner, "run_synthetic", always_fails)
-        result = run_sweep([SweepPoint()], scale=TINY, retries=2)
-        assert len(result.failures) == 1
-        assert result.failures[0].attempts == 3
 
     def test_timeout_builds_deadline_guard(self, monkeypatch):
         from repro.errors import WorkerCrashError

@@ -6,17 +6,15 @@ payloads and fingerprints) or fails with a documented exit code —
 never hangs, never silently drops a point.
 
 Fault kinds (see ``docs/chaos.md``): worker-plane ``crash`` / ``hang``
-/ ``error`` scripted through ``probe`` job config (attempts are
-counted in a marker directory, so "fail the first N attempts" is exact
-across processes), and cache-plane read faults, write faults,
-disk-full (ENOSPC) and corrupt entries through the ``chaos_cache``
-fixture. Each kind runs in both inline (``workers=1``) and pooled
-execution; the pooled cells spawn real processes and are marked
-``slow``.
+/ ``error`` scripted through ``probe`` job config, and cache-plane read
+faults, write faults, disk-full (ENOSPC) and corrupt entries through
+the ``chaos_cache`` fixture. Each kind runs in both inline
+(``workers=1``) and pooled execution; the pooled cells spawn real
+processes and are marked ``slow``. A batch that failed or was killed is
+resumed by rerunning it on the same result cache.
 """
 
 import errno
-import json
 import os
 import subprocess
 import sys
@@ -28,17 +26,12 @@ import repro
 from repro.errors import (
     EXIT_CODES,
     SimulationTimeoutError,
+    WorkerCrashError,
     WorkerSpawnError,
     exit_code_for,
 )
 from repro.experiments.config import ExperimentScale
-from repro.service import (
-    BatchJournal,
-    ExecutionService,
-    Job,
-    ResultCache,
-    WorkerPool,
-)
+from repro.service import ExecutionService, Job, ResultCache, WorkerPool
 
 TINY = ExperimentScale("tiny", synthetic_accesses=800)
 
@@ -49,9 +42,72 @@ MODES = [
     pytest.param(2, id="pooled", marks=pytest.mark.slow),
 ]
 
-#: Probe config key scripting each worker-plane fault kind.
-FAULT_KEYS = {"crash": "crash_times", "hang": "hang_times",
-              "error": "fail_times"}
+#: The typed error each worker-plane fault kind fails its job with.
+FAULT_ERRORS = {"crash": WorkerCrashError, "hang": SimulationTimeoutError,
+                "error": SimulationTimeoutError}
+
+#: The batch the kill tests run in a child process, with ``{cache}``,
+#: ``{jobs}`` and ``{workers}`` filled in: after its ``{die_after}``-th
+#: result it prints its workers' pids and dies hard (``os._exit``: no
+#: cleanup, no pool shutdown).
+KILLED_BATCH = """
+import multiprocessing, os
+from repro.experiments.config import ExperimentScale
+from repro.service import ExecutionService, Job
+
+TINY = ExperimentScale("tiny", synthetic_accesses=800)
+done = []
+
+def on_result(index, job, payload, cached):
+    done.append(index)
+    if len(done) == {die_after}:
+        pids = [child.pid for child in multiprocessing.active_children()]
+        print(" ".join(map(str, pids)), flush=True)
+        os._exit(9)
+
+ExecutionService(workers={workers}, cache={cache!r}).run(
+    {jobs}, on_result=on_result
+)
+"""
+
+SYNTHETIC_JOBS = """[
+    Job("synthetic", {"pattern": p, "cores": 1}, scale=TINY, label=p)
+    for p in ("sequential", "random", "strided")
+]"""
+
+
+def run_killed_batch(tmp_path, jobs, workers=1, die_after=2):
+    """Run KILLED_BATCH in a child on the cache ``tmp_path / "cache"``;
+    returns the pids it printed.
+
+    The child's output goes to files, not pipes, so waiting for it
+    never waits on a worker it left behind holding a pipe open.
+    """
+    package_root = os.path.dirname(os.path.dirname(repro.__file__))
+    child = KILLED_BATCH.format(
+        cache=str(tmp_path / "cache"), jobs=jobs, workers=workers,
+        die_after=die_after,
+    )
+    out, err = tmp_path / "child.out", tmp_path / "child.err"
+    with open(out, "wb") as stdout, open(err, "wb") as stderr:
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            env=dict(os.environ, PYTHONPATH=package_root),
+            timeout=300,
+            stdout=stdout,
+            stderr=stderr,
+        )
+    assert proc.returncode == 9, err.read_text()
+    return [int(pid) for pid in out.read_text().split()]
+
+
+def alive(pid):
+    """True while `pid` runs; a zombie (exited, not yet reaped) is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 def probe_jobs(count=3):
@@ -99,66 +155,80 @@ def refuse_spawn(monkeypatch):
 
 
 class TestWorkerPlaneMatrix:
-    """crash / hang / error × inline / pooled, transient (retried)."""
+    """crash / hang / error × inline / pooled: the victim fails with its
+    typed error while the rest of the batch completes, and a rerun on
+    the same cache recomputes only the victim."""
 
     @pytest.mark.parametrize("workers", MODES)
     @pytest.mark.parametrize("kind", ["crash", "hang", "error"])
     def test_transient_fault_batch_still_completes(
         self, kind, workers, tmp_path, clean_payloads
     ):
-        fault = {
-            FAULT_KEYS[kind]: 1,
-            "marker_dir": str(tmp_path / "markers"),
-            "value": 7,
-        }
+        fault = {"crash": {"crash": True}, "error": {"fail": True}}.get(
+            kind, {}
+        )
         timeout_s = None
         if kind == "hang":
             if workers > 1:
                 # Past the hard-kill deadline: the worker dies mid-wait.
-                fault["sleep_s"], timeout_s = 30.0, 0.3
+                fault, timeout_s = {"sleep_s": 30.0}, 0.3
             else:
                 # Inline has no hard kill by design; the scripted hang
                 # finishes quickly and fails cooperatively.
-                fault["sleep_s"] = 0.05
+                fault = {"sleep_s": 0.05, "fail": True}
         synthetic = synthetic_jobs()
         jobs = [
             synthetic[0],
-            Job("probe", fault, label="victim", timeout_s=timeout_s),
+            Job("probe", {**fault, "value": 7}, label="victim",
+                timeout_s=timeout_s),
             synthetic[1],
         ]
-        service = ExecutionService(workers=workers, retries=2)
+        service = ExecutionService(
+            workers=workers, cache=ResultCache(tmp_path / "cache")
+        )
         start = time.monotonic()
         result = service.run(jobs)
         assert time.monotonic() - start < 60.0  # never hangs
         assert_contract(result, jobs)
-        assert result.complete  # one scripted fault, two retries
-        assert result.payloads[1] == {"value": 7, "attempt": 2}
+        assert [f.index for f in result.failures] == [1]
+        assert isinstance(result.failures[0].error, FAULT_ERRORS[kind])
         # The healthy jobs beside the victim are untouched by it.
         assert [result.payloads[0], result.payloads[2]] == (
             clean_payloads[:2]
         )
+        # The fault was transient: the rerun's victim runs clean, and
+        # it is the only job that recomputes.
+        jobs[1] = Job("probe", {"value": 7}, label="victim")
+        rerun = service.run(jobs)
+        assert rerun.complete
+        assert (rerun.cache_hits, rerun.executed) == (2, 1)
+        assert rerun.payloads == [
+            clean_payloads[0], {"value": 7}, clean_payloads[1],
+        ]
 
     @pytest.mark.parametrize("workers", MODES)
     def test_persistent_fault_fails_with_documented_code(
         self, workers, tmp_path
     ):
         jobs = probe_jobs()
-        jobs[1] = Job(
-            "probe",
-            {"fail_times": 99, "marker_dir": str(tmp_path / "markers")},
-            label="p1",
+        jobs[1] = Job("probe", {"fail": True}, label="p1")
+        service = ExecutionService(
+            workers=workers, cache=ResultCache(tmp_path / "cache")
         )
-        service = ExecutionService(workers=workers, retries=1)
         result = service.run(jobs)
         assert_contract(result, jobs)
         assert [f.index for f in result.failures] == [1]
-        assert result.failures[0].attempts == 2
         assert exit_code_for(result.failures[0].error) == (
             EXIT_CODES[SimulationTimeoutError]
         )
         # The healthy points still completed.
         assert result.payloads[0]["value"] == 0
         assert result.payloads[2]["value"] == 2
+        # A deterministic failure recurs on the rerun, which recomputes
+        # nothing else.
+        rerun = service.run(jobs)
+        assert [f.index for f in rerun.failures] == [1]
+        assert (rerun.cache_hits, rerun.executed) == (2, 0)
 
 
 class TestCachePlaneMatrix:
@@ -235,30 +305,25 @@ class TestCachePlaneMatrix:
 
 
 class TestSpawnFailure:
-    def test_spawn_failure_raises_and_journal_resumes(
+    def test_spawn_failure_raises_and_rerun_resumes(
         self, tmp_path, monkeypatch, clean_payloads
     ):
         """A refused spawn fails fast with exit code 12; the jobs that
-        finished before it stay journaled, and a resumed run completes
-        with the clean payloads."""
+        finished before it stay cached, and a rerun on the same cache
+        completes with the clean payloads, recomputing only the rest."""
         jobs = synthetic_jobs()
         cache = ResultCache(tmp_path / "cache")
         assert ExecutionService(cache=cache).run(jobs[:2]).complete
-        journal_path = tmp_path / "batch.jsonl"
         refuse_spawn(monkeypatch)
         service = ExecutionService(workers=2, cache=cache)
         with pytest.raises(WorkerSpawnError) as excinfo:
-            service.run(jobs, journal=journal_path)
+            service.run(jobs)
         assert exit_code_for(excinfo.value) == 12
         monkeypatch.undo()
-        with BatchJournal(journal_path, resume=True) as journal:
-            # The two cache hits resolved (and were journaled) before
-            # the pool tried to start.
-            assert len(journal) == 2
-            resumed = ExecutionService().run(jobs, journal=journal)
-        assert resumed.complete
-        assert resumed.journal_hits == 2 and resumed.executed == 1
-        assert resumed.payloads == clean_payloads
+        rerun = ExecutionService(cache=cache).run(jobs)
+        assert rerun.complete
+        assert rerun.cache_hits == 2 and rerun.executed == 1
+        assert rerun.payloads == clean_payloads
 
     def test_cache_hits_resolve_before_any_spawn(
         self, tmp_path, monkeypatch
@@ -278,67 +343,36 @@ class TestKillResume:
     def test_killed_mid_batch_resumes_with_identical_fingerprints(
         self, tmp_path
     ):
-        """The acceptance scenario: a batch killed mid-run resumes from
-        its journal, recomputing only the unfinished jobs, and the
-        final fingerprints equal an uninterrupted run's."""
-        journal_path = tmp_path / "batch.jsonl"
-        package_root = os.path.dirname(os.path.dirname(repro.__file__))
-        # The child runs the same 3-job batch and dies hard (os._exit,
-        # no cleanup, no journal close) right after the 2nd result.
-        child = f"""
-import os, sys
-from repro.experiments.config import ExperimentScale
-from repro.service import ExecutionService, Job
-
-TINY = ExperimentScale("tiny", synthetic_accesses=800)
-jobs = [
-    Job("synthetic", {{"pattern": p, "cores": 1}}, scale=TINY, label=p)
-    for p in ("sequential", "random", "strided")
-]
-done = []
-
-def on_result(index, job, payload, cached):
-    done.append(index)
-    if len(done) == 2:
-        os._exit(9)
-
-ExecutionService().run(jobs, journal={str(journal_path)!r},
-                       on_result=on_result)
-"""
-        env = dict(os.environ, PYTHONPATH=package_root)
-        proc = subprocess.run(
-            [sys.executable, "-c", child],
-            env=env,
-            timeout=300,
-            capture_output=True,
-        )
-        assert proc.returncode == 9, proc.stderr.decode()
-        with BatchJournal(journal_path, resume=True) as journal:
-            assert len(journal) == 2  # both finished jobs survived the kill
-            resumed = ExecutionService().run(
-                synthetic_jobs(), journal=journal
-            )
-        assert resumed.complete
-        assert resumed.journal_hits == 2 and resumed.executed == 1
+        """The acceptance scenario: a batch killed mid-run is rerun on
+        its cache, recomputing only the unfinished jobs, and the final
+        fingerprints equal an uninterrupted run's."""
+        cache = tmp_path / "cache"
+        # The child runs the same 3-job batch and dies hard right after
+        # the 2nd result.
+        run_killed_batch(tmp_path, SYNTHETIC_JOBS)
+        # Both finished jobs survived the kill.
+        assert len(list(cache.rglob("*.json"))) == 2
+        rerun = ExecutionService(cache=cache).run(synthetic_jobs())
+        assert rerun.complete
+        assert rerun.cache_hits == 2 and rerun.executed == 1
         reference = ExecutionService().run(synthetic_jobs())
         assert [
-            p["fingerprint"]["digest"] for p in resumed.payloads
+            p["fingerprint"]["digest"] for p in rerun.payloads
         ] == [
             p["fingerprint"]["digest"] for p in reference.payloads
         ]
 
-
-class TestJournalChaos:
-    def test_torn_tail_then_resume_recovers(self, tmp_path):
-        path = tmp_path / "batch.jsonl"
-        jobs = probe_jobs()
-        ExecutionService().run(jobs[:2], journal=str(path))
-        # Tear the final record in half (crash mid-append).
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-15])
-        result = ExecutionService().run(jobs, journal=str(path))
-        assert result.complete
-        assert result.journal_hits == 1  # torn record recomputed
-        assert json.loads(path.read_text().splitlines()[-1])["kind"] in (
-            "done",
-        )
+    @pytest.mark.slow
+    def test_killed_batch_leaves_no_worker_alive(self, tmp_path):
+        """Workers whose batch process died exit on their own: no
+        orphan is left reparented to init, blocked on its task
+        queue forever."""
+        jobs = '[Job("probe", {"value": i, "sleep_s": 0.2}) for i in range(4)]'
+        pids = run_killed_batch(tmp_path, jobs, workers=2, die_after=1)
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        while any(alive(pid) for pid in pids):
+            assert time.monotonic() < deadline, (
+                f"orphaned workers: {[p for p in pids if alive(p)]}"
+            )
+            time.sleep(0.1)

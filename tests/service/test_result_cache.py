@@ -2,10 +2,8 @@
 
 import errno
 import json
+import os
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.service.cache import ResultCache
 from repro.service.job import Job
 
@@ -93,6 +91,50 @@ class TestRobustness:
         path.write_text(json.dumps(body), encoding="utf-8")
         assert cache.get(job.digest()) is None
 
+    def test_non_utf8_entry_is_a_miss_and_removed(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        job = make_job()
+        cache.put(job, {"value": 1})
+        path = cache.path_for(job.digest())
+        path.write_bytes(b"\xff\xfe not utf-8")
+        assert cache.get(job.digest()) is None  # does not raise
+        assert not path.exists()
+        assert cache.stats.invalid == 1
+
+    def test_non_dict_payload_is_a_miss_and_removed(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        job = make_job()
+        cache.put(job, {"value": 1})
+        path = cache.path_for(job.digest())
+        body = json.loads(path.read_text())
+        body["payload"] = None
+        path.write_text(json.dumps(body), encoding="utf-8")
+        assert cache.get(job.digest()) is None
+        assert not path.exists()
+        assert (cache.stats.hits, cache.stats.invalid) == (0, 1)
+
+    def test_write_fsyncs_before_replace(self, tmp_path, monkeypatch):
+        """An entry that exists after a crash is complete: the temp
+        file reaches the disk before it replaces the entry."""
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def record_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def record_replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        cache = ResultCache(tmp_path)
+        assert cache.put(make_job(), {"value": 1}) is not None
+        # The file fsync'd is the file that then replaces the entry.
+        assert [kind for kind, _ in calls] == ["fsync", "replace"]
+        assert calls[0][1] == calls[1][1]
+
     def test_no_temp_files_left_behind(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(make_job(), {"value": 1})
@@ -155,45 +197,3 @@ class TestErrorPolicy:
         cache._read_entry = healthy
         assert cache.get(job.digest()) == {"value": 7}
         assert cache.stats.read_errors == 2
-
-
-class TestEviction:
-    def test_rejects_bad_cap(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            ResultCache(tmp_path, max_entries=0)
-
-    def test_evict_to_cap_removes_oldest(self, tmp_path):
-        import os
-        import time
-
-        cache = ResultCache(tmp_path)
-        jobs = [make_job(cores=c) for c in (1, 2, 3, 4)]
-        base = time.time() - 1000
-        for i, job in enumerate(jobs):
-            path = cache.put(job, {"i": i})
-            os.utime(path, (base + i, base + i))
-        assert len(cache) == 4
-        removed = cache.evict(max_entries=2)
-        assert removed == 2
-        assert cache.get(jobs[0].digest()) is None
-        assert cache.get(jobs[3].digest()) == {"i": 3}
-
-    def test_evict_by_age(self, tmp_path):
-        import os
-        import time
-
-        cache = ResultCache(tmp_path)
-        old, new = make_job(cores=1), make_job(cores=2)
-        stale = time.time() - 10_000
-        os.utime(cache.put(old, {}), (stale, stale))
-        cache.put(new, {})
-        assert cache.evict(max_age_s=5_000) == 1
-        assert cache.get(old.digest()) is None
-        assert cache.get(new.digest()) == {}
-
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        for c in (1, 2):
-            cache.put(make_job(cores=c), {})
-        assert cache.clear() == 2
-        assert len(cache) == 0

@@ -1,6 +1,6 @@
 """Tests for the execution service's inline orchestration.
 
-Inline mode (``workers=1``) exercises the cache, retry, and event
+Inline mode (``workers=1``) exercises the cache, failure, and event
 semantics without spawning processes; the pool-specific paths (crash
 isolation, hard timeouts, real parallelism) live in ``test_pool.py``.
 """
@@ -56,11 +56,14 @@ class TestCaching:
         service.run([tiny_job()])
         assert service.run([tiny_job()]).cache_hits == 1
 
-    def test_probe_results_never_cached(self, tmp_path):
+    def test_probe_results_cached_like_any_payload(self, tmp_path):
+        """A probe's payload depends only on its config, so it is
+        cached like every other kind's."""
         service = ExecutionService(cache=ResultCache(tmp_path))
         job = Job("probe", {"value": 1})
         service.run([job])
-        assert service.run([job]).cache_hits == 0
+        warm = service.run([job])
+        assert warm.cache_hits == 1 and warm.payloads == [{"value": 1}]
 
     def test_on_result_reports_cached_flag(self, tmp_path):
         service = ExecutionService(cache=ResultCache(tmp_path))
@@ -83,7 +86,7 @@ class TestEvents:
             "JobStarted", "JobFinished",
         ]
         assert log[0].label == "p" and log[0].worker == -1
-        assert log[1].cached is False and log[1].attempts == 1
+        assert log[1].cached is False
 
     def test_cache_hit_publishes_only_finished(self, tmp_path):
         bus = EventBus()
@@ -97,72 +100,42 @@ class TestEvents:
         assert [type(e).__name__ for e in log] == ["JobFinished"]
         assert log[0].cached is True
 
-    def test_retry_publishes_nonfinal_then_final_failures(self, tmp_path):
+    def test_failure_publishes_started_then_failed(self):
         bus = EventBus()
         log = []
-        for topic in (JobStarted, JobFailed):
+        for topic in (JobStarted, JobFinished, JobFailed):
             bus.subscribe(topic, log.append)
-        service = ExecutionService(bus=bus, retries=1)
-        job = Job(
-            "probe",
-            {"fail_times": 99, "marker_dir": str(tmp_path)},
-        )
-        result = service.run([job])
+        service = ExecutionService(bus=bus)
+        result = service.run([Job("probe", {"fail": True}, label="p")])
         assert not result.complete
-        # The failed attempt is re-queued at once: no wait between it
-        # and the retry's JobStarted.
-        assert [
-            (type(e).__name__, getattr(e, "final", None)) for e in log
-        ] == [
-            ("JobStarted", None), ("JobFailed", False),
-            ("JobStarted", None), ("JobFailed", True),
+        assert [type(e).__name__ for e in log] == [
+            "JobStarted", "JobFailed",
         ]
+        assert log[1].error_type == "SimulationTimeoutError"
 
 
-class TestRetries:
-    def test_fail_then_succeed(self, tmp_path):
-        service = ExecutionService(retries=2)
-        job = Job(
-            "probe",
-            {"fail_times": 2, "marker_dir": str(tmp_path), "value": 9},
-        )
-        result = service.run([job])
-        assert result.complete
-        assert result.payloads[0] == {"value": 9, "attempt": 3}
-
-    def test_hang_then_succeed(self, tmp_path):
-        service = ExecutionService(retries=1)
-        job = Job(
-            "probe",
-            {"hang_times": 1, "sleep_s": 0.01,
-             "marker_dir": str(tmp_path), "value": 4},
-        )
-        result = service.run([job])
-        assert result.complete
-        assert result.payloads[0] == {"value": 4, "attempt": 2}
-
-    def test_exhausted_retries_recorded_with_error(self, tmp_path):
-        service = ExecutionService(retries=1)
-        result = service.run([
-            Job("probe", {"fail_times": 99, "marker_dir": str(tmp_path)}),
-        ])
+class TestFailures:
+    def test_failure_recorded_with_error(self):
+        result = ExecutionService().run([Job("probe", {"fail": True})])
         assert len(result.failures) == 1
         failure = result.failures[0]
-        assert failure.attempts == 2
+        assert failure.index == 0
         assert isinstance(failure.error, SimulationTimeoutError)
+        assert str(failure).endswith(
+            "SimulationTimeoutError: probe scripted failure"
+        )
 
-    def test_failure_does_not_abort_batch(self, tmp_path):
+    def test_failure_does_not_abort_batch(self):
         service = ExecutionService()
         result = service.run([
-            Job("probe", {"fail_times": 99,
-                          "marker_dir": str(tmp_path)}),
+            Job("probe", {"fail": True}),
             Job("probe", {"value": 5}),
         ])
         assert len(result.failures) == 1
         assert result.payloads[1]["value"] == 5
 
     def test_inline_crash_probe_maps_to_worker_crash_error(self):
-        result = ExecutionService().run([Job("probe", {"crash_times": 9})])
+        result = ExecutionService().run([Job("probe", {"crash": True})])
         assert isinstance(result.failures[0].error, WorkerCrashError)
 
 
@@ -170,10 +143,6 @@ class TestValidation:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ConfigurationError):
             ExecutionService(workers=0)
-
-    def test_rejects_negative_retries(self):
-        with pytest.raises(ConfigurationError):
-            ExecutionService(retries=-1)
 
     @pytest.mark.parametrize("timeout_s", [0, -2.0, float("nan")])
     def test_bad_service_timeout_fails_before_any_job(self, timeout_s):

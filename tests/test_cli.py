@@ -128,29 +128,22 @@ class TestBatch:
         assert main(["batch", "--patterns", ""]) == 3
         assert "ConfigurationError" in capsys.readouterr().err
 
-    def test_journal_then_resume_replays_finished_points(
+    def test_cache_dir_rerun_replays_finished_points(
         self, tmp_path, capsys
     ):
-        import json
-
-        journal = tmp_path / "batch.jsonl"
-        argv = [
-            "batch", "--patterns", "sequential", "--scale", "ci",
-            "--journal", str(journal), "--quiet",
-        ]
-        assert main(argv) == 0
+        """A batch is resumed by rerunning it on the same cache: the
+        point the first run finished is replayed, not recomputed."""
+        cache_dir = str(tmp_path / "cache")
+        argv = ["batch", "--patterns", "sequential", "--scale", "ci",
+                "--quiet"]
+        assert main(argv + ["--cache-dir", cache_dir]) == 0
         cold = capsys.readouterr().out
-        assert "journal" in cold and "1/1 done" in cold
-        kinds = [
-            json.loads(line)["kind"]
-            for line in journal.read_text().splitlines()
-        ]
-        assert kinds == ["open", "done"]
-        # Resume: the finished point replays instead of recomputing.
-        assert main(argv + ["--resume"]) == 0
+        assert "batch: 1/1 done\n" in cold
+        rerun = argv + ["--patterns", "sequential,random",
+                        "--cache-dir", cache_dir]
+        assert main(rerun) == 0
         warm = capsys.readouterr().out
-        assert "(resume)" in warm
-        assert "1 cached" in warm
+        assert "2/2 done (1 cached)" in warm
 
     def test_spawn_failure_exits_12(self, monkeypatch, capsys):
         from repro.errors import WorkerSpawnError
@@ -289,6 +282,28 @@ class TestExitCodes:
             main(argv)
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["batch", "--journal", "x"],
+        ["batch", "--resume"],
+        ["batch", "--retries", "1"],
+        ["run_all_figures.py", "--journal", "x"],
+        ["run_all_figures.py", "--resume"],
+    ])
+    def test_journal_and_retry_surface_is_gone(self, argv, capsys):
+        """A killed or failed batch is rerun against its result cache,
+        so no batch surface takes a journal, a resume or retries."""
+        import runpy
+        from pathlib import Path
+
+        entry = main
+        if argv[0] == "run_all_figures.py":
+            script = Path(__file__).resolve().parent.parent / "scripts"
+            entry = runpy.run_path(str(script / argv[0]))["main"]
+            argv = argv[1:]
+        with pytest.raises(SystemExit) as exit_info:
+            entry(argv)
+        assert exit_info.value.code == 2
+
     @pytest.mark.parametrize("timeout", ["0", "-2", "nan"])
     def test_nonpositive_timeout_rejected(self, timeout, capsys):
         """0 and negatives would time out every run; NaN would be
@@ -300,21 +315,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "ConfigurationError" in err
         assert "wall_timeout_s" in err
-
-    def test_corrupt_journal_exit_code(self, tmp_path, capsys):
-        journal = tmp_path / "batch.jsonl"
-        journal.write_text('{"kind": "done", "digest": "d"}\n')  # no header
-        code = main([
-            "batch", "--patterns", "sequential",
-            "--journal", str(journal), "--resume", "--quiet",
-        ])
-        assert code == 14
-        assert "JournalCorruptError" in capsys.readouterr().err
-
-    def test_resume_requires_journal(self, capsys):
-        code = main(["batch", "--patterns", "sequential", "--resume"])
-        assert code == 3
-        assert "--journal" in capsys.readouterr().err
 
     def test_inconsistent_stack_exits_7(self, monkeypatch, capsys):
         """A read whose latency split goes negative stops the run: no

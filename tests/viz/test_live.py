@@ -5,25 +5,23 @@ from repro.service.events import JobFailed, JobFinished, JobStarted
 from repro.viz.live import BatchProgressMeter
 
 
-def started(label, attempt=1, worker=0):
+def started(label, worker=0):
     return JobStarted(
-        index=0, digest="d" * 64, label=label, attempt=attempt,
-        worker=worker,
+        index=0, digest="d" * 64, label=label, worker=worker,
     )
 
 
 def finished(label, cached=False):
     return JobFinished(
         index=0, digest="d" * 64, label=label, elapsed_s=0.1,
-        attempts=1, cached=cached,
+        cached=cached,
     )
 
 
-def failed(label, final=True):
+def failed(label):
     return JobFailed(
         index=0, digest="d" * 64, label=label,
         error_type="SimulationTimeoutError", message="boom",
-        attempt=1, final=final,
     )
 
 
@@ -41,17 +39,6 @@ class TestBatchProgressMeter:
         assert meter.cached == 1
         assert meter.failed == 1
         assert meter.in_flight == {}
-
-    def test_retries_counted_and_nonfinal_failures_ignored(self):
-        bus = EventBus()
-        meter = BatchProgressMeter(total=1).attach(bus)
-        bus.publish(started("a", attempt=1))
-        bus.publish(failed("a", final=False))
-        bus.publish(started("a", attempt=2))
-        bus.publish(finished("a"))
-        assert meter.retries == 1
-        assert meter.failed == 0
-        assert meter.done == 1
 
     def test_status_line(self):
         bus = EventBus()
@@ -78,15 +65,14 @@ class TestBatchProgressMeter:
         bus.publish(finished("b"))
         assert meter.finished == 1
 
-    def test_live_against_execution_service(self, tmp_path):
+    def test_live_against_execution_service(self):
         from repro.service import ExecutionService, Job
 
         service = ExecutionService()
         meter = BatchProgressMeter(total=2).attach(service.bus)
         service.run([
             Job("probe", {"value": 1}, label="ok"),
-            Job("probe", {"fail_times": 99,
-                          "marker_dir": str(tmp_path)}, label="bad"),
+            Job("probe", {"fail": True}, label="bad"),
         ])
         assert meter.done == 2
         assert meter.finished == 1 and meter.failed == 1
