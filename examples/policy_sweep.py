@@ -9,6 +9,18 @@ raw measurements.
 """
 
 from repro.experiments.sweep import grid, run_sweep
+from repro.service import JobFinished
+
+
+def show(event) -> None:
+    """Print each point as it finishes."""
+    if isinstance(event, JobFinished):
+        metrics = event.payload["metrics"]
+        print(
+            f"  {event.label:28s} {metrics['achieved_gbps']:6.2f} GB/s "
+            f"{metrics['avg_latency_ns']:6.1f} ns  "
+            f"hit={metrics['page_hit_rate']:5.1%}"
+        )
 
 
 def main() -> None:
@@ -19,14 +31,7 @@ def main() -> None:
         address_schemes=("default", "interleaved"),
     )
     print(f"running {len(points)} configurations...")
-    sweep = run_sweep(
-        points,
-        scale="ci",
-        progress=lambda r: print(
-            f"  {r.point.label:28s} {r.achieved_gbps:6.2f} GB/s "
-            f"{r.avg_latency_ns:6.1f} ns  hit={r.page_hit_rate:5.1%}"
-        ),
-    )
+    sweep = run_sweep(points, scale="ci", on_event=show)
 
     print()
     print(sweep.to_csv())

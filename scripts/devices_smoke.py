@@ -54,7 +54,7 @@ def run(device, scale):
 
 
 def main() -> int:
-    from repro.devices import DEVICES
+    from repro.devices import DEVICES, make_device
     from repro.reliability.fingerprint import result_fingerprint
 
     scale = smoke_scale()
@@ -69,8 +69,8 @@ def main() -> int:
     print(f"devices_smoke: ddr4-2400 bit identity OK — digest "
           f"{baseline['digest'][:16]}")
 
-    for name in DEVICES.names():
-        preset = DEVICES.create(name)
+    for name in DEVICES:
+        preset = make_device(name)
         result = run(name, scale)
 
         # Gate 2: exact stack conservation against the aggregate peak.

@@ -48,7 +48,7 @@ def run_service(
     a cache hit replays the tables but relies on the SVGs from the
     original run already being in ``output_dir``.
     """
-    from repro.service import ExecutionService, Job
+    from repro.service import ExecutionService, Job, JobFinished
 
     job_list = [
         Job(
@@ -61,15 +61,18 @@ def run_service(
     ]
     service = ExecutionService(workers=jobs, cache=cache_dir)
 
-    def on_result(index, job, payload, cached):
-        path = _write_text(output_dir, job.label, payload["text"])
-        suffix = " (cached)" if cached else ""
+    def on_event(event):
+        if not isinstance(event, JobFinished):
+            return
+        payload = event.payload
+        path = _write_text(output_dir, event.label, payload["text"])
+        suffix = " (cached)" if event.cached else ""
         print(
-            f"{job.label}: {payload['elapsed_s']:6.1f}s -> {path}{suffix}",
+            f"{event.label}: {payload['elapsed_s']:6.1f}s -> {path}{suffix}",
             flush=True,
         )
 
-    batch = service.run(job_list, on_result=on_result)
+    batch = service.run(job_list, on_event=on_event)
     for failure in batch.failures:
         print(f"{failure}", flush=True)
         traceback.print_exception(failure.error)

@@ -35,7 +35,7 @@ from repro.experiments.sweep import grid, run_sweep
 
 MIN_HIT_RATE = 0.90
 #: Seconds the killed batch's workers get to notice and exit.
-ORPHAN_GRACE_S = 10.0
+ORPHAN_GRACE_S = 3.0
 
 #: The batch the kill-and-rerun contract kills. Run as ``python -c``
 #: with the scripts directory, the worker count and the cache directory
@@ -45,18 +45,21 @@ KILLED_BATCH = """
 import multiprocessing, os, sys
 sys.path.insert(0, sys.argv[1])
 from service_smoke import POINTS, SCALE, run_sweep
+from repro.service import JobFinished
 
 done = []
 
-def progress(record):
-    done.append(record)
+def on_event(event):
+    if not isinstance(event, JobFinished):
+        return
+    done.append(event)
     if len(done) == 2:
         pids = [child.pid for child in multiprocessing.active_children()]
         print(" ".join(map(str, pids)), flush=True)
         os._exit(9)
 
 run_sweep(POINTS, scale=SCALE, jobs=int(sys.argv[2]), cache=sys.argv[3],
-          progress=progress)
+          on_event=on_event)
 """
 
 SCALE = ExperimentScale("smoke", synthetic_accesses=1_200)

@@ -45,10 +45,6 @@ def render_report(
         sections.append(render_stacks([cycle], width=width))
         sections.append("")
 
-    stacks = [s for s in (bandwidth, latency, cycle) if s is not None]
-    if len(stacks) > 1:
-        pass  # tables below are per-unit; keep the report compact
-
     sections.append("Findings")
     findings = advise(bandwidth, latency)
     if findings:

@@ -28,7 +28,7 @@ import argparse
 import sys
 
 from repro.analysis.report import render_report
-from repro.devices import DEVICES
+from repro.devices import DEVICES, make_device
 from repro.dram import components
 from repro.dram.address import SCHEMES
 from repro.dram.controller import ENGINES
@@ -83,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          default="default", help="bank indexing scheme")
     analyze.add_argument(
         "--device", default=None, metavar="NAME",
-        help="memory device preset from the device registry "
-        f"({', '.join(DEVICES.names())}; parameterizable, e.g. "
+        help="memory device preset "
+        f"({', '.join(DEVICES)}; parameterizable, e.g. "
         "'ddr5-4800:subchannels=4' or 'hbm2:pseudo_channels=4'; "
         "default: the paper's DDR4-2400 — see `dram-stacks specs`)",
     )
@@ -344,10 +344,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from repro.core.events import EventBus
     from repro.errors import ConfigurationError
     from repro.experiments.sweep import grid, run_sweep
-    from repro.service.events import JobFailed, JobFinished
+    from repro.service.events import JobFinished, JobStarted
     from repro.viz.live import BatchProgressMeter
 
     def _split(raw: str, convert=str, sep: str = ",") -> tuple:
@@ -378,25 +377,24 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not points:
         raise ConfigurationError("the requested grid is empty")
 
-    bus = EventBus()
-    meter = BatchProgressMeter(total=len(points)).attach(bus)
-    if not args.quiet:
-        def _print_finished(event) -> None:
+    meter = BatchProgressMeter(total=len(points))
+
+    def on_event(event) -> None:
+        meter(event)
+        if args.quiet or isinstance(event, JobStarted):
+            return
+        if isinstance(event, JobFinished):
             marker = (
                 "cache" if event.cached else f"{event.elapsed_s:.1f}s"
             )
             print(f"  [{meter.status_line()}] {event.label} ({marker})",
                   flush=True)
-
-        def _print_failed(event) -> None:
+        else:  # a JobFailure
             print(
-                f"  [{meter.status_line()}] {event.label} FAILED: "
-                f"{event.error_type}: {event.message}",
+                f"  [{meter.status_line()}] {event.job.display_label} "
+                f"FAILED: {type(event.error).__name__}: {event.error}",
                 flush=True,
             )
-
-        bus.subscribe(JobFinished, _print_finished)
-        bus.subscribe(JobFailed, _print_failed)
 
     print(
         f"batch: {len(points)} point(s) at scale {args.scale!r} on "
@@ -409,8 +407,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         timeout_s=args.timeout,
         jobs=args.jobs,
         cache=args.cache_dir,
-        bus=bus,
         jsonl_path=args.jsonl,
+        on_event=on_event,
     )
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
@@ -468,8 +466,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_specs(args: argparse.Namespace) -> int:
-    for name in DEVICES.names():
-        preset = DEVICES.create(name)
+    for name in DEVICES:
+        preset = make_device(name)
         spec = preset.spec
         org = spec.organization
         channels = (

@@ -28,7 +28,7 @@ golden/differential tests hold them to it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cpu.hierarchy import CacheHierarchy
 from repro.dram.commands import Request

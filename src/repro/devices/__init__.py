@@ -1,13 +1,13 @@
-"""Composable device library: memory standards behind one registry.
+"""Composable device library: memory standards behind one table.
 
 ``repro.devices`` turns the hardcoded DDR4 timing constants into a
 library of selectable memory technologies:
 
-* :data:`DEVICES` — the :class:`DeviceRegistry` mapping selector
-  strings (``"ddr4-2400"``, ``"ddr5-4800:subchannels=2"``,
-  ``"lpddr5-6400"``, ``"hbm2:pseudo_channels=8"``) to
-  :class:`DevicePreset` bundles of timing spec, channel count,
-  refresh policy and address scheme;
+* :data:`DEVICES` — a dict from preset name to the factory of a
+  :class:`DevicePreset`, a bundle of timing spec, channel count,
+  refresh policy and address scheme; :func:`make_device` resolves a
+  selector string (``"ddr4-2400"``, ``"ddr5-4800:subchannels=2"``,
+  ``"lpddr5-6400"``, ``"hbm2:pseudo_channels=8"``) to a built preset;
 * :mod:`repro.devices.mapping` — Sudoku-style XOR-mask decomposition
   and inference for address mappings, so every preset's mapping is
   declarative and reverse-engineerable from conflict samples.
@@ -28,17 +28,16 @@ from repro.devices.mapping import (
     is_bijective,
     mapping_is_bijective,
 )
-from repro.devices.presets import DEVICES, DevicePreset
-from repro.devices.registry import DeviceRegistry
+from repro.devices.presets import DEVICES, DevicePreset, make_device
 
 __all__ = [
     "ComponentMapping",
     "DEVICES",
     "DevicePreset",
-    "DeviceRegistry",
     "compose",
     "decompose",
     "infer_component",
     "is_bijective",
+    "make_device",
     "mapping_is_bijective",
 ]

@@ -4,21 +4,21 @@ A :class:`DevicePreset` bundles everything a controller config needs
 to model one memory technology: the :class:`TimingSpec` (one channel's
 worth), how many independent channels the device presents (DDR5
 sub-channels, HBM pseudo-channels), which refresh policy it uses and
-which named address scheme it ships with. The :data:`DEVICES` registry
-resolves selector strings (``"ddr5-4800:subchannels=2"``) to built
-presets; ``ControllerConfig(device=...)`` and the CLI ``--device``
-flag go through it.
+which named address scheme it ships with. :data:`DEVICES` maps each
+preset name to its factory, and :func:`make_device` resolves selector
+strings (``"ddr5-4800:subchannels=2"``) to built presets;
+``ControllerConfig(device=...)`` and the CLI ``--device`` flag go
+through it.
 
 The DDR4 presets return the *same* :class:`TimingSpec` objects the
-codebase has always used, so selecting ``ddr4-2400`` through the
-registry is bit-identical to the historic default.
+codebase has always used, so selecting ``ddr4-2400`` by name is
+bit-identical to the historic default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.devices.registry import DeviceRegistry
 from repro.dram.timing import (
     DDR4_2400,
     DDR4_3200,
@@ -26,7 +26,7 @@ from repro.dram.timing import (
     Organization,
     TimingSpec,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_choice
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,6 @@ class DevicePreset:
         return self.spec.peak_bandwidth_gbps * self.channels
 
 
-#: The device registry; ``ControllerConfig.device`` strings resolve here.
-DEVICES = DeviceRegistry("memory device")
-
-
-@DEVICES.register("ddr4-2400")
 def _ddr4_2400() -> DevicePreset:
     """The paper's configuration, unchanged (bit-identical baseline)."""
     return DevicePreset(
@@ -79,7 +74,6 @@ def _ddr4_2400() -> DevicePreset:
     )
 
 
-@DEVICES.register("ddr4-3200")
 def _ddr4_3200() -> DevicePreset:
     return DevicePreset(
         name="ddr4-3200",
@@ -92,7 +86,6 @@ def _ddr4_3200() -> DevicePreset:
 _DDR5_TRFCSB = 312
 
 
-@DEVICES.register("ddr5-4800")
 def _ddr5_4800(subchannels: int = 2) -> DevicePreset:
     """DDR5-4800 with independent 32-bit sub-channels and REFsb.
 
@@ -134,7 +127,6 @@ def _ddr5_4800(subchannels: int = 2) -> DevicePreset:
     )
 
 
-@DEVICES.register("lpddr5-6400")
 def _lpddr5_6400() -> DevicePreset:
     """LPDDR5-6400: 16n prefetch, bank-group-less 16-bank mode.
 
@@ -185,7 +177,6 @@ def _lpddr5_6400() -> DevicePreset:
     )
 
 
-@DEVICES.register("hbm2")
 def _hbm2(pseudo_channels: int = 8) -> DevicePreset:
     """HBM2-style stack: many narrow low-latency pseudo-channels.
 
@@ -246,3 +237,57 @@ def _hbm2(pseudo_channels: int = 8) -> DevicePreset:
             f"{19.2 * pseudo_channels:.1f} GB/s aggregate"
         ),
     )
+
+
+#: Preset name -> factory, in listing order. A factory's keyword
+#: arguments are the parameters its selector may carry.
+DEVICES = {
+    "ddr4-2400": _ddr4_2400,
+    "ddr4-3200": _ddr4_3200,
+    "ddr5-4800": _ddr5_4800,
+    "lpddr5-6400": _lpddr5_6400,
+    "hbm2": _hbm2,
+}
+
+
+def _parse_value(text: str):
+    """Parse a selector parameter value: int, float, or raw string."""
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except ValueError:
+            continue
+    return text
+
+
+def make_device(selector: str) -> DevicePreset:
+    """Resolve a selector string to a built preset.
+
+    A selector is ``name`` or ``name:key=value,key=value`` —
+    ``"ddr5-4800:subchannels=2"`` calls the ``ddr5-4800`` factory with
+    ``subchannels=2``. Values parse as int, then float, then stay
+    strings. An unknown name, a malformed parameter or one the factory
+    does not take raises :class:`ConfigurationError`; an unknown name
+    lists the choices, so a CLI typo fails with the full menu.
+    """
+    base, sep, params = str(selector).partition(":")
+    factory = require_choice("memory device", base, DEVICES)
+    kwargs = {}
+    if sep:
+        for part in params.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            key, eq, value = part.partition("=")
+            if not eq or not key.strip():
+                raise ConfigurationError(
+                    f"malformed parameter {part!r} in memory device "
+                    f"selector {selector!r}; expected key=value"
+                )
+            kwargs[key.strip()] = _parse_value(value.strip())
+    try:
+        return factory(**kwargs)
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"bad parameters for memory device {base!r}: {exc}"
+        ) from exc

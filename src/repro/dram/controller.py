@@ -32,7 +32,6 @@ from repro.dram.address import SCHEMES, AddressMapping
 from repro.dram.bank import Bank
 from repro.dram.commands import Command, CommandType, Request, RequestType
 from repro.dram.components.accounting import EventLog
-from repro.dram.components.paging import _BankCoords  # noqa: F401 - re-export
 from repro.dram.packed import PackedEngine
 from repro.dram.rank import BlockScope, RankTiming, SharedBus
 from repro.dram.scheduler import QueuedRequest, RequestQueue
@@ -102,8 +101,8 @@ class ControllerConfig:
             recomputes the decision every step on the object state; it
             is the oracle of the golden/differential test layer and the
             path the fault drills switch to.
-        device: optional device-preset selector resolved in the
-            :data:`repro.devices.DEVICES` registry (``"ddr4-2400"``,
+        device: optional device-preset selector resolved by
+            :func:`repro.devices.make_device` (``"ddr4-2400"``,
             ``"ddr5-4800:subchannels=2"``, ``"lpddr5-6400"``,
             ``"hbm2"``). The preset supplies `spec` and, where the
             config still holds its defaults, `refresh` and
@@ -124,11 +123,11 @@ class ControllerConfig:
 
     def __post_init__(self) -> None:
         if self.device is not None:
-            from repro.devices import DEVICES
+            from repro.devices import make_device
 
             # Resolve the preset first: it supplies the spec and the
             # defaults the checks below then validate.
-            preset = DEVICES.create(self.device)
+            preset = make_device(self.device)
             object.__setattr__(self, "spec", preset.spec)
             if self.refresh is None and preset.refresh != "all-bank":
                 object.__setattr__(self, "refresh", preset.refresh)

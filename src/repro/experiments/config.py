@@ -114,7 +114,7 @@ def paper_system(
     ``None`` keeps the single-requester behaviour.
 
     `device` swaps the DDR4-2400 timings for a preset from the
-    :data:`repro.devices.DEVICES` registry (``"ddr5-4800"``,
+    :data:`repro.devices.DEVICES` table (``"ddr5-4800"``,
     ``"lpddr5-6400"``, ``"hbm2:pseudo_channels=8"``, ... — see
     docs/devices.md); ``None`` keeps the paper's DDR4-2400.
 

@@ -85,7 +85,7 @@ def run_synthetic(
     multi-requester interference runs.
 
     `device` selects a memory device preset from the
-    :data:`repro.devices.DEVICES` registry (None = the paper's
+    :data:`repro.devices.DEVICES` table (None = the paper's
     DDR4-2400); see :func:`~repro.experiments.config.paper_system`.
 
     `engine` selects the controller stepping engine (``"packed"`` or

@@ -224,16 +224,13 @@ def grid(
 def run_sweep(
     points: list[SweepPoint],
     scale: str | ExperimentScale = "ci",
-    progress=None,
     timeout_s: float | None = None,
     jobs: int = 1,
     cache=None,
-    bus=None,
     jsonl_path: str | None = None,
+    on_event=None,
 ) -> SweepResult:
     """Run every point on the execution service.
-
-    `progress` (if given) is called per record, in completion order.
 
     Args:
         timeout_s: wall-clock budget per point (None, or seconds > 0).
@@ -251,13 +248,15 @@ def run_sweep(
             stored as it completes, so rerunning a killed or failed
             sweep with the same cache recomputes only the rest, with
             identical fingerprints.
-        bus: an :class:`~repro.core.events.EventBus` receiving
-            ``JobStarted`` / ``JobFinished`` / ``JobFailed`` topics for
-            live progress (see :mod:`repro.service.events`).
         jsonl_path: stream one JSON line per completed point (and per
             failure) to this file as the sweep runs — an interrupt
             loses at most the in-flight points, never the finished
             ones.
+        on_event: called with each ``JobStarted`` / ``JobFinished`` /
+            ``JobFailure`` record of the batch (see
+            :mod:`repro.service.events`; ``index`` is the point's index
+            in `points`), in completion order, after the sweep has
+            recorded the point and written its `jsonl_path` line.
 
     Failing points never abort the sweep: they are recorded in
     ``result.failures`` and the sweep moves on, so a mostly-healthy
@@ -269,30 +268,33 @@ def run_sweep(
     """
     # Imported here so that importing the experiments package never
     # loads the service (or multiprocessing).
+    from repro.service.events import JobFailure, JobFinished
     from repro.service.service import ExecutionService
 
     job_list = [point_job(point, scale, timeout_s) for point in points]
-    service = ExecutionService(workers=jobs, cache=cache, bus=bus)
+    service = ExecutionService(workers=jobs, cache=cache)
+    result = SweepResult()
     by_index: dict[int, SweepRecord] = {}
     with _jsonl_writer(jsonl_path) as emit_line:
 
-        def on_result(index, job, payload, cached):
-            record = _record_from_payload(points[index], payload, cached)
-            by_index[index] = record
-            emit_line(record.to_json_dict())
-            if progress is not None:
-                progress(record)
+        def record(event) -> None:
+            if isinstance(event, JobFinished):
+                entry = _record_from_payload(
+                    points[event.index], event.payload, event.cached
+                )
+                by_index[event.index] = entry
+                emit_line(entry.to_json_dict())
+            elif isinstance(event, JobFailure):
+                failure = SweepFailure(
+                    point=points[event.index], error=event.error
+                )
+                result.failures.append(failure)
+                emit_line(failure.to_json_dict())
+            if on_event is not None:
+                on_event(event)
 
-        batch = service.run(job_list, on_result=on_result)
-        result = SweepResult(
-            records=[by_index[i] for i in range(len(points)) if i in by_index],
-        )
-        for failure in batch.failures:
-            sweep_failure = SweepFailure(
-                point=points[failure.index], error=failure.error
-            )
-            result.failures.append(sweep_failure)
-            emit_line(sweep_failure.to_json_dict())
+        service.run(job_list, on_event=record)
+    result.records = [by_index[index] for index in sorted(by_index)]
     return result
 
 

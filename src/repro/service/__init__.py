@@ -7,9 +7,10 @@ The batch backbone of the repo: deterministic, content-addressed jobs
 from, and the orchestrating
 :class:`~repro.service.service.ExecutionService` that the sweep
 harness, ``scripts/run_all_figures.py`` and the ``dram-stacks batch``
-CLI all run on, at every worker count. Progress is published as typed
-topics (:mod:`~repro.service.events`) on a
-:class:`repro.core.events.EventBus`.
+CLI all run on, at every worker count. A batch is watched through one
+callback, ``ExecutionService.run(jobs, on_event=...)``, which receives
+the records of :mod:`~repro.service.events` as jobs start, finish and
+fail.
 
 See ``docs/service.md`` for the job model, cache layout, and the
 determinism argument.
@@ -32,7 +33,7 @@ Quickstart::
 """
 
 from repro.service.cache import DEFAULT_CACHE_DIR, CacheStats, ResultCache
-from repro.service.events import JobFailed, JobFinished, JobStarted
+from repro.service.events import JobFailure, JobFinished, JobStarted
 from repro.service.executors import (
     EXECUTORS,
     execute_job,
@@ -41,7 +42,7 @@ from repro.service.executors import (
 )
 from repro.service.job import JOB_FORMAT, Job
 from repro.service.pool import PoolEvent, WorkerPool
-from repro.service.service import BatchResult, ExecutionService, JobFailure
+from repro.service.service import BatchResult, ExecutionService
 
 __all__ = [
     "BatchResult",
@@ -51,7 +52,6 @@ __all__ = [
     "ExecutionService",
     "JOB_FORMAT",
     "Job",
-    "JobFailed",
     "JobFailure",
     "JobFinished",
     "JobStarted",

@@ -1,26 +1,30 @@
-"""Batch-progress event topics for the execution service.
+"""What :meth:`ExecutionService.run`'s ``on_event`` callback receives.
 
-The service publishes these on a :class:`repro.core.events.EventBus`,
-the only topics that bus carries, so progress consumers subscribe to
-typed topics instead of polling service internals. Built-in subscribers:
-:class:`repro.viz.live.BatchProgressMeter` (rolling counters + status
-line) and the CLI ``batch`` subcommand's per-job printer.
-
-Lifecycle per job: one :class:`JobStarted` when it begins executing
-(none for a cache hit), then exactly one of :class:`JobFinished`
-(success — possibly served from cache, see ``cached``) or
-:class:`JobFailed`, which means the job appears in the batch's failure
-list.
+The callback is the one way to watch a batch. It is called in
+completion order, before ``run`` returns. Per job it gets one
+:class:`JobStarted` when the job begins executing (none for a cache
+hit), then exactly one of :class:`JobFinished` (success, possibly
+served from the cache, see ``cached``) or :class:`JobFailure`, the
+same record that lands in ``BatchResult.failures``.
+:class:`repro.viz.live.BatchProgressMeter` is such a callback, and
+:func:`repro.experiments.sweep.run_sweep` forwards the events to its
+own ``on_event``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+from repro.errors import ReproError
+
+if TYPE_CHECKING:
+    from repro.service.job import Job
 
 __all__ = [
     "JobStarted",
     "JobFinished",
-    "JobFailed",
+    "JobFailure",
 ]
 
 
@@ -43,7 +47,8 @@ class JobFinished:
 
     ``cached`` is True when the payload came from the result cache (in
     which case ``elapsed_s`` is the lookup time, not a simulation time,
-    and no :class:`JobStarted` was published).
+    and no :class:`JobStarted` was sent). ``payload`` is the object
+    that lands in ``BatchResult.payloads``.
     """
 
     index: int
@@ -51,18 +56,19 @@ class JobFinished:
     label: str
     elapsed_s: float
     cached: bool
+    payload: dict
 
 
-@dataclass(frozen=True, slots=True)
-class JobFailed:
-    """A job failed.
+@dataclass
+class JobFailure:
+    """A job that failed, with the typed error it failed with."""
 
-    ``error_type`` is the :class:`~repro.errors.ReproError` subclass
-    name (``"WorkerCrashError"`` for hard worker deaths).
-    """
-
+    job: Job
     index: int
-    digest: str
-    label: str
-    error_type: str
-    message: str
+    error: ReproError
+
+    def __str__(self) -> str:
+        return (
+            f"{self.job.display_label}: {type(self.error).__name__}: "
+            f"{self.error}"
+        )

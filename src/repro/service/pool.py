@@ -34,7 +34,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError, WorkerSpawnError
+from repro.errors import WorkerSpawnError, require_int
 from repro.service.job import Job
 from repro.service.worker import SHUTDOWN, worker_main
 
@@ -91,11 +91,7 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int) -> None:
-        if not isinstance(workers, int) or workers < 1:
-            raise ConfigurationError(
-                f"WorkerPool(workers=...) must be a positive int, "
-                f"got {workers!r}"
-            )
+        require_int("WorkerPool", "workers", workers, 1)
         self.size = workers
         self._ctx = multiprocessing.get_context("spawn")
         self._result_queue = None

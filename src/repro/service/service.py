@@ -5,8 +5,8 @@ of :class:`~repro.service.job.Job` descriptions and produces one
 payload (or failure) per job, consulting the result cache before doing
 any work, fanning execution out over a
 :class:`~repro.service.pool.WorkerPool` (or running inline for
-``workers=1``), and publishing :mod:`repro.service.events` topics on an
-:class:`~repro.core.events.EventBus` for progress consumers.
+``workers=1``), and passing each :mod:`repro.service.events` record to
+the caller's ``on_event`` callback as it happens.
 
 Determinism: jobs are independent and each runs in a fresh, seeded
 simulator, so payloads — including every per-point
@@ -42,37 +42,25 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import repro.errors as errors_mod
-from repro.core.events import EventBus
 from repro.errors import (
-    ConfigurationError,
     ReproError,
     SimulationTimeoutError,
     WorkerCrashError,
+    require_int,
 )
+from repro.reliability.guard import check_timeout
 from repro.service.cache import ResultCache
-from repro.service.events import JobFailed, JobFinished, JobStarted
+from repro.service.events import JobFailure, JobFinished, JobStarted
 from repro.service.executors import execute_job
 from repro.service.job import Job
 from repro.service.pool import WorkerPool
 
-#: ``on_result`` callback: (index, job, payload, cached) — called in
-#: completion order, before the batch returns.
-ResultCallback = Callable[[int, Job, dict, bool], None]
+#: ``on_event`` callback of :meth:`ExecutionService.run`.
+OnEvent = Callable[[JobStarted | JobFinished | JobFailure], None]
 
 
-@dataclass
-class JobFailure:
-    """A job that failed, with the typed error it failed with."""
-
-    job: Job
-    index: int
-    error: ReproError
-
-    def __str__(self) -> str:
-        return (
-            f"{self.job.display_label}: {type(self.error).__name__}: "
-            f"{self.error}"
-        )
+def _ignore(event) -> None:
+    """The ``on_event`` of a batch nobody watches."""
 
 
 @dataclass
@@ -114,52 +102,47 @@ class ExecutionService:
     """Runs job batches with caching and parallelism.
 
     Args:
-        workers: worker processes (a positive int); 1 executes inline
+        workers: worker processes (an int >= 1); 1 executes inline
             (no subprocess).
         cache: a :class:`ResultCache`, a directory path for one, or
             None to disable caching. Rerunning a batch with the same
             cache recomputes only the jobs it does not hold.
-        bus: event bus for :mod:`repro.service.events` topics; a
-            private bus is created when omitted (so ``service.bus`` is
-            always subscribable).
-        timeout_s: default per-job wall-clock budget; a job's own
-            ``timeout_s`` takes precedence.
+        timeout_s: default per-job wall-clock budget (None, or seconds
+            > 0); a job's own ``timeout_s`` takes precedence.
     """
 
     def __init__(
         self,
         workers: int = 1,
         cache: ResultCache | str | None = None,
-        bus: EventBus | None = None,
         timeout_s: float | None = None,
     ) -> None:
-        if not isinstance(workers, int) or workers < 1:
-            raise ConfigurationError(
-                f"ExecutionService(workers=...) must be a positive int, "
-                f"got {workers!r}"
-            )
+        require_int("ExecutionService", "workers", workers, 1)
         self.workers = workers
         if isinstance(cache, (str, bytes)) or hasattr(cache, "__fspath__"):
             cache = ResultCache(cache)
         self.cache = cache
-        self.bus = bus if bus is not None else EventBus()
-        self.timeout_s = timeout_s
+        self.timeout_s = check_timeout(
+            timeout_s, "ExecutionService(timeout_s=...)"
+        )
 
     # ------------------------------------------------------------------
     def run(
         self,
         jobs: Sequence[Job],
-        on_result: ResultCallback | None = None,
+        on_event: OnEvent | None = None,
     ) -> BatchResult:
         """Execute `jobs`; returns payloads aligned with the input order.
 
-        Failing jobs never abort the batch: they are recorded in
-        ``result.failures`` and everything else still completes. A
-        worker that cannot be spawned raises
-        :class:`~repro.errors.WorkerSpawnError`; with a cache, every
-        job finished before it is already stored there.
+        `on_event`, if given, receives the :mod:`repro.service.events`
+        records in completion order, before this returns. Failing jobs
+        never abort the batch: they are recorded in ``result.failures``
+        and everything else still completes. A worker that cannot be
+        spawned raises :class:`~repro.errors.WorkerSpawnError`; with a
+        cache, every job finished before it is already stored there.
         """
         jobs = list(jobs)
+        emit = on_event if on_event is not None else _ignore
         started = time.perf_counter()
         result = BatchResult(jobs=jobs, payloads=[None] * len(jobs))
         # Each item is (index, effective job, digest): the job with the
@@ -169,9 +152,9 @@ class ExecutionService:
             for index, job in enumerate(map(self._effective, jobs))
         ]
         if self.workers == 1:
-            self._run_inline(items, result, on_result)
+            self._run_inline(items, result, emit)
         else:
-            self._run_pooled(items, result, on_result)
+            self._run_pooled(items, result, emit)
         result.elapsed_s = time.perf_counter() - started
         return result
 
@@ -190,7 +173,7 @@ class ExecutionService:
         job: Job,
         digest: str,
         result: BatchResult,
-        on_result: ResultCallback | None,
+        emit: OnEvent,
     ) -> bool:
         """Serve job `index` from the cache if possible."""
         if self.cache is None:
@@ -201,15 +184,14 @@ class ExecutionService:
             return False
         result.payloads[index] = payload
         result.cache_hits += 1
-        self.bus.publish(JobFinished(
+        emit(JobFinished(
             index=index,
             digest=digest,
             label=job.display_label,
             elapsed_s=time.perf_counter() - lookup_start,
             cached=True,
+            payload=payload,
         ))
-        if on_result is not None:
-            on_result(index, job, payload, True)
         return True
 
     def _finish(
@@ -220,39 +202,33 @@ class ExecutionService:
         payload: dict,
         elapsed_s: float,
         result: BatchResult,
-        on_result: ResultCallback | None,
+        emit: OnEvent,
     ) -> None:
         if self.cache is not None:
             self.cache.put(job, payload)
         result.payloads[index] = payload
         result.executed += 1
-        self.bus.publish(JobFinished(
+        emit(JobFinished(
             index=index,
             digest=digest,
             label=job.display_label,
             elapsed_s=elapsed_s,
             cached=False,
+            payload=payload,
         ))
-        if on_result is not None:
-            on_result(index, job, payload, False)
 
+    @staticmethod
     def _fail(
-        self,
         index: int,
         job: Job,
-        digest: str,
         error: ReproError,
         result: BatchResult,
+        emit: OnEvent,
     ) -> None:
-        """Publish and record one failed job."""
-        self.bus.publish(JobFailed(
-            index=index,
-            digest=digest,
-            label=job.display_label,
-            error_type=type(error).__name__,
-            message=str(error),
-        ))
-        result.failures.append(JobFailure(job=job, index=index, error=error))
+        """Record and report one failed job."""
+        failure = JobFailure(job=job, index=index, error=error)
+        result.failures.append(failure)
+        emit(failure)
 
     # ------------------------------------------------------------------
     # Inline execution (workers=1)
@@ -261,12 +237,12 @@ class ExecutionService:
         self,
         items: list[tuple[int, Job, str]],
         result: BatchResult,
-        on_result: ResultCallback | None,
+        emit: OnEvent,
     ) -> None:
         for index, job, digest in items:
-            if self._try_cache(index, job, digest, result, on_result):
+            if self._try_cache(index, job, digest, result, emit):
                 continue
-            self.bus.publish(JobStarted(
+            emit(JobStarted(
                 index=index,
                 digest=digest,
                 label=job.display_label,
@@ -276,11 +252,11 @@ class ExecutionService:
             try:
                 payload = execute_job(job)
             except ReproError as error:
-                self._fail(index, job, digest, error, result)
+                self._fail(index, job, error, result, emit)
                 continue
             self._finish(
                 index, job, digest, payload,
-                time.perf_counter() - start, result, on_result,
+                time.perf_counter() - start, result, emit,
             )
 
     # ------------------------------------------------------------------
@@ -290,7 +266,7 @@ class ExecutionService:
         self,
         items: list[tuple[int, Job, str]],
         result: BatchResult,
-        on_result: ResultCallback | None,
+        emit: OnEvent,
     ) -> None:
         """Pooled execution; a spawn failure propagates out of the pool."""
         # Cache hits are resolved before the pool exists, so a fully
@@ -298,7 +274,7 @@ class ExecutionService:
         # looked up exactly once.
         pending = deque(
             item for item in items
-            if not self._try_cache(*item, result, on_result)
+            if not self._try_cache(*item, result, emit)
         )
         if not pending:
             return
@@ -316,7 +292,7 @@ class ExecutionService:
                     in_flight[next_task_id] = (
                         index, job, digest, time.perf_counter()
                     )
-                    self.bus.publish(JobStarted(
+                    emit(JobStarted(
                         index=index,
                         digest=digest,
                         label=job.display_label,
@@ -332,7 +308,7 @@ class ExecutionService:
                         self._finish(
                             index, job, digest, event.body["payload"],
                             time.perf_counter() - start_perf,
-                            result, on_result,
+                            result, emit,
                         )
                         continue
                     if event.kind == "error":
@@ -350,4 +326,4 @@ class ExecutionService:
                             f"worker died mid-job (exit code "
                             f"{event.body.get('exitcode')!r})"
                         )
-                    self._fail(index, job, digest, error, result)
+                    self._fail(index, job, error, result, emit)

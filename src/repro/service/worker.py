@@ -15,15 +15,16 @@ hierarchy; only a hard death (``os._exit``, segfault, kill) leaves the
 parent without a result, which it detects as a crash via the process's
 exit code.
 
-A worker whose parent died (killed mid-batch, so no shutdown sentinel
-ever comes) notices within :data:`PARENT_POLL_S` of going idle and
-exits, so a killed batch leaves no worker behind.
+A worker exits as soon as its parent process dies (a batch killed
+mid-run sends no shutdown sentinel), idle or in the middle of a job, so
+a killed batch leaves no worker behind.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import queue
+import os
+import threading
 import traceback
 
 #: True inside a pool worker process; lets test instruments (the probe
@@ -33,9 +34,15 @@ IN_WORKER = False
 #: Sentinel task telling a worker to exit its loop cleanly.
 SHUTDOWN = None
 
-#: Seconds an idle worker waits for a task before checking that its
-#: parent process is still alive.
-PARENT_POLL_S = 1.0
+
+def _exit_with(parent) -> None:
+    """Block until `parent` dies, then end this process at once.
+
+    Nobody reads results any more, so nothing is flushed: ``os._exit``
+    skips the result queue's feeder thread and any job still running.
+    """
+    parent.join()
+    os._exit(1)
 
 
 def worker_main(worker_id: int, task_queue, result_queue) -> None:
@@ -50,16 +57,13 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
     global IN_WORKER
     IN_WORKER = True
     parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with, args=(parent,), daemon=True,
+            name="repro-parent-watch",
+        ).start()
     while True:
-        try:
-            task = task_queue.get(timeout=PARENT_POLL_S)
-        except queue.Empty:
-            if parent is not None and not parent.is_alive():
-                # Nobody reads results any more: do not wait at exit
-                # for the queue's feeder thread to flush them.
-                result_queue.cancel_join_thread()
-                return
-            continue
+        task = task_queue.get()
         if task is SHUTDOWN:
             return
         job_id, job_dict = task

@@ -11,7 +11,7 @@ through-time stacks, Fig. 7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import AccountingError

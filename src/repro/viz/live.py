@@ -1,41 +1,33 @@
-"""Live batch progress over the execution service's event bus.
+"""Live batch progress from the execution service's ``on_event`` records.
 
-:class:`BatchProgressMeter` subscribes to the execution service's
-``JobStarted`` / ``JobFinished`` / ``JobFailed`` topics
-(:mod:`repro.service.events`) and keeps a rolling batch scoreboard plus
-a one-line status renderer, which the ``dram-stacks batch`` CLI
+:class:`BatchProgressMeter` is an ``on_event`` callback: it counts the
+``JobStarted`` / ``JobFinished`` / ``JobFailure`` records
+(:mod:`repro.service.events`) of a batch and keeps a rolling scoreboard
+plus a one-line status renderer, which the ``dram-stacks batch`` CLI
 reprints as points complete.
 
 Usage::
 
     meter = BatchProgressMeter(total=len(jobs))
-    meter.attach(service.bus)
-    ... run the batch ...
-    meter.detach(service.bus)
+    service.run(jobs, on_event=meter)
     print(meter.status_line())
 """
 
 from __future__ import annotations
 
-from repro.core.events import EventBus
-
 
 class BatchProgressMeter:
-    """Batch scoreboard over the execution-service event topics.
+    """Batch scoreboard over the execution service's job records.
 
-    Subscribes to :class:`~repro.service.events.JobStarted` /
-    :class:`~repro.service.events.JobFinished` /
-    :class:`~repro.service.events.JobFailed` and tracks how a batch is
+    Called with each :class:`~repro.service.events.JobStarted`,
+    :class:`~repro.service.events.JobFinished` and
+    :class:`~repro.service.events.JobFailure`, it tracks how a batch is
     going: completed/failed/cached counts and which labels are in
     flight right now.
 
     Args:
         total: expected number of jobs (used by :meth:`status_line`;
             0 renders counts without a denominator).
-
-    It is a plain subscriber: :meth:`attach` / :meth:`detach` wire it to
-    any :class:`~repro.core.events.EventBus` (normally
-    ``ExecutionService(...).bus``).
     """
 
     def __init__(self, total: int = 0) -> None:
@@ -47,41 +39,22 @@ class BatchProgressMeter:
         #: (insertion-ordered).
         self.in_flight: dict[str, int] = {}
 
-    def attach(self, bus: EventBus) -> "BatchProgressMeter":
-        """Subscribe this meter's handlers to `bus`; returns self."""
-        from repro.service.events import JobFailed, JobFinished, JobStarted
+    def __call__(self, event) -> None:
+        """Count one record of a batch."""
+        # Imported here so that importing this module never loads the
+        # service (or multiprocessing).
+        from repro.service.events import JobFinished, JobStarted
 
-        bus.subscribe(JobStarted, self.on_started)
-        bus.subscribe(JobFinished, self.on_finished)
-        bus.subscribe(JobFailed, self.on_failed)
-        return self
-
-    def detach(self, bus: EventBus) -> None:
-        """Remove this meter's handlers from `bus` (idempotent)."""
-        from repro.service.events import JobFailed, JobFinished, JobStarted
-
-        bus.unsubscribe(JobStarted, self.on_started)
-        bus.unsubscribe(JobFinished, self.on_finished)
-        bus.unsubscribe(JobFailed, self.on_failed)
-
-    # ------------------------------------------------------------------
-    # Bus handlers
-    # ------------------------------------------------------------------
-    def on_started(self, event) -> None:
-        """Handle one JobStarted."""
-        self.in_flight[event.label] = event.worker
-
-    def on_finished(self, event) -> None:
-        """Handle one JobFinished."""
-        self.in_flight.pop(event.label, None)
-        self.finished += 1
-        if event.cached:
-            self.cached += 1
-
-    def on_failed(self, event) -> None:
-        """Handle one JobFailed."""
-        self.in_flight.pop(event.label, None)
-        self.failed += 1
+        if isinstance(event, JobStarted):
+            self.in_flight[event.label] = event.worker
+        elif isinstance(event, JobFinished):
+            self.in_flight.pop(event.label, None)
+            self.finished += 1
+            if event.cached:
+                self.cached += 1
+        else:  # a JobFailure
+            self.in_flight.pop(event.job.display_label, None)
+            self.failed += 1
 
     # ------------------------------------------------------------------
     @property

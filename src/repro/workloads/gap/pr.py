@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.workloads.base import split_by_weight, split_range
+from repro.workloads.base import split_by_weight
 from repro.workloads.gap.graph import Graph
 from repro.workloads.gap.tracer import (
     CoreTracer,

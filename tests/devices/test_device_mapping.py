@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.devices  # noqa: F401  (registers device schemes)
-from repro.devices import DEVICES
+from repro.devices import DEVICES, make_device
 from repro.devices.mapping import (
     ComponentMapping,
     compose,
@@ -36,8 +35,8 @@ def _all_mappings():
             f"{scheme}/ddr4",
             AddressMapping.from_name(scheme, DDR4_2400.organization),
         ))
-    for name in DEVICES.names():
-        preset = DEVICES.create(name)
+    for name in DEVICES:
+        preset = make_device(name)
         cases.append((
             f"{preset.mapping}/{name}",
             AddressMapping.from_name(preset.mapping, preset.spec.organization),

@@ -1,6 +1,6 @@
-"""Device registry and preset tests.
+"""Device table and preset tests.
 
-The registry contract: named presets resolve to full device
+The table contract: named presets resolve to full device
 configurations, selectors carry typed parameters, unknown names fail
 with the list of choices, and the DDR4 presets return the *same*
 TimingSpec objects the codebase has always used (bit-identity with
@@ -11,47 +11,37 @@ import dataclasses
 
 import pytest
 
-from repro.devices import DEVICES, DevicePreset, DeviceRegistry
+from repro.devices import DEVICES, DevicePreset, make_device
 from repro.dram.timing import DDR4_2400, DDR4_3200, Organization, TimingSpec
 from repro.errors import ConfigurationError
 
 
 class TestRegistry:
     def test_names_in_registration_order(self):
-        assert DEVICES.names() == (
+        assert tuple(DEVICES) == (
             "ddr4-2400", "ddr4-3200", "ddr5-4800", "lpddr5-6400", "hbm2",
         )
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            DEVICES.create("ddr6-9000")
+            make_device("ddr6-9000")
         message = str(excinfo.value)
         assert "ddr6-9000" in message
-        for name in DEVICES.names():
+        for name in DEVICES:
             assert name in message
 
     def test_bad_parameter_name_raises(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            DEVICES.create("ddr5-4800:lanes=3")
+            make_device("ddr5-4800:lanes=3")
         assert "ddr5-4800" in str(excinfo.value)
 
     def test_malformed_selector_raises(self):
         with pytest.raises(ConfigurationError):
-            DEVICES.create("ddr5-4800:subchannels")
+            make_device("ddr5-4800:subchannels")
 
     def test_parameter_values_are_typed(self):
-        preset = DEVICES.create("hbm2:pseudo_channels=4")
+        preset = make_device("hbm2:pseudo_channels=4")
         assert preset.channels == 4
-
-    def test_duplicate_registration_raises(self):
-        registry = DeviceRegistry("test device")
-
-        @registry.register("dev")
-        def _dev():
-            return DevicePreset(name="dev", spec=DDR4_2400)
-
-        with pytest.raises(ConfigurationError):
-            registry.register("dev")(_dev)
 
     def test_channels_must_be_power_of_two(self):
         with pytest.raises(ConfigurationError):
@@ -60,8 +50,8 @@ class TestRegistry:
 
 class TestPresets:
     def test_ddr4_presets_are_the_historic_spec_objects(self):
-        assert DEVICES.create("ddr4-2400").spec is DDR4_2400
-        assert DEVICES.create("ddr4-3200").spec is DDR4_3200
+        assert make_device("ddr4-2400").spec is DDR4_2400
+        assert make_device("ddr4-3200").spec is DDR4_3200
 
     def test_aggregate_peak_bandwidth(self):
         expected = {
@@ -72,12 +62,12 @@ class TestPresets:
             "hbm2": 153.6,
         }
         for name, peak in expected.items():
-            preset = DEVICES.create(name)
+            preset = make_device(name)
             assert preset.peak_bandwidth_gbps == pytest.approx(peak), name
 
     def test_ddr5_subchannel_variants_keep_aggregate_peak(self):
         for subchannels in (1, 2, 4):
-            preset = DEVICES.create(
+            preset = make_device(
                 f"ddr5-4800:subchannels={subchannels}"
             )
             assert preset.channels == subchannels
@@ -89,15 +79,15 @@ class TestPresets:
 
     def test_ddr5_rejects_bad_subchannel_count(self):
         with pytest.raises(ConfigurationError):
-            DEVICES.create("ddr5-4800:subchannels=3")
+            make_device("ddr5-4800:subchannels=3")
 
     def test_hbm2_rejects_bad_pseudo_channel_count(self):
         for bad in (1, 3, 32):
             with pytest.raises(ConfigurationError):
-                DEVICES.create(f"hbm2:pseudo_channels={bad}")
+                make_device(f"hbm2:pseudo_channels={bad}")
 
     def test_lpddr5_is_bank_group_less(self):
-        spec = DEVICES.create("lpddr5-6400").spec
+        spec = make_device("lpddr5-6400").spec
         assert spec.organization.bank_groups == 1
         assert spec.organization.banks_per_group == 16
         # BG-off mode: no short/long CAS-to-CAS distinction.
@@ -105,7 +95,7 @@ class TestPresets:
 
     def test_same_bank_refresh_presets_carry_trfcsb(self):
         for name in ("ddr5-4800", "lpddr5-6400"):
-            preset = DEVICES.create(name)
+            preset = make_device(name)
             assert preset.refresh == "same-bank", name
             assert preset.spec.tRFCsb > 0, name
             assert preset.spec.tRFCsb < preset.spec.tRFC, name

@@ -4,7 +4,7 @@ stack conservation, composite-result API, and the removed spec aliases.
 
 import pytest
 
-from repro.devices import DEVICES
+from repro.devices import DEVICES, make_device
 from repro.dram import ControllerConfig
 from repro.dram.timing import DDR4_2400
 from repro.dram.validator import validate_controller
@@ -24,7 +24,7 @@ class TestConfigResolution:
     def test_device_supplies_spec_refresh_and_channels(self):
         config = ControllerConfig(device="ddr5-4800")
         # Non-DDR4 specs are built per create() call: equal, not shared.
-        assert config.spec == DEVICES.create("ddr5-4800").spec
+        assert config.spec == make_device("ddr5-4800").spec
         assert config.resolved_refresh == "same-bank"
         assert config.device_channels == 2
 
@@ -50,14 +50,14 @@ class TestConfigResolution:
     def test_unknown_device_lists_choices(self):
         with pytest.raises(ConfigurationError) as excinfo:
             ControllerConfig(device="sdram-133")
-        for name in DEVICES.names():
+        for name in DEVICES:
             assert name in str(excinfo.value)
 
 
 class TestDeviceRuns:
-    @pytest.mark.parametrize("name", DEVICES.names())
+    @pytest.mark.parametrize("name", tuple(DEVICES))
     def test_bandwidth_stack_conserves_aggregate_peak(self, name):
-        preset = DEVICES.create(name)
+        preset = make_device(name)
         result = run_synthetic(
             "random", cores=2, store_fraction=0.2,
             scale=TINY, guard=False, device=name,
@@ -90,7 +90,7 @@ class TestDeviceRuns:
         # Each pseudo-channel has fixed width, so halving the count
         # halves the aggregate peak (unlike DDR5 sub-channels).
         assert result.bandwidth_stack().total == pytest.approx(
-            DEVICES.create(selector).peak_bandwidth_gbps, rel=1e-9,
+            make_device(selector).peak_bandwidth_gbps, rel=1e-9,
         )
 
     def test_composite_fingerprint_is_deterministic(self):

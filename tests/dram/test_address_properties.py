@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.devices import DEVICES  # also registers the "lpddr5" scheme
+from repro.devices import DEVICES, make_device
 from repro.dram.address import SCHEMES as SCHEME_REGISTRY
 from repro.dram.address import AddressMapping, Coordinates
 from repro.dram.timing import DDR4_2400, Organization
@@ -151,8 +151,8 @@ def test_default_stride_fills_a_page_before_moving(start_line):
 #: ranks (no preset has a rank field).
 ORGANIZATIONS = {
     **{
-        name: DEVICES.create(name).spec.organization
-        for name in DEVICES.names()
+        name: make_device(name).spec.organization
+        for name in DEVICES
     },
     "ddr4-2400-2rank": ORG_2RANK,
 }

@@ -78,7 +78,7 @@ class TestRefreshSwap:
         assert mc.log.refresh_windows == []
         assert mc.stats.refreshes == 0
 
-    @pytest.mark.parametrize("device", DEVICES.names())
+    @pytest.mark.parametrize("device", tuple(DEVICES))
     def test_none_policy_overrides_every_preset(self, device):
         # A stream spanning several refresh intervals: the preset's own
         # policy refreshes during it, "none" never does.

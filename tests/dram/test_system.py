@@ -3,7 +3,6 @@
 import pytest
 
 from repro.dram import (
-    ControllerConfig,
     MemorySystem,
     MemorySystemConfig,
     Request,

@@ -197,7 +197,7 @@ class TestClosedLoopConformance:
     def test_gap_workload_trace_conforms(self):
         """The full CpuSystem pipeline (caches, prefetcher, barriers)
         produces a timing-legal command schedule."""
-        from repro.cpu import CpuSystem, SystemConfig
+        from repro.cpu import CpuSystem
         from repro.experiments.config import paper_system
         from repro.workloads.gap import GapWorkload
 

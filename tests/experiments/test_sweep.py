@@ -1,7 +1,5 @@
 """Tests for the parameter-sweep harness."""
 
-import dataclasses
-
 import pytest
 
 from repro.experiments.config import ExperimentScale
@@ -76,12 +74,23 @@ class TestRunSweep:
         assert rows[0][0] == "pattern"
         assert len(rows) == 5
 
-    def test_progress_callback(self):
+    def test_progress_callback(self, tmp_path):
+        """``on_event`` gets each record after the sweep has recorded
+        the point and written its JSONL line."""
+        from repro.service.events import JobFinished, JobStarted
+
+        jsonl = tmp_path / "sweep.jsonl"
         seen = []
-        run_sweep(
-            [SweepPoint()], scale=TINY, progress=lambda r: seen.append(r)
+
+        def on_event(event):
+            seen.append((type(event), len(jsonl.read_text().splitlines())))
+
+        result = run_sweep(
+            [SweepPoint()], scale=TINY, jsonl_path=str(jsonl),
+            on_event=on_event,
         )
-        assert len(seen) == 1
+        assert seen == [(JobStarted, 0), (JobFinished, 1)]
+        assert len(result.records) == 1
 
 
 class TestRobustness:

@@ -16,6 +16,7 @@ resumed by rerunning it on the same result cache.
 
 import errno
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -48,25 +49,27 @@ FAULT_ERRORS = {"crash": WorkerCrashError, "hang": SimulationTimeoutError,
 
 #: The batch the kill tests run in a child process, with ``{cache}``,
 #: ``{jobs}`` and ``{workers}`` filled in: after its ``{die_after}``-th
-#: result it prints its workers' pids and dies hard (``os._exit``: no
-#: cleanup, no pool shutdown).
+#: finished job it prints its workers' pids and dies hard
+#: (``os._exit``: no cleanup, no pool shutdown).
 KILLED_BATCH = """
 import multiprocessing, os
 from repro.experiments.config import ExperimentScale
-from repro.service import ExecutionService, Job
+from repro.service import ExecutionService, Job, JobFinished
 
 TINY = ExperimentScale("tiny", synthetic_accesses=800)
 done = []
 
-def on_result(index, job, payload, cached):
-    done.append(index)
+def on_event(event):
+    if not isinstance(event, JobFinished):
+        return
+    done.append(event.index)
     if len(done) == {die_after}:
         pids = [child.pid for child in multiprocessing.active_children()]
         print(" ".join(map(str, pids)), flush=True)
         os._exit(9)
 
 ExecutionService(workers={workers}, cache={cache!r}).run(
-    {jobs}, on_result=on_result
+    {jobs}, on_event=on_event
 )
 """
 
@@ -363,16 +366,30 @@ class TestKillResume:
         ]
 
     @pytest.mark.slow
-    def test_killed_batch_leaves_no_worker_alive(self, tmp_path):
-        """Workers whose batch process died exit on their own: no
-        orphan is left reparented to init, blocked on its task
-        queue forever."""
-        jobs = '[Job("probe", {"value": i, "sleep_s": 0.2}) for i in range(4)]'
+    @pytest.mark.parametrize("jobs", [
+        pytest.param(
+            '[Job("probe", {"value": i, "sleep_s": 0.2}) for i in range(4)]',
+            id="idle",
+        ),
+        pytest.param(
+            '[Job("probe", {"value": 0}), Job("probe", {"sleep_s": 60.0})]',
+            id="busy",
+        ),
+    ])
+    def test_killed_batch_leaves_no_worker_alive(self, tmp_path, jobs):
+        """Workers whose batch process died exit on their own, idle or
+        in the middle of a job: no orphan is left reparented to init,
+        blocked on its task queue or running a job nobody will read."""
         pids = run_killed_batch(tmp_path, jobs, workers=2, die_after=1)
         assert len(pids) == 2
-        deadline = time.monotonic() + 10.0
-        while any(alive(pid) for pid in pids):
-            assert time.monotonic() < deadline, (
-                f"orphaned workers: {[p for p in pids if alive(p)]}"
-            )
-            time.sleep(0.1)
+        try:
+            deadline = time.monotonic() + 3.0
+            while any(alive(pid) for pid in pids):
+                assert time.monotonic() < deadline, (
+                    f"orphaned workers: {[p for p in pids if alive(p)]}"
+                )
+                time.sleep(0.1)
+        finally:
+            for pid in pids:
+                if alive(pid):
+                    os.kill(pid, signal.SIGKILL)

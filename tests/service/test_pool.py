@@ -8,19 +8,25 @@ import time
 
 import pytest
 
-from repro.core.events import EventBus
 from repro.errors import (
     ConfigurationError,
     SimulationTimeoutError,
     WorkerCrashError,
 )
-from repro.service import ExecutionService, Job, JobFailed, WorkerPool
+from repro.service import (
+    ExecutionService,
+    Job,
+    JobFailure,
+    JobFinished,
+    WorkerPool,
+)
 
 
 class TestPoolValidation:
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ConfigurationError):
-            WorkerPool(0)
+    @pytest.mark.parametrize("workers", [0, -1, True, 2.0, "2"])
+    def test_rejects_bad_worker_count(self, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            WorkerPool(workers)
 
     def test_dispatch_returns_none_when_saturated(self):
         with WorkerPool(1) as pool:
@@ -37,29 +43,35 @@ class TestParallelExecution:
         assert result.executed == 4 and result.cache_hits == 0
         assert [p["value"] for p in result.payloads] == [0, 1, 2, 3]
 
-    def test_on_result_called_once_per_job(self):
+    def test_on_event_called_once_per_job(self):
         seen = []
+
+        def on_event(event):
+            if isinstance(event, JobFinished):
+                seen.append((event.index, event.cached))
+
         jobs = [Job("probe", {"value": i}) for i in range(3)]
-        ExecutionService(workers=2).run(
-            jobs, on_result=lambda i, j, p, c: seen.append((i, c))
-        )
+        ExecutionService(workers=2).run(jobs, on_event=on_event)
         assert sorted(seen) == [(0, False), (1, False), (2, False)]
 
 
 class TestCrashIsolation:
     def test_crash_fails_only_its_job(self):
-        bus = EventBus()
         failures = []
-        bus.subscribe(JobFailed, failures.append)
+
+        def on_event(event):
+            if isinstance(event, JobFailure):
+                failures.append(event)
+
         doomed = Job("probe", {"crash": True}, label="doomed")
         healthy = [Job("probe", {"value": i}) for i in range(3)]
-        service = ExecutionService(workers=2, bus=bus)
-        result = service.run([doomed, *healthy])
+        service = ExecutionService(workers=2)
+        result = service.run([doomed, *healthy], on_event=on_event)
         assert len(result.failures) == 1
         failure = result.failures[0]
         assert failure.index == 0
         assert isinstance(failure.error, WorkerCrashError)
-        assert [f.error_type for f in failures] == ["WorkerCrashError"]
+        assert failures == result.failures
         # Crash isolation: the other jobs still completed on the pool,
         # which replaced the dead worker.
         assert result.payloads[1:] == [{"value": i} for i in range(3)]

@@ -7,7 +7,6 @@ isolation, hard timeouts, real parallelism) live in ``test_pool.py``.
 
 import pytest
 
-from repro.core.events import EventBus
 from repro.errors import (
     ConfigurationError,
     SimulationTimeoutError,
@@ -17,7 +16,7 @@ from repro.experiments.config import ExperimentScale
 from repro.service import (
     ExecutionService,
     Job,
-    JobFailed,
+    JobFailure,
     JobFinished,
     JobStarted,
     ResultCache,
@@ -65,53 +64,68 @@ class TestCaching:
         warm = service.run([job])
         assert warm.cache_hits == 1 and warm.payloads == [{"value": 1}]
 
-    def test_on_result_reports_cached_flag(self, tmp_path):
+    def test_on_event_reports_cached_flag(self, tmp_path):
         service = ExecutionService(cache=ResultCache(tmp_path))
         seen = []
+
+        def on_event(event):
+            if isinstance(event, JobFinished):
+                seen.append(event.cached)
+
         job = tiny_job()
-        service.run([job], on_result=lambda i, j, p, c: seen.append(c))
-        service.run([job], on_result=lambda i, j, p, c: seen.append(c))
+        service.run([job], on_event=on_event)
+        service.run([job], on_event=on_event)
         assert seen == [False, True]
 
 
 class TestEvents:
     def test_lifecycle_topics_in_order(self):
-        bus = EventBus()
         log = []
-        for topic in (JobStarted, JobFinished, JobFailed):
-            bus.subscribe(topic, log.append)
-        service = ExecutionService(bus=bus)
-        service.run([Job("probe", {"value": 3}, label="p")])
-        assert [type(e).__name__ for e in log] == [
-            "JobStarted", "JobFinished",
-        ]
+        job = Job("probe", {"value": 3}, label="p")
+        ExecutionService().run([job], on_event=log.append)
+        assert [type(e) for e in log] == [JobStarted, JobFinished]
         assert log[0].label == "p" and log[0].worker == -1
+        assert log[0].index == log[1].index == 0
+        assert log[0].digest == log[1].digest == job.digest()
         assert log[1].cached is False
+        assert log[1].payload == {"value": 3}
 
     def test_cache_hit_publishes_only_finished(self, tmp_path):
-        bus = EventBus()
         log = []
-        for topic in (JobStarted, JobFinished, JobFailed):
-            bus.subscribe(topic, log.append)
-        service = ExecutionService(bus=bus, cache=ResultCache(tmp_path))
+        service = ExecutionService(cache=ResultCache(tmp_path))
         service.run([tiny_job()])
-        log.clear()
-        service.run([tiny_job()])
-        assert [type(e).__name__ for e in log] == ["JobFinished"]
+        service.run([tiny_job()], on_event=log.append)
+        assert [type(e) for e in log] == [JobFinished]
         assert log[0].cached is True
 
     def test_failure_publishes_started_then_failed(self):
-        bus = EventBus()
         log = []
-        for topic in (JobStarted, JobFinished, JobFailed):
-            bus.subscribe(topic, log.append)
-        service = ExecutionService(bus=bus)
-        result = service.run([Job("probe", {"fail": True}, label="p")])
+        result = ExecutionService().run(
+            [Job("probe", {"fail": True}, label="p")], on_event=log.append
+        )
         assert not result.complete
-        assert [type(e).__name__ for e in log] == [
-            "JobStarted", "JobFailed",
-        ]
-        assert log[1].error_type == "SimulationTimeoutError"
+        assert [type(e) for e in log] == [JobStarted, JobFailure]
+        # The failure record is the one the batch result holds.
+        assert log[1] is result.failures[0]
+        assert isinstance(log[1].error, SimulationTimeoutError)
+
+    @pytest.mark.parametrize("workers", [
+        pytest.param(1, id="inline"),
+        pytest.param(2, id="pooled", marks=pytest.mark.slow),
+    ])
+    def test_finished_payload_is_the_batch_payload(self, workers):
+        finished = {}
+
+        def on_event(event):
+            if isinstance(event, JobFinished):
+                finished[event.index] = event.payload
+
+        jobs = [Job("probe", {"value": i}) for i in range(3)]
+        result = ExecutionService(workers=workers).run(
+            jobs, on_event=on_event
+        )
+        assert result.complete
+        assert [finished[i] for i in range(3)] == result.payloads
 
 
 class TestFailures:
@@ -140,20 +154,17 @@ class TestFailures:
 
 
 class TestValidation:
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ConfigurationError):
-            ExecutionService(workers=0)
+    @pytest.mark.parametrize("workers", [0, -1, True, 2.0, "2"])
+    def test_rejects_bad_worker_count(self, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            ExecutionService(workers=workers)
 
-    @pytest.mark.parametrize("timeout_s", [0, -2.0, float("nan")])
+    @pytest.mark.parametrize("timeout_s", [0, -2.0, float("nan"), True])
     def test_bad_service_timeout_fails_before_any_job(self, timeout_s):
-        """The service default reaches each job through
-        ``dataclasses.replace``, which re-runs the job's own check."""
-        started = []
-        service = ExecutionService(timeout_s=timeout_s)
-        service.bus.subscribe(JobStarted, started.append)
+        """The service checks its default budget where it enters, so
+        no batch can start with it."""
         with pytest.raises(ConfigurationError, match="timeout_s"):
-            service.run([Job("probe", {"value": 1})])
-        assert started == []
+            ExecutionService(timeout_s=timeout_s)
 
     def test_unknown_job_kind_fails_the_job(self):
         result = ExecutionService().run([Job("warp-drive", {})])

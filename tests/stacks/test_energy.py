@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dram import ControllerConfig, MemoryController, Request, RequestType
+from repro.dram import ControllerConfig, MemoryController
 from repro.dram.controller import EventLog
 from repro.dram.timing import DDR4_2400
 from repro.errors import AccountingError

@@ -14,7 +14,6 @@ streams:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dram import (

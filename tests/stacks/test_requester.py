@@ -35,7 +35,7 @@ TINY = ExperimentScale(
 #: Every registered preset that presents one channel, plus DDR5 with
 #: one sub-channel: same-bank refresh on a single channel.
 ONE_CHANNEL_DEVICES = [
-    name for name in DEVICES.names()
+    name for name in DEVICES
     if ControllerConfig(device=name).device_channels == 1
 ] + ["ddr5-4800:subchannels=1"]
 

@@ -1,7 +1,5 @@
 """Tests for the dram-stacks CLI."""
 
-import io
-
 import pytest
 
 from repro.cli import main

@@ -130,7 +130,7 @@ class TestDeviceLibrary:
     def test_registry_holds_every_standard(self):
         from repro.devices import DEVICES
 
-        assert DEVICES.names() == (
+        assert tuple(DEVICES) == (
             "ddr4-2400", "ddr4-3200", "ddr5-4800", "lpddr5-6400", "hbm2",
         )
 

@@ -1,7 +1,8 @@
-"""Tests for the live batch-progress meter (an event-bus subscriber)."""
+"""Tests for the live batch-progress meter (an ``on_event`` callback)."""
 
-from repro.core.events import EventBus
-from repro.service.events import JobFailed, JobFinished, JobStarted
+from repro.errors import SimulationTimeoutError
+from repro.service import Job
+from repro.service.events import JobFailure, JobFinished, JobStarted
 from repro.viz.live import BatchProgressMeter
 
 
@@ -14,26 +15,25 @@ def started(label, worker=0):
 def finished(label, cached=False):
     return JobFinished(
         index=0, digest="d" * 64, label=label, elapsed_s=0.1,
-        cached=cached,
+        cached=cached, payload={},
     )
 
 
 def failed(label):
-    return JobFailed(
-        index=0, digest="d" * 64, label=label,
-        error_type="SimulationTimeoutError", message="boom",
+    return JobFailure(
+        job=Job("probe", {}, label=label), index=0,
+        error=SimulationTimeoutError("boom"),
     )
 
 
 class TestBatchProgressMeter:
     def test_scoreboard_counts(self):
-        bus = EventBus()
-        meter = BatchProgressMeter(total=3).attach(bus)
-        bus.publish(started("a"))
-        bus.publish(finished("a"))
-        bus.publish(finished("b", cached=True))  # cache hits skip Started
-        bus.publish(started("c"))
-        bus.publish(failed("c"))
+        meter = BatchProgressMeter(total=3)
+        meter(started("a"))
+        meter(finished("a"))
+        meter(finished("b", cached=True))  # cache hits skip Started
+        meter(started("c"))
+        meter(failed("c"))
         assert meter.done == 3
         assert meter.finished == 2
         assert meter.cached == 1
@@ -41,10 +41,9 @@ class TestBatchProgressMeter:
         assert meter.in_flight == {}
 
     def test_status_line(self):
-        bus = EventBus()
-        meter = BatchProgressMeter(total=4).attach(bus)
-        bus.publish(finished("a", cached=True))
-        bus.publish(started("b"))
+        meter = BatchProgressMeter(total=4)
+        meter(finished("a", cached=True))
+        meter(started("b"))
         line = meter.status_line()
         assert "1/4 done" in line
         assert "1 cached" in line
@@ -53,27 +52,18 @@ class TestBatchProgressMeter:
     def test_status_line_truncates_running_list(self):
         meter = BatchProgressMeter()
         for name in "abcdef":
-            meter.on_started(started(name))
+            meter(started(name))
         line = meter.status_line()
         assert "..." in line and "f" not in line.split("running:")[1]
 
-    def test_detach_stops_counting(self):
-        bus = EventBus()
-        meter = BatchProgressMeter().attach(bus)
-        bus.publish(finished("a"))
-        meter.detach(bus)
-        bus.publish(finished("b"))
-        assert meter.finished == 1
-
     def test_live_against_execution_service(self):
-        from repro.service import ExecutionService, Job
+        from repro.service import ExecutionService
 
-        service = ExecutionService()
-        meter = BatchProgressMeter(total=2).attach(service.bus)
-        service.run([
+        meter = BatchProgressMeter(total=2)
+        ExecutionService().run([
             Job("probe", {"value": 1}, label="ok"),
             Job("probe", {"fail": True}, label="bad"),
-        ])
+        ], on_event=meter)
         assert meter.done == 2
         assert meter.finished == 1 and meter.failed == 1
         assert meter.status_line().startswith("2/2 done")
