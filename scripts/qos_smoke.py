@@ -20,7 +20,9 @@ equal-weight WRR and gates on:
   metric: in a closed-loop run it is fixed by the workload (docs/qos.md);
 * **determinism** — a second identical run produces a bit-identical
   :func:`~repro.reliability.fingerprint.qos_fingerprint` digest;
-* **engine parity** — the same run under ``engine="reference"`` (the
+* **engine parity** — the same scenario
+  (:func:`~repro.experiments.runner.qos_scenario`) with its
+  ``ControllerConfig.engine`` swapped to ``"reference"`` (the
   re-plan-every-step oracle) produces the same digest as the default
   packed engine, which runs the QoS arbiters in its own loop.
 
@@ -54,7 +56,10 @@ def smoke_scale():
 
 
 def main() -> int:
-    from repro.experiments.runner import run_qos
+    from dataclasses import replace
+
+    from repro.cpu.system import CpuSystem
+    from repro.experiments.runner import qos_scenario, run_qos
     from repro.reliability.fingerprint import qos_fingerprint
     from repro.stacks.bandwidth import BandwidthStackAccountant
     from repro.stacks.requester import fold_interference
@@ -102,9 +107,11 @@ def main() -> int:
     print(f"qos_smoke: determinism OK — digest {digest[:16]}")
 
     # Gate 4: engine parity — the reference oracle agrees with packed.
-    reference = run_qos(
-        scheduling="wrr", scale=scale, guard=False, engine="reference"
+    config, traces = qos_scenario(scheduling="wrr", scale=scale)
+    config = replace(
+        config, memory=replace(config.memory, engine="reference")
     )
+    reference = CpuSystem(config).run(traces, guard=False)
     reference_digest = qos_fingerprint(reference)["digest"]
     if reference_digest != digest:
         print(f"qos_smoke: FAIL — engine='reference' digest "

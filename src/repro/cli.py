@@ -31,7 +31,6 @@ from repro.analysis.report import render_report
 from repro.devices import DEVICES, make_device
 from repro.dram import components
 from repro.dram.address import SCHEMES
-from repro.dram.controller import ENGINES
 from repro.errors import ReproError, exit_code_for
 from repro.experiments.runner import run_gap, run_synthetic
 from repro.trace.io import read_trace_path
@@ -87,12 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
         f"({', '.join(DEVICES)}; parameterizable, e.g. "
         "'ddr5-4800:subchannels=4' or 'hbm2:pseudo_channels=4'; "
         "default: the paper's DDR4-2400 — see `dram-stacks specs`)",
-    )
-    analyze.add_argument(
-        "--engine", choices=sorted(ENGINES), default=None,
-        help="controller stepping engine (default 'packed'; "
-        "'reference' re-plans every step and is bit-identical — see "
-        "docs/performance.md)",
     )
     analyze.add_argument("--scale", choices=("ci", "paper"), default="ci")
     analyze.add_argument(
@@ -154,12 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="semicolon-separated device selectors (parameterized "
         "selectors contain commas, e.g. "
         "'ddr4-2400;ddr5-4800:subchannels=4'; default ddr4-2400)",
-    )
-    batch.add_argument(
-        "--engines", default="packed", metavar="LIST",
-        help="semicolon-separated controller engines "
-        f"({'; '.join(sorted(ENGINES))}; default packed — non-default "
-        "engines get their own cache keys, the default stays warm)",
     )
     batch.add_argument("--scale", choices=("ci", "paper"), default="ci")
     batch.add_argument(
@@ -280,7 +267,6 @@ def _run_analyze(args: argparse.Namespace) -> int:
             scale=args.scale,
             guard=guard,
             device=args.device,
-            engine=args.engine,
         )
         title = f"GAP {workload.describe()} on {args.cores} core(s)"
     else:
@@ -295,7 +281,6 @@ def _run_analyze(args: argparse.Namespace) -> int:
             guard=guard,
             requesters=args.requesters,
             device=args.device,
-            engine=args.engine,
         )
         title = (
             f"{args.workload} w{int(args.stores * 100)} on "
@@ -303,8 +288,6 @@ def _run_analyze(args: argparse.Namespace) -> int:
         )
     if args.device:
         title += f" [{args.device}]"
-    if args.engine:
-        title += f" <{args.engine}>"
     if args.requesters and args.requesters > 1:
         from repro.viz.ascii_art import render_stack_table
 
@@ -372,7 +355,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         schedulings=_split(args.schedulings, sep=";"),
         requesters=_split(args.requesters, int),
         devices=_split(args.devices, sep=";"),
-        engines=_split(args.engines, sep=";"),
     )
     if not points:
         raise ConfigurationError("the requested grid is empty")

@@ -19,7 +19,6 @@ from repro.cpu.core import (
     AT_BARRIER,
     BLOCKED,
     CoreConfig,
-    FINISHED,
     IntervalCore,
     OutstandingLoad,
     RUNNING,
@@ -236,14 +235,12 @@ class CpuSystem:
     def run(
         self,
         traces,
-        max_cycles: int | None = None,
         guard: "ReliabilityGuard | bool | None" = None,
     ) -> "SimulationResult":
-        """Run every core's trace to completion (or `max_cycles`).
+        """Run every core's trace to completion.
 
         Args:
             traces: one instruction trace per core.
-            max_cycles: stop once every active core passes this cycle.
             guard: reliability guard for this run. ``None`` (the
                 default) uses :meth:`ReliabilityGuard.default` —
                 forward-progress watchdog plus the event-log audit.
@@ -269,11 +266,9 @@ class CpuSystem:
             core.set_trace(trace)
         if guard is not None:
             guard.attach(self)
-        return self._run_loop(guard, max_cycles)
+        return self._run_loop(guard)
 
-    def _run_loop(
-        self, guard: ReliabilityGuard | None, max_cycles: int | None
-    ) -> "SimulationResult":
+    def _run_loop(self, guard: ReliabilityGuard | None) -> "SimulationResult":
         cores = self.cores
         quantum = self.config.quantum
         memory = self.memory
@@ -303,11 +298,6 @@ class CpuSystem:
             while True:
                 if guard is not None:
                     guard.tick(self)
-                if (
-                    max_cycles is not None
-                    and self._min_core_time() > max_cycles
-                ):
-                    break
                 entry = None
                 while heap:
                     t, idx = heap[0]
@@ -360,11 +350,7 @@ class CpuSystem:
             if gc_was_enabled:
                 gc.enable()
 
-        return self._finalize(guard, max_cycles)
-
-    def _min_core_time(self) -> float:
-        active = [c.t for c in self.cores if c.state != FINISHED]
-        return min(active) if active else max(c.t for c in self.cores)
+        return self._finalize(guard)
 
     def _advance_memory_for(self) -> None:
         # With nothing pending, run_until_next_read returns [] at once
@@ -405,9 +391,7 @@ class CpuSystem:
             core.finish_barrier(release)
             heappush(heap, (core.t, core.core_id))
 
-    def _finalize(
-        self, guard: ReliabilityGuard | None, max_cycles: int | None
-    ) -> "SimulationResult":
+    def _finalize(self, guard: ReliabilityGuard | None) -> "SimulationResult":
         # Nothing waits on these any more: drop their (core, load)
         # pairs as _deliver does.
         for request in self.memory.drain():
@@ -417,8 +401,6 @@ class CpuSystem:
             self.memory.now,
             int(max(c.t for c in self.cores)) + 1,
         )
-        if max_cycles is not None:
-            end = min(end, max_cycles)
         for core in self.cores:
             if core.t < end:
                 core.account_idle_until(end)

@@ -17,8 +17,8 @@ REFRESH             ``refresh``              ``all-bank`` (default),
 
 Both engines run every class here: the packed loop of
 :mod:`repro.dram.packed` in production, the reference engine as its
-oracle. Writes drain under one rule, the paper's watermarks
-(:class:`WatermarkDrainPolicy`, which the write buffer builds itself).
+oracle. Writes drain under one rule, the paper's watermarks, which is
+not a policy either: :class:`~repro.dram.wqueue.WriteBuffer` runs it.
 Every controller records the one :class:`EventLog` the stack
 accountants read; recording is not a policy.
 
@@ -32,7 +32,6 @@ docs/qos.md.
 from __future__ import annotations
 
 from repro.dram.components.accounting import EventLog
-from repro.dram.components.draining import WatermarkDrainPolicy
 from repro.dram.components.paging import ClosedPagePolicy, OpenPagePolicy
 from repro.dram.components.qos import BankRegScheduler, WrrScheduler
 from repro.dram.components.refreshing import (
@@ -97,7 +96,6 @@ __all__ = [
     "SameBankRefresh",
     "REFRESH",
     "SCHEDULERS",
-    "WatermarkDrainPolicy",
     "WrrScheduler",
     "make_scheduler",
 ]

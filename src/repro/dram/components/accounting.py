@@ -58,8 +58,8 @@ class EventLog:
       binding scope (never for ``bank_regulation`` gates). A window
       that continues the previous one with the same payload extends it
       in place;
-    * ``drain_windows`` — forced write drains: ``(start, end)``, shared
-      with the write-drain policy;
+    * ``drain_windows`` — forced write drains: ``(start, end)``, the
+      write buffer's own list;
     * ``commands`` — the full command trace, when
       ``ControllerConfig.keep_command_trace`` is set.
     """

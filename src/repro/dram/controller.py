@@ -11,11 +11,16 @@ the stack accountants in :mod:`repro.stacks` consume.
 The controller itself is a thin composition shell: the scheduler, page
 policy and refresh policy are the classes that the config strings of
 :class:`ControllerConfig` select in the fixed tables of
-:mod:`repro.dram.components`, and writes drain under the write buffer's
-watermark rule. The event log (:class:`EventLog`) is the run's only
-record; the one online observer, the forward-progress watchdog, is
-called directly every ``_WATCHDOG_STRIDE`` scheduling steps while one
-is attached.
+:mod:`repro.dram.components`, and writes drain under the rule the write
+buffer (:class:`~repro.dram.wqueue.WriteBuffer`) runs; both engines
+call its ``update`` once per scheduling decision. The event log
+(:class:`EventLog`) is the run's only record; the one online observer,
+the forward-progress watchdog, is called directly every
+``_WATCHDOG_STRIDE`` scheduling steps while one is attached.
+
+``ControllerConfig.engine`` is the one switch between the production
+engine and its oracle: no runner, sweep or CLI option forwards it, and
+the differential tests set it directly.
 
 Features modeled: FR-FCFS and FCFS scheduling, open and closed page
 policies, a watermark-drained write buffer with read forwarding, all-bank
@@ -244,8 +249,6 @@ class MemoryController:
             self.config.write_queue, self.num_banks,
             self.mapping.line_address,
         )
-        #: The write buffer's watermark drain state machine.
-        self._drain = self._write_buffer.drain_policy
         self.log.drain_windows = self._write_buffer.drain_windows
 
         #: Optional forward-progress watchdog (see
@@ -357,14 +360,14 @@ class MemoryController:
         """Reads accepted but not yet completed."""
         return self.stats.reads_enqueued - self.stats.reads_completed
 
-    def drain(self, t_limit: int = FAR_FUTURE) -> list[Request]:
+    def drain(self) -> list[Request]:
         """Run until every pending request has completed."""
         packed = self._packed
         if packed is not None:
-            packed.run(t_limit, False, stop_when_idle=True)
+            packed.run(FAR_FUTURE, False, stop_when_idle=True)
             return self._take_completions()
-        while self.pending_requests and self.now < t_limit:
-            self._run_one_step(t_limit)
+        while self.pending_requests and self.now < FAR_FUTURE:
+            self._run_one_step(FAR_FUTURE)
         self._collect_finished(self.now)
         return self._take_completions()
 
@@ -425,9 +428,9 @@ class MemoryController:
             packed.flush()
         max_requests = 32
         queue_head = []
-        # Mirrors the drain policy's update without mutating it.
+        # Mirrors the write buffer's update without mutating it.
         reads_pending = bool(self._read_queue)
-        write_mode = self._drain.draining or (
+        write_mode = self._write_buffer.draining or (
             len(self._write_buffer) > 0 and not reads_pending
         )
         for queue in (self._read_queue, self._write_buffer.queue):
@@ -607,17 +610,17 @@ class MemoryController:
             refresh.perform(now)
             return True
 
-        # 3. Scheduling decision, planned from scratch: the drain policy
-        # picks the active queue, the scheduler derives the decision.
+        # 3. Scheduling decision, planned from scratch: the write
+        # buffer's drain rule picks the active queue, the scheduler
+        # derives the decision.
         wbuf = self._write_buffer
-        drain = self._drain
-        if not drain.draining and not wbuf.queue:
+        if not wbuf.draining and not wbuf.queue:
             # Empty, idle write buffer: the drain update would be a
             # no-op returning False (occupancy 0 is below every
             # watermark), so skip the call.
             write_mode = False
         else:
-            write_mode = drain.update(
+            write_mode = wbuf.update(
                 now, len(wbuf.queue), bool(self._read_queue)
             )
         queue = wbuf.queue if write_mode else self._read_queue

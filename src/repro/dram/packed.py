@@ -362,9 +362,9 @@ class PackedEngine:
         )
         ref_interval = getattr(refresh, "_interval", 0)
         tRFCsb = getattr(refresh, "_tRFCsb", 0)
-        drain = ctrl._drain
-        drain_update = drain.update
-        wbA = ctrl._write_buffer._addresses
+        wbuf = ctrl._write_buffer
+        wbuf_update = wbuf.update
+        wbA = wbuf._addresses
         mapping = ctrl.mapping
         locate = mapping.locate
         line_address = mapping.line_address
@@ -731,11 +731,11 @@ class PackedEngine:
 
                     # 3. Scheduling decision: cached plan or full scan.
                     if plan_epoch_v != epoch or now >= plan_valid:
-                        # write-mode selection (drain policy untouched).
-                        if not drain.draining and wq_n == 0:
+                        # write-mode selection (drain state untouched).
+                        if not wbuf.draining and wq_n == 0:
                             write_mode = False
                         else:
-                            write_mode = drain_update(now, wq_n, rq_n > 0)
+                            write_mode = wbuf_update(now, wq_n, rq_n > 0)
                         min_cmd = last_cmd + 1
                         horizon = _FAR
                         best_time = _FAR  # sentinel: no candidate yet

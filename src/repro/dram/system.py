@@ -109,12 +109,6 @@ class MemorySystem(CompositeMemory):
             watchdogs.append(watchdog)
         return watchdogs
 
-    def stall_snapshots(self) -> dict[int, dict]:
-        """Per-channel scheduling diagnostics (see `stall_snapshot`)."""
-        return {
-            i: mc.stall_snapshot() for i, mc in enumerate(self.controllers)
-        }
-
     def stall_snapshot(self) -> dict:
         """Single diagnostic dict (MemoryController-compatible shape).
 

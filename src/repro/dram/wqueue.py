@@ -2,8 +2,8 @@
 
 Writes are buffered in the memory controller so reads, which stall cores,
 can be prioritized. The buffer drains in bursts under the paper's
-watermark rule (:class:`~repro.dram.components.draining.WatermarkDrainPolicy`):
-a *forced* drain begins when occupancy reaches the high watermark and
+watermark rule, the only one, which :class:`WriteBuffer` runs itself: a
+*forced* drain begins when occupancy reaches the high watermark and
 runs until the low watermark, during which reads are not scheduled (the
 paper's ``writeburst`` latency component). Writes are also issued
 *opportunistically* whenever no reads are pending. A read that hits a
@@ -18,7 +18,6 @@ from typing import Callable
 
 from repro.dram.address import Coordinates
 from repro.dram.commands import Request
-from repro.dram.components.draining import WatermarkDrainPolicy
 from repro.dram.scheduler import QueuedRequest, RequestQueue
 from repro.errors import ConfigurationError, require_finite, require_int
 
@@ -66,10 +65,10 @@ class WriteQueueConfig:
 class WriteBuffer:
     """Buffered writes plus their watermark drain state machine.
 
-    Both engines advance :attr:`drain_policy` once per scheduling
-    decision and probe :attr:`_addresses` (buffered line address ->
-    count) for read forwarding, so a read forwards from any buffered
-    write to the same cache line.
+    Both engines advance the state machine once per scheduling decision
+    through :meth:`update` and probe :attr:`_addresses` (buffered line
+    address -> count) for read forwarding, so a read forwards from any
+    buffered write to the same cache line.
     """
 
     def __init__(
@@ -79,26 +78,42 @@ class WriteBuffer:
         line_address: Callable[[int], int],
     ) -> None:
         self.config = config
-        self.drain_policy = WatermarkDrainPolicy(config)
         self.queue = RequestQueue(num_banks)
         self._line_address = line_address
         self._addresses: dict[int, int] = {}
-        #: Completed forced-drain windows [(start, end)], for accounting.
-        #: Shared by reference with the drain policy's window list.
-        self.drain_windows = self.drain_policy.windows
+        # Watermark entry counts, hoisted off the config properties (the
+        # drain state machine runs once per scheduling decision).
+        self._high_entries = config.high_entries
+        self._low_entries = config.low_entries
+        #: Whether a forced drain is in progress.
+        self.draining = False
+        #: Completed forced-drain windows [(start, end)], for accounting;
+        #: the controller's event log holds this same list.
+        self.drain_windows: list[tuple[int, int]] = []
+        self._drain_start = -1
 
     def __len__(self) -> int:
         return len(self.queue)
 
-    @property
-    def draining(self) -> bool:
-        """Whether a forced drain is in progress."""
-        return self.drain_policy.draining
+    def update(self, now: int, occupancy: int, reads_pending: bool) -> bool:
+        """One drain state-machine step; True while writes have priority.
 
-    @property
-    def stats_forced_drains(self) -> int:
-        """Forced drains triggered so far."""
-        return self.drain_policy.stats_forced_drains
+        A forced drain starts at the high watermark and ends at the low
+        watermark; its window is recorded for the ``writeburst`` latency
+        attribution. `occupancy` is passed in because the packed engine
+        counts the buffered writes in its own columns.
+        """
+        if self.draining:
+            if occupancy <= self._low_entries:
+                self.draining = False
+                self.drain_windows.append((self._drain_start, now))
+                self._drain_start = -1
+        elif occupancy >= self._high_entries:
+            self.draining = True
+            self._drain_start = now
+        # Opportunistic: issue writes while no reads are pending, without
+        # entering (or recording) a forced drain.
+        return self.draining or (occupancy > 0 and not reads_pending)
 
     def add(
         self, request: Request, coords: Coordinates, flat_bank: int
@@ -121,4 +136,7 @@ class WriteBuffer:
 
     def finalize(self, now: int) -> None:
         """Close an in-progress drain window at end of simulation."""
-        self.drain_policy.finalize(now)
+        if self.draining and self._drain_start >= 0:
+            self.drain_windows.append((self._drain_start, now))
+            self._drain_start = -1
+            self.draining = False

@@ -1,4 +1,10 @@
-"""Experiment configuration: the paper's system and run scales."""
+"""Experiment configuration: the paper's system and run scales.
+
+:func:`paper_system` has no engine parameter. The reference oracles
+live in ``ControllerConfig.engine`` and ``CoreConfig.engine``; the
+differential tests set them on a built configuration with
+``dataclasses.replace``, or pass a ``CoreConfig`` as ``core=``.
+"""
 
 from __future__ import annotations
 
@@ -95,7 +101,6 @@ def paper_system(
     scheduling: str = "fr-fcfs",
     requesters: int | tuple[int, ...] | None = None,
     device: str | None = None,
-    engine: str | None = None,
 ) -> SystemConfig:
     """The paper's setup: DDR4-2400, FR-FCFS, Skylake-like cores.
 
@@ -117,12 +122,6 @@ def paper_system(
     :data:`repro.devices.DEVICES` table (``"ddr5-4800"``,
     ``"lpddr5-6400"``, ``"hbm2:pseudo_channels=8"``, ... — see
     docs/devices.md); ``None`` keeps the paper's DDR4-2400.
-
-    `engine` selects the controller stepping engine from
-    :data:`repro.dram.controller.ENGINES`: ``"packed"`` (the
-    :class:`~repro.dram.controller.ControllerConfig` default, kept by
-    ``None``) or ``"reference"``, which re-plans every step and is
-    bit-identical.
 
     Every knob is validated eagerly here (naming the bad field) so a
     sweep over many points fails at construction, not mid-run.
@@ -150,14 +149,12 @@ def paper_system(
         requesters = tuple(requesters)
     if hierarchy is None:
         hierarchy = gap_hierarchy() if gap else HierarchyConfig()
-    engine_kwargs = {} if engine is None else {"engine": engine}
     memory = ControllerConfig(
         page_policy=page_policy,
         scheduling=scheduling,
         address_scheme=address_scheme,
         write_queue=WriteQueueConfig(capacity=write_queue_capacity),
         device=device,
-        **engine_kwargs,
     )
     return SystemConfig(
         cores=cores,

@@ -1,11 +1,17 @@
-"""Shared experiment execution: run a workload, return its stacks."""
+"""Shared experiment execution: run a workload, return its stacks.
+
+The runners take what the figures, the CLI and the examples vary and
+always run the production engines. The reference oracles are reached
+through ``ControllerConfig.engine`` and ``CoreConfig.engine`` on a
+built configuration (``dataclasses.replace``); the QoS parity checks
+build theirs with :func:`qos_scenario`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cpu.core import CoreConfig
-from repro.cpu.system import CpuSystem, SimulationResult
+from repro.cpu.system import CpuSystem, SimulationResult, SystemConfig
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentScale, get_scale, paper_system
 from repro.stacks.components import Stack, StackSeries
@@ -60,13 +66,10 @@ def run_synthetic(
     page_policy: str = "open",
     address_scheme: str = "default",
     scale: str | ExperimentScale = "ci",
-    write_queue_capacity: int = 32,
     guard=None,
     scheduling: str = "fr-fcfs",
-    core_engine: str | None = None,
     requesters: int | tuple[int, ...] | None = None,
     device: str | None = None,
-    engine: str | None = None,
 ) -> SimulationResult:
     """Run one synthetic configuration through the full pipeline.
 
@@ -74,10 +77,6 @@ def run_synthetic(
     watchdog + event-log audit, False for a bare run, or a configured
     :class:`~repro.reliability.guard.ReliabilityGuard` (e.g. with a
     wall-clock budget).
-
-    `core_engine` selects the core stepper (``"fast"`` or
-    ``"reference"``, see :data:`repro.cpu.core.CORE_ENGINES`); None
-    keeps the :class:`~repro.cpu.core.CoreConfig` default.
 
     `requesters` maps cores to requester domains as in
     :func:`~repro.experiments.config.paper_system`; pair it with a
@@ -87,11 +86,6 @@ def run_synthetic(
     `device` selects a memory device preset from the
     :data:`repro.devices.DEVICES` table (None = the paper's
     DDR4-2400); see :func:`~repro.experiments.config.paper_system`.
-
-    `engine` selects the controller stepping engine (``"packed"`` or
-    ``"reference"``, see :data:`repro.dram.controller.ENGINES`); None
-    keeps the :class:`~repro.dram.controller.ControllerConfig` default,
-    ``"packed"``.
     """
     scale = get_scale(scale)
     # The scaled (GAP) hierarchy: with the paper's full 11 MB LLC, runs
@@ -105,12 +99,9 @@ def run_synthetic(
         page_policy=page_policy,
         scheduling=scheduling,
         address_scheme=address_scheme,
-        write_queue_capacity=write_queue_capacity,
         gap=True,
-        core=None if core_engine is None else CoreConfig(engine=core_engine),
         requesters=requesters,
         device=device,
-        engine=engine,
     )
     workload = make_pattern(pattern, SyntheticConfig(
         accesses_per_core=scale.synthetic_accesses,
@@ -120,70 +111,69 @@ def run_synthetic(
     return system.run(workload.traces(cores), guard=guard)
 
 
-def run_qos(
-    pattern: str = "random",
-    cpu_cores: int = 2,
-    store_fraction: float = 0.0,
-    page_policy: str = "open",
-    scale: str | ExperimentScale = "ci",
-    guard=None,
+def qos_scenario(
     scheduling: str = "wrr",
-    core_engine: str | None = None,
-    agent_accesses_factor: int = 2,
+    scale: str | ExperimentScale = "ci",
     solo: str | None = None,
-    engine: str | None = None,
-) -> SimulationResult:
-    """Run the canonical QoS scenario: CPU cores vs a streaming agent.
+) -> tuple[SystemConfig, list]:
+    """The canonical QoS scenario: CPU cores vs a streaming agent.
 
-    `cpu_cores` cores run `pattern` in requester domain 0 while one
-    extra core runs a :class:`StreamingAgentWorkload` (a GPU/DMA-style
-    sequential stream, `agent_accesses_factor` times the per-core
-    access count) in its own domain 1. The `scheduling` policy
-    arbitrates between the two domains; per-requester stacks of the
-    returned result show who got the channel and who waited
-    (docs/qos.md).
+    Returns the scenario's system configuration and one trace per
+    core. Two CPU cores run the random pattern (loads only) in
+    requester domain 0 while one extra core runs a
+    :class:`StreamingAgentWorkload` (a GPU/DMA-style sequential stream
+    of twice the per-core access count) in its own domain 1, on open
+    pages. The `scheduling` policy arbitrates between the two domains;
+    per-requester stacks of the run show who got the channel and who
+    waited (docs/qos.md).
 
-    `solo="cpu"` / `solo="agent"` runs just that side of the scenario
+    `solo="cpu"` / `solo="agent"` keeps just that side of the scenario
     (same workload definitions, no contention) — the baseline for the
     slowdown/fairness metrics of the QoS figure.
     """
     if solo not in (None, "cpu", "agent"):
         raise ConfigurationError(
-            f"run_qos(solo=...) must be None, 'cpu' or 'agent', "
+            f"qos_scenario(solo=...) must be None, 'cpu' or 'agent', "
             f"got {solo!r}"
         )
     scale = get_scale(scale)
-    cpu_workload = make_pattern(pattern, SyntheticConfig(
+    cpu_workload = make_pattern("random", SyntheticConfig(
         accesses_per_core=scale.synthetic_accesses,
-        store_fraction=store_fraction,
     ))
     agent_workload = StreamingAgentWorkload(SyntheticConfig(
-        accesses_per_core=scale.synthetic_accesses * agent_accesses_factor,
+        accesses_per_core=scale.synthetic_accesses * 2,
         instructions_per_access=1,
     ))
     if solo == "cpu":
-        cores = cpu_cores
-        requesters: tuple[int, ...] = (0,) * cpu_cores
-        traces = cpu_workload.traces(cpu_cores)
+        requesters: tuple[int, ...] = (0, 0)
+        traces = cpu_workload.traces(2)
     elif solo == "agent":
-        cores = 1
         requesters = (1,)
         traces = agent_workload.traces(1)
     else:
-        cores = cpu_cores + 1
-        requesters = (0,) * cpu_cores + (1,)
-        traces = cpu_workload.traces(cpu_cores) + agent_workload.traces(1)
+        requesters = (0, 0, 1)
+        traces = cpu_workload.traces(2) + agent_workload.traces(1)
     config = paper_system(
-        cores=cores,
-        page_policy=page_policy,
+        cores=len(traces),
         scheduling=scheduling,
         gap=True,
-        core=None if core_engine is None else CoreConfig(engine=core_engine),
         requesters=requesters,
-        engine=engine,
     )
-    system = CpuSystem(config)
-    return system.run(traces, guard=guard)
+    return config, traces
+
+
+def run_qos(
+    scheduling: str = "wrr",
+    scale: str | ExperimentScale = "ci",
+    guard=None,
+    solo: str | None = None,
+) -> SimulationResult:
+    """Run the canonical QoS scenario of :func:`qos_scenario`.
+
+    `guard` is forwarded as in `run_synthetic`.
+    """
+    config, traces = qos_scenario(scheduling, scale, solo)
+    return CpuSystem(config).run(traces, guard=guard)
 
 
 def run_gap(
@@ -197,14 +187,13 @@ def run_gap(
     seed: int = 42,
     guard=None,
     scheduling: str = "fr-fcfs",
-    core_engine: str | None = None,
     device: str | None = None,
-    engine: str | None = None,
 ) -> tuple[SimulationResult, GapWorkload]:
     """Run one GAP kernel configuration; returns (result, workload).
 
-    `guard`, `core_engine`, `device` and `engine` are forwarded as in
-    `run_synthetic`.
+    `guard` and `device` are forwarded as in `run_synthetic`;
+    `write_queue_capacity` sizes the controller's write buffer (Fig. 8
+    compares 32 and 128 entries).
     """
     scale = get_scale(scale)
     params = {}
@@ -227,11 +216,8 @@ def run_gap(
         address_scheme=address_scheme,
         write_queue_capacity=write_queue_capacity,
         gap=True,
-        core=None if core_engine is None else CoreConfig(engine=core_engine),
         device=device,
-        engine=engine,
     )
     system = CpuSystem(config)
     result = system.run(workload.traces(cores), guard=guard)
     return result, workload
-

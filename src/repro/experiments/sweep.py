@@ -1,9 +1,11 @@
 """Parameter sweeps over the synthetic configuration space.
 
 A small grid harness over the knobs the paper varies — pattern, cores,
-store fraction, page policy, bank indexing — producing one record per
-point with its headline metrics and stacks. Useful for regenerating any
-figure-like slice, and for CSV/JSONL export into external tooling.
+store fraction, page policy, bank indexing — plus the scheduling
+policy, requester domains and memory device, producing one record per
+point with its headline metrics and stacks. Every point runs the
+production engines; the engine is not an axis. Useful for regenerating
+any figure-like slice, and for CSV/JSONL export into external tooling.
 
 Every grid point is an independent, deterministic job, and
 :func:`run_sweep` always executes through the execution service
@@ -42,9 +44,6 @@ class SweepPoint:
     requesters: int = 1
     #: Memory device selector (see :data:`repro.devices.DEVICES`).
     device: str = "ddr4-2400"
-    #: Controller stepping engine (see
-    #: :data:`repro.dram.controller.ENGINES`).
-    engine: str = "packed"
 
     @property
     def label(self) -> str:
@@ -60,8 +59,6 @@ class SweepPoint:
             label += f" q{self.requesters}"
         if self.device != "ddr4-2400":
             label += f" {self.device}"
-        if self.engine != "packed":
-            label += f" {self.engine}"
         return label
 
 
@@ -165,7 +162,7 @@ class SweepResult:
         """The sweep as a CSV table."""
         lines = [
             "pattern,cores,store_fraction,page_policy,address_scheme,"
-            "scheduling,requesters,device,engine,"
+            "scheduling,requesters,device,"
             "achieved_gbps,avg_latency_ns,page_hit_rate"
         ]
         for record in self.records:
@@ -173,7 +170,7 @@ class SweepResult:
             lines.append(
                 f"{p.pattern},{p.cores},{p.store_fraction},"
                 f"{p.page_policy},{p.address_scheme},"
-                f"{p.scheduling},{p.requesters},{p.device},{p.engine},"
+                f"{p.scheduling},{p.requesters},{p.device},"
                 f"{record.achieved_gbps:.4f},{record.avg_latency_ns:.2f},"
                 f"{record.page_hit_rate:.4f}"
             )
@@ -208,7 +205,6 @@ def grid(
     schedulings: Iterable[str] = ("fr-fcfs",),
     requesters: Iterable[int] = (1,),
     devices: Iterable[str] = ("ddr4-2400",),
-    engines: Iterable[str] = ("packed",),
 ) -> list[SweepPoint]:
     """Cartesian product of the given axes."""
     return [
@@ -216,7 +212,6 @@ def grid(
         for combo in itertools.product(
             patterns, cores, store_fractions, page_policies,
             address_schemes, schedulings, requesters, devices,
-            engines,
         )
     ]
 
@@ -325,8 +320,6 @@ def point_job(
         config["requesters"] = point.requesters
     if point.device != "ddr4-2400":
         config["device"] = point.device
-    if point.engine != "packed":
-        config["engine"] = point.engine
     return Job(
         kind="synthetic",
         config=config,

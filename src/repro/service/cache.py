@@ -12,7 +12,7 @@ run (stack floats round-trip through JSON ``repr`` exactly).
 Entry format (one JSON file per result)::
 
     {
-      "format": 1,            # JOB_FORMAT at write time
+      "format": 2,            # JOB_FORMAT at write time
       "digest": "<job digest>",
       "job": {... Job.to_dict() for humans/debugging ...},
       "created_unix": 1722945600.0,

@@ -3,10 +3,13 @@
 An executor maps a :class:`~repro.service.job.Job` to a
 JSON-serializable *payload* — the thing the result cache stores and a
 cache hit returns verbatim. :data:`EXECUTORS` maps each job kind to its
-executor class; the pool, the cache, the sweep harness and the
-``batch`` CLI all run a job through :func:`execute_job`.
+executor class: ``synthetic`` (the kind
+:func:`~repro.experiments.sweep.run_sweep` and the ``batch`` CLI
+submit), ``figure`` (the kind ``scripts/run_all_figures.py`` submits)
+and ``probe``, the service's fault injector. The pool and the inline
+path run a job through :func:`execute_job`.
 
-Payload schema for simulation kinds (``synthetic`` / ``gap``)::
+Payload schema for ``synthetic`` jobs::
 
     {
       "fingerprint": {... result_fingerprint dict, incl. "digest" ...},
@@ -70,7 +73,7 @@ def _job_guard(job: Job):
     reaches a guard tick.
     """
     if job.timeout_s is None:
-        return None  # run_synthetic/run_gap apply the default guard
+        return None  # run_synthetic applies the default guard
     from repro.reliability.guard import ReliabilityGuard
 
     guard = ReliabilityGuard.default()
@@ -108,10 +111,9 @@ class SyntheticExecutor:
     keyword arguments: ``pattern`` (required), ``cores``,
     ``store_fraction``, ``page_policy``, ``address_scheme``,
     ``scheduling`` (may carry params, e.g. ``"wrr:2,1"``),
-    ``requesters``, ``write_queue_capacity``, ``device`` (a
-    :data:`repro.devices.DEVICES` selector, e.g. ``"ddr5-4800"``),
-    ``engine`` (a :data:`repro.dram.controller.ENGINES` name, e.g.
-    ``"reference"``; omit for the default so cache keys stay warm).
+    ``requesters`` and ``device`` (a :data:`repro.devices.DEVICES`
+    selector, e.g. ``"ddr5-4800"``). Any other key fails the job with
+    a :class:`~repro.errors.ConfigurationError`.
     """
 
     def execute(self, job: Job) -> dict:
@@ -133,91 +135,6 @@ class SyntheticExecutor:
                 f"bad synthetic job config {sorted(config)}: {error}"
             ) from error
         return _simulation_payload(result, job.label)
-
-
-class QosExecutor:
-    """Run one multi-requester QoS scenario (CPU cores vs streaming
-    agent).
-
-    ``job.config`` keys are :func:`repro.experiments.runner.run_qos`
-    keyword arguments: ``scheduling`` (e.g. ``"wrr:2,1"``,
-    ``"bank-reg:period=1000,budget=4"``), ``pattern``, ``cpu_cores``,
-    ``page_policy``, ``agent_accesses_factor``. On top of the standard
-    simulation payload the result carries per-requester stacks, the QoS
-    fingerprint (with per-requester digests) and the read-bandwidth
-    fairness ratio — so a scheduler-weight sweep through the result
-    cache replays full QoS data on a hit.
-    """
-
-    def execute(self, job: Job) -> dict:
-        from repro.experiments.runner import run_qos
-        from repro.reliability.fingerprint import qos_fingerprint
-
-        config = dict(job.config)
-        try:
-            result = run_qos(
-                scale=job.resolved_scale() or "ci",
-                guard=_job_guard(job),
-                **config,
-            )
-        except TypeError as error:
-            raise ConfigurationError(
-                f"bad qos job config {sorted(config)}: {error}"
-            ) from error
-        payload = _simulation_payload(result, job.label)
-        payload["fingerprint"] = qos_fingerprint(result)
-        bandwidth = result.per_requester_bandwidth_stacks(job.label)
-        latency = result.per_requester_latency_stacks(job.label)
-        payload["requesters"] = {
-            str(requester): {
-                "bandwidth": stack_to_payload(stack),
-                "latency": (
-                    stack_to_payload(latency[requester])
-                    if requester in latency else None
-                ),
-            }
-            for requester, stack in bandwidth.items()
-        }
-        # Latency balance: min/max of per-requester average read
-        # latency. (Full-run average bandwidth is workload-fixed in a
-        # closed-loop run, so it cannot measure scheduler fairness.)
-        waits = [stack.total for stack in latency.values()]
-        payload["metrics"]["latency_balance"] = (
-            min(waits) / max(waits) if len(waits) > 1 and max(waits) > 0
-            else 1.0
-        )
-        return payload
-
-
-class GapExecutor:
-    """Run one GAP kernel configuration.
-
-    ``job.config`` keys are :func:`repro.experiments.runner.run_gap`
-    keyword arguments: ``kernel`` (required), ``cores``, ``page_policy``,
-    ``address_scheme``, ``write_queue_capacity``. ``job.seed`` seeds the
-    synthetic graph.
-    """
-
-    def execute(self, job: Job) -> dict:
-        from repro.experiments.runner import run_gap
-
-        config = dict(job.config)
-        if "kernel" not in config:
-            raise ConfigurationError("gap job config requires a 'kernel' key")
-        try:
-            result, workload = run_gap(
-                scale=job.resolved_scale() or "ci",
-                seed=job.seed,
-                guard=_job_guard(job),
-                **config,
-            )
-        except TypeError as error:
-            raise ConfigurationError(
-                f"bad gap job config {sorted(config)}: {error}"
-            ) from error
-        payload = _simulation_payload(result, job.label)
-        payload["workload"] = workload.describe()
-        return payload
 
 
 class FigureExecutor:
@@ -309,8 +226,6 @@ class ProbeExecutor:
 #: Job kind -> executor class.
 EXECUTORS = {
     "synthetic": SyntheticExecutor,
-    "qos": QosExecutor,
-    "gap": GapExecutor,
     "figure": FigureExecutor,
     "probe": ProbeExecutor,
 }

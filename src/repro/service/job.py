@@ -2,7 +2,7 @@
 
 A :class:`Job` is everything a worker process needs to reproduce one
 simulation: which executor runs it (``kind``), its configuration knobs
-(``config``), the experiment scale, and a seed. Jobs are *content
+(``config``) and the experiment scale. Jobs are *content
 addressed*: :meth:`Job.digest` hashes a canonical JSON serialization,
 so two jobs built from equal configurations — whatever the dict
 ordering or whether the scale came as a name or an
@@ -32,7 +32,7 @@ from repro.reliability.guard import check_timeout
 #: Bumped whenever the canonical job serialization or the payload
 #: schema changes shape; folded into every digest so stale cache
 #: entries from an older format can never be returned as hits.
-JOB_FORMAT = 1
+JOB_FORMAT = 2
 
 
 def _check_json_value(value: Any, path: str) -> None:
@@ -77,13 +77,12 @@ class Job:
     Attributes:
         kind: job kind, a key of
             :data:`repro.service.executors.EXECUTORS` (``synthetic``,
-            ``qos``, ``gap``, ``figure`` or ``probe``).
+            ``figure`` or ``probe``).
         config: executor-specific knobs; must be plain JSON data. For
             ``synthetic`` these are the :func:`run_synthetic` keyword
             arguments (``pattern``, ``cores``, ...).
         scale: experiment scale (name, instance, or None for kinds
             that do not take one).
-        seed: RNG seed forwarded to executors that take one.
         label: display name for progress output; not part of the
             digest.
         timeout_s: per-job wall-clock budget in seconds (None, or a
@@ -95,7 +94,6 @@ class Job:
     kind: str
     config: Mapping[str, Any] = field(default_factory=dict)
     scale: Any = None
-    seed: int = 0
     label: str = ""
     timeout_s: float | None = None
 
@@ -103,10 +101,6 @@ class Job:
         if not self.kind or not isinstance(self.kind, str):
             raise ConfigurationError(
                 f"Job.kind must be a non-empty string, got {self.kind!r}"
-            )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigurationError(
-                f"Job.seed must be an int, got {self.seed!r}"
             )
         check_timeout(self.timeout_s, "Job.timeout_s")
         _check_json_value(dict(self.config), "config")
@@ -137,7 +131,6 @@ class Job:
             "kind": self.kind,
             "config": dict(self.config),
             "scale": self.scale_dict,
-            "seed": self.seed,
         }
 
     def canonical_json(self) -> str:
@@ -176,7 +169,6 @@ class Job:
             kind=body["kind"],
             config=dict(body.get("config", {})),
             scale=scale,
-            seed=body.get("seed", 0),
             label=body.get("label", ""),
             timeout_s=body.get("timeout_s"),
         )

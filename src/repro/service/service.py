@@ -28,6 +28,11 @@ Robustness (see ``docs/chaos.md`` for the full story):
   :meth:`ExecutionService.run`. Cache IO errors never fail a job: each
   one is counted and that lookup or write is skipped.
 
+Each job carries its own wall-clock budget (``Job.timeout_s``); the
+service adds none. Its two parameters are checked where they enter:
+``workers`` must be an int >= 1 and ``cache`` a
+:class:`~repro.service.cache.ResultCache`, a directory path or None.
+
 Inline mode (``workers=1``) executes in-process: no spawn cost, full
 monkeypatch-ability, cooperative timeouts only — crash isolation
 requires a real pool.
@@ -35,7 +40,7 @@ requires a real pool.
 
 from __future__ import annotations
 
-import dataclasses
+import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -43,12 +48,12 @@ from typing import Callable, Sequence
 
 import repro.errors as errors_mod
 from repro.errors import (
+    ConfigurationError,
     ReproError,
     SimulationTimeoutError,
     WorkerCrashError,
     require_int,
 )
-from repro.reliability.guard import check_timeout
 from repro.service.cache import ResultCache
 from repro.service.events import JobFailure, JobFinished, JobStarted
 from repro.service.executors import execute_job
@@ -104,27 +109,28 @@ class ExecutionService:
     Args:
         workers: worker processes (an int >= 1); 1 executes inline
             (no subprocess).
-        cache: a :class:`ResultCache`, a directory path for one, or
-            None to disable caching. Rerunning a batch with the same
-            cache recomputes only the jobs it does not hold.
-        timeout_s: default per-job wall-clock budget (None, or seconds
-            > 0); a job's own ``timeout_s`` takes precedence.
+        cache: a :class:`ResultCache`, a directory path for one (str,
+            bytes or path-like), or None to disable caching. Anything
+            else raises :class:`~repro.errors.ConfigurationError`.
+            Rerunning a batch with the same cache recomputes only the
+            jobs it does not hold.
     """
 
     def __init__(
         self,
         workers: int = 1,
-        cache: ResultCache | str | None = None,
-        timeout_s: float | None = None,
+        cache: ResultCache | str | bytes | os.PathLike | None = None,
     ) -> None:
         require_int("ExecutionService", "workers", workers, 1)
         self.workers = workers
-        if isinstance(cache, (str, bytes)) or hasattr(cache, "__fspath__"):
-            cache = ResultCache(cache)
+        if isinstance(cache, (str, bytes, os.PathLike)):
+            cache = ResultCache(os.fsdecode(cache))
+        elif cache is not None and not isinstance(cache, ResultCache):
+            raise ConfigurationError(
+                f"ExecutionService(cache=...) must be a ResultCache, a "
+                f"directory path or None, got {cache!r}"
+            )
         self.cache = cache
-        self.timeout_s = check_timeout(
-            timeout_s, "ExecutionService(timeout_s=...)"
-        )
 
     # ------------------------------------------------------------------
     def run(
@@ -145,12 +151,8 @@ class ExecutionService:
         emit = on_event if on_event is not None else _ignore
         started = time.perf_counter()
         result = BatchResult(jobs=jobs, payloads=[None] * len(jobs))
-        # Each item is (index, effective job, digest): the job with the
-        # service default timeout applied, its digest computed once.
-        items = [
-            (index, job, job.digest())
-            for index, job in enumerate(map(self._effective, jobs))
-        ]
+        # Each item is (index, job, digest), the digest computed once.
+        items = [(index, job, job.digest()) for index, job in enumerate(jobs)]
         if self.workers == 1:
             self._run_inline(items, result, emit)
         else:
@@ -161,12 +163,6 @@ class ExecutionService:
     # ------------------------------------------------------------------
     # Shared pieces
     # ------------------------------------------------------------------
-    def _effective(self, job: Job) -> Job:
-        """Apply the service-level default timeout to a job."""
-        if job.timeout_s is None and self.timeout_s is not None:
-            return dataclasses.replace(job, timeout_s=self.timeout_s)
-        return job
-
     def _try_cache(
         self,
         index: int,

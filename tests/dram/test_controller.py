@@ -125,7 +125,6 @@ class TestWrites:
                 Request(RequestType.WRITE, (1 << 22) + i * 64, arrival=i * 8)
             )
         run_stream(mc, requests)
-        assert mc._write_buffer.stats_forced_drains >= 1
         assert len(mc.log.drain_windows) >= 1
 
     def test_read_forwarding_from_write_buffer(self):

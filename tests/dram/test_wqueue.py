@@ -57,30 +57,30 @@ class TestDrainStateMachine:
         buf = buffer(capacity=10, high=0.8, low=0.2)
         for i in range(7):
             add_write(buf, i * 64)
-        assert buf.drain_policy.update(100, len(buf), True) is False
+        assert buf.update(100, len(buf), True) is False
         assert not buf.draining
 
     def test_forced_drain_at_high_watermark(self):
         buf = buffer(capacity=10, high=0.8, low=0.2)
         for i in range(8):
             add_write(buf, i * 64)
-        assert buf.drain_policy.update(100, len(buf), True) is True
+        assert buf.update(100, len(buf), True) is True
         assert buf.draining
-        assert buf.stats_forced_drains == 1
+        assert buf.drain_windows == []  # recorded when the drain ends
 
     def test_drain_stops_at_low_watermark_and_records_window(self):
         buf = buffer(capacity=10, high=0.8, low=0.2)
         entries = [add_write(buf, i * 64) for i in range(8)]
-        buf.drain_policy.update(100, len(buf), True)
+        buf.update(100, len(buf), True)
         for entry in entries[:6]:
             buf.complete(entry)
-        assert buf.drain_policy.update(500, len(buf), True) is False
+        assert buf.update(500, len(buf), True) is False
         assert buf.drain_windows == [(100, 500)]
 
     def test_opportunistic_drain_without_reads(self):
         buf = buffer(capacity=10, high=0.8, low=0.2)
         add_write(buf, 0)
-        assert buf.drain_policy.update(100, len(buf), False) is True
+        assert buf.update(100, len(buf), False) is True
         assert not buf.draining  # opportunistic, not forced
         assert buf.drain_windows == []
 
@@ -88,7 +88,7 @@ class TestDrainStateMachine:
         buf = buffer(capacity=10, high=0.8, low=0.2)
         for i in range(8):
             add_write(buf, i * 64)
-        buf.drain_policy.update(100, len(buf), True)
+        buf.update(100, len(buf), True)
         buf.finalize(900)
         assert buf.drain_windows == [(100, 900)]
         assert not buf.draining

@@ -17,10 +17,13 @@ bit for bit.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.cpu.system import CpuSystem
 from repro.experiments.config import ExperimentScale
-from repro.experiments.runner import run_qos
+from repro.experiments.runner import qos_scenario, run_qos
 from repro.reliability.fingerprint import qos_fingerprint
 from repro.stacks.requester import REQUESTER_BANDWIDTH_COMPONENTS
 
@@ -71,13 +74,11 @@ def test_bank_reg_two_cores_plus_agent(golden):
 )
 def test_fast_vs_reference_engines_match(scheduling):
     """The QoS schedulers keep the two core engines bit-identical."""
+    config, traces = qos_scenario(scheduling=scheduling, scale=QOS_SCALE)
     fingerprints = [
-        qos_fingerprint(run_qos(
-            scheduling=scheduling,
-            scale=QOS_SCALE,
-            guard=False,
-            core_engine=engine,
-        ))
+        qos_fingerprint(CpuSystem(replace(
+            config, core=replace(config.core, engine=engine)
+        )).run(traces, guard=False))
         for engine in ("fast", "reference")
     ]
     assert fingerprints[0]["digest"] == fingerprints[1]["digest"]

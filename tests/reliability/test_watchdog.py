@@ -1,5 +1,6 @@
 """Tests for the forward-progress watchdog."""
 
+import dataclasses
 import random
 
 import pytest
@@ -267,14 +268,34 @@ class TestCoreEngines:
     stored, but neither changes what the watchdog observes (commands
     issued, queue depth, controller cycles)."""
 
+    @staticmethod
+    def system(cores, core_engine, engine):
+        """A paper system running the given core and controller
+        engines."""
+        from repro.cpu.system import CpuSystem
+        from repro.experiments.config import paper_system
+
+        config = paper_system(cores=cores, gap=True)
+        return CpuSystem(dataclasses.replace(
+            config,
+            core=dataclasses.replace(config.core, engine=core_engine),
+            memory=dataclasses.replace(config.memory, engine=engine),
+        ))
+
     def test_healthy_full_run_never_fires(self, core_engine, engine):
-        from repro.experiments.runner import run_synthetic
+        from repro.experiments.config import get_scale
         from repro.reliability.guard import ReliabilityGuard
+        from repro.workloads.synthetic import (
+            SyntheticConfig,
+            make_pattern,
+        )
 
         guard = ReliabilityGuard.default()
-        result = run_synthetic(
-            "random", cores=2, scale="ci", guard=guard,
-            core_engine=core_engine, engine=engine,
+        workload = make_pattern("random", SyntheticConfig(
+            accesses_per_core=get_scale("ci").synthetic_accesses,
+        ))
+        result = self.system(2, core_engine, engine).run(
+            workload.traces(2), guard=guard
         )
         assert result.total_cycles > 0
         assert guard.watchdog.stalls_detected == 0
@@ -282,19 +303,12 @@ class TestCoreEngines:
     def test_forced_stall_fires_through_cpu_system(
         self, core_engine, engine
     ):
-        from repro.cpu.core import CoreConfig
-        from repro.cpu.system import CpuSystem
-        from repro.experiments.config import paper_system
         from repro.workloads.synthetic import (
             SyntheticConfig,
             make_pattern,
         )
 
-        config = paper_system(
-            cores=1, gap=True, core=CoreConfig(engine=core_engine),
-            engine=engine,
-        )
-        system = CpuSystem(config)
+        system = self.system(1, core_engine, engine)
         system.memory.attach_watchdog(
             ForwardProgressWatchdog(threshold_cycles=2_000)
         )

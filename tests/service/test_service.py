@@ -5,6 +5,8 @@ semantics without spawning processes; the pool-specific paths (crash
 isolation, hard timeouts, real parallelism) live in ``test_pool.py``.
 """
 
+import os
+
 import pytest
 
 from repro.errors import (
@@ -54,6 +56,12 @@ class TestCaching:
         service = ExecutionService(cache=str(tmp_path / "c"))
         service.run([tiny_job()])
         assert service.run([tiny_job()]).cache_hits == 1
+
+    def test_cache_accepts_bytes_path(self, tmp_path):
+        service = ExecutionService(cache=os.fsencode(tmp_path / "c"))
+        assert isinstance(service.cache, ResultCache)
+        service.run([Job("probe", {"value": 2})])
+        assert service.run([Job("probe", {"value": 2})]).cache_hits == 1
 
     def test_probe_results_cached_like_any_payload(self, tmp_path):
         """A probe's payload depends only on its config, so it is
@@ -159,12 +167,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="workers"):
             ExecutionService(workers=workers)
 
-    @pytest.mark.parametrize("timeout_s", [0, -2.0, float("nan"), True])
-    def test_bad_service_timeout_fails_before_any_job(self, timeout_s):
-        """The service checks its default budget where it enters, so
-        no batch can start with it."""
-        with pytest.raises(ConfigurationError, match="timeout_s"):
-            ExecutionService(timeout_s=timeout_s)
+    @pytest.mark.parametrize("cache", [
+        123, True, object(), [],
+    ], ids=["int", "bool", "object", "list"])
+    def test_rejects_bad_cache_before_any_job(self, cache):
+        """The service checks its cache where it enters, so no batch
+        can fail later on a cache it cannot use."""
+        with pytest.raises(ConfigurationError, match="cache"):
+            ExecutionService(cache=cache)
 
     def test_unknown_job_kind_fails_the_job(self):
         result = ExecutionService().run([Job("warp-drive", {})])
@@ -186,18 +196,14 @@ class TestValidation:
 
 
 class TestTimeout:
-    def test_service_default_applied_to_jobs(self, tmp_path):
-        # A tiny cooperative budget on a real simulation must produce a
-        # SimulationTimeoutError (the guard fires mid-run).
-        service = ExecutionService(timeout_s=1e-9)
-        result = service.run([tiny_job()])
-        assert not result.complete
-        assert isinstance(result.failures[0].error, SimulationTimeoutError)
-
-    def test_job_timeout_overrides_service_default(self):
-        service = ExecutionService(timeout_s=1e-9)
+    def test_service_default_applied_to_jobs(self):
+        # The budget is the job's own: a tiny cooperative one on a real
+        # simulation must produce a SimulationTimeoutError (the guard
+        # fires mid-run).
         job = Job(
             "synthetic", {"pattern": "sequential"}, scale=TINY,
-            timeout_s=300.0,
+            timeout_s=1e-9,
         )
-        assert service.run([job]).complete
+        result = ExecutionService().run([job])
+        assert not result.complete
+        assert isinstance(result.failures[0].error, SimulationTimeoutError)

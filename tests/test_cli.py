@@ -302,6 +302,17 @@ class TestExitCodes:
             entry(argv)
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "random", "--engine", "reference"],
+        ["batch", "--engines", "packed"],
+    ])
+    def test_engine_surface_is_gone(self, argv, capsys):
+        """The controller engine is not a run option: tests reach the
+        oracle through ``ControllerConfig.engine``."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+
     @pytest.mark.parametrize("timeout", ["0", "-2", "nan"])
     def test_nonpositive_timeout_rejected(self, timeout, capsys):
         """0 and negatives would time out every run; NaN would be
@@ -322,8 +333,8 @@ class TestExitCodes:
 
         finalize = CpuSystem._finalize
 
-        def finalize_and_corrupt(self, guard, max_cycles):
-            result = finalize(self, guard, max_cycles)
+        def finalize_and_corrupt(self, guard):
+            result = finalize(self, guard)
             corrupt_request(next(
                 r for r in result.memory.completed_requests
                 if r.is_read and not r.forwarded and r.arrival > 0

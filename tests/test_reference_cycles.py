@@ -75,13 +75,15 @@ def cyclic_garbage(run) -> Counter:
 
 def system_run(name: str, engine: str):
     options, refresh = SYSTEMS[name]
+    memory = {"engine": engine}
+    if refresh is not None:
+        memory["refresh"] = refresh
 
     def run():
-        config = paper_system(cores=2, gap=True, engine=engine, **options)
-        if refresh is not None:
-            config = dataclasses.replace(config, memory=dataclasses.replace(
-                config.memory, refresh=refresh,
-            ))
+        config = paper_system(cores=2, gap=True, **options)
+        config = dataclasses.replace(config, memory=dataclasses.replace(
+            config.memory, **memory,
+        ))
         traces = make_pattern("random", SyntheticConfig(
             accesses_per_core=150, store_fraction=0.3,
         )).traces(2)
